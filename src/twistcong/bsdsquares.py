@@ -24,7 +24,7 @@ from .dataset import Dataset, DatasetError, FieldBlock
 from .exact import (CyclotomicNumber, DecimalWithError, RecognitionError,
                     is_square_rational, rational_reconstruct, recognize_orbit,
                     sqrt_rational_approx)
-from .groups import Character, induced_galois_orbits, irreducible_characters
+from .groups import Character, character_orbits
 from .heights import field_period, omega_factor, regulator_from_translates
 from .localfactors import discriminant_factor, global_correction
 
@@ -144,12 +144,8 @@ def character_bsd_quotients(ds: Dataset) -> dict[str, CyclotomicNumber]:
     quotients.  Recognition runs one Galois orbit at a time, exactly as in
     the congruence engine, and its failures propagate."""
     group = ds.group
-    by_label = {c.label: c for c in irreducible_characters(group)}
-    orbits: list[list[Character]] = [[by_label["triv"]], [by_label["eps"]]]
-    orbits.extend(induced_galois_orbits(group))
-
     out: dict[str, CyclotomicNumber] = {}
-    for orbit in orbits:
+    for orbit in character_orbits(group):
         if orbit[0].label != "triv" and _smallest_block_with(ds, orbit[0].label) is None:
             continue
         reg = regulator_normalization(ds, orbit[0].label)

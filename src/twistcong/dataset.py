@@ -594,9 +594,3 @@ def serialize_dataset(ds: Dataset) -> dict[str, Any]:
             "omega_quotient": f"{fb.omega_quotient.numerator}/{fb.omega_quotient.denominator}",
         }
     return doc
-
-
-def dump_dataset(ds: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_dataset(ds), fh, indent=2, sort_keys=True)
-        fh.write("\n")

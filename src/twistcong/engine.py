@@ -11,8 +11,11 @@ The pipeline per dataset:
 3. the exact values are tested for p-unitness and Galois equivariance, and
    the congruence sums S(pi) = Q(triv)Q(eps) + sum over nontrivial chi of
    chi(pi)^-1 Q(Ind chi) are tested for divisibility by p^n at every pi;
-4. the equivalent group-ring membership formulation is cross-evaluated and
-   must agree, as must the one-line shortcut available when n = 1.
+4. S(pi) is evaluated once (groups.character_sums). The equivalent Z_p[P]
+   membership formulation reads the same sums, runs its own P-level Galois
+   equivariance test and tests S(pi)/|P| for p-integrality, and must agree
+   with the line verdicts; so must the one-line shortcut
+   Q(triv)Q(eps) + 2 sum Q(Ind chi) available when n = 1.
 
 The outcome is PASS / FAIL / INCONCLUSIVE: FAIL only when an exactly
 computed quantity falsifies the congruence, INCONCLUSIVE when recognition or
@@ -20,7 +23,7 @@ a hypothesis leaves the question open.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .dataset import (CharacterAnalytic, Dataset, DatasetError, HypothesisResult,
@@ -28,8 +31,8 @@ from .dataset import (CharacterAnalytic, Dataset, DatasetError, HypothesisResult
 from .exact import (AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError,
                     RecognitionError, p_valuation, recognize_orbit,
                     sqrt_rational_approx)
-from .groups import (Character, DihedralGroup, induced_galois_orbits,
-                     irreducible_characters, res_map, zp_P_membership)
+from .groups import (Character, DihedralGroup, _membership_from_sums, character_orbits,
+                     character_sums, irreducible_characters, res_map)
 from .heights import equivariant_height, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
 
@@ -125,16 +128,10 @@ def _char_route(ds: Dataset, char: Character, route: str) -> str:
 def recognize_characters(ds: Dataset, route: str) -> dict[str, CharacterResult]:
     """Recognize all normalized leading terms, one Galois orbit at a time."""
     group = ds.group
-    chars = irreducible_characters(group)
-    by_label = {c.label: c for c in chars}
     places = [ds.places[s] for s in ds.tower.S_r]
-
-    orbits: list[list[Character]] = [[by_label["triv"]], [by_label["eps"]]]
-    orbits.extend(induced_galois_orbits(group))
-
     m = group.exponent
     out: dict[str, CharacterResult] = {}
-    for orbit in orbits:
+    for orbit in character_orbits(group):
         numerics = [assemble_numeric(ds, c) for c in orbit]
         orb = recognize_orbit(numerics, m, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
@@ -210,17 +207,14 @@ def gz_q_vector(ds: Dataset, constant: Fraction | None = None
 def congruence_lines(group: DihedralGroup, q_values: dict[str, CyclotomicNumber],
                      n_required: int) -> list[CongruenceLine]:
     """S(pi) for every pi in P, with the divisibility verdicts."""
-    p = group.p
-    base = q_values["triv"] * q_values["eps"]
+    return _lines_from_sums(group, character_sums(res_map(q_values, group), group), n_required)
+
+
+def _lines_from_sums(group: DihedralGroup, sums: dict[tuple[int, ...], CyclotomicNumber],
+                     n_required: int) -> list[CongruenceLine]:
     lines: list[CongruenceLine] = []
     for pi in group.p_elements():
-        acc = base
-        for avec in group.chi_vectors():
-            if all(a == 0 for a in avec):
-                continue
-            label = "ind:" + ",".join(str(x) for x in group.pair_rep(avec))
-            chi_bar = group.chi_value(avec, pi.inverse())
-            acc = acc + chi_bar * q_values[label]
+        acc = sums[pi.rot]
         if not acc.is_rational():
             raise RecognitionError(
                 f"congruence sum at {group.format_element(pi)} is not rational; "
@@ -229,7 +223,7 @@ def congruence_lines(group: DihedralGroup, q_values: dict[str, CyclotomicNumber]
         if s == 0:
             lines.append(CongruenceLine(group.format_element(pi), s, None, True))
         else:
-            v = p_valuation(s, p)
+            v = p_valuation(s, group.p)
             lines.append(CongruenceLine(group.format_element(pi), s,
                                         v, v >= n_required))
     return lines
@@ -281,7 +275,8 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
     """Full verification of one dataset; never raises on a mathematical
     failure, only on malformed or insufficient data."""
     if den_bound is not None:
-        ds.options.den_bound = den_bound
+        # recognition reads the override from a copy; the caller's dataset is untouched
+        ds = replace(ds, options=replace(ds.options, den_bound=den_bound))
     chosen_route = route or ds.options.route
     if chosen_route not in ("auto", "direct", "qhat", "gz"):
         raise DatasetError("options.route", f"unknown route {chosen_route!r}")
@@ -327,8 +322,10 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
     result.notes.extend(notes)
 
     q_values = {label: r.q_value for label, r in results.items()}
+    evals = res_map(q_values, ds.group)
+    sums = character_sums(evals, ds.group)
     try:
-        result.congruences = congruence_lines(ds.group, q_values, n_required)
+        result.congruences = _lines_from_sums(ds.group, sums, n_required)
     except RecognitionError as e:
         result.notes.append(str(e))
         result.verdict = "INCONCLUSIVE"
@@ -342,27 +339,22 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
         result.verdict = "INCONCLUSIVE"
         return result
 
-    # group-ring membership formulation must agree at the default modulus
+    # the Z_p[P] reading of the same sums must agree at the default modulus
     if n_required == ds.required_p_power() and ds.options.p_power_required is None:
-        try:
-            evals = res_map(q_values, ds.group)
-            membership = zp_P_membership(evals, ds.group)
-            scaled_ok = result.congruences_ok and eq_ok
-            result.membership_agrees = (membership.ok == scaled_ok)
-            if not result.membership_agrees:
-                result.notes.append(
-                    "group-ring membership check disagrees with the congruence sums")
-                result.verdict = "INCONCLUSIVE"
-                return result
-        except (RecognitionError, DatasetError) as e:
-            result.notes.append(f"membership cross-check unavailable: {e}")
+        membership = _membership_from_sums(evals, ds.group, sums)
+        scaled_ok = result.congruences_ok and eq_ok
+        result.membership_agrees = (membership.ok == scaled_ok)
+        if not result.membership_agrees:
+            result.notes.append(
+                "group-ring membership check disagrees with the congruence sums")
+            result.verdict = "INCONCLUSIVE"
+            return result
 
-    # one-line shortcut at modulus p
+    # one-line shortcut at modulus p: S(1) = Q(triv)Q(eps) + 2 sum Q(Ind chi)
     if n_required == 1:
-        acc = base
-        for orbit in induced_galois_orbits(ds.group):
-            for c in orbit:
-                acc = acc + 2 * q_values[c.label]
+        induced = sum((q for label, q in q_values.items() if label.startswith("ind:")),
+                      CyclotomicNumber.rational(0))
+        acc = base + 2 * induced
         if acc.is_rational():
             s = acc.rational_part()
             shortcut_ok = s == 0 or p_valuation(s, ds.group.p) >= 1

@@ -60,9 +60,6 @@ class GroupElement:
             k >>= 1
         return acc
 
-    def in_p_part(self) -> bool:
-        return self.flip == 0
-
     def __eq__(self, other):
         return (isinstance(other, GroupElement) and self.group is other.group
                 and self.rot == other.rot and self.flip == other.flip)
@@ -276,10 +273,6 @@ class Character:
         chi_g = self.group.chi_value(self.chi, g)
         return chi_g + chi_g.conjugate()
 
-    def dual(self) -> "Character":
-        # every irreducible character here is real-valued
-        return self
-
     def galois_image(self, a: int) -> "Character":
         if self.kind != "ind":
             return self
@@ -336,6 +329,12 @@ def induced_galois_orbits(group: DihedralGroup) -> list[list[Character]]:
             seen.add(o.label)
         orbits.append(orbit)
     return orbits
+
+
+def character_orbits(group: DihedralGroup) -> list[list[Character]]:
+    """Galois orbits of all irreducible characters: [triv], [eps], then the
+    induced orbits."""
+    return [[Character(group, "triv")], [Character(group, "eps")]] + induced_galois_orbits(group)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +467,25 @@ def res_map(values: Mapping[str, CyclotomicNumber], group: DihedralGroup
     return out
 
 
+def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
+                   group: DihedralGroup) -> dict[tuple[int, ...], CyclotomicNumber]:
+    """S(pi) = sum_chi chi(pi)^-1 E_chi for every pi in P, keyed by pi.rot: for
+    E = res_map(Q) the congruence sum at pi, and |P| times the Fourier
+    coefficient of (E_chi) at pi, which the Z_p[P] membership test reads."""
+    vectors = list(group.chi_vectors())
+    missing = [v for v in vectors if v not in evals]
+    if missing:
+        raise GroupError(f"missing {len(missing)} chi components, e.g. {missing[0]}")
+    sums: dict[tuple[int, ...], CyclotomicNumber] = {}
+    for pi in group.p_elements():
+        pi_inv = pi.inverse()
+        acc = CyclotomicNumber.rational(0)
+        for avec in vectors:
+            acc = acc + group.chi_value(avec, pi_inv) * evals[avec]
+        sums[pi.rot] = acc
+    return sums
+
+
 @dataclass
 class MembershipReport:
     ok: bool
@@ -484,12 +502,16 @@ def zp_P_membership(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     c_pi = |P|^-1 sum_chi chi(pi)^-1 E_chi must be rational and p-integral
     for every pi. Returns the coefficients and a list of failure notes.
     """
-    p = group.p
+    return _membership_from_sums(evals, group, character_sums(evals, group))
+
+
+def _membership_from_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
+                          group: DihedralGroup,
+                          sums: Mapping[tuple[int, ...], CyclotomicNumber]
+                          ) -> MembershipReport:
+    """zp_P_membership with the sums S(pi) = |P| c_pi already evaluated."""
     failures: list[str] = []
     vectors = list(group.chi_vectors())
-    missing = [v for v in vectors if v not in evals]
-    if missing:
-        raise GroupError(f"missing {len(missing)} chi components, e.g. {missing[0]}")
     # Galois equivariance: sigma_a(E_chi) = E_(a*chi)
     for a in group.galois_unit_reps():
         for avec in vectors:
@@ -502,15 +524,13 @@ def zp_P_membership(evals: Mapping[tuple[int, ...], CyclotomicNumber],
             break
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for pi in group.p_elements():
-        acc = CyclotomicNumber.rational(0)
-        for avec in vectors:
-            acc = acc + group.chi_value(avec, pi.inverse()) * evals[avec]
+        acc = sums[pi.rot]
         if not acc.is_rational():
             failures.append(f"Fourier coefficient at {group.format_element(pi)} not rational")
             continue
         c = acc.rational_part() / group.p_order
         coeffs[pi.rot] = c
-        if c != 0 and p_valuation(c, p) < 0:
+        if c != 0 and p_valuation(c, group.p) < 0:
             failures.append(
                 f"coefficient {c} at {group.format_element(pi)} not p-integral")
     return MembershipReport(ok=not failures, coefficients=coeffs, failures=failures)

@@ -143,10 +143,6 @@ class LocalCorrection:
     u: CyclotomicNumber
     t: Fraction
 
-    @property
-    def u_rational(self) -> Fraction:
-        return self.u.rational_part()
-
 
 def local_correction(char: Character, place: LocalPlace) -> LocalCorrection:
     """The factors u_v(psi), t_v(psi) at one place."""

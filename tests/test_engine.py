@@ -182,6 +182,13 @@ def test_small_denominator_bound_inconclusive():
     assert not r.characters
 
 
+def test_den_bound_override_leaves_dataset_untouched():
+    ds = load_bundled_dataset(QUINTIC)
+    assert verify(ds, den_bound=3).verdict == "INCONCLUSIVE"
+    assert ds.options.den_bound == 10 ** 6
+    assert verify(ds).verdict == "PASS"
+
+
 def test_wide_interval_inconclusive():
     ds = load_bundled_dataset(QUINTIC)
     ca = ds.analytic.characters["eps"]

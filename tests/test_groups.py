@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistcong.exact import CyclotomicNumber
+from twistcong.engine import congruence_lines
+from twistcong.exact import CyclotomicNumber, euler_phi
 from twistcong.groups import (
     Character, DihedralGroup, GroupError, GroupRingElement, center_integrality,
-    central_idempotent, chi_trace_element, induced_galois_orbits,
-    irreducible_characters, kolyvagin_identity, res_map, trace_element,
-    zp_P_membership,
+    central_idempotent, character_orbits, character_sums, chi_trace_element,
+    induced_galois_orbits, irreducible_characters, kolyvagin_identity, res_map,
+    trace_element, zp_P_membership,
 )
 
 G7 = DihedralGroup(7, [7])
@@ -103,6 +104,15 @@ def test_galois_orbits_partition():
     # p = 5: units {1,2,3,4} mod +-1 give one orbit of the two pairs
     orbits5 = induced_galois_orbits(G5)
     assert len(orbits5) == 1 and len(orbits5[0]) == 2
+
+
+@pytest.mark.parametrize("group", [G5, G7, G33])
+def test_character_orbits_cover_every_character_once(group):
+    orbits = character_orbits(group)
+    assert [o[0].label for o in orbits[:2]] == ["triv", "eps"]
+    assert orbits[2:] == induced_galois_orbits(group)
+    labels = [c.label for orbit in orbits for c in orbit]
+    assert sorted(labels) == sorted(c.label for c in irreducible_characters(group))
 
 
 def test_stabilizer_fixes_character():
@@ -213,6 +223,88 @@ def test_membership_non_cyclic():
     assert zp_P_membership(evals, G33).ok
     bad = [Fraction(1, 3)] + cs[1:]
     assert not zp_P_membership(brute_force_member(bad, G33), G33).ok
+
+
+# ---------------------------------------------------------------------------
+# the character sums S(pi) against oracles that do not share their code path
+# ---------------------------------------------------------------------------
+
+SUM_SHAPES = [(3, [3]), (5, [5]), (7, [7]), (11, [11]), (3, [9]), (5, [25]),
+              (3, [27]), (3, [3, 3]), (3, [9, 3])]
+
+
+def random_fraction(rng):
+    return Fraction(rng.randrange(-60, 61), rng.choice([1, 1, 2, 3, 5, 7, 9, 25]))
+
+
+def per_formulation_sum(group, q_values, pi):
+    """S(pi) as one congruence line: Q(triv)Q(eps) plus one term per
+    nontrivial chi, looked up by the label of its induced character."""
+    acc = q_values["triv"] * q_values["eps"]
+    for avec in group.chi_vectors():
+        if any(avec):
+            label = "ind:" + ",".join(str(x) for x in group.pair_rep(avec))
+            acc = acc + group.chi_value(avec, pi.inverse()) * q_values[label]
+    return acc
+
+
+def random_equivariant_q(group, rng, rational=True):
+    """A Q-vector with sigma_a(Q(psi)) = Q(psi^a): per induced orbit one value
+    fixed by the stabilizer of its first member, moved along the orbit."""
+    q = {"triv": CyclotomicNumber.rational(random_fraction(rng)),
+         "eps": CyclotomicNumber.rational(random_fraction(rng))}
+    e = group.exponent
+    for orbit in induced_galois_orbits(group):
+        first = orbit[0]
+        if rational:
+            x = CyclotomicNumber.rational(random_fraction(rng))
+        else:
+            y = CyclotomicNumber(e, [random_fraction(rng) for _ in range(euler_phi(e))])
+            x = CyclotomicNumber.rational(0)
+            for s in first.stabilizer_units():
+                x = x + y.galois_apply(s)
+        for a in group.galois_unit_reps():
+            q[first.galois_image(a).label] = x.galois_apply(a)
+    return q
+
+
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+def test_character_sums_invert_the_forward_transform(p, factors):
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"sums:{factors}")
+    cs = [random_fraction(rng) for _ in range(group.p_order)]
+    sums = character_sums(brute_force_member(cs, group), group)
+    assert len(sums) == group.p_order
+    for pi, c in zip(group.p_elements(), cs):
+        assert sums[pi.rot] == CyclotomicNumber.rational(group.p_order * c)
+
+
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+def test_congruence_lines_match_membership_coefficients(p, factors):
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"lines:{factors}")
+    q = random_equivariant_q(group, rng)
+    lines = congruence_lines(group, q, 1)
+    report = zp_P_membership(res_map(q, group), group)
+    base = (q["triv"] * q["eps"]).rational_part()
+    assert sum(line.value for line in lines) == group.p_order * base
+    for pi, line in zip(group.p_elements(), lines):
+        assert line.element == group.format_element(pi)
+        assert line.value == group.p_order * report.coefficients[pi.rot]
+        assert per_formulation_sum(group, q, pi) == CyclotomicNumber.rational(line.value)
+
+
+@pytest.mark.parametrize("p, factors", [(5, [5]), (7, [7]), (3, [9]), (5, [5, 5])])
+def test_irrational_equivariant_q_gives_rational_sums(p, factors):
+    group = DihedralGroup(p, factors)
+    q = random_equivariant_q(group, random.Random(f"irrational:{factors}"), rational=False)
+    assert any(not v.is_rational() for v in q.values())
+    lines = congruence_lines(group, q, 1)
+    report = zp_P_membership(res_map(q, group), group)
+    assert not any("equivariant" in f for f in report.failures)
+    for pi, line in zip(group.p_elements(), lines):
+        assert line.value == group.p_order * report.coefficients[pi.rot]
+        assert per_formulation_sum(group, q, pi) == CyclotomicNumber.rational(line.value)
 
 
 # ---------------------------------------------------------------------------
