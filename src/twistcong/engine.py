@@ -11,11 +11,11 @@ The pipeline per dataset:
 3. the exact values are tested for p-unitness and Galois equivariance, and
    the congruence sums S(pi) = Q(triv)Q(eps) + sum over nontrivial chi of
    chi(pi)^-1 Q(Ind chi) are tested for divisibility by p^n at every pi;
-4. S(pi) is evaluated once (groups.character_sums). The equivalent Z_p[P]
-   membership formulation reads the same sums, runs its own P-level Galois
-   equivariance test and tests S(pi)/|P| for p-integrality, and must agree
-   with the line verdicts; so must the one-line shortcut
-   Q(triv)Q(eps) + 2 sum Q(Ind chi) available when n = 1.
+4. S(pi) is evaluated once (groups.character_sums) by integer shift-and-add,
+   one reduction mod Phi_e per pi. The Z_p[P] membership formulation reads
+   the same sums, runs its own P-level Galois equivariance test and tests
+   S(pi)/|P| for p-integrality, and must agree with the line verdicts; so
+   must the n = 1 shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi).
 
 The outcome is PASS / FAIL / INCONCLUSIVE: FAIL only when an exactly
 computed quantity falsifies the congruence, INCONCLUSIVE when recognition or
@@ -245,24 +245,27 @@ def unit_and_equivariance(group: DihedralGroup, results: dict[str, CharacterResu
             notes.append(f"Q({label}) has valuation {res.p_valuation}, not a p-unit")
     eq_ok = True
     by_label = {c.label: c for c in irreducible_characters(group)}
+    units = group.galois_unit_reps()
+    # image[a][label] = label of psi^sigma_a, without building a Character per (a, psi)
+    image = {a: {label: label if c.kind != "ind" else
+                 "ind:" + ",".join(map(str, group.pair_rep(group.galois_on_chi(c.chi, a))))
+                 for label, c in by_label.items()} for a in units}
     for label, res in results.items():
-        char = by_label[label]
-        if char.kind != "ind" or res.q_value.m == 1:
+        if by_label[label].kind != "ind" or res.q_value.m == 1:
             continue
-        for a in char.stabilizer_units():
-            if res.q_value.galois_apply(a) != res.q_value:
+        for a in units:
+            if image[a][label] == label and res.q_value.galois_apply(a) != res.q_value:
                 eq_ok = False
                 notes.append(f"Q({label}) not fixed by its stabilizer")
                 break
-    for a in group.galois_unit_reps():
+    for a in units:
         for label, res in results.items():
-            char = by_label[label]
-            img = char.galois_image(a)
+            img = image[a][label]
             lhs = (res.q_value.galois_apply(a) if res.q_value.m != 1
                    else res.q_value)
-            if lhs != results[img.label].q_value:
+            if lhs != results[img].q_value:
                 eq_ok = False
-                notes.append(f"sigma_{a}(Q({label})) != Q({img.label})")
+                notes.append(f"sigma_{a}(Q({label})) != Q({img})")
                 break
         else:
             continue

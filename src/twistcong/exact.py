@@ -13,6 +13,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -147,8 +148,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
+@lru_cache(maxsize=64)
 def _prime_power(m: int) -> tuple[int, int]:
-    """m = p^n with p an odd prime -> (p, n)."""
+    """m = p^n with p an odd prime -> (p, n); cached, and a rejected m raises anew."""
     if m < 3:
         raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
     p = m

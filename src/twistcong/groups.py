@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .exact import (CyclotomicNumber, ExactArithmeticError, InvalidAutomorphismError,
-                    p_valuation, euler_phi)
+                    _reduce_mod_cyclotomic, euler_phi, p_valuation)
 
 
 class GroupError(ValueError):
@@ -471,18 +472,32 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
                    group: DihedralGroup) -> dict[tuple[int, ...], CyclotomicNumber]:
     """S(pi) = sum_chi chi(pi)^-1 E_chi for every pi in P, keyed by pi.rot: for
     E = res_map(Q) the congruence sum at pi, and |P| times the Fourier
-    coefficient of (E_chi) at pi, which the Z_p[P] membership test reads."""
+    coefficient of (E_chi) at pi, which the Z_p[P] membership test reads.
+
+    Each nonzero E_chi_a is put over one common denominator D as a sparse integer
+    vector in the power basis of Q(zeta_e); chi_a(pi)^-1 = zeta_e^k with
+    k = -sum_i a_i r_i e/f_i shifts its indices by k, so S(pi) costs O(|P| nnz)
+    integer additions and one reduction modulo Phi_e, and no cyclotomic product."""
     vectors = list(group.chi_vectors())
     missing = [v for v in vectors if v not in evals]
     if missing:
         raise GroupError(f"missing {len(missing)} chi components, e.g. {missing[0]}")
+    e = group.exponent
+    # coerce as the product zeta_e^k * E_chi would: E_chi of conductor 1 or e
+    one = CyclotomicNumber.zeta_power(e, 0)
+    values = [one._pair(evals[avec])[1].coeffs for avec in vectors]
+    den = lcm(*(c.denominator for cs in values for c in cs))
+    terms = [([a * (e // f) for a, f in zip(avec, group.cyclic_factors)],
+              [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(cs) if c])
+             for avec, cs in zip(vectors, values) if any(cs)]
     sums: dict[tuple[int, ...], CyclotomicNumber] = {}
     for pi in group.p_elements():
-        pi_inv = pi.inverse()
-        acc = CyclotomicNumber.rational(0)
-        for avec in vectors:
-            acc = acc + group.chi_value(avec, pi_inv) * evals[avec]
-        sums[pi.rot] = acc
+        acc = [0] * e
+        for weights, nonzero in terms:
+            k = -sum(map(mul, weights, pi.rot))
+            for i, c in nonzero:
+                acc[(i + k) % e] += c
+        sums[pi.rot] = CyclotomicNumber(e, [Fraction(c, den) for c in _reduce_mod_cyclotomic(acc, e)])
     return sums
 
 

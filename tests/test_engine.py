@@ -1,11 +1,13 @@
 """End-to-end verification on the bundled datasets, all routes and verdicts."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from twistcong.dataset import DatasetError, load_bundled_dataset
 from twistcong.engine import (
-    RouteDataError, gz_constant, gz_q_vector, relabel_dataset, verify,
+    RouteDataError, gz_constant, gz_q_vector, relabel_dataset, unit_and_equivariance,
+    verify,
 )
 from twistcong.exact import CyclotomicNumber, DecimalWithError, sqrt_rational_approx
 from twistcong.localfactors import check_pinned_corrections
@@ -148,6 +150,17 @@ def test_gz_vector_with_explicit_constant():
     out = gz_q_vector(ds, constant=Fraction(3))
     assert out["triv"].q_value == CyclotomicNumber.rational(Fraction(96, 19))
     assert out["eps"].q_value == CyclotomicNumber.rational(Fraction(24, 19))
+
+
+def test_equivariance_notes_name_the_first_failure():
+    ds = load_bundled_dataset(QUINTIC)
+    results = gz_q_vector(ds)
+    assert unit_and_equivariance(ds.group, results) == (True, True, [])
+    # zeta is moved by sigma_4, which fixes ind:1, and sigma_2 maps ind:1 to ind:2
+    results["ind:1"] = replace(results["ind:1"], q_value=CyclotomicNumber.zeta_power(5, 1))
+    assert unit_and_equivariance(ds.group, results) == (
+        True, False, ["Q(ind:1) not fixed by its stabilizer",
+                      "sigma_2(Q(ind:1)) != Q(ind:2)"])
 
 
 # ---------------------------------------------------------------------------

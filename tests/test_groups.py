@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistcong.engine import congruence_lines
-from twistcong.exact import CyclotomicNumber, euler_phi
+from twistcong.exact import CyclotomicNumber, UnsupportedConductorError, euler_phi
 from twistcong.groups import (
     Character, DihedralGroup, GroupError, GroupRingElement, center_integrality,
     central_idempotent, character_orbits, character_sums, chi_trace_element,
@@ -305,6 +305,67 @@ def test_irrational_equivariant_q_gives_rational_sums(p, factors):
     for pi, line in zip(group.p_elements(), lines):
         assert line.value == group.p_order * report.coefficients[pi.rot]
         assert per_formulation_sum(group, q, pi) == CyclotomicNumber.rational(line.value)
+
+
+def direct_character_sums(evals, group):
+    """S(pi) as the plain double loop of cyclotomic products chi(pi^-1) E_chi."""
+    sums = {}
+    for pi in group.p_elements():
+        pi_inv = pi.inverse()
+        acc = CyclotomicNumber.rational(0)
+        for avec in group.chi_vectors():
+            acc = acc + group.chi_value(avec, pi_inv) * evals[avec]
+        sums[pi.rot] = acc
+    return sums
+
+
+def random_entry(group, rng, kind):
+    """Zero (kind 0), a rational of conductor 1 (kind 1) or an element of
+    Q(zeta_e) (kind 2), with denominators of several primes including p."""
+    if kind == 0:
+        return CyclotomicNumber.rational(0)
+    if kind == 1:
+        return CyclotomicNumber.rational(random_fraction(rng))
+    dens = [1, 2, 3, 7, 11, group.p, group.p ** 2]
+    return CyclotomicNumber(group.exponent, [Fraction(rng.randrange(-40, 41), rng.choice(dens))
+                                             for _ in range(euler_phi(group.exponent))])
+
+
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+def test_character_sums_match_the_direct_loop_on_arbitrary_vectors(p, factors):
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"arbitrary:{factors}")
+    for _ in range(2):
+        kinds = [0, 1, 2] + [rng.randrange(3) for _ in range(group.p_order - 3)]
+        rng.shuffle(kinds)
+        evals = {avec: random_entry(group, rng, kind)
+                 for avec, kind in zip(group.chi_vectors(), kinds)}
+        got = character_sums(evals, group)
+        want = direct_character_sums(evals, group)
+        assert {k: (v.m, v.coeffs) for k, v in got.items()} == \
+            {k: (v.m, v.coeffs) for k, v in want.items()}
+
+
+def test_character_sums_reject_a_foreign_conductor():
+    evals = {avec: CyclotomicNumber.rational(1) for avec in G5.chi_vectors()}
+    evals[(2,)] = CyclotomicNumber.zeta_power(7, 1)
+    for sums in (character_sums, direct_character_sums):
+        with pytest.raises(UnsupportedConductorError):
+            sums(evals, G5)
+
+
+@pytest.mark.parametrize("p, factors", [(11, [121]), (5, [125]), (11, [11, 11])])
+def test_constant_q_vector_on_large_groups(p, factors):
+    """Q(triv) = Q(ind) = C and Q(eps) = 1 give S(1) = |P| C and S(pi) = 0
+    otherwise; shapes beyond the benchmark's towers."""
+    group = DihedralGroup(p, factors)
+    C = Fraction(2 * p + 1, p + 2)
+    q = {c.label: CyclotomicNumber.rational(1 if c.kind == "eps" else C)
+         for c in irreducible_characters(group)}
+    lines = congruence_lines(group, q, group.n)
+    assert [line.value for line in lines] == [group.p_order * C] + [0] * (group.p_order - 1)
+    assert all(line.ok for line in lines)
+    assert zp_P_membership(res_map(q, group), group).ok
 
 
 # ---------------------------------------------------------------------------
