@@ -38,6 +38,14 @@ def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
+def _flag(obj: Mapping[str, Any], key: str, path: str) -> bool:
+    """A required JSON true/false; a quoted or numeric stand-in is rejected."""
+    value = _need(obj, key, path)
+    if not isinstance(value, bool):
+        raise DatasetError(f"{path}.{key}", f"expected true or false, got {value!r}")
+    return value
+
+
 def _decimal(obj: Any, path: str) -> DecimalWithError:
     if not isinstance(obj, Mapping) or "value" not in obj:
         raise DatasetError(path, "expected {value, abs_error} decimal object")
@@ -271,7 +279,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         tower = TowerInfo(
             d_k_abs=int(_need(tobj, "d_k_abs", "tower")),
             d_K_abs=int(_need(tobj, "d_K_abs", "tower")),
-            K_real=bool(_need(tobj, "K_real", "tower")),
+            K_real=_flag(tobj, "K_real", "tower"),
             conductor_norms={str(k): int(v) for k, v in _need(tobj, "conductor_norms", "tower").items()},
             S_r=tuple(str(x) for x in _need(tobj, "S_r", "tower")),
             S_r_split=tuple(str(x) for x in tobj.get("S_r_split", [])),
@@ -322,7 +330,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         analytic_chars[label] = CharacterAnalytic(
             order=int(_need(entry, "order", path)),
             leading_term=_decimal(_need(entry, "leading_term", path), f"{path}.leading_term"),
-            truncated=bool(_need(entry, "truncated", path)),
+            truncated=_flag(entry, "truncated", path),
         )
     missing_chars = sorted(char_labels - set(analytic_chars))
     if missing_chars:

@@ -33,7 +33,7 @@ from .exact import (AmbiguousRecognitionError, CyclotomicNumber, DecimalWithErro
                     sqrt_rational_approx)
 from .groups import (Character, DihedralGroup, _membership_from_sums, character_orbits,
                      character_sums, irreducible_characters, res_map)
-from .heights import equivariant_height, omega_factor
+from .heights import height_factor, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
 
 
@@ -92,14 +92,6 @@ class VerificationResult:
 # numeric assembly
 # ---------------------------------------------------------------------------
 
-def _height_factor(ds: Dataset, char: Character) -> DecimalWithError:
-    if char.label == ds.rho_label():
-        return DecimalWithError.exact(1)
-    if ds.heights is None:
-        raise DatasetError("heights", f"character {char.label} needs height translates")
-    return equivariant_height(char, ds.group, ds.heights.translates)
-
-
 def assemble_numeric(ds: Dataset, char: Character) -> DecimalWithError:
     """sqrt(d_psi) * leading_term / (Omega_psi * H_psi), as an interval."""
     ca = ds.analytic.characters[char.label]
@@ -108,7 +100,8 @@ def assemble_numeric(ds: Dataset, char: Character) -> DecimalWithError:
     sqrt_d = sqrt_rational_approx(d, ds.options.embedding_digits)
     omega = omega_factor(char, ds.analytic.omega_plus, ds.analytic.omega_minus,
                          ds.tower.K_real)
-    h = _height_factor(ds, char)
+    h = height_factor(char, ds.group, ds.heights.translates if ds.heights else None,
+                      ds.rho_label())
     return sqrt_d * ca.leading_term / (omega * h)
 
 

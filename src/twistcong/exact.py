@@ -1,20 +1,22 @@
 """Exact arithmetic over small cyclotomic fields, plus interval decimals and
 recognition of exact values from decimal approximations.
 
-Field elements are coefficient vectors of `fractions.Fraction` over the power
-basis 1, z, ..., z^(phi(m)-1) of Q(zeta_m), with m = 1 or a prime power p^n.
-Decimal inputs carry explicit rational error bounds and every arithmetic
-operation propagates a worst-case bound, so a successful recognition comes
-with an honest certificate: the recognized value is re-verified exactly and
-its embedding is checked back against the input interval.
+cyclotomic_field(m), m = p^n with p an odd prime, is the one field core: it
+holds p, p^(n-1), phi, the units (Z/m)^*, the reduction modulo Phi_m and the
+cached canonical embedding. Elements are `fractions.Fraction` vectors over the
+power basis 1, z, ..., z^(phi-1) (m = 1 for Q). Decimal inputs carry explicit
+rational error bounds and every arithmetic operation propagates a worst-case
+bound, so a successful recognition comes with an honest certificate: the
+recognized value is re-verified exactly and its embedding is checked back
+against the input interval.
 """
 from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import cached_property, lru_cache
+from math import isqrt
 from typing import Iterable, Sequence
 
 import mpmath
@@ -148,34 +150,79 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-@lru_cache(maxsize=64)
-def _prime_power(m: int) -> tuple[int, int]:
-    """m = p^n with p an odd prime -> (p, n); cached, and a rejected m raises anew."""
-    if m < 3:
-        raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
-    p = m
-    for q in range(3, isqrt(m) + 1, 2):
-        if m % q == 0:
-            p = q
-            break
-    if p % 2 == 0 or not _is_probable_prime(p):
-        raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
-    n = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        n += 1
-    if mm != 1:
-        raise UnsupportedConductorError(f"conductor {m} is not a prime power")
-    return p, n
-
-
 def legendre_symbol(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
+
+
+# ---------------------------------------------------------------------------
+# the field Q(zeta_m)
+# ---------------------------------------------------------------------------
+
+_EMBEDDING_DPS = 50  # digits of the canonical embedding; error budget 10^-(dps - 5)
+
+
+@dataclass(frozen=True)
+class CyclotomicField:
+    """Q(zeta_m) for m = p^n, p an odd prime, in the power basis
+    1, z, ..., z^(phi-1).
+
+    q = p^(n-1), so zeta_m^q = zeta_p and Phi_m(x) = sum_{i<p} x^(i*q);
+    units lists (Z/m)^* as the a in [1, m) with p not dividing a, in
+    increasing order (units[0] = 1). Build it with cyclotomic_field(m).
+    """
+
+    m: int
+    p: int
+    q: int
+    phi: int
+    units: tuple[int, ...]
+
+    def reduce(self, poly: Sequence) -> list:
+        """The int or Fraction polynomial poly in zeta_m, of any length,
+        reduced modulo Phi_m: x^phi = -(1 + x^q + ... + x^((p-2)q))."""
+        phi, q = self.phi, self.q
+        cs = list(poly) + [0] * (phi - len(poly))
+        # top-down, so every folded coefficient lands below the degree just cleared
+        for d in range(len(cs) - 1, phi - 1, -1):
+            c = cs[d]
+            if c:
+                for j in range(d - phi, d, q):
+                    cs[j] -= c
+        return cs[:phi]
+
+    @cached_property
+    def embedding(self) -> tuple[tuple[mpmath.mpf, mpmath.mpf], ...]:
+        """(cos, sin) of 2*pi*i/m for i < phi: the power basis under the
+        canonical embedding zeta_m -> exp(2*pi*i/m), at _EMBEDDING_DPS digits."""
+        with mpmath.workdps(_EMBEDDING_DPS):
+            angles = [mpmath.mpf(2 * i) / self.m for i in range(self.phi)]
+            return tuple((mpmath.cospi(t), mpmath.sinpi(t)) for t in angles)
+
+
+@lru_cache(maxsize=64)
+def cyclotomic_field(m: int) -> CyclotomicField:
+    """Q(zeta_m) for m = p^n with p an odd prime; cached, and a rejected m
+    raises anew on every call."""
+    if m < 3:
+        raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
+    p = next((d for d in range(3, isqrt(m) + 1, 2) if m % d == 0), m)
+    if p % 2 == 0 or not _is_probable_prime(p):
+        raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
+    q = 1
+    while q * p < m:
+        q *= p
+    if q * p != m:
+        raise UnsupportedConductorError(f"conductor {m} is not a prime power")
+    return CyclotomicField(m=m, p=p, q=q, phi=q * (p - 1),
+                           units=tuple(a for a in range(1, m) if a % p))
+
+
+def euler_phi(m: int) -> int:
+    return 1 if m == 1 else cyclotomic_field(m).phi
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +235,6 @@ class CyclotomicNumber:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m: int, coeffs: Sequence[Fraction]):
-        if m != 1:
-            _prime_power(m)  # validates
         phi = euler_phi(m)
         cs = [as_fraction(c) for c in coeffs]
         if len(cs) > phi:
@@ -210,8 +255,7 @@ class CyclotomicNumber:
         """zeta_m^k as an element of Q(zeta_m)."""
         if m == 1:
             return cls.rational(1)
-        poly = [Fraction(0)] * (k % m) + [Fraction(1)]
-        return cls(m, _reduce_mod_cyclotomic(poly, m))
+        return cls(m, cyclotomic_field(m).reduce([0] * (k % m) + [1]))
 
     def promote(self, m: int) -> "CyclotomicNumber":
         """Reinterpret in Q(zeta_m); only rational elements may change conductor."""
@@ -277,7 +321,7 @@ class CyclotomicNumber:
             for j, cj in enumerate(b.coeffs):
                 if cj != 0:
                     prod[i + j] += ci * cj
-        return CyclotomicNumber(a.m, _reduce_mod_cyclotomic(prod, a.m))
+        return CyclotomicNumber(a.m, cyclotomic_field(a.m).reduce(prod))
 
     __rmul__ = __mul__
 
@@ -287,11 +331,10 @@ class CyclotomicNumber:
         if self.m == 1 or self.is_rational():
             inv = CyclotomicNumber.rational(1 / self.coeffs[0])
             return inv.promote(self.m)
-        # extended gcd of self (as a polynomial) with the cyclotomic polynomial
-        g, s = _poly_xgcd_with_cyclotomic(list(self.coeffs), self.m)
-        # g is a nonzero constant; inverse = s / g
-        inv_coeffs = [c / g for c in s]
-        return CyclotomicNumber(self.m, _reduce_mod_cyclotomic(inv_coeffs, self.m))
+        # x * (product of the other conjugates) = Norm(x), a nonzero rational
+        rest = self._other_conjugates()
+        norm = (self * rest).rational_part()
+        return CyclotomicNumber(self.m, [c / norm for c in rest.coeffs])
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -351,108 +394,31 @@ class CyclotomicNumber:
         """Image under zeta -> zeta^a; a must be coprime to the conductor."""
         if self.m == 1:
             return self
-        if gcd(a, self.m) != 1:
+        field = cyclotomic_field(self.m)
+        if a % field.p == 0:
             raise InvalidAutomorphismError(f"{a} is not coprime to conductor {self.m}")
-        a %= self.m
-        poly = [Fraction(0)] * self.m
+        poly = [0] * self.m
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 poly[(a * i) % self.m] += c
-        return CyclotomicNumber(self.m, _reduce_mod_cyclotomic(poly, self.m))
+        return CyclotomicNumber(self.m, field.reduce(poly))
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(-1)."""
-        if self.m == 1:
-            return self
-        return self.galois_apply(self.m - 1)
+        return self.galois_apply(-1)
+
+    def _other_conjugates(self) -> "CyclotomicNumber":
+        """Product of sigma_a(self) over the units a != 1 of the field."""
+        acc = CyclotomicNumber.rational(1).promote(self.m)
+        for a in cyclotomic_field(self.m).units[1:]:
+            acc = acc * self.galois_apply(a)
+        return acc
 
     def norm(self) -> Fraction:
         """Product of all Galois conjugates; a rational number."""
         if self.m == 1:
             return self.coeffs[0]
-        acc = CyclotomicNumber.rational(1).promote(self.m)
-        for a in range(1, self.m):
-            if gcd(a, self.m) == 1:
-                acc = acc * self.galois_apply(a)
-        return acc.rational_part()
-
-
-def euler_phi(m: int) -> int:
-    if m == 1:
-        return 1
-    p, n = _prime_power(m)
-    return p ** (n - 1) * (p - 1)
-
-
-def _reduce_mod_cyclotomic(poly: list[Fraction], m: int) -> list[Fraction]:
-    """Reduce a polynomial in zeta_m modulo Phi_{p^n}(x) = sum_i x^(i*p^(n-1))."""
-    p, n = _prime_power(m)
-    q = p ** (n - 1)
-    phi = q * (p - 1)
-    cs = list(poly) + [Fraction(0)] * max(0, phi - len(poly))
-    # x^phi = -(1 + x^q + x^(2q) + ... + x^((p-2)q))
-    for d in range(len(cs) - 1, phi - 1, -1):
-        c = cs[d]
-        if c == 0:
-            continue
-        cs[d] = Fraction(0)
-        for i in range(p - 1):
-            cs[d - phi + i * q] -= c
-    return cs[:phi]
-
-
-def _poly_xgcd_with_cyclotomic(f: list[Fraction], m: int) -> tuple[Fraction, list[Fraction]]:
-    """Return (g, s) with s*f = g (mod Phi_m) and g a nonzero rational.
-
-    Plain extended Euclid over Q[x]; Phi_m is irreducible so the gcd with any
-    nonzero f of smaller degree is a constant.
-    """
-    p, n = _prime_power(m)
-    q = p ** (n - 1)
-    phi = q * (p - 1)
-    Phi = [Fraction(0)] * (phi + 1)
-    for i in range(p):
-        Phi[i * q] = Fraction(1)
-
-    def deg(a):
-        for i in range(len(a) - 1, -1, -1):
-            if a[i] != 0:
-                return i
-        return -1
-
-    def polydivmod(a, b):
-        a = list(a)
-        db, lb = deg(b), b[deg(b)]
-        quo = [Fraction(0)] * (max(deg(a) - db, -1) + 1)
-        while deg(a) >= db:
-            da = deg(a)
-            c = a[da] / lb
-            quo[da - db] = c
-            for i, bc in enumerate(b[:db + 1]):
-                if bc != 0:
-                    a[da - db + i] -= c * bc
-            a[da] = Fraction(0)
-        return quo, a
-
-    # invariant: r0 = s0*f (mod Phi), r1 = s1*f (mod Phi)
-    r0, s0 = Phi, [Fraction(0)]
-    r1, s1 = list(f), [Fraction(1)]
-    while True:
-        d1 = deg(r1)
-        if d1 < 0:
-            raise ZeroDivisionError("element is divisible by the cyclotomic polynomial")
-        if d1 == 0:
-            return r1[0], s1
-        quo, rem = polydivmod(r0, r1)
-        # s_new = s0 - quo*s1
-        s_new = list(s0) + [Fraction(0)] * max(0, deg(quo) + deg(s1) + 1 - len(s0))
-        for i, qc in enumerate(quo):
-            if qc == 0:
-                continue
-            for j, sc in enumerate(s1):
-                if sc != 0:
-                    s_new[i + j] -= qc * sc
-        r0, s0, r1, s1 = r1, s1, rem, s_new
+        return (self * self._other_conjugates()).rational_part()
 
 
 def p_valuation(x, p: int) -> Fraction:
@@ -470,11 +436,11 @@ def p_valuation(x, p: int) -> Fraction:
         raise ExactArithmeticError("valuation of zero is not defined")
     if x.is_rational():
         return Fraction(rational_valuation(x.rational_part(), p))
-    fp, _ = _prime_power(x.m)
-    if fp != p:
+    field = cyclotomic_field(x.m)
+    if field.p != p:
         raise UnsupportedConductorError(
             f"valuation at {p} of an irrational element of Q(zeta_{x.m}) is ambiguous")
-    return Fraction(rational_valuation(x.norm(), p), euler_phi(x.m))
+    return Fraction(rational_valuation(x.norm(), p), field.phi)
 
 
 def sqrt_in_cyclotomic(d: int, m: int) -> CyclotomicNumber:
@@ -490,15 +456,15 @@ def sqrt_in_cyclotomic(d: int, m: int) -> CyclotomicNumber:
     s, d0 = squarefree_decompose(d)
     if d0 == 1:
         return CyclotomicNumber.rational(s).promote(m)
-    p, n = _prime_power(m)
+    field = cyclotomic_field(m)
+    p = field.p
     if d0 != p or p % 4 != 1:
         raise RecognitionError(
             f"sqrt({d}) does not lie in Q(zeta_{m}) (squarefree part {d0})")
-    # Gauss sum over the subfield Q(zeta_p): zeta_p = zeta_m^(p^(n-1))
-    step = p ** (n - 1)
+    # Gauss sum over the subfield Q(zeta_p): zeta_p = zeta_m^q
     g = CyclotomicNumber.rational(0).promote(m)
     for a in range(1, p):
-        g = g + legendre_symbol(a, p) * CyclotomicNumber.zeta_power(m, a * step)
+        g = g + legendre_symbol(a, p) * CyclotomicNumber.zeta_power(m, a * field.q)
     if g * g != CyclotomicNumber.rational(p).promote(m):
         raise ExactArithmeticError("Gauss sum square sanity check failed")
     root = s * g
@@ -625,33 +591,31 @@ def _mpf_to_fraction(x) -> Fraction:
     return -val if sign else val
 
 
-def real_embedding(x: CyclotomicNumber, k: int = 1, dps: int = 50) -> DecimalWithError:
-    """The image of x under zeta_m -> exp(2*pi*i*k/m), which must be real.
+def real_embedding(x: CyclotomicNumber) -> DecimalWithError:
+    """The image of x under the canonical embedding zeta_m -> exp(2*pi*i/m),
+    which must be real.
 
     Returns a conservative interval; raises NotRealError when the imaginary
     part exceeds the numerical error budget.
     """
     if x.m == 1 or x.is_rational():
         return DecimalWithError.exact(x.coeffs[0])
-    if gcd(k, x.m) != 1:
-        raise InvalidAutomorphismError(f"embedding index {k} not coprime to {x.m}")
     total = sum(abs(c) for c in x.coeffs) + 1
-    budget = total * Fraction(10) ** (-(dps - 5))
-    with mpmath.workdps(dps):
+    budget = total * Fraction(10) ** (-(_EMBEDDING_DPS - 5))
+    with mpmath.workdps(_EMBEDDING_DPS):
         re = mpmath.mpf(0)
         im = mpmath.mpf(0)
-        for i, c in enumerate(x.coeffs):
+        for c, (cos, sin) in zip(x.coeffs, cyclotomic_field(x.m).embedding):
             if c == 0:
                 continue
-            t = mpmath.mpf(2 * k * i) / x.m
             cm = mpmath.mpf(c.numerator) / c.denominator
-            re += cm * mpmath.cospi(t)
-            im += cm * mpmath.sinpi(t)
+            re += cm * cos
+            im += cm * sin
         re_frac = _mpf_to_fraction(re)
         im_frac = _mpf_to_fraction(im)
     if abs(im_frac) > budget:
         raise NotRealError(
-            f"imaginary part {float(im_frac):.3g} exceeds error budget under embedding {k}")
+            f"imaginary part {float(im_frac):.3g} exceeds error budget under embedding 1")
     return DecimalWithError(re_frac, budget)
 
 

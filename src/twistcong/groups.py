@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
-from .exact import (CyclotomicNumber, ExactArithmeticError, InvalidAutomorphismError,
-                    _reduce_mod_cyclotomic, euler_phi, p_valuation)
+from .exact import CyclotomicNumber, InvalidAutomorphismError, cyclotomic_field, p_valuation
 
 
 class GroupError(ValueError):
@@ -202,16 +201,13 @@ class DihedralGroup:
         return min(a, b)
 
     def galois_on_chi(self, avec: Sequence[int], a: int) -> tuple[int, ...]:
-        if gcd(a, self.exponent) != 1:
+        if a % self.p == 0:
             raise InvalidAutomorphismError(f"{a} not coprime to exponent {self.exponent}")
         return tuple((a * c) % f for c, f in zip(avec, self.cyclic_factors))
 
     def galois_unit_reps(self) -> list[int]:
         """Representatives of (Z/exponent)^*."""
-        e = self.exponent
-        if e == 1:
-            return [1]
-        return [a for a in range(1, e) if gcd(a, e) == 1]
+        return list(cyclotomic_field(self.exponent).units)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +479,7 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     if missing:
         raise GroupError(f"missing {len(missing)} chi components, e.g. {missing[0]}")
     e = group.exponent
+    field = cyclotomic_field(e)
     # coerce as the product zeta_e^k * E_chi would: E_chi of conductor 1 or e
     one = CyclotomicNumber.zeta_power(e, 0)
     values = [one._pair(evals[avec])[1].coeffs for avec in vectors]
@@ -497,7 +494,7 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
             k = -sum(map(mul, weights, pi.rot))
             for i, c in nonzero:
                 acc[(i + k) % e] += c
-        sums[pi.rot] = CyclotomicNumber(e, [Fraction(c, den) for c in _reduce_mod_cyclotomic(acc, e)])
+        sums[pi.rot] = CyclotomicNumber(e, [Fraction(c, den) for c in field.reduce(acc)])
     return sums
 
 

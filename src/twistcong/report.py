@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exact import CyclotomicNumber, real_embedding, squarefree_decompose
+from .exact import CyclotomicNumber, cyclotomic_field, real_embedding, squarefree_decompose
 from .engine import VerificationResult
 
 REPORT_VERSION = 1
@@ -31,10 +31,7 @@ def _fmt_rational(x: Fraction) -> str:
 def _quadratic_split(x: CyclotomicNumber):
     """(r, c, d) with x = r + c*sqrt(d), when x generates a quadratic subfield."""
     conjugates = [x]
-    for a in range(2, x.m):
-        from math import gcd
-        if gcd(a, x.m) != 1:
-            continue
+    for a in cyclotomic_field(x.m).units[1:]:
         y = x.galois_apply(a)
         if not any(y == z for z in conjugates):
             conjugates.append(y)

@@ -201,6 +201,21 @@ def test_reject_mixed_truncation_in_orbit():
         parse_dataset(doc)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+@pytest.mark.parametrize("path", ["tower.K_real", "analytic.characters.ind:1.truncated"])
+def test_reject_non_boolean_flag(path, value):
+    # bool("false") is True: a quoted false once turned a PASS into a FAIL
+    doc = bundled_doc("21a1-quintic-19")
+    *parents, key = path.split(".")
+    block = doc
+    for name in parents:
+        block = block[name]
+    block[key] = value
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == path
+
+
 def test_reject_bad_quadratic_rank():
     doc = bundled_doc("37a1-septic-577")
     doc["curve"]["rank_quadratic"] = 2

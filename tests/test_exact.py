@@ -1,24 +1,26 @@
 """Exact arithmetic: cyclotomic field axioms, valuations, intervals,
 recognition."""
+import random
 from fractions import Fraction
+from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistcong.exact import (
     AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, IntervalError,
     NotRealError, RecognitionError, UnsupportedConductorError,
-    _farey_neighbors, _simplest_in_interval, as_fraction, is_square_rational,
-    legendre_symbol, p_valuation, rational_reconstruct, rational_valuation,
-    real_embedding, recognize_orbit, sqrt_in_cyclotomic, sqrt_rational_approx,
-    squarefree_decompose,
+    _farey_neighbors, _mpf_to_fraction, _simplest_in_interval, as_fraction,
+    cyclotomic_field, euler_phi, is_square_rational, legendre_symbol, p_valuation,
+    rational_reconstruct, rational_valuation, real_embedding, recognize_orbit,
+    sqrt_in_cyclotomic, sqrt_rational_approx, squarefree_decompose,
 )
 
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
 
 def cyclo(m):
-    from twistcong.exact import euler_phi
     return st.lists(small_fractions, min_size=0, max_size=euler_phi(m)).map(
         lambda cs: CyclotomicNumber(m, cs))
 
@@ -94,7 +96,7 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(cyclo(9))
+@given(st.sampled_from([5, 7, 9, 25, 27]).flatmap(cyclo))
 @settings(max_examples=40)
 def test_field_inverse(a):
     if a.is_zero():
@@ -134,6 +136,41 @@ def test_prime_power_conductor():
         CyclotomicNumber(6, [Fraction(1)])
     with pytest.raises(UnsupportedConductorError):
         (z9 + CyclotomicNumber.zeta_power(5, 1))
+    # a rejected conductor is not cached: it raises on every call
+    for m in (1, 2, 6, 15, 45):
+        for _ in range(2):
+            with pytest.raises(UnsupportedConductorError):
+                cyclotomic_field(m)
+
+
+def gcd_units(m):
+    """(Z/m)^* by a gcd test: the reference for cyclotomic_field(m).units."""
+    return [a for a in range(1, m) if gcd(a, m) == 1]
+
+
+def gcd_norm(x):
+    """Norm as the product of sigma_a(x) over the gcd enumeration: the
+    reference for CyclotomicNumber.norm."""
+    acc = CyclotomicNumber.rational(1).promote(x.m)
+    for a in gcd_units(x.m):
+        acc = acc * x.galois_apply(a)
+    return acc.rational_part()
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27, 49, 121, 125])
+def test_field_units_and_norm_match_gcd_enumeration(m):
+    field = cyclotomic_field(m)
+    assert list(field.units) == gcd_units(m)
+    assert field.phi == len(field.units) == euler_phi(m)
+    assert field.q * field.p == m
+    assert cyclotomic_field(m) is field
+    if field.phi > 20:
+        return
+    rng = random.Random(m)
+    for _ in range(3):
+        x = CyclotomicNumber(m, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+                                 for _ in range(field.phi)])
+        assert x.norm() == gcd_norm(x)
 
 
 @given(cyclo(5).filter(lambda v: not v.is_zero()),
@@ -222,6 +259,45 @@ def test_real_embedding_rejects_imaginary():
     z = CyclotomicNumber.zeta_power(5, 1)
     with pytest.raises(NotRealError):
         real_embedding(z)
+
+
+def direct_real_embedding(x):
+    """The canonical embedding by a per-call mpmath loop that computes every
+    cosine and sine afresh: the reference for real_embedding."""
+    if x.m == 1 or x.is_rational():
+        return DecimalWithError.exact(x.coeffs[0])
+    total = sum(abs(c) for c in x.coeffs) + 1
+    budget = total * Fraction(10) ** -45
+    with mpmath.workdps(50):
+        re = mpmath.mpf(0)
+        im = mpmath.mpf(0)
+        for i, c in enumerate(x.coeffs):
+            if c == 0:
+                continue
+            t = mpmath.mpf(2 * i) / x.m
+            cm = mpmath.mpf(c.numerator) / c.denominator
+            re += cm * mpmath.cospi(t)
+            im += cm * mpmath.sinpi(t)
+        re_frac = _mpf_to_fraction(re)
+        im_frac = _mpf_to_fraction(im)
+    if abs(im_frac) > budget:
+        raise NotRealError("imaginary part exceeds error budget")
+    return DecimalWithError(re_frac, budget)
+
+
+@pytest.mark.parametrize("m", [5, 7, 9, 25, 49])
+def test_real_embedding_matches_direct_loop(m):
+    rng = random.Random(m)
+    for _ in range(10):
+        y = CyclotomicNumber(m, [Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 4))
+                                 if rng.random() < 0.7 else 0 for _ in range(euler_phi(m))])
+        x = y + y.conjugate()
+        got, want = real_embedding(x), direct_real_embedding(x)
+        assert (got.value, got.abs_error) == (want.value, want.abs_error)
+    z = CyclotomicNumber.zeta_power(m, 1)
+    for embed in (real_embedding, direct_real_embedding):
+        with pytest.raises(NotRealError):
+            embed(z)
 
 
 # ---------------------------------------------------------------------------
