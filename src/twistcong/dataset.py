@@ -46,6 +46,25 @@ def _flag(obj: Mapping[str, Any], key: str, path: str) -> bool:
     return value
 
 
+def _integer(value: Any, path: str, lo: int, hi: int | None = None) -> int:
+    """int(value) within [lo, hi]; anything else is a DatasetError at path."""
+    try:
+        n = int(value)
+    except (ValueError, TypeError, OverflowError) as e:
+        raise DatasetError(path, f"expected an integer, got {value!r}") from e
+    if n < lo or (hi is not None and n > hi):
+        bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise DatasetError(path, f"must be {bounds}, got {n}")
+    return n
+
+
+def _option(oobj: Mapping[str, Any], key: str, default: int | None,
+            lo: int, hi: int | None = None) -> int | None:
+    """An integer option; absent or null gives the default."""
+    value = oobj.get(key)
+    return default if value is None else _integer(value, f"options.{key}", lo, hi)
+
+
 def _decimal(obj: Any, path: str) -> DecimalWithError:
     if not isinstance(obj, Mapping) or "value" not in obj:
         raise DatasetError(path, "expected {value, abs_error} decimal object")
@@ -277,8 +296,8 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
     tobj = _need(doc, "tower", "")
     try:
         tower = TowerInfo(
-            d_k_abs=int(_need(tobj, "d_k_abs", "tower")),
-            d_K_abs=int(_need(tobj, "d_K_abs", "tower")),
+            d_k_abs=_integer(_need(tobj, "d_k_abs", "tower"), "tower.d_k_abs", 1),
+            d_K_abs=_integer(_need(tobj, "d_K_abs", "tower"), "tower.d_K_abs", 1),
             K_real=_flag(tobj, "K_real", "tower"),
             conductor_norms={str(k): int(v) for k, v in _need(tobj, "conductor_norms", "tower").items()},
             S_r=tuple(str(x) for x in _need(tobj, "S_r", "tower")),
@@ -402,18 +421,16 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
 
     oobj = doc.get("options") or {}
     options = Options(
-        p_power_required=(int(oobj["p_power_required"])
-                          if oobj.get("p_power_required") is not None else None),
-        den_bound=int(oobj.get("den_bound", 10 ** 6)),
+        p_power_required=_option(oobj, "p_power_required", None, 1),
+        den_bound=_option(oobj, "den_bound", 10 ** 6, 1),
         route=str(oobj.get("route", "auto")),
         gz_constant=(as_fraction(str(oobj["gz_constant"]))
                      if oobj.get("gz_constant") is not None else None),
-        embedding_digits=int(oobj.get("embedding_digits", 50)),
+        # every real embedding works at 50 digits; this sets only the sqrt(d) bounds
+        embedding_digits=_option(oobj, "embedding_digits", 50, 1, 1000),
     )
     if options.route not in ("auto", "direct", "qhat", "gz"):
         raise DatasetError("options.route", f"unknown route {options.route!r}")
-    if options.den_bound < 1:
-        raise DatasetError("options.den_bound", "must be positive")
 
     ds = Dataset(
         label=str(doc.get("label", "unnamed")),

@@ -202,6 +202,17 @@ class CyclotomicField:
             angles = [mpmath.mpf(2 * i) / self.m for i in range(self.phi)]
             return tuple((mpmath.cospi(t), mpmath.sinpi(t)) for t in angles)
 
+    @cached_property
+    def trace_embeddings(self) -> tuple["DecimalWithError", ...]:
+        """Entry k, for k in [0, m), is real_embedding(zeta_m^k + zeta_m^-k),
+        i.e. 2cos(2*pi*k/m): every value an induced dihedral character takes.
+        Entries k and m - k are one object."""
+        half = []
+        for k in range(self.m // 2 + 1):
+            z = CyclotomicNumber.zeta_power(self.m, k)
+            half.append(real_embedding(z + z.conjugate()))
+        return tuple(half[min(k, self.m - k)] for k in range(self.m))
+
 
 @lru_cache(maxsize=64)
 def cyclotomic_field(m: int) -> CyclotomicField:

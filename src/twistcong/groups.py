@@ -181,14 +181,15 @@ class DihedralGroup:
         chi_a(prod s_i^r_i) = zeta_e^(sum_i a_i r_i e/f_i), e = exponent."""
         yield from iter_product(*(range(f) for f in self.cyclic_factors))
 
-    def chi_value(self, avec: Sequence[int], g: GroupElement) -> CyclotomicNumber:
+    def chi_exponent(self, avec: Sequence[int], g: GroupElement) -> int:
+        """The k in [0, e) with chi_a(g) = zeta_e^k, for g in P."""
         if g.flip:
             raise GroupError("chi is a character of P only")
         e = self.exponent
-        k = sum(a * r * (e // f) for a, r, f in zip(avec, g.rot, self.cyclic_factors)) % e
-        if e == 1:
-            return CyclotomicNumber.rational(1)
-        return CyclotomicNumber.zeta_power(e, k)
+        return sum(a * r * (e // f) for a, r, f in zip(avec, g.rot, self.cyclic_factors)) % e
+
+    def chi_value(self, avec: Sequence[int], g: GroupElement) -> CyclotomicNumber:
+        return CyclotomicNumber.zeta_power(self.exponent, self.chi_exponent(avec, g))
 
     def chi_inverse_vector(self, avec: Sequence[int]) -> tuple[int, ...]:
         return tuple((-a) % f for a, f in zip(avec, self.cyclic_factors))

@@ -8,6 +8,10 @@ the absolute canonical height. Character contraction uses the closed form
     h_psi = (1/2) * sum_{g in G} psi(g) * t(g),
 
 which equals (psi(1)/(2|G|)) <T_psi Q, T_psi-dual Q> by Schur orthogonality.
+An induced psi vanishes on the reflections and takes on P only the values
+2cos(2 pi k/e), read from the cosine table cached once per field
+(CyclotomicField.trace_embeddings); the translates sharing a coefficient are
+summed first, so each distinct coefficient costs one interval product.
 Regulators of subfields divide the Gram determinant of [F:E]-scaled pairings.
 """
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import DecimalWithError, IntervalError, real_embedding
+from .exact import DecimalWithError, IntervalError, cyclotomic_field
 from .groups import Character, DihedralGroup, GroupElement
 
 
@@ -39,18 +43,36 @@ def validate_translates(group: DihedralGroup,
 def equivariant_height(char: Character, group: DihedralGroup,
                        translates: Mapping[GroupElement, DecimalWithError]
                        ) -> DecimalWithError:
-    """h_psi = (1/2) sum_g psi(g) t(g), with exact character coefficients."""
-    acc = DecimalWithError.exact(0)
-    for g in group.elements():
-        v = char.value(g)
-        if v.is_zero():
-            continue
-        if v.is_rational():
-            coeff = DecimalWithError.exact(v.rational_part())
-        else:
-            coeff = real_embedding(v)
-        acc = acc + coeff * translates[g]
-    return acc * Fraction(1, 2)
+    """h_psi = (1/2) sum_g psi(g) t(g), with exact character coefficients.
+
+    The translates that share a coefficient c are pooled, and c multiplies
+    each pool once: value c * sum(v), error |c| * sum(err) + c.err * sum(|v|)
+    + c.err * sum(err), which is exactly the sum of the per-term errors of
+    c * t(g). (|sum(v)| in place of sum(|v|) would be tighter, but would
+    change the interval.)
+    """
+    if char.kind == "ind":
+        # psi vanishes on the reflections; on P it is 2cos(2 pi k/e)
+        e = group.exponent
+        coefficients = cyclotomic_field(e).trace_embeddings
+        keys = {}
+        for g in group.p_elements():
+            k = group.chi_exponent(char.chi, g)
+            keys[g] = min(k, e - k)
+    else:
+        coefficients = {1: DecimalWithError.exact(1), -1: DecimalWithError.exact(-1)}
+        keys = {g: -1 if char.kind == "eps" and g.flip else 1 for g in group.elements()}
+    pools: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
+    for g, key in keys.items():
+        t = translates[g]
+        v, a, err = pools.get(key, (0, 0, 0))
+        pools[key] = (v + t.value, a + abs(t.value), err + t.abs_error)
+    value = error = Fraction(0)
+    for key, (v, a, err) in pools.items():
+        c = coefficients[key]
+        value += c.value * v
+        error += abs(c.value) * err + c.abs_error * a + c.abs_error * err
+    return DecimalWithError(value / 2, error / 2)
 
 
 def height_factor(char: Character, group: DihedralGroup,

@@ -9,6 +9,7 @@ from twistcong.dataset import (
     DatasetError, bundled_dataset_names, check_hypotheses, load_bundled_dataset,
     load_dataset, parse_dataset, serialize_dataset,
 )
+from twistcong.engine import verify
 
 
 def bundled_doc(name):
@@ -282,6 +283,49 @@ def test_reject_bad_options():
     doc["options"]["den_bound"] = 0
     with pytest.raises(DatasetError, match="den_bound"):
         parse_dataset(doc)
+
+
+@pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
+@pytest.mark.parametrize("key", ["d_k_abs", "d_K_abs"])
+@pytest.mark.parametrize("value", [0, -1, "abc", None])
+def test_reject_nonpositive_discriminant(name, key, value):
+    # 0 once raised a raw ZeroDivisionError in verify, -1 a negative radicand
+    doc = bundled_doc(name)
+    doc["tower"][key] = value
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == f"tower.{key}"
+
+
+@pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
+@pytest.mark.parametrize("key, value", [
+    ("den_bound", "abc"), ("den_bound", []), ("den_bound", 0),
+    ("p_power_required", "x"), ("p_power_required", 0),
+    ("embedding_digits", -3), ("embedding_digits", 0), ("embedding_digits", 1001),
+    ("embedding_digits", 200000), ("embedding_digits", "1e3"),
+])
+def test_reject_bad_integer_option(name, key, value):
+    doc = bundled_doc(name)
+    doc["options"][key] = value
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == f"options.{key}"
+
+
+@pytest.mark.parametrize("digits", [1, 1000])
+def test_embedding_digits_range_ends_give_a_verdict(digits):
+    for name in ("21a1-quintic-19", "37a1-septic-577"):
+        doc = bundled_doc(name)
+        doc["options"]["embedding_digits"] = digits
+        assert verify(parse_dataset(doc)).verdict in ("PASS", "FAIL", "INCONCLUSIVE")
+
+
+def test_null_integer_options_take_the_defaults():
+    doc = bundled_doc("21a1-quintic-19")
+    for key in ("den_bound", "embedding_digits", "p_power_required"):
+        doc["options"][key] = None
+    options = parse_dataset(doc).options
+    assert (options.den_bound, options.embedding_digits, options.p_power_required) == (10 ** 6, 50, None)
 
 
 def test_field_block_helpers():

@@ -300,6 +300,20 @@ def test_real_embedding_matches_direct_loop(m):
             embed(z)
 
 
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27])
+def test_trace_embeddings_match_real_embedding(m):
+    table = cyclotomic_field(m).trace_embeddings
+    assert len(table) == m
+    for k in range(m):
+        z = CyclotomicNumber.zeta_power(m, k)
+        want = real_embedding(z + z.conjugate())
+        assert (table[k].value, table[k].abs_error) == (want.value, want.abs_error)
+        assert table[k] == table[m - k if k else 0]
+    assert table[0] == DecimalWithError.exact(2)
+    if m == 3:
+        assert table[1].value == -1 and table[1].abs_error == 0
+
+
 # ---------------------------------------------------------------------------
 # recognition
 # ---------------------------------------------------------------------------

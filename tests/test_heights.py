@@ -1,12 +1,15 @@
 """Character contractions of height Gram data, regulators, and period
 conventions."""
+import random
 from fractions import Fraction
 
 import pytest
 
 from twistcong.dataset import load_bundled_dataset
-from twistcong.exact import DecimalWithError, IntervalError, sqrt_rational_approx
-from twistcong.groups import Character, DihedralGroup
+from twistcong.exact import (
+    DecimalWithError, IntervalError, real_embedding, sqrt_rational_approx,
+)
+from twistcong.groups import Character, DihedralGroup, irreducible_characters
 from twistcong.heights import (
     HeightDataError, equivariant_height, field_period, height_factor,
     omega_factor, pairing_of_combinations, regulator_from_translates,
@@ -66,6 +69,40 @@ def test_induced_contractions_are_conjugate_quadratics():
     # sum and product are rational: trace 21/4, norm 99/16
     assert (h1 + h2).contains(Fraction(21, 4))
     assert (h1 * h2).contains(Fraction(99, 16))
+
+
+def direct_equivariant_height(char, group, translates):
+    """h_psi = (1/2) sum_g psi(g) t(g), one interval product per group
+    element with psi(g) embedded afresh: the reference for equivariant_height."""
+    acc = DecimalWithError.exact(0)
+    for g in group.elements():
+        v = char.value(g)
+        if v.is_zero():
+            continue
+        if v.is_rational():
+            coeff = DecimalWithError.exact(v.rational_part())
+        else:
+            coeff = real_embedding(v)
+        acc = acc + coeff * translates[g]
+    return acc * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("p, factors", [(3, [3]), (5, [5]), (7, [7]), (11, [11]), (3, [9]),
+                                        (5, [25]), (3, [27]), (3, [3, 3]), (3, [9, 3]),
+                                        (5, [5, 5])])
+def test_equivariant_height_matches_direct_loop(p, factors):
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"heights:{factors}")
+    for _ in range(2):
+        # arbitrary translates: mixed signs and nonzero error bounds, so a
+        # pooled error that used |sum(v)| for sum(|v|) would show
+        tr = {g: DecimalWithError(Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 3)),
+                                  Fraction(rng.randrange(0, 100), 10 ** rng.randrange(6, 30)))
+              for g in group.elements()}
+        for char in irreducible_characters(group):
+            got, want = equivariant_height(char, group, tr), direct_equivariant_height(char, group, tr)
+            assert got.value == want.value, char.label
+            assert got.abs_error == want.abs_error, char.label
 
 
 def test_height_factor_pins_generic_character():

@@ -1,0 +1,79 @@
+"""Print one SHA-256 over the reports of every bundled and benchmark input.
+
+Run from the root of a checkout:
+
+    python3 tools/report_digest.py
+
+Hashed, in a fixed order: the text and structured reports of the two
+bundled datasets and of every `perfbench/gen.py` input of the `towers-gz`
+and `towers-auto` workloads at seeds 1 and 2, each verified under the
+defaults, `n_override=1`, `n_override=2` and `route="gz"`; then the
+`sha_predictions` of both bundled datasets. A call that raises is hashed as
+its exception type and message. The last line of output is the digest and
+the number of outputs hashed; two checkouts that print the same line gave
+byte-identical reports.
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+from twistcong.bsdsquares import sha_predictions  # noqa: E402
+from twistcong.dataset import parse_dataset  # noqa: E402
+from twistcong.engine import verify  # noqa: E402
+from twistcong.report import render  # noqa: E402
+
+SEEDS = (1, 2)
+VARIANTS = (("defaults", {}), ("n_override=1", {"n_override": 1}),
+            ("n_override=2", {"n_override": 2}), ("route=gz", {"route": "gz"}))
+
+
+def inputs() -> list[tuple[str, dict]]:
+    out = [(f"bundled/{i['name']}", i["doc"]) for i in gen.bundled_inputs(ROOT / "src")]
+    for workload in ("towers-gz", "towers-auto"):
+        for seed in SEEDS:
+            out += [(f"{workload}:{seed}/{i['name']}", i["doc"])
+                    for i in gen.make_inputs(workload, seed, ROOT / "src")]
+    return out
+
+
+def outputs():
+    """(label, text) for every hashed output, in a fixed order."""
+    for name, doc in inputs():
+        for variant, kwargs in VARIANTS:
+            label = f"{name} [{variant}]"
+            try:
+                result = verify(parse_dataset(doc), **kwargs)
+            except Exception as e:  # recorded, not hidden: it is part of the digest
+                yield label, f"{type(e).__name__}: {e}"
+                continue
+            for fmt in ("text", "structured"):
+                yield f"{label} {fmt}", render(result, fmt)
+    for entry in gen.bundled_inputs(ROOT / "src"):
+        label = f"sha_predictions {entry['name']}"
+        try:
+            text = repr(sorted(sha_predictions(parse_dataset(entry["doc"])).items()))
+        except Exception as e:
+            text = f"{type(e).__name__}: {e}"
+        yield label, text
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for label, text in outputs():
+        for part in (label, text):
+            data = part.encode("utf-8")
+            digest.update(len(data).to_bytes(8, "big") + data)
+        count += 1
+    print(f"{digest.hexdigest()} {count}")
+
+
+if __name__ == "__main__":
+    main()
