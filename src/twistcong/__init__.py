@@ -15,9 +15,9 @@ from .engine import (CharacterResult, CongruenceLine, RouteDataError,
 from .exact import (AlgebraicOrbit, AmbiguousRecognitionError, CyclotomicNumber,
                     DecimalWithError, ExactArithmeticError, RecognitionError,
                     rational_reconstruct, recognize_orbit)
-from .groups import (Character, DihedralGroup, GroupElement, GroupRingElement,
-                     center_integrality, irreducible_characters,
-                     kolyvagin_identity, res_map, zp_P_membership)
+from .groups import (Character, DihedralGroup, GroupElement, center_integrality,
+                     irreducible_characters, kolyvagin_identity, res_map,
+                     zp_P_membership)
 from .bsdsquares import (S3Instance, character_bsd_quotients,
                          mod_square_equivalent, plant_violation,
                          random_s3_instance, regulator_normalization,
@@ -30,7 +30,7 @@ __all__ = [
     "AlgebraicOrbit", "AmbiguousRecognitionError", "Character", "CharacterResult",
     "CongruenceLine", "CyclotomicNumber", "Dataset", "DatasetError",
     "DecimalWithError", "DihedralGroup", "ExactArithmeticError", "GroupElement",
-    "GroupRingElement", "RecognitionError", "RouteDataError", "S3Instance",
+    "RecognitionError", "RouteDataError", "S3Instance",
     "VerificationResult", "bundled_dataset_names", "center_integrality",
     "character_bsd_quotients", "gz_q_vector", "irreducible_characters",
     "kolyvagin_identity", "load_bundled_dataset", "load_dataset",

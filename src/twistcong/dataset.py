@@ -17,11 +17,16 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .exact import DecimalWithError, as_fraction
-from .groups import Character, DihedralGroup, GroupElement, GroupError, irreducible_characters
+from .groups import (Character, DihedralGroup, GroupElement, GroupError, character_orbits,
+                     irreducible_characters)
 from .localfactors import (LocalDataError, LocalPlace, check_pinned_corrections,
-                           parse_local_place)
+                           parse_local_place, quadratic_point_count)
 
 SPEC_VERSION = 1
+
+# largest |P| a dataset may declare: every character of P is enumerated, and
+# the congruence sums cost O(|P|^2) shifts
+MAX_P_ORDER = 1000
 
 
 class DatasetError(ValueError):
@@ -235,7 +240,7 @@ def check_hypotheses(ds: Dataset) -> list[HypothesisResult]:
     bad_counts = []
     for label, pl in ds.places.items():
         n_v = pl.q + 1 - pl.a
-        n_w = n_v * (2 * pl.q + 2 - n_v)
+        n_w = quadratic_point_count(n_v, pl.q)
         if n_v % p == 0 or n_w % p == 0:
             bad_counts.append(f"{label}: N_v = {n_v}")
     add("f", "reduction point counts at ramified places are p-units",
@@ -268,6 +273,9 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
                               [int(x) for x in _need(gobj, "cyclic_factors", "group")])
     except (GroupError, ValueError, TypeError) as e:
         raise DatasetError("group", str(e)) from e
+    if group.p_order > MAX_P_ORDER:
+        raise DatasetError("group.cyclic_factors",
+                           f"|P| = {group.p_order} exceeds the supported {MAX_P_ORDER}")
 
     cobj = _need(doc, "curve", "")
     try:
@@ -299,7 +307,8 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             d_k_abs=_integer(_need(tobj, "d_k_abs", "tower"), "tower.d_k_abs", 1),
             d_K_abs=_integer(_need(tobj, "d_K_abs", "tower"), "tower.d_K_abs", 1),
             K_real=_flag(tobj, "K_real", "tower"),
-            conductor_norms={str(k): int(v) for k, v in _need(tobj, "conductor_norms", "tower").items()},
+            conductor_norms={str(k): _integer(v, f"tower.conductor_norms.{k}", 1)
+                             for k, v in _need(tobj, "conductor_norms", "tower").items()},
             S_r=tuple(str(x) for x in _need(tobj, "S_r", "tower")),
             S_r_split=tuple(str(x) for x in tobj.get("S_r_split", [])),
             S_bad=tuple(str(x) for x in tobj.get("S_bad", [])),
@@ -419,7 +428,11 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             omega_quotient=as_fraction(str(fobj.get("omega_quotient", "1"))),
         )
 
-    oobj = doc.get("options") or {}
+    oobj = doc.get("options")
+    if oobj is None:
+        oobj = {}
+    elif not isinstance(oobj, Mapping):
+        raise DatasetError("options", f"expected an object, got {oobj!r}")
     options = Options(
         p_power_required=_option(oobj, "p_power_required", None, 1),
         den_bound=_option(oobj, "den_bound", 10 ** 6, 1),
@@ -482,8 +495,7 @@ def _cross_validate(ds: Dataset) -> None:
         except HeightDataError as e:
             raise DatasetError("heights.translates", str(e)) from e
     # per-Galois-orbit consistency of the truncation flags
-    from .groups import induced_galois_orbits
-    for orbit in induced_galois_orbits(ds.group):
+    for orbit in character_orbits(ds.group)[2:]:
         flags = {ds.analytic.characters[c.label].truncated for c in orbit}
         if len(flags) > 1:
             raise DatasetError("analytic.characters",

@@ -31,8 +31,8 @@ from .dataset import (CharacterAnalytic, Dataset, DatasetError, HypothesisResult
 from .exact import (AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError,
                     RecognitionError, p_valuation, recognize_orbit,
                     sqrt_rational_approx)
-from .groups import (Character, DihedralGroup, _membership_from_sums, character_orbits,
-                     character_sums, irreducible_characters, res_map)
+from .groups import (Character, DihedralGroup, character_orbits, character_sums,
+                     irreducible_characters, res_map, zp_P_membership)
 from .heights import height_factor, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
 
@@ -197,14 +197,10 @@ def gz_q_vector(ds: Dataset, constant: Fraction | None = None
 # the congruence checks proper
 # ---------------------------------------------------------------------------
 
-def congruence_lines(group: DihedralGroup, q_values: dict[str, CyclotomicNumber],
+def congruence_lines(group: DihedralGroup, sums: dict[tuple[int, ...], CyclotomicNumber],
                      n_required: int) -> list[CongruenceLine]:
-    """S(pi) for every pi in P, with the divisibility verdicts."""
-    return _lines_from_sums(group, character_sums(res_map(q_values, group), group), n_required)
-
-
-def _lines_from_sums(group: DihedralGroup, sums: dict[tuple[int, ...], CyclotomicNumber],
-                     n_required: int) -> list[CongruenceLine]:
+    """The divisibility verdict of S(pi) by p^n_required for every pi in P, read
+    from sums = character_sums(res_map(Q, group), group)."""
     lines: list[CongruenceLine] = []
     for pi in group.p_elements():
         acc = sums[pi.rot]
@@ -321,7 +317,7 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
     evals = res_map(q_values, ds.group)
     sums = character_sums(evals, ds.group)
     try:
-        result.congruences = _lines_from_sums(ds.group, sums, n_required)
+        result.congruences = congruence_lines(ds.group, sums, n_required)
     except RecognitionError as e:
         result.notes.append(str(e))
         result.verdict = "INCONCLUSIVE"
@@ -337,7 +333,7 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
 
     # the Z_p[P] reading of the same sums must agree at the default modulus
     if n_required == ds.required_p_power() and ds.options.p_power_required is None:
-        membership = _membership_from_sums(evals, ds.group, sums)
+        membership = zp_P_membership(evals, ds.group, sums)
         scaled_ok = result.congruences_ok and eq_ok
         result.membership_agrees = (membership.ok == scaled_ok)
         if not result.membership_agrees:

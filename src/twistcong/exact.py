@@ -94,7 +94,7 @@ def is_square_rational(x: Fraction) -> bool:
     return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
-def _is_probable_prime(n: int) -> bool:
+def is_probable_prime(n: int) -> bool:
     # deterministic Miller-Rabin for n < 3.3e24
     if n < 2:
         return False
@@ -143,7 +143,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         r = isqrt(m)
         if r * r == m:
             s *= r
-        elif _is_probable_prime(m):
+        elif is_probable_prime(m):
             d *= m
         else:
             raise ExactArithmeticError(f"cannot certify squarefree part of {n}")
@@ -221,7 +221,7 @@ def cyclotomic_field(m: int) -> CyclotomicField:
     if m < 3:
         raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
     p = next((d for d in range(3, isqrt(m) + 1, 2) if m % d == 0), m)
-    if p % 2 == 0 or not _is_probable_prime(p):
+    if p % 2 == 0 or not is_probable_prime(p):
         raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
     q = 1
     while q * p < m:

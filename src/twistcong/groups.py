@@ -16,7 +16,8 @@ from math import lcm
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
-from .exact import CyclotomicNumber, InvalidAutomorphismError, cyclotomic_field, p_valuation
+from .exact import (CyclotomicNumber, InvalidAutomorphismError, cyclotomic_field,
+                    is_probable_prime, p_valuation)
 
 
 class GroupError(ValueError):
@@ -77,8 +78,7 @@ class DihedralGroup:
     def __init__(self, p: int, cyclic_factors: Sequence[int]):
         if p < 3 or p % 2 == 0:
             raise GroupError(f"p must be an odd prime, got {p}")
-        # cheap primality check; p stays small in practice
-        if any(p % q == 0 for q in range(2, min(p, 10 ** 4)) if q * q <= p):
+        if not is_probable_prime(p):
             raise GroupError(f"p = {p} is not prime")
         factors = list(cyclic_factors)
         if not factors:
@@ -310,105 +310,19 @@ def irreducible_characters(group: DihedralGroup) -> list[Character]:
     return chars
 
 
-def induced_galois_orbits(group: DihedralGroup) -> list[list[Character]]:
-    """Partition of the induced characters into Galois orbits."""
-    induced = [c for c in irreducible_characters(group) if c.kind == "ind"]
-    orbits: list[list[Character]] = []
-    seen: set[str] = set()
-    for c in induced:
-        if c.label in seen:
-            continue
-        orbit = []
-        for a in group.galois_unit_reps():
-            img = c.galois_image(a)
-            if img.label not in {o.label for o in orbit}:
-                orbit.append(img)
-        for o in orbit:
-            seen.add(o.label)
-        orbits.append(orbit)
-    return orbits
-
-
 def character_orbits(group: DihedralGroup) -> list[list[Character]]:
     """Galois orbits of all irreducible characters: [triv], [eps], then the
-    induced orbits."""
-    return [[Character(group, "triv")], [Character(group, "eps")]] + induced_galois_orbits(group)
-
-
-# ---------------------------------------------------------------------------
-# group ring
-# ---------------------------------------------------------------------------
-
-class GroupRingElement:
-    """Element of Q(zeta)[G], coefficients CyclotomicNumber, sparse dict."""
-
-    def __init__(self, group: DihedralGroup, coeffs: Mapping[GroupElement, CyclotomicNumber] | None = None):
-        self.group = group
-        self.coeffs: dict[GroupElement, CyclotomicNumber] = {}
-        if coeffs:
-            for g, c in coeffs.items():
-                if not c.is_zero():
-                    self.coeffs[g] = c
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            acc = out.get(g)
-            out[g] = c if acc is None else acc + c
-        return GroupRingElement(self.group, out)
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + other.scale(CyclotomicNumber.rational(-1))
-
-    def scale(self, c) -> "GroupRingElement":
-        if isinstance(c, (int, Fraction)):
-            c = CyclotomicNumber.rational(c)
-        return GroupRingElement(self.group, {g: c * v for g, v in self.coeffs.items()})
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out: dict[GroupElement, CyclotomicNumber] = {}
-        for g, cg in self.coeffs.items():
-            for h, ch in other.coeffs.items():
-                gh = g * h
-                c = cg * ch
-                acc = out.get(gh)
-                out[gh] = c if acc is None else acc + c
-        return GroupRingElement(self.group, out)
-
-    def apply_character(self, char: Character) -> CyclotomicNumber:
-        acc = CyclotomicNumber.rational(0)
-        for g, c in self.coeffs.items():
-            acc = acc + c * char.value(g)
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        terms = [f"({c!r})*{self.group.format_element(g)}" for g, c in self.coeffs.items()]
-        return "GroupRingElement(" + " + ".join(terms or ["0"]) + ")"
-
-
-def trace_element(char: Character, domain: str = "G") -> GroupRingElement:
-    """T = sum over the domain of char(g^-1) * g."""
-    group = char.group
-    gen = group.elements() if domain == "G" else group.p_elements()
-    return GroupRingElement(group, {g: char.value(g.inverse()) for g in gen})
-
-
-def chi_trace_element(group: DihedralGroup, avec: Sequence[int]) -> GroupRingElement:
-    """T_chi = sum over P of chi(pi^-1) * pi for a one-dimensional chi of P."""
-    return GroupRingElement(group, {g: group.chi_value(avec, g.inverse())
-                                    for g in group.p_elements()})
-
-
-def central_idempotent(char: Character) -> GroupRingElement:
-    """e_psi = (psi(1)/|G|) sum_g psi(g^-1) g."""
-    group = char.group
-    t = trace_element(char, "G")
-    return t.scale(Fraction(char.degree, group.order))
+    induced orbits in lexicographic order of their first member, each listed
+    in the order of the units a that first reach it."""
+    orbits: list[list[Character]] = []
+    seen: set[Character] = set()
+    for c in irreducible_characters(group):
+        if c in seen:
+            continue
+        orbit = list(dict.fromkeys(c.galois_image(a) for a in group.galois_unit_reps()))
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -507,22 +421,16 @@ class MembershipReport:
 
 
 def zp_P_membership(evals: Mapping[tuple[int, ...], CyclotomicNumber],
-                    group: DihedralGroup) -> MembershipReport:
+                    group: DihedralGroup,
+                    sums: Mapping[tuple[int, ...], CyclotomicNumber]) -> MembershipReport:
     """Decide whether the P-character vector (E_chi) is the character vector
     of an element of Z_p[P]: all E_chi p-units is NOT required here, only
     Galois equivariance and p-integral Fourier coefficients.
 
+    sums = character_sums(evals, group) holds S(pi) = |P| c_pi, and
     c_pi = |P|^-1 sum_chi chi(pi)^-1 E_chi must be rational and p-integral
     for every pi. Returns the coefficients and a list of failure notes.
     """
-    return _membership_from_sums(evals, group, character_sums(evals, group))
-
-
-def _membership_from_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
-                          group: DihedralGroup,
-                          sums: Mapping[tuple[int, ...], CyclotomicNumber]
-                          ) -> MembershipReport:
-    """zp_P_membership with the sums S(pi) = |P| c_pi already evaluated."""
     failures: list[str] = []
     vectors = list(group.chi_vectors())
     # Galois equivariance: sigma_a(E_chi) = E_(a*chi)

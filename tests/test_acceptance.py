@@ -24,8 +24,8 @@ from twistcong.exact import (
     recognize_orbit, sqrt_in_cyclotomic, sqrt_rational_approx,
 )
 from twistcong.groups import (
-    Character, DihedralGroup, center_integrality, irreducible_characters,
-    kolyvagin_identity, zp_P_membership,
+    Character, DihedralGroup, center_integrality, character_sums,
+    irreducible_characters, kolyvagin_identity, res_map, zp_P_membership,
 )
 from twistcong.localfactors import (
     global_correction, local_correction, parse_local_place, quadratic_point_count,
@@ -142,7 +142,7 @@ def test_criterion_5_membership_oracle():
                 for pi, c in zip(g3.p_elements(), cs):
                     acc = acc + c * g3.chi_value(avec, pi)
                 evals[avec] = acc
-            report = zp_P_membership(evals, g3)
+            report = zp_P_membership(evals, g3, character_sums(evals, g3))
             expected = all(c.denominator % 3 != 0 for c in cs)
             if report.ok != expected:
                 mismatches += 1
@@ -213,7 +213,7 @@ def test_criterion_7_height_point_route():
                 C = Fraction(rng.choice([-1, 1]) * num, den)
                 results = _constant_q_vector(group, C)
                 qv = {lbl: r.q_value for lbl, r in results.items()}
-                lines = congruence_lines(group, qv, 1)
+                lines = congruence_lines(group, character_sums(res_map(qv, group), group), 1)
                 unit_ok, eq_ok, _ = unit_and_equivariance(group, results)
                 assert all(l.ok for l in lines)
                 assert unit_ok and eq_ok

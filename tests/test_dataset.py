@@ -1,13 +1,14 @@
 """Dataset schema: parsing, validation, hypotheses, serialization."""
 import json
+import time
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from twistcong.dataset import (
-    DatasetError, bundled_dataset_names, check_hypotheses, load_bundled_dataset,
-    load_dataset, parse_dataset, serialize_dataset,
+    MAX_P_ORDER, DatasetError, Options, bundled_dataset_names, check_hypotheses,
+    load_bundled_dataset, load_dataset, parse_dataset, serialize_dataset,
 )
 from twistcong.engine import verify
 
@@ -326,6 +327,60 @@ def test_null_integer_options_take_the_defaults():
         doc["options"][key] = None
     options = parse_dataset(doc).options
     assert (options.den_bound, options.embedding_digits, options.p_power_required) == (10 ** 6, 50, None)
+
+
+@pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
+@pytest.mark.parametrize("value", ["x", [1], 5, [], False])
+def test_reject_non_object_options(name, value):
+    # a string once raised a raw AttributeError ('str' object has no attribute 'get')
+    doc = bundled_doc(name)
+    doc["options"] = value
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "options"
+
+
+@pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
+@pytest.mark.parametrize("absent", [True, False])
+def test_absent_or_null_options_take_the_defaults(name, absent):
+    doc = bundled_doc(name)
+    if absent:
+        del doc["options"]
+    else:
+        doc["options"] = None
+    assert parse_dataset(doc).options == Options()
+
+
+@pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
+@pytest.mark.parametrize("value", ["x", None, [], 0, -361, "1e400"])
+def test_reject_bad_conductor_norm(name, value):
+    doc = bundled_doc(name)
+    doc["tower"]["conductor_norms"]["ind:1"] = value
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "tower.conductor_norms.ind:1"
+
+
+@pytest.mark.parametrize("factors", [[5 ** 5], [5 ** 8], [5 ** 12], [5, 5, 5, 5, 5]])
+def test_reject_oversized_group_quickly(factors):
+    # [5**8] once took 17 s to fail at analytic.characters, [5**12] far longer
+    doc = bundled_doc("21a1-quintic-19")
+    doc["group"]["cyclic_factors"] = factors
+    start = time.perf_counter()
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert time.perf_counter() - start < 1
+    assert excinfo.value.path == "group.cyclic_factors"
+
+
+def test_group_within_the_size_cap_is_parsed_further():
+    # |P| = 625 passes the cap and fails only on the characters it lacks
+    doc = bundled_doc("21a1-quintic-19")
+    doc["group"]["cyclic_factors"] = [5 ** 4]
+    assert 5 ** 4 <= MAX_P_ORDER < 5 ** 5
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "analytic.characters"
 
 
 def test_field_block_helpers():

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from twistcong.engine import congruence_lines
 from twistcong.exact import CyclotomicNumber, UnsupportedConductorError, euler_phi
 from twistcong.groups import (
-    Character, DihedralGroup, GroupError, GroupRingElement, center_integrality,
-    central_idempotent, character_orbits, character_sums, chi_trace_element,
-    induced_galois_orbits, irreducible_characters, kolyvagin_identity, res_map,
-    trace_element, zp_P_membership,
+    Character, DihedralGroup, GroupError, center_integrality, character_orbits,
+    character_sums, irreducible_characters, kolyvagin_identity, res_map,
+    zp_P_membership,
 )
 
 G7 = DihedralGroup(7, [7])
@@ -32,6 +31,17 @@ def test_group_shapes():
         DihedralGroup(4, [4])
     with pytest.raises(GroupError):
         DihedralGroup(7, [5])  # factor must be a power of p
+
+
+def test_reject_composite_p_without_small_factors():
+    # trial division below 10^4 once accepted 10007 * 10009
+    p = 10007 * 10009
+    with pytest.raises(GroupError, match="not prime"):
+        DihedralGroup(p, [p])
+
+
+def test_accept_large_prime_p():
+    assert DihedralGroup(10007, [10007]).p_order == 10007
 
 
 def test_element_algebra():
@@ -95,22 +105,39 @@ def test_character_labels_roundtrip():
 
 
 def test_galois_orbits_partition():
-    orbits = induced_galois_orbits(G7)
+    orbits = character_orbits(G7)[2:]
     labels = sorted(c.label for orbit in orbits for c in orbit)
     assert labels == sorted(c.label for c in irreducible_characters(G7)
                             if c.kind == "ind")
     # p = 7: the three induced characters form one orbit
     assert len(orbits) == 1 and len(orbits[0]) == 3
     # p = 5: units {1,2,3,4} mod +-1 give one orbit of the two pairs
-    orbits5 = induced_galois_orbits(G5)
+    orbits5 = character_orbits(G5)[2:]
     assert len(orbits5) == 1 and len(orbits5[0]) == 2
+
+
+def induced_orbits_oracle(group):
+    """The induced orbits as first built: each new induced character in
+    lexicographic order, its images listed in the order of the units."""
+    orbits, seen = [], set()
+    for c in irreducible_characters(group):
+        if c.kind != "ind" or c.label in seen:
+            continue
+        orbit = []
+        for a in group.galois_unit_reps():
+            img = c.galois_image(a)
+            if img.label not in {o.label for o in orbit}:
+                orbit.append(img)
+        seen.update(o.label for o in orbit)
+        orbits.append(orbit)
+    return orbits
 
 
 @pytest.mark.parametrize("group", [G5, G7, G33])
 def test_character_orbits_cover_every_character_once(group):
     orbits = character_orbits(group)
     assert [o[0].label for o in orbits[:2]] == ["triv", "eps"]
-    assert orbits[2:] == induced_galois_orbits(group)
+    assert orbits[2:] == induced_orbits_oracle(group)
     labels = [c.label for orbit in orbits for c in orbit]
     assert sorted(labels) == sorted(c.label for c in irreducible_characters(group))
 
@@ -125,36 +152,8 @@ def test_stabilizer_fixes_character():
 
 
 # ---------------------------------------------------------------------------
-# group ring
+# the group-ring identity behind the descent argument
 # ---------------------------------------------------------------------------
-
-def test_central_idempotents():
-    for group in (G5, G33):
-        idems = [central_idempotent(c) for c in irreducible_characters(group)]
-        one = GroupRingElement(group, {group.identity: CyclotomicNumber.rational(1)})
-        total = idems[0]
-        for e in idems[1:]:
-            total = total + e
-        assert total == one
-        for e in idems:
-            assert e * e == e
-        for e1 in idems:
-            for e2 in idems:
-                if e1 is not e2:
-                    assert (e1 * e2) == GroupRingElement(group, {})
-
-
-def test_trace_elements_central_eigenvalues():
-    # T_chi sees |P| at the induced character containing chi, 0 elsewhere
-    T = chi_trace_element(G5, (1,))
-    val = T.apply_character(Character.from_label(G5, "ind:1"))
-    assert val == CyclotomicNumber.rational(5)
-    val2 = T.apply_character(Character.from_label(G5, "ind:2"))
-    assert val2.is_zero()
-    tr = trace_element(Character.from_label(G5, "triv"), "G")
-    assert tr.apply_character(Character.from_label(G5, "triv")) == \
-        CyclotomicNumber.rational(G5.order)
-
 
 @pytest.mark.parametrize("m", list(range(3, 26, 2)))
 def test_kolyvagin_identity(m):
@@ -186,7 +185,7 @@ def brute_force_member(coeffs, group):
 @settings(max_examples=120)
 def test_membership_matches_denominators(cs):
     evals = brute_force_member(cs, G7)
-    report = zp_P_membership(evals, G7)
+    report = zp_P_membership(evals, G7, character_sums(evals, G7))
     expect = all(c.denominator % 7 != 0 for c in cs)
     assert report.ok == expect
     if report.ok:
@@ -200,8 +199,9 @@ def test_membership_oracle_random_sampling():
     for _ in range(1000):
         cs = [Fraction(rng.randrange(-27, 28), rng.choice([1, 1, 1, 2, 3, 9]))
               for _ in range(3)]
-        evals = brute_force_member(cs, DihedralGroup(3, [3]))
-        report = zp_P_membership(evals, DihedralGroup(3, [3]))
+        group = DihedralGroup(3, [3])
+        evals = brute_force_member(cs, group)
+        report = zp_P_membership(evals, group, character_sums(evals, group))
         expect = all(c.denominator % 3 != 0 for c in cs)
         assert report.ok == expect
         agree += 1
@@ -212,7 +212,7 @@ def test_membership_rejects_non_equivariant():
     z = CyclotomicNumber.zeta_power(7, 1)
     evals = brute_force_member([Fraction(1)] * 7, G7)
     evals[(1,)] = evals[(1,)] + z          # break equivariance at one chi
-    report = zp_P_membership(evals, G7)
+    report = zp_P_membership(evals, G7, character_sums(evals, G7))
     assert not report.ok
     assert any("equivariant" in f for f in report.failures)
 
@@ -220,9 +220,10 @@ def test_membership_rejects_non_equivariant():
 def test_membership_non_cyclic():
     cs = [Fraction(k % 4 - 1) for k in range(9)]
     evals = brute_force_member(cs, G33)
-    assert zp_P_membership(evals, G33).ok
+    assert zp_P_membership(evals, G33, character_sums(evals, G33)).ok
     bad = [Fraction(1, 3)] + cs[1:]
-    assert not zp_P_membership(brute_force_member(bad, G33), G33).ok
+    bad_evals = brute_force_member(bad, G33)
+    assert not zp_P_membership(bad_evals, G33, character_sums(bad_evals, G33)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def random_equivariant_q(group, rng, rational=True):
     q = {"triv": CyclotomicNumber.rational(random_fraction(rng)),
          "eps": CyclotomicNumber.rational(random_fraction(rng))}
     e = group.exponent
-    for orbit in induced_galois_orbits(group):
+    for orbit in character_orbits(group)[2:]:
         first = orbit[0]
         if rational:
             x = CyclotomicNumber.rational(random_fraction(rng))
@@ -284,8 +285,10 @@ def test_congruence_lines_match_membership_coefficients(p, factors):
     group = DihedralGroup(p, factors)
     rng = random.Random(f"lines:{factors}")
     q = random_equivariant_q(group, rng)
-    lines = congruence_lines(group, q, 1)
-    report = zp_P_membership(res_map(q, group), group)
+    evals = res_map(q, group)
+    sums = character_sums(evals, group)
+    lines = congruence_lines(group, sums, 1)
+    report = zp_P_membership(evals, group, sums)
     base = (q["triv"] * q["eps"]).rational_part()
     assert sum(line.value for line in lines) == group.p_order * base
     for pi, line in zip(group.p_elements(), lines):
@@ -299,8 +302,10 @@ def test_irrational_equivariant_q_gives_rational_sums(p, factors):
     group = DihedralGroup(p, factors)
     q = random_equivariant_q(group, random.Random(f"irrational:{factors}"), rational=False)
     assert any(not v.is_rational() for v in q.values())
-    lines = congruence_lines(group, q, 1)
-    report = zp_P_membership(res_map(q, group), group)
+    evals = res_map(q, group)
+    sums = character_sums(evals, group)
+    lines = congruence_lines(group, sums, 1)
+    report = zp_P_membership(evals, group, sums)
     assert not any("equivariant" in f for f in report.failures)
     for pi, line in zip(group.p_elements(), lines):
         assert line.value == group.p_order * report.coefficients[pi.rot]
@@ -362,10 +367,12 @@ def test_constant_q_vector_on_large_groups(p, factors):
     C = Fraction(2 * p + 1, p + 2)
     q = {c.label: CyclotomicNumber.rational(1 if c.kind == "eps" else C)
          for c in irreducible_characters(group)}
-    lines = congruence_lines(group, q, group.n)
+    evals = res_map(q, group)
+    sums = character_sums(evals, group)
+    lines = congruence_lines(group, sums, group.n)
     assert [line.value for line in lines] == [group.p_order * C] + [0] * (group.p_order - 1)
     assert all(line.ok for line in lines)
-    assert zp_P_membership(res_map(q, group), group).ok
+    assert zp_P_membership(evals, group, sums).ok
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +432,7 @@ def test_res_map_structure():
     for avec in G7.chi_vectors():
         if avec != (0,):
             assert evals[avec] == CyclotomicNumber.rational(Fraction(-2312, 577))
-    report = zp_P_membership(evals, G7)
+    report = zp_P_membership(evals, G7, character_sums(evals, G7))
     assert report.ok
     # the Fourier coefficient at the identity recovers S(1)/|P|
     assert report.coefficients[(0,)] == Fraction(-2312, 577)

@@ -64,7 +64,8 @@ def outputs():
         yield label, text
 
 
-def main() -> None:
+def report_digest() -> tuple[str, int]:
+    """The SHA-256 hex digest over every output, and the number of outputs."""
     digest = hashlib.sha256()
     count = 0
     for label, text in outputs():
@@ -72,7 +73,12 @@ def main() -> None:
             data = part.encode("utf-8")
             digest.update(len(data).to_bytes(8, "big") + data)
         count += 1
-    print(f"{digest.hexdigest()} {count}")
+    return digest.hexdigest(), count
+
+
+def main() -> None:
+    hexdigest, count = report_digest()
+    print(f"{hexdigest} {count}")
 
 
 if __name__ == "__main__":
