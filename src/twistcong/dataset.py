@@ -43,6 +43,13 @@ def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
+def _object(value: Any, path: str) -> Mapping[str, Any]:
+    """value when it is a JSON object; anything else is a DatasetError at path."""
+    if not isinstance(value, Mapping):
+        raise DatasetError(path, f"expected an object, got {value!r}")
+    return value
+
+
 def _flag(obj: Mapping[str, Any], key: str, path: str) -> bool:
     """A required JSON true/false; a quoted or numeric stand-in is rejected."""
     value = _need(obj, key, path)
@@ -52,7 +59,10 @@ def _flag(obj: Mapping[str, Any], key: str, path: str) -> bool:
 
 
 def _integer(value: Any, path: str, lo: int, hi: int | None = None) -> int:
-    """int(value) within [lo, hi]; anything else is a DatasetError at path."""
+    """A JSON integer or decimal-integer string within [lo, hi]; anything else,
+    a bool or a float included, is a DatasetError at path."""
+    if isinstance(value, (bool, float)):
+        raise DatasetError(path, f"expected an integer, got {value!r}")
     try:
         n = int(value)
     except (ValueError, TypeError, OverflowError) as e:
@@ -68,6 +78,15 @@ def _option(oobj: Mapping[str, Any], key: str, default: int | None,
     """An integer option; absent or null gives the default."""
     value = oobj.get(key)
     return default if value is None else _integer(value, f"options.{key}", lo, hi)
+
+
+def _rational(value: Any, path: str) -> Fraction:
+    """An exact rational from a number or a "p/q" or decimal string; anything
+    else is a DatasetError at path."""
+    try:
+        return as_fraction(str(value))
+    except (ValueError, ArithmeticError) as e:
+        raise DatasetError(path, f"expected a rational, got {value!r}") from e
 
 
 def _decimal(obj: Any, path: str) -> DecimalWithError:
@@ -318,7 +337,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
     except (ValueError, TypeError, AttributeError) as e:
         raise DatasetError("tower", str(e)) from e
 
-    pobj = _need(doc, "places", "")
+    pobj = _object(_need(doc, "places", ""), "places")
     places: dict[str, LocalPlace] = {}
     for label, entry in pobj.items():
         path = f"places.{label}"
@@ -349,14 +368,15 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
                    if aobj.get("omega_minus") is not None else None)
     chars = irreducible_characters(group)
     char_labels = {c.label for c in chars}
-    cblock = _need(aobj, "characters", "analytic")
+    cblock = _object(_need(aobj, "characters", "analytic"), "analytic.characters")
     analytic_chars: dict[str, CharacterAnalytic] = {}
     for label, entry in cblock.items():
         path = f"analytic.characters.{label}"
         if label not in char_labels:
             raise DatasetError(path, "not an irreducible character label of this group")
+        entry = _object(entry, path)
         analytic_chars[label] = CharacterAnalytic(
-            order=int(_need(entry, "order", path)),
+            order=_integer(_need(entry, "order", path), f"{path}.order", 0),
             leading_term=_decimal(_need(entry, "leading_term", path), f"{path}.leading_term"),
             truncated=_flag(entry, "truncated", path),
         )
@@ -385,8 +405,10 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
                               translates=translates)
 
     bsd: dict[str, FieldBlock] = {}
-    for name, fobj in (doc.get("bsd") or {}).items():
+    bobj = doc.get("bsd")
+    for name, fobj in ({} if bobj is None else _object(bobj, "bsd")).items():
         path = f"bsd.{name}"
+        fobj = _object(fobj, path)
         sig = _need(fobj, "signature", path)
         if not (isinstance(sig, (list, tuple)) and len(sig) == 2):
             raise DatasetError(f"{path}.signature", "expected [r1, r2]")
@@ -401,15 +423,17 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             gens = []
             for i, combo in enumerate(fobj["regulator_generators"]):
                 gpath = f"{path}.regulator_generators[{i}]"
-                try:
-                    gens.append({group.parse_element(k): as_fraction(str(v))
-                                 for k, v in combo.items()})
-                except (GroupError, ValueError) as e:
-                    raise DatasetError(gpath, str(e)) from e
+                gen: dict[GroupElement, Fraction] = {}
+                for k, v in _object(combo, gpath).items():
+                    try:
+                        gen[group.parse_element(k)] = _rational(v, f"{gpath}.{k}")
+                    except GroupError as e:
+                        raise DatasetError(gpath, str(e)) from e
+                gens.append(gen)
         overrides = {str(k): _decimal(v, f"{path}.leading_overrides.{k}")
                      for k, v in (fobj.get("leading_overrides") or {}).items()}
-        degree = int(_need(fobj, "degree", path))
-        if degree < 1 or group.order % degree != 0:
+        degree = _integer(_need(fobj, "degree", path), f"{path}.degree", 1)
+        if group.order % degree != 0:
             raise DatasetError(f"{path}.degree", f"degree {degree} does not divide {group.order}")
         if int(sig[0]) + 2 * int(sig[1]) != degree:
             raise DatasetError(f"{path}.signature", "r1 + 2*r2 must equal the degree")
@@ -417,27 +441,24 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             name=name,
             degree=degree,
             signature=(int(sig[0]), int(sig[1])),
-            d_abs=int(_need(fobj, "d_abs", path)),
-            torsion=int(_need(fobj, "torsion", path)),
+            d_abs=_integer(_need(fobj, "d_abs", path), f"{path}.d_abs", 1),
+            torsion=_integer(_need(fobj, "torsion", path), f"{path}.torsion", 1),
             tamagawa={str(k): tuple(int(x) for x in v)
                       for k, v in _need(fobj, "tamagawa", path).items()},
             leading_characters=leading,
             regulator=reg,
             regulator_generators=gens,
             leading_overrides=overrides,
-            omega_quotient=as_fraction(str(fobj.get("omega_quotient", "1"))),
+            omega_quotient=_rational(fobj.get("omega_quotient", "1"), f"{path}.omega_quotient"),
         )
 
     oobj = doc.get("options")
-    if oobj is None:
-        oobj = {}
-    elif not isinstance(oobj, Mapping):
-        raise DatasetError("options", f"expected an object, got {oobj!r}")
+    oobj = {} if oobj is None else _object(oobj, "options")
     options = Options(
         p_power_required=_option(oobj, "p_power_required", None, 1),
         den_bound=_option(oobj, "den_bound", 10 ** 6, 1),
         route=str(oobj.get("route", "auto")),
-        gz_constant=(as_fraction(str(oobj["gz_constant"]))
+        gz_constant=(_rational(oobj["gz_constant"], "options.gz_constant")
                      if oobj.get("gz_constant") is not None else None),
         # every real embedding works at 50 digits; this sets only the sqrt(d) bounds
         embedding_digits=_option(oobj, "embedding_digits", 50, 1, 1000),

@@ -2,13 +2,14 @@
 recognition of exact values from decimal approximations.
 
 cyclotomic_field(m), m = p^n with p an odd prime, is the one field core: it
-holds p, p^(n-1), phi, the units (Z/m)^*, the reduction modulo Phi_m and the
-cached canonical embedding. Elements are `fractions.Fraction` vectors over the
-power basis 1, z, ..., z^(phi-1) (m = 1 for Q). Decimal inputs carry explicit
-rational error bounds and every arithmetic operation propagates a worst-case
-bound, so a successful recognition comes with an honest certificate: the
-recognized value is re-verified exactly and its embedding is checked back
-against the input interval.
+holds p, p^(n-1), phi, the units (Z/m)^*, the reduction modulo Phi_m, the
+valuation at the prime 1 - zeta_m above p and the cached canonical
+embedding. Elements are `fractions.Fraction` vectors over the power basis
+1, z, ..., z^(phi-1) (m = 1 for Q); they are multiplied but never divided.
+Decimal inputs carry explicit rational error bounds and every arithmetic
+operation propagates a worst-case bound, so a successful recognition comes
+with an honest certificate: the recognized value is re-verified exactly and
+its embedding is checked back against the input interval.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 import mpmath
@@ -213,6 +214,24 @@ class CyclotomicField:
             half.append(real_embedding(z + z.conjugate()))
         return tuple(half[min(k, self.m - k)] for k in range(self.m))
 
+    def valuation(self, x: "CyclotomicNumber") -> Fraction:
+        """v(x) at the one prime above p, normalized v(p) = 1.
+
+        p is totally ramified and pi = 1 - zeta_m is a uniformizer, v(pi) =
+        1/phi, so 1, pi, ..., pi^(phi-1) is an integral basis whose terms
+        b_i pi^i have valuations v_p(b_i) + i/phi, distinct mod 1: v(x) is
+        their minimum. With x = f(zeta)/D, f integral, the b_i are up to sign
+        the coefficients of f(1 + y), a Taylor shift of O(phi^2) additions."""
+        den = lcm(*(c.denominator for c in x.coeffs))
+        b = [c.numerator * (den // c.denominator) for c in x.coeffs]
+        for i in range(len(b) - 1):
+            for j in range(len(b) - 2, i - 1, -1):
+                b[j] += b[j + 1]
+        scaled = [self.phi * rational_valuation(c, self.p) + i for i, c in enumerate(b) if c]
+        if not scaled:
+            raise ExactArithmeticError("valuation of zero is not defined")
+        return Fraction(min(scaled), self.phi) - rational_valuation(den, self.p)
+
 
 @lru_cache(maxsize=64)
 def cyclotomic_field(m: int) -> CyclotomicField:
@@ -336,27 +355,9 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicNumber":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.m == 1 or self.is_rational():
-            inv = CyclotomicNumber.rational(1 / self.coeffs[0])
-            return inv.promote(self.m)
-        # x * (product of the other conjugates) = Norm(x), a nonzero rational
-        rest = self._other_conjugates()
-        norm = (self * rest).rational_part()
-        return CyclotomicNumber(self.m, [c / norm for c in rest.coeffs])
-
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return CyclotomicNumber.rational(other).promote(self.m) / self
-
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ExactArithmeticError("negative powers are not supported")
         result = CyclotomicNumber.rational(1).promote(self.m)
         base = self
         while k:
@@ -418,40 +419,25 @@ class CyclotomicNumber:
         """Complex conjugation, zeta -> zeta^(-1)."""
         return self.galois_apply(-1)
 
-    def _other_conjugates(self) -> "CyclotomicNumber":
-        """Product of sigma_a(self) over the units a != 1 of the field."""
-        acc = CyclotomicNumber.rational(1).promote(self.m)
-        for a in cyclotomic_field(self.m).units[1:]:
-            acc = acc * self.galois_apply(a)
-        return acc
-
-    def norm(self) -> Fraction:
-        """Product of all Galois conjugates; a rational number."""
-        if self.m == 1:
-            return self.coeffs[0]
-        return (self * self._other_conjugates()).rational_part()
-
 
 def p_valuation(x, p: int) -> Fraction:
     """Normalized p-adic valuation, v(p) = 1; x rational or in Q(zeta_{p^n}).
 
-    For an element of Q(zeta_{p^n}) the valuation at the unique prime above p
-    is v_p(Norm(x)) / phi(p^n). Elements of Q(zeta_m) can only be valuated at
-    m's own prime unless they are rational.
+    An irrational element of Q(zeta_{p^n}) is valuated at the unique prime
+    above p (CyclotomicField.valuation); elements of Q(zeta_m) can only be
+    valuated at m's own prime unless they are rational.
     """
     if isinstance(x, (int, Fraction)):
         return Fraction(rational_valuation(as_fraction(x), p))
     if not isinstance(x, CyclotomicNumber):
         raise TypeError(f"cannot take a valuation of {type(x).__name__}")
-    if x.is_zero():
-        raise ExactArithmeticError("valuation of zero is not defined")
     if x.is_rational():
         return Fraction(rational_valuation(x.rational_part(), p))
     field = cyclotomic_field(x.m)
     if field.p != p:
         raise UnsupportedConductorError(
             f"valuation at {p} of an irrational element of Q(zeta_{x.m}) is ambiguous")
-    return Fraction(rational_valuation(x.norm(), p), field.phi)
+    return field.valuation(x)
 
 
 def sqrt_in_cyclotomic(d: int, m: int) -> CyclotomicNumber:

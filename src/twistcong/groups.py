@@ -85,7 +85,7 @@ class DihedralGroup:
             raise GroupError("P must be nontrivial")
         for f in factors:
             ff = f
-            while ff % p == 0:
+            while ff > 1 and ff % p == 0:
                 ff //= p
             if ff != 1 or f < p:
                 raise GroupError(f"cyclic factor {f} is not a positive power of {p}")
@@ -280,20 +280,6 @@ class Character:
         """Units a of (Z/exponent)^* with psi^sigma_a = psi."""
         return [a for a in self.group.galois_unit_reps()
                 if self.galois_image(a) == self]
-
-    def rep_matrix(self, g: GroupElement) -> tuple[tuple[CyclotomicNumber, ...], ...]:
-        """An explicit matrix realization (1x1, or 2x2 in the basis where P
-        acts diagonally by (chi, chi-bar) and tau swaps the two lines)."""
-        if self.kind != "ind":
-            v = self.value(g)
-            return ((v,),)
-        zero = CyclotomicNumber.rational(0)
-        rot_part = GroupElement(self.group, g.rot, 0)
-        c = self.group.chi_value(self.chi, rot_part)
-        cb = c.conjugate()
-        if g.flip:
-            return ((zero, c), (cb, zero))
-        return ((c, zero), (zero, cb))
 
 
 def irreducible_characters(group: DihedralGroup) -> list[Character]:

@@ -12,8 +12,9 @@ and a rational factor
     t_v(psi) = prod (1 - lambda^-1 a_v / q_v + lambda^-2 / q_v),
 
 products over those eigenvalues (empty products are 1). Here q_v is the
-residue size and a_v the trace of Frobenius of the curve at v. Everything is
-computed exactly from an explicit matrix realization of psi.
+residue size and a_v the trace of Frobenius of the curve at v. The
+eigenvalues are read exactly from the exponents of the P-character chi that
+psi is induced from.
 """
 from __future__ import annotations
 
@@ -54,85 +55,45 @@ class LocalPlace:
             raise LocalDataError(f"trace {self.a} violates the Hasse bound for q = {self.q}")
 
 
-def _matrix_on_invariants(char: Character, place: LocalPlace
-                          ) -> list[list[CyclotomicNumber]]:
-    """Frobenius acting on V_psi^I, as a matrix over Q(zeta) in some basis.
-
-    Returns a 0x0, 1x1 or 2x2 matrix. The invariant space is computed exactly
-    from the explicit realization of psi; the Frobenius action is verified to
-    preserve it.
-    """
-    one = CyclotomicNumber.rational(1)
-    zero = CyclotomicNumber.rational(0)
-
-    if char.degree == 1:
-        for g in place.inertia:
-            if char.value(g) != one:
-                return []
-        return [[char.value(place.frobenius)]]
-
-    # dimension 2: intersect the fixed spaces of the inertia generators.
-    # In the chosen basis P acts by diag(chi, chibar) and reflections by
-    # antidiag(chi(rot), chibar(rot)).
-    group = char.group
-    full = True
-    line: tuple[CyclotomicNumber, CyclotomicNumber] | None = None
-    for g in place.inertia:
-        M = char.rep_matrix(g)
-        if M[0][1].is_zero() and M[1][0].is_zero():
-            # diagonal action: fixed space is V when chi(g) = 1, else 0
-            if M[0][0] != one or M[1][1] != one:
-                return []
-        else:
-            # reflection: fixed line spanned by (chi(rot), 1)
-            cand = (M[0][1], one)
-            if line is None:
-                line = cand
-                full = False
-            elif line[0] != cand[0]:
-                return []  # two distinct reflection lines intersect in 0
-    if full and line is None:
-        M = char.rep_matrix(place.frobenius)
-        return [list(row) for row in M]
-
-    # one-dimensional invariant space: Frobenius must preserve the line
-    v = line
-    M = char.rep_matrix(place.frobenius)
-    w = (M[0][0] * v[0] + M[0][1] * v[1], M[1][0] * v[0] + M[1][1] * v[1])
-    # w = lambda * v with v[1] = 1
-    lam = w[1]
-    if w[0] != lam * v[0]:
-        raise LocalDataError(
-            "Frobenius does not normalize inertia on the induced representation")
-    return [[lam]]
-
-
 def frobenius_eigenvalues(char: Character, place: LocalPlace
                           ) -> list[CyclotomicNumber]:
-    """Eigenvalues of Frobenius on V_psi^I, exactly.
+    """Eigenvalues of Frobenius on V_psi^I, exactly: +-1 or roots of unity in
+    Q(zeta_e), e the exponent of P.
 
-    For the matrices arising here (diagonal or antidiagonal 2x2, or 1x1) the
-    eigenvalues are roots of unity in Q(zeta_{p^n}) or +-1.
+    For psi = Ind chi, P acts on V by diag(chi, chi-bar) and the reflection
+    r*tau swaps the two lines, fixing only the line through (chi(r), 1). So a
+    rotation g in inertia with chi(g) != 1 leaves V^I = 0, as do reflections
+    with two different lines; with no line V^I = V, and with one line
+    Frobenius acts on it by 1.
     """
-    M = _matrix_on_invariants(char, place)
-    if not M:
+    if char.degree == 1:
+        if any(char.value(g) != 1 for g in place.inertia):
+            return []
+        return [char.value(place.frobenius)]
+    group = char.group
+    lines: set[int] = set()  # chi-exponents k of the lines through (zeta_e^k, 1)
+    for g in place.inertia:
+        k = group.chi_exponent(char.chi, group.element(g.rot))
+        if g.flip:
+            lines.add(k)
+        elif k:
+            return []
+    if len(lines) > 1:
         return []
-    if len(M) == 1:
-        return [M[0][0]]
-    if M[0][1].is_zero() and M[1][0].is_zero():
-        return [M[0][0], M[1][1]]
-    if M[0][0].is_zero() and M[1][1].is_zero():
-        # antidiagonal with product of entries a root of unity zeta^k of odd
-        # order; eigenvalues are +-sqrt(zeta^k) = +-zeta^(k*(ord+1)/2)
-        prod = M[0][1] * M[1][0]
-        m = prod.m
-        if prod == CyclotomicNumber.rational(1):
+    frob = place.frobenius
+    f = group.element(frob.rot)
+    if not lines:
+        if frob.flip:
             return [CyclotomicNumber.rational(1), CyclotomicNumber.rational(-1)]
-        root = prod ** ((m + 1) // 2)
-        if root * root != prod:
-            raise ExactArithmeticError("antidiagonal product is not an odd-order root of unity")
-        return [root, -root]
-    raise ExactArithmeticError("unexpected Frobenius matrix shape on invariants")
+        c = group.chi_value(char.chi, f)
+        return [c, c.conjugate()]
+    # a rotation f keeps the line iff chi(f) = 1, a reflection f*tau iff
+    # chi(f) = chi(r)
+    if group.chi_exponent(char.chi, f) != (lines.pop() if frob.flip else 0):
+        raise LocalDataError(
+            "Frobenius does not normalize inertia on the induced representation")
+    # 1 as an element of Q(zeta_e): the conductor of u shows in the reports
+    return [CyclotomicNumber.zeta_power(group.exponent, 0)]
 
 
 @dataclass(frozen=True)
@@ -151,7 +112,7 @@ def local_correction(char: Character, place: LocalPlace) -> LocalCorrection:
     t = CyclotomicNumber.rational(1)
     qinv = Fraction(1, place.q)
     for lam in eigs:
-        lam_inv = lam.inverse()
+        lam_inv = lam.conjugate()  # lam is a root of unity
         u = u * (-lam_inv)
         t = t * (1 + (-place.a * qinv) * lam_inv + qinv * (lam_inv * lam_inv))
     if not t.is_rational():
@@ -216,7 +177,7 @@ def parse_local_place(group: DihedralGroup, q: int, a: int,
         try:
             pins.append((str(label), as_fraction(str(pair["u"])),
                          as_fraction(str(pair["t"]))))
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, ArithmeticError) as e:
             raise LocalDataError(f"bad pinned correction for {label!r}: {e}") from e
     if any(g == group.identity for g in gens):
         raise LocalDataError("trivial inertia generator listed at a ramified place")

@@ -288,7 +288,7 @@ def test_reject_bad_options():
 
 @pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
 @pytest.mark.parametrize("key", ["d_k_abs", "d_K_abs"])
-@pytest.mark.parametrize("value", [0, -1, "abc", None])
+@pytest.mark.parametrize("value", [0, -1, "abc", None, 1.0])
 def test_reject_nonpositive_discriminant(name, key, value):
     # 0 once raised a raw ZeroDivisionError in verify, -1 a negative radicand
     doc = bundled_doc(name)
@@ -304,6 +304,8 @@ def test_reject_nonpositive_discriminant(name, key, value):
     ("p_power_required", "x"), ("p_power_required", 0),
     ("embedding_digits", -3), ("embedding_digits", 0), ("embedding_digits", 1001),
     ("embedding_digits", 200000), ("embedding_digits", "1e3"),
+    # int() truncated these: true gave den_bound 1 (INCONCLUSIVE)
+    ("den_bound", True), ("den_bound", 1e6),
 ])
 def test_reject_bad_integer_option(name, key, value):
     doc = bundled_doc(name)
@@ -352,7 +354,8 @@ def test_absent_or_null_options_take_the_defaults(name, absent):
 
 
 @pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
-@pytest.mark.parametrize("value", ["x", None, [], 0, -361, "1e400"])
+# int() truncated 361.9 to 361, which gave PASS
+@pytest.mark.parametrize("value", ["x", None, [], 0, -361, "1e400", 361.9, True])
 def test_reject_bad_conductor_norm(name, value):
     doc = bundled_doc(name)
     doc["tower"]["conductor_norms"]["ind:1"] = value
@@ -373,6 +376,18 @@ def test_reject_oversized_group_quickly(factors):
     assert excinfo.value.path == "group.cyclic_factors"
 
 
+@pytest.mark.parametrize("factors", [[0], [0.5], [-5]])
+def test_reject_nonpositive_cyclic_factor_quickly(factors):
+    # 0 (and 0.5, which int() truncates to 0) once looped forever in DihedralGroup
+    doc = bundled_doc("21a1-quintic-19")
+    doc["group"]["cyclic_factors"] = factors
+    start = time.perf_counter()
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert time.perf_counter() - start < 1
+    assert excinfo.value.path == "group"
+
+
 def test_group_within_the_size_cap_is_parsed_further():
     # |P| = 625 passes the cap and fails only on the characters it lacks
     doc = bundled_doc("21a1-quintic-19")
@@ -389,3 +404,86 @@ def test_field_block_helpers():
     assert fb.tamagawa_product() == 4 * 4 * 2 ** 5
     assert fb.omega_quotient == Fraction(1)
     assert fb.leading_overrides and "eps" in fb.leading_overrides
+
+
+def set_field(doc, keys, value):
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+
+
+def test_decimal_integer_strings_stay_accepted():
+    doc = bundled_doc("21a1-quintic-19")
+    doc["tower"]["conductor_norms"]["ind:1"] = "361"
+    doc["options"]["den_bound"] = "1000000"
+    doc["analytic"]["characters"]["triv"]["order"] = "0"
+    doc["bsd"]["F"]["degree"] = "10"
+    ds = parse_dataset(doc)
+    assert ds.tower.conductor_norms["ind:1"] == 361 and ds.options.den_bound == 10 ** 6
+    assert ds.analytic.characters["triv"].order == 0 and ds.bsd["F"].degree == 10
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    # each raised a raw decimal.InvalidOperation or ZeroDivisionError
+    (("options", "gz_constant"), "x", "options.gz_constant"),
+    (("options", "gz_constant"), "1/0", "options.gz_constant"),
+    (("bsd", "F", "omega_quotient"), "x", "bsd.F.omega_quotient"),
+    (("bsd", "F", "omega_quotient"), None, "bsd.F.omega_quotient"),
+    (("bsd", "F", "regulator_generators", 0, "1"), "1/0",
+     "bsd.F.regulator_generators[0].1"),
+    (("bsd", "F", "regulator_generators", 2), ["s1^2", "1"], "bsd.F.regulator_generators[2]"),
+])
+def test_reject_bad_rationals(keys, value, path):
+    doc = bundled_doc("21a1-quintic-19")
+    set_field(doc, keys, value)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == path
+
+
+@pytest.mark.parametrize("u", ["x", "1/0"])
+def test_reject_unparsable_pin(u):
+    doc = bundled_doc("21a1-quintic-19")
+    doc["places"]["2"]["pinned"]["triv"]["u"] = u
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "places.2"
+
+
+@pytest.mark.parametrize("keys, value", [
+    # a list raised a raw AttributeError ('list' object has no attribute 'items'),
+    # a number a raw TypeError
+    (("places",), [["2", {}]]),
+    (("bsd",), [{"degree": 1}]),
+    (("bsd",), []),
+    (("analytic", "characters"), [{"order": 0}]),
+    (("analytic", "characters", "triv"), 5),
+    (("bsd", "F"), 5),
+])
+def test_reject_non_object_blocks(keys, value):
+    doc = bundled_doc("21a1-quintic-19")
+    set_field(doc, keys, value)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == ".".join(keys)
+
+
+@pytest.mark.parametrize("keys, value", [
+    # "x" raised a raw ValueError from int(), and 0.7 was truncated to 0 (PASS)
+    (("analytic", "characters", "triv", "order"), "x"),
+    (("analytic", "characters", "triv", "order"), 0.7),
+    (("analytic", "characters", "triv", "order"), -1),
+    (("bsd", "F", "degree"), "x"),
+    (("bsd", "F", "degree"), 0),
+    (("bsd", "F", "d_abs"), "x"),
+    (("bsd", "F", "d_abs"), 0),
+    (("bsd", "F", "torsion"), "x"),
+    (("bsd", "F", "torsion"), None),
+])
+def test_reject_bad_integer_fields(keys, value):
+    doc = bundled_doc("21a1-quintic-19")
+    set_field(doc, keys, value)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == ".".join(keys)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistcong.exact import (
-    AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, IntervalError,
-    NotRealError, RecognitionError, UnsupportedConductorError,
+    AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, ExactArithmeticError,
+    IntervalError, NotRealError, RecognitionError, UnsupportedConductorError,
     _farey_neighbors, _mpf_to_fraction, _simplest_in_interval, as_fraction,
     cyclotomic_field, euler_phi, is_square_rational, legendre_symbol, p_valuation,
     rational_reconstruct, rational_valuation, real_embedding, recognize_orbit,
@@ -96,16 +96,6 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(st.sampled_from([5, 7, 9, 25, 27]).flatmap(cyclo))
-@settings(max_examples=40)
-def test_field_inverse(a):
-    if a.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            a.inverse()
-    else:
-        assert a * a.inverse() == CyclotomicNumber.rational(1)
-
-
 @given(cyclo(5), cyclo(5), st.sampled_from([1, 2, 3, 4]))
 @settings(max_examples=40)
 def test_galois_is_automorphism(a, b, k):
@@ -126,6 +116,12 @@ def test_zeta_power_order():
     for k in range(7):
         total = total + CyclotomicNumber.zeta_power(7, k)
     assert total.is_zero()
+
+
+def test_negative_powers_are_refused():
+    # elements have no inverse; a negative k must not loop in the bit walk
+    with pytest.raises(ExactArithmeticError):
+        CyclotomicNumber.zeta_power(7, 1) ** -1
 
 
 def test_prime_power_conductor():
@@ -150,7 +146,7 @@ def gcd_units(m):
 
 def gcd_norm(x):
     """Norm as the product of sigma_a(x) over the gcd enumeration: the
-    reference for CyclotomicNumber.norm."""
+    reference for the valuation at the prime above p."""
     acc = CyclotomicNumber.rational(1).promote(x.m)
     for a in gcd_units(x.m):
         acc = acc * x.galois_apply(a)
@@ -159,18 +155,31 @@ def gcd_norm(x):
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27, 49, 121, 125])
 def test_field_units_and_norm_match_gcd_enumeration(m):
+    # the norm is checked through the valuation in test_valuation_matches_norm
     field = cyclotomic_field(m)
     assert list(field.units) == gcd_units(m)
     assert field.phi == len(field.units) == euler_phi(m)
     assert field.q * field.p == m
     assert cyclotomic_field(m) is field
-    if field.phi > 20:
-        return
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27, 49])
+def test_valuation_matches_norm(m):
+    # v(x) = v_p(Norm x) / phi, on elements with p-power denominators times
+    # powers of the uniformizer 1 - zeta; m = 49 is kept to one element
+    # because the oracle's norm takes about 0.6 s there
+    field = cyclotomic_field(m)
+    pi = CyclotomicNumber.rational(1) - CyclotomicNumber.zeta_power(m, 1)
     rng = random.Random(m)
-    for _ in range(3):
-        x = CyclotomicNumber(m, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+    for _ in range(4 if field.phi <= 20 else 1):
+        x = CyclotomicNumber(m, [Fraction(rng.randrange(-9, 10),
+                                          field.p ** rng.randrange(4) * rng.choice([1, 2]))
                                  for _ in range(field.phi)])
-        assert x.norm() == gcd_norm(x)
+        if x.is_zero():
+            continue
+        x = x * pi ** rng.randrange(2 * field.phi)
+        expected = Fraction(rational_valuation(gcd_norm(x), field.p), field.phi)
+        assert p_valuation(x, field.p) == field.valuation(x) == expected
 
 
 @given(cyclo(5).filter(lambda v: not v.is_zero()),

@@ -7,12 +7,13 @@ size q_v. Those nine cells are frozen here and checked against the general
 eigenvalue computation.
 """
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistcong.exact import CyclotomicNumber
-from twistcong.groups import Character, DihedralGroup
+from twistcong.groups import Character, DihedralGroup, irreducible_characters
 from twistcong.localfactors import (
     LocalDataError, LocalPlace, discriminant_factor, frobenius_eigenvalues,
     global_correction, local_correction, parse_local_place,
@@ -110,6 +111,93 @@ def test_spectra_shapes():
     # unramified place split to a reflection Frobenius: eigenvalues {+1, -1}
     u = LocalPlace(q=5, a=2, inertia=(), frobenius=S3.tau)
     assert sorted(e.rational_part() for e in frobenius_eigenvalues(IND3, u)) == [-1, 1]
+
+
+def rep_matrix(char, g):
+    """The explicit realization the eigenvalues were once read from: 1x1, or
+    2x2 in the basis where P acts by diag(chi, chi-bar) and tau swaps the
+    two lines."""
+    if char.kind != "ind":
+        return ((char.value(g),),)
+    zero = CyclotomicNumber.rational(0)
+    c = char.group.chi_value(char.chi, char.group.element(g.rot))
+    cb = c.conjugate()
+    if g.flip:
+        return ((zero, c), (cb, zero))
+    return ((c, zero), (zero, cb))
+
+
+def matrix_eigenvalues(char, place):
+    """Frobenius eigenvalues on V^I from the matrices: the reference for
+    frobenius_eigenvalues, which reads the character exponents instead."""
+    one = CyclotomicNumber.rational(1)
+    if char.degree == 1:
+        if any(char.value(g) != one for g in place.inertia):
+            return []
+        return [char.value(place.frobenius)]
+    line = None
+    for g in place.inertia:
+        M = rep_matrix(char, g)
+        if M[0][1].is_zero() and M[1][0].is_zero():
+            if M[0][0] != one or M[1][1] != one:
+                return []
+        elif line is None:
+            line = (M[0][1], one)      # a reflection fixes the line (chi(rot), 1)
+        elif line[0] != M[0][1]:
+            return []
+    M = rep_matrix(char, place.frobenius)
+    if line is None:
+        if M[0][1].is_zero() and M[1][0].is_zero():
+            return [M[0][0], M[1][1]]
+        # antidiagonal: c * c-bar = 1, so the eigenvalues are +-1
+        assert M[0][1] * M[1][0] == one
+        return [one, CyclotomicNumber.rational(-1)]
+    w = (M[0][0] * line[0] + M[0][1] * line[1], M[1][0] * line[0] + M[1][1] * line[1])
+    if w[0] != w[1] * line[0]:
+        raise LocalDataError("Frobenius does not preserve the invariant line")
+    return [w[1]]
+
+
+def spectrum(fn, char, place):
+    """Eigenvalues with their conductors, or the error raised."""
+    try:
+        return [(lam.m, lam.coeffs) for lam in fn(char, place)]
+    except LocalDataError:
+        return LocalDataError
+
+
+def places(group, n_gens):
+    """Places with n_gens distinct nontrivial inertia generators: with every
+    Frobenius for one generator, so that the guard against a Frobenius that
+    moves the invariant line is reached, and with every Frobenius that
+    normalizes the inertia subgroup for two."""
+    elements = list(group.elements())
+    for gens in combinations(elements[1:], n_gens):
+        subgroup = {group.identity}
+        while True:
+            grown = subgroup | {h * g for h in subgroup for g in gens}
+            if grown == subgroup:
+                break
+            subgroup = grown
+        for frob in elements:
+            if n_gens == 1 or all(frob * g * frob.inverse() in subgroup for g in gens):
+                yield LocalPlace(q=5, a=2, inertia=gens, frobenius=frob)
+
+
+@pytest.mark.parametrize("p, factors, n_gens", [
+    (3, [3], 1), (5, [5], 1), (7, [7], 1), (3, [9], 1), (3, [3, 3], 1), (3, [3, 3], 2),
+])
+def test_eigenvalues_match_the_matrix_realization(p, factors, n_gens):
+    group = DihedralGroup(p, factors)
+    chars = irreducible_characters(group)
+    outcomes = set()
+    for place in places(group, n_gens):
+        for char in chars:
+            got = spectrum(frobenius_eigenvalues, char, place)
+            assert got == spectrum(matrix_eigenvalues, char, place), (char.label, place)
+            outcomes.add(got if got is LocalDataError else len(got))
+    assert {0, 1} <= outcomes
+    assert n_gens == 2 or LocalDataError in outcomes
 
 
 def test_empty_spectrum_gives_unit_correction():
