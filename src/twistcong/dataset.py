@@ -50,6 +50,13 @@ def _object(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
+def _list(value: Any, path: str) -> list[Any]:
+    """value when it is a JSON array; anything else is a DatasetError at path."""
+    if not isinstance(value, list):
+        raise DatasetError(path, f"expected an array, got {value!r}")
+    return value
+
+
 def _flag(obj: Mapping[str, Any], key: str, path: str) -> bool:
     """A required JSON true/false; a quoted or numeric stand-in is rejected."""
     value = _need(obj, key, path)
@@ -388,9 +395,9 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
 
     heights: HeightBlock | None = None
     if doc.get("heights") is not None:
-        hobj = doc["heights"]
+        hobj = _object(doc["heights"], "heights")
         translates: dict[GroupElement, DecimalWithError] = {}
-        tblock = _need(hobj, "translates", "heights")
+        tblock = _object(_need(hobj, "translates", "heights"), "heights.translates")
         for gs, entry in tblock.items():
             path = f"heights.translates.{gs}"
             try:
@@ -412,6 +419,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         sig = _need(fobj, "signature", path)
         if not (isinstance(sig, (list, tuple)) and len(sig) == 2):
             raise DatasetError(f"{path}.signature", "expected [r1, r2]")
+        r1, r2 = (_integer(r, f"{path}.signature[{i}]", 0) for i, r in enumerate(sig))
         leading = {str(k): int(v) for k, v in _need(fobj, "leading_characters", path).items()}
         for lbl in leading:
             if lbl not in char_labels:
@@ -435,16 +443,18 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         degree = _integer(_need(fobj, "degree", path), f"{path}.degree", 1)
         if group.order % degree != 0:
             raise DatasetError(f"{path}.degree", f"degree {degree} does not divide {group.order}")
-        if int(sig[0]) + 2 * int(sig[1]) != degree:
+        if r1 + 2 * r2 != degree:
             raise DatasetError(f"{path}.signature", "r1 + 2*r2 must equal the degree")
         bsd[name] = FieldBlock(
             name=name,
             degree=degree,
-            signature=(int(sig[0]), int(sig[1])),
+            signature=(r1, r2),
             d_abs=_integer(_need(fobj, "d_abs", path), f"{path}.d_abs", 1),
             torsion=_integer(_need(fobj, "torsion", path), f"{path}.torsion", 1),
-            tamagawa={str(k): tuple(int(x) for x in v)
-                      for k, v in _need(fobj, "tamagawa", path).items()},
+            tamagawa={str(k): tuple(_integer(x, f"{path}.tamagawa.{k}[{i}]", 1)
+                                    for i, x in enumerate(_list(v, f"{path}.tamagawa.{k}")))
+                      for k, v in _object(_need(fobj, "tamagawa", path),
+                                          f"{path}.tamagawa").items()},
             leading_characters=leading,
             regulator=reg,
             regulator_generators=gens,
@@ -493,8 +503,9 @@ def _cross_validate(ds: Dataset) -> None:
     if not ds.tower.K_real and ds.analytic.omega_minus is None:
         raise DatasetError("analytic.omega_minus",
                            "imaginary quadratic layer needs the minus period")
+    labels = {c.label for c in ds.characters()}
     for label in ds.tower.conductor_norms:
-        if label not in {c.label for c in ds.characters()}:
+        if label not in labels:
             raise DatasetError(f"tower.conductor_norms.{label}", "unknown character label")
     for s in ds.tower.S_r_split:
         if s not in ds.tower.S_r:

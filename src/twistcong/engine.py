@@ -15,7 +15,9 @@ The pipeline per dataset:
    one reduction mod Phi_e per pi. The Z_p[P] membership formulation reads
    the same sums, runs its own P-level Galois equivariance test and tests
    S(pi)/|P| for p-integrality, and must agree with the line verdicts; so
-   must the n = 1 shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi).
+   must the n = 1 shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi). Both Galois
+   equivariance tests are decided by one generator of the cyclic group
+   (Z/p^n)^*; every unit is scanned only to name the first failure.
 
 The outcome is PASS / FAIL / INCONCLUSIVE: FAIL only when an exactly
 computed quantity falsifies the congruence, INCONCLUSIVE when recognition or
@@ -29,7 +31,7 @@ from fractions import Fraction
 from .dataset import (CharacterAnalytic, Dataset, DatasetError, HypothesisResult,
                       check_hypotheses)
 from .exact import (AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError,
-                    RecognitionError, p_valuation, recognize_orbit,
+                    RecognitionError, cyclotomic_field, p_valuation, recognize_orbit,
                     sqrt_rational_approx)
 from .groups import (Character, DihedralGroup, character_orbits, character_sums,
                      irreducible_characters, res_map, zp_P_membership)
@@ -93,7 +95,8 @@ class VerificationResult:
 # ---------------------------------------------------------------------------
 
 def assemble_numeric(ds: Dataset, char: Character) -> DecimalWithError:
-    """sqrt(d_psi) * leading_term / (Omega_psi * H_psi), as an interval."""
+    """sqrt(d_psi) * leading_term / (Omega_psi * H_psi), as an interval; a
+    RecognitionError naming psi when the divisor interval contains 0."""
     ca = ds.analytic.characters[char.label]
     d = discriminant_factor(char, ds.tower.d_k_abs, ds.tower.d_K_abs,
                             ds.tower.conductor_norms.get(char.label, 1))
@@ -102,7 +105,12 @@ def assemble_numeric(ds: Dataset, char: Character) -> DecimalWithError:
                          ds.tower.K_real)
     h = height_factor(char, ds.group, ds.heights.translates if ds.heights else None,
                       ds.rho_label())
-    return sqrt_d * ca.leading_term / (omega * h)
+    divisor = omega * h
+    if divisor.contains(0):
+        # declared error bounds that swallow Omega_psi * H_psi leave no value
+        raise RecognitionError(
+            f"the period-height divisor of {char.label} is an interval containing 0")
+    return sqrt_d * ca.leading_term / divisor
 
 
 def _char_route(ds: Dataset, char: Character, route: str) -> str:
@@ -221,7 +229,13 @@ def congruence_lines(group: DihedralGroup, sums: dict[tuple[int, ...], Cyclotomi
 def unit_and_equivariance(group: DihedralGroup, results: dict[str, CharacterResult]
                           ) -> tuple[bool, bool, list[str]]:
     """Condition (i): every Q a p-unit fixed by its stabilizer, and the
-    orbit map sigma_a(Q_psi) = Q_(psi^a)."""
+    orbit map sigma_a(Q_psi) = Q_(psi^a).
+
+    The orbit map is decided by one generator g of (Z/e)^*, by the argument
+    in groups.zp_P_membership, and it implies the stabilizer condition: if a
+    fixes psi, sigma_a(Q_psi) = Q_(psi^a) = Q_psi. Only when the check at g
+    fails are all units scanned, so that the notes name the first failing
+    label and a."""
     notes: list[str] = []
     unit_ok = True
     for label, res in results.items():
@@ -232,13 +246,22 @@ def unit_and_equivariance(group: DihedralGroup, results: dict[str, CharacterResu
         if res.p_valuation != 0:
             unit_ok = False
             notes.append(f"Q({label}) has valuation {res.p_valuation}, not a p-unit")
-    eq_ok = True
     by_label = {c.label: c for c in irreducible_characters(group)}
+
+    def images(a: int) -> dict[str, str]:
+        # label of psi^sigma_a, without building a Character per (a, psi)
+        return {label: label if c.kind != "ind" else
+                "ind:" + ",".join(map(str, group.pair_rep(group.galois_on_chi(c.chi, a))))
+                for label, c in by_label.items()}
+
+    g = cyclotomic_field(group.exponent).generator
+    image_g = images(g)
+    if all(res.q_value.galois_apply(g) == results[image_g[label]].q_value
+           for label, res in results.items()):
+        return unit_ok, True, notes
+    eq_ok = True
     units = group.galois_unit_reps()
-    # image[a][label] = label of psi^sigma_a, without building a Character per (a, psi)
-    image = {a: {label: label if c.kind != "ind" else
-                 "ind:" + ",".join(map(str, group.pair_rep(group.galois_on_chi(c.chi, a))))
-                 for label, c in by_label.items()} for a in units}
+    image = {a: images(a) for a in units}
     for label, res in results.items():
         if by_label[label].kind != "ind" or res.q_value.m == 1:
             continue

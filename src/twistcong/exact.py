@@ -2,10 +2,11 @@
 recognition of exact values from decimal approximations.
 
 cyclotomic_field(m), m = p^n with p an odd prime, is the one field core: it
-holds p, p^(n-1), phi, the units (Z/m)^*, the reduction modulo Phi_m, the
-valuation at the prime 1 - zeta_m above p and the cached canonical
-embedding. Elements are `fractions.Fraction` vectors over the power basis
-1, z, ..., z^(phi-1) (m = 1 for Q); they are multiplied but never divided.
+holds p, p^(n-1), phi, the units (Z/m)^* and a generator of that cyclic
+group, the reduction modulo Phi_m, the valuation at the prime 1 - zeta_m
+above p and the cached canonical embedding. Elements are
+`fractions.Fraction` vectors over the power basis 1, z, ..., z^(phi-1)
+(m = 1 for Q); they are multiplied but never divided.
 Decimal inputs carry explicit rational error bounds and every arithmetic
 operation propagates a worst-case bound, so a successful recognition comes
 with an honest certificate: the recognized value is re-verified exactly and
@@ -173,7 +174,8 @@ class CyclotomicField:
 
     q = p^(n-1), so zeta_m^q = zeta_p and Phi_m(x) = sum_{i<p} x^(i*q);
     units lists (Z/m)^* as the a in [1, m) with p not dividing a, in
-    increasing order (units[0] = 1). Build it with cyclotomic_field(m).
+    increasing order (units[0] = 1), and generator is its smallest
+    generator. Build it with cyclotomic_field(m).
     """
 
     m: int
@@ -194,6 +196,23 @@ class CyclotomicField:
                 for j in range(d - phi, d, q):
                     cs[j] -= c
         return cs[:phi]
+
+    @cached_property
+    def generator(self) -> int:
+        """The smallest a in units of multiplicative order phi mod m. (Z/m)^*
+        is cyclic for odd prime powers m, so a exists; it has order phi
+        exactly when a^(phi/r) != 1 for every prime r dividing phi."""
+        primes, rest, r = [], self.phi, 2
+        while r * r <= rest:
+            if rest % r == 0:
+                primes.append(r)
+                while rest % r == 0:
+                    rest //= r
+            r += 1
+        if rest > 1:
+            primes.append(rest)
+        return next(a for a in self.units
+                    if all(pow(a, self.phi // r, self.m) != 1 for r in primes))
 
     @cached_property
     def embedding(self) -> tuple[tuple[mpmath.mpf, mpmath.mpf], ...]:

@@ -101,6 +101,9 @@ class DihedralGroup:
         for f in factors:
             self.p_order *= f
         self.order = 2 * self.p_order
+        # filled on first use by irreducible_characters and character_orbits
+        self._characters: tuple[Character, ...] | None = None
+        self._orbits: tuple[tuple[Character, ...], ...] | None = None
 
     # elements ----------------------------------------------------------------
 
@@ -283,32 +286,38 @@ class Character:
 
 
 def irreducible_characters(group: DihedralGroup) -> list[Character]:
-    """triv, eps, then the induced characters in lexicographic chi order."""
-    chars = [Character(group, "triv"), Character(group, "eps")]
-    seen: set[tuple[int, ...]] = set()
-    for avec in group.chi_vectors():
-        if all(c == 0 for c in avec):
-            continue
-        rep = group.pair_rep(avec)
-        if rep not in seen:
-            seen.add(rep)
-            chars.append(Character(group, "ind", rep))
-    return chars
+    """triv, eps, then the induced characters in lexicographic chi order.
+    Built once per group; each call returns a fresh list."""
+    if group._characters is None:
+        chars = [Character(group, "triv"), Character(group, "eps")]
+        seen: set[tuple[int, ...]] = set()
+        for avec in group.chi_vectors():
+            if all(c == 0 for c in avec):
+                continue
+            rep = group.pair_rep(avec)
+            if rep not in seen:
+                seen.add(rep)
+                chars.append(Character(group, "ind", rep))
+        group._characters = tuple(chars)
+    return list(group._characters)
 
 
 def character_orbits(group: DihedralGroup) -> list[list[Character]]:
     """Galois orbits of all irreducible characters: [triv], [eps], then the
     induced orbits in lexicographic order of their first member, each listed
-    in the order of the units a that first reach it."""
-    orbits: list[list[Character]] = []
-    seen: set[Character] = set()
-    for c in irreducible_characters(group):
-        if c in seen:
-            continue
-        orbit = list(dict.fromkeys(c.galois_image(a) for a in group.galois_unit_reps()))
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
+    in the order of the units a that first reach it. Built once per group;
+    each call returns fresh lists."""
+    if group._orbits is None:
+        orbits: list[tuple[Character, ...]] = []
+        seen: set[Character] = set()
+        for c in irreducible_characters(group):
+            if c in seen:
+                continue
+            orbit = tuple(dict.fromkeys(c.galois_image(a) for a in group.galois_unit_reps()))
+            seen.update(orbit)
+            orbits.append(orbit)
+        group._orbits = tuple(orbits)
+    return [list(orbit) for orbit in group._orbits]
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +425,31 @@ def zp_P_membership(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     sums = character_sums(evals, group) holds S(pi) = |P| c_pi, and
     c_pi = |P|^-1 sum_chi chi(pi)^-1 E_chi must be rational and p-integral
     for every pi. Returns the coefficients and a list of failure notes.
+
+    Galois equivariance, sigma_a(E_chi) = E_(a chi) for every a in (Z/e)^*,
+    is decided by one generator g of that cyclic group (E_chi of conductor 1
+    or e, as character_sums requires). sigma_ab = sigma_a sigma_b, chi -> a chi
+    composes the same way, and == on CyclotomicNumber (equal (m, coeffs),
+    rationals equal across conductors) is an equivalence every sigma_a
+    preserves. So if sigma_g(E_chi) = E_(g chi) for every chi, induction on k
+    gives sigma_(g^k)(E_chi) = sigma_g(E_(g^(k-1) chi)) = E_(g^k chi), and the
+    g^k are all the units. Only when the check at g fails are all a scanned,
+    so that the note names the first failing a.
     """
     failures: list[str] = []
     vectors = list(group.chi_vectors())
-    # Galois equivariance: sigma_a(E_chi) = E_(a*chi)
-    for a in group.galois_unit_reps():
-        for avec in vectors:
-            img = group.galois_on_chi(avec, a)
-            lhs = evals[avec].galois_apply(a) if evals[avec].m != 1 else evals[avec]
-            if lhs != evals[img]:
-                failures.append(f"not Galois-equivariant at chi={avec}, a={a}")
+    g = cyclotomic_field(group.exponent).generator
+    if not all(evals[avec].galois_apply(g) == evals[group.galois_on_chi(avec, g)]
+               for avec in vectors):
+        for a in group.galois_unit_reps():
+            for avec in vectors:
+                img = group.galois_on_chi(avec, a)
+                lhs = evals[avec].galois_apply(a) if evals[avec].m != 1 else evals[avec]
+                if lhs != evals[img]:
+                    failures.append(f"not Galois-equivariant at chi={avec}, a={a}")
+                    break
+            if failures:
                 break
-        if failures:
-            break
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for pi in group.p_elements():
         acc = sums[pi.rot]

@@ -460,6 +460,11 @@ def test_reject_unparsable_pin(u):
     (("analytic", "characters"), [{"order": 0}]),
     (("analytic", "characters", "triv"), 5),
     (("bsd", "F"), 5),
+    # a raw AttributeError and two raw TypeErrors; the last block is an array
+    (("bsd", "K", "tamagawa"), "x"),
+    (("heights",), 5),
+    (("heights", "translates"), []),
+    (("bsd", "K", "tamagawa", "3"), 4),
 ])
 def test_reject_non_object_blocks(keys, value):
     doc = bundled_doc("21a1-quintic-19")
@@ -487,3 +492,18 @@ def test_reject_bad_integer_fields(keys, value):
     with pytest.raises(DatasetError) as excinfo:
         parse_dataset(doc)
     assert excinfo.value.path == ".".join(keys)
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    # ["x", 0] raised a raw ValueError from int()
+    (("bsd", "k", "signature"), ["x", 0], "bsd.k.signature[0]"),
+    (("bsd", "k", "signature"), [1, -1], "bsd.k.signature[1]"),
+    (("bsd", "K", "tamagawa", "3"), ["x"], "bsd.K.tamagawa.3[0]"),
+    (("bsd", "K", "tamagawa", "7"), [2, 0], "bsd.K.tamagawa.7[1]"),
+])
+def test_reject_bad_integer_list_entries(keys, value, path):
+    doc = bundled_doc("21a1-quintic-19")
+    set_field(doc, keys, value)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == path

@@ -211,6 +211,27 @@ def test_wide_interval_inconclusive():
     assert any("recognition ambiguous" in n for n in r.notes)
 
 
+@pytest.mark.parametrize("abs_error", ["1e400", "200000"])
+def test_period_error_swallowing_the_period_is_inconclusive(abs_error):
+    # each raised a raw IntervalError: division by an interval containing zero
+    ds = load_bundled_dataset(QUINTIC)
+    ds.analytic.omega_plus = replace(ds.analytic.omega_plus, abs_error=abs_error)
+    r = verify(ds)
+    assert r.verdict == "INCONCLUSIVE"
+    assert r.notes == [
+        "recognition failed: the period-height divisor of triv is an interval containing 0"]
+
+
+def test_height_error_swallowing_the_height_is_inconclusive():
+    ds = load_bundled_dataset(QUINTIC)
+    one = ds.group.identity
+    ds.heights.translates[one] = replace(ds.heights.translates[one], abs_error="200000")
+    r = verify(ds)
+    assert r.verdict == "INCONCLUSIVE"
+    assert r.notes == [
+        "recognition failed: the period-height divisor of eps is an interval containing 0"]
+
+
 def test_hypothesis_violation_inconclusive():
     ds = load_bundled_dataset(QUINTIC)
     ds.curve.torsion["F"] = 40      # now p = 5 divides a torsion order

@@ -163,6 +163,30 @@ def test_field_units_and_norm_match_gcd_enumeration(m):
     assert cyclotomic_field(m) is field
 
 
+def multiplicative_order(a, m):
+    k, x = 1, a % m
+    while x != 1:
+        x, k = x * a % m, k + 1
+    return k
+
+
+def test_generator_is_the_smallest_unit_of_order_phi():
+    odd_prime_powers = []
+    for m in range(3, 1000, 2):
+        p = next(d for d in range(3, m + 1, 2) if m % d == 0)
+        r = m
+        while r % p == 0:
+            r //= p
+        if r == 1:
+            odd_prime_powers.append(m)
+    assert len(odd_prime_powers) == 184    # 167 odd primes and 17 higher powers
+    for m in odd_prime_powers:
+        g = cyclotomic_field(m).generator
+        units = gcd_units(m)
+        assert g in units and multiplicative_order(g, m) == len(units)
+        assert all(multiplicative_order(a, m) < len(units) for a in units if a < g)
+
+
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27, 49])
 def test_valuation_matches_norm(m):
     # v(x) = v_p(Norm x) / phi, on elements with p-power denominators times

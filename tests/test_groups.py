@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistcong.engine import congruence_lines
-from twistcong.exact import CyclotomicNumber, UnsupportedConductorError, euler_phi
+from twistcong.engine import CharacterResult, congruence_lines, unit_and_equivariance
+from twistcong.exact import CyclotomicNumber, UnsupportedConductorError, euler_phi, p_valuation
 from twistcong.groups import (
     Character, DihedralGroup, GroupError, center_integrality, character_orbits,
     character_sums, irreducible_characters, kolyvagin_identity, res_map,
@@ -149,6 +149,25 @@ def test_stabilizer_fixes_character():
         for a in c.stabilizer_units():
             img = c.galois_image(a)
             assert img.label == c.label
+
+
+def test_character_tables_are_fresh_copies_of_one_table_per_group():
+    group = DihedralGroup(5, [5, 5])
+    chars, orbits = irreducible_characters(group), character_orbits(group)
+    labels = [c.label for c in chars]
+    orbit_labels = [[c.label for c in orbit] for orbit in orbits]
+    chars.append(chars[0])
+    chars.pop(2)
+    orbits[2].append(chars[0])
+    orbits[3].clear()
+    orbits.pop()
+    assert [c.label for c in irreducible_characters(group)] == labels
+    assert [[c.label for c in orbit] for orbit in character_orbits(group)] == orbit_labels
+    # characters compare by group identity, so no table is shared across groups
+    twin = DihedralGroup(5, [5, 5])
+    assert all(c.group is twin for c in irreducible_characters(twin))
+    assert all(c.group is twin for orbit in character_orbits(twin) for c in orbit)
+    assert irreducible_characters(twin) != irreducible_characters(group)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +392,159 @@ def test_constant_q_vector_on_large_groups(p, factors):
     assert [line.value for line in lines] == [group.p_order * C] + [0] * (group.p_order - 1)
     assert all(line.ok for line in lines)
     assert zp_P_membership(evals, group, sums).ok
+
+
+# ---------------------------------------------------------------------------
+# Galois equivariance by one generator against the scan over every unit
+# ---------------------------------------------------------------------------
+
+def scan_membership_equivariance(evals, group):
+    """The equivariance notes of zp_P_membership as the scan over every unit
+    a of (Z/e)^* finds them."""
+    failures = []
+    for a in group.galois_unit_reps():
+        for avec in group.chi_vectors():
+            img = group.galois_on_chi(avec, a)
+            lhs = evals[avec].galois_apply(a) if evals[avec].m != 1 else evals[avec]
+            if lhs != evals[img]:
+                failures.append(f"not Galois-equivariant at chi={avec}, a={a}")
+                break
+        if failures:
+            break
+    return failures
+
+
+def scan_unit_and_equivariance(group, results):
+    """unit_and_equivariance as the scan over every unit a of (Z/e)^*."""
+    notes = []
+    unit_ok = True
+    for label, res in results.items():
+        if res.q_value.is_zero():
+            unit_ok = False
+            notes.append(f"Q({label}) = 0")
+            continue
+        if res.p_valuation != 0:
+            unit_ok = False
+            notes.append(f"Q({label}) has valuation {res.p_valuation}, not a p-unit")
+    eq_ok = True
+    by_label = {c.label: c for c in irreducible_characters(group)}
+    units = group.galois_unit_reps()
+    image = {a: {label: label if c.kind != "ind" else
+                 "ind:" + ",".join(map(str, group.pair_rep(group.galois_on_chi(c.chi, a))))
+                 for label, c in by_label.items()} for a in units}
+    for label, res in results.items():
+        if by_label[label].kind != "ind" or res.q_value.m == 1:
+            continue
+        for a in units:
+            if image[a][label] == label and res.q_value.galois_apply(a) != res.q_value:
+                eq_ok = False
+                notes.append(f"Q({label}) not fixed by its stabilizer")
+                break
+    for a in units:
+        for label, res in results.items():
+            img = image[a][label]
+            lhs = (res.q_value.galois_apply(a) if res.q_value.m != 1
+                   else res.q_value)
+            if lhs != results[img].q_value:
+                eq_ok = False
+                notes.append(f"sigma_{a}(Q({label})) != Q({img})")
+                break
+        else:
+            continue
+        break
+    return unit_ok, eq_ok, notes
+
+
+def as_results(group, q):
+    return {label: CharacterResult(
+        label=label, route="gz", declared_order=0, q_value=v, correction=None,
+        recognized=v, min_poly=None,
+        p_valuation=Fraction(0) if v.is_zero() else p_valuation(v, group.p))
+        for label, v in q.items()}
+
+
+def equivariance_cases(group, rng):
+    """Equivariant Q-vectors, rational and irrational, with rationals at
+    conductor 1 or e; each also with one entry moved by a rational or by
+    zeta_e, which no stabilizer of an induced character fixes."""
+    e = group.exponent
+    labels = [c.label for c in irreducible_characters(group)]
+    for rational in (True, False, False):
+        q = random_equivariant_q(group, rng, rational=rational)
+        for label in labels:
+            if q[label].is_rational() and rng.random() < 0.5:
+                q[label] = CyclotomicNumber(e, [q[label].rational_part()])
+        yield q
+        for shift in (CyclotomicNumber.rational(1), CyclotomicNumber.zeta_power(e, 1)):
+            moved = dict(q)
+            label = rng.choice(labels[2:])
+            moved[label] = moved[label] + shift
+            yield moved
+
+
+def squares_equivariant_q(group, rng):
+    """Per induced orbit, y = the sum of sigma_s(z) over the squares s that fix
+    its first member psi, and Q(psi^a) = sigma_a(y), walking the squares first
+    and the other units after. Equivariant under the squares; under every unit
+    only when the stabilizer of psi lies in the squares, that is for p = 1 mod 4,
+    for the squares are the index-2 subgroup."""
+    e = group.exponent
+    units = group.galois_unit_reps()
+    squares = sorted({a * a % e for a in units})
+    q = {"triv": CyclotomicNumber.rational(random_fraction(rng)),
+         "eps": CyclotomicNumber.rational(random_fraction(rng))}
+    for orbit in character_orbits(group)[2:]:
+        first = orbit[0]
+        z = CyclotomicNumber(e, [random_fraction(rng) for _ in range(euler_phi(e))])
+        y = CyclotomicNumber.rational(0)
+        for s in first.stabilizer_units():
+            if s in squares:
+                y = y + z.galois_apply(s)
+        for a in squares + [a for a in units if a not in squares]:
+            q.setdefault(first.galois_image(a).label, y.galois_apply(a))
+    return q
+
+
+def membership_equivariance_matches_the_scan(group, evals):
+    """Compare zp_P_membership with the scan oracle; its equivariance notes."""
+    report = zp_P_membership(evals, group, character_sums(evals, group))
+    want = scan_membership_equivariance(evals, group)
+    rest = [f for f in report.failures if not f.startswith("not Galois-equivariant")]
+    assert report.failures == want + rest and report.ok == (not (want + rest))
+    return want
+
+
+def unit_and_equivariance_matches_the_scan(group, q):
+    results = as_results(group, q)
+    got = unit_and_equivariance(group, results)
+    assert got == scan_unit_and_equivariance(group, results)
+    return got
+
+
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+def test_equivariance_by_one_generator_matches_the_unit_scan(p, factors):
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"generator:{factors}")
+    verdicts, stabilizer_notes = set(), 0
+    for q in equivariance_cases(group, rng):
+        _, eq_ok, notes = unit_and_equivariance_matches_the_scan(group, q)
+        verdicts.add(eq_ok)
+        stabilizer_notes += sum(n.endswith("not fixed by its stabilizer") for n in notes)
+        evals = res_map(q, group)
+        membership_equivariance_matches_the_scan(group, evals)
+        # one entry of the P-vector moved breaks chi against chi-bar
+        avec = rng.choice([v for v in group.chi_vectors() if any(v)])
+        for shift in (CyclotomicNumber.rational(1),
+                      CyclotomicNumber.zeta_power(group.exponent, 1)):
+            moved = dict(evals)
+            moved[avec] = moved[avec] + shift
+            assert membership_equivariance_matches_the_scan(group, moved) != []
+    assert verdicts == {True, False} and stabilizer_notes > 0
+    # a unit that is a square does not decide: only the generator does
+    q = squares_equivariant_q(group, rng)
+    assert unit_and_equivariance_matches_the_scan(group, q)[1] == (p % 4 == 1)
+    assert (membership_equivariance_matches_the_scan(group, res_map(q, group)) == []) == \
+        (p % 4 == 1)
 
 
 # ---------------------------------------------------------------------------
