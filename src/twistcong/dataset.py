@@ -11,6 +11,7 @@ exact rationals; nothing in this module rounds.
 """
 from __future__ import annotations
 
+import decimal
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +29,11 @@ SPEC_VERSION = 1
 # the congruence sums cost O(|P|^2) shifts
 MAX_P_ORDER = 1000
 
+# a rational in a dataset has |numerator| and denominator at most 10^MAX_EXPONENT:
+# Fraction expands "1e<k>" into k digits, and verify prints values in messages
+MAX_EXPONENT = 1000
+_LIMIT = 10 ** MAX_EXPONENT
+
 
 class DatasetError(ValueError):
     """Malformed dataset; message carries a dotted path to the offending field."""
@@ -37,8 +43,9 @@ class DatasetError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
-    if key not in obj:
+def _need(obj: Any, key: str, path: str) -> Any:
+    """obj[key] of the JSON object obj at path; anything else is a DatasetError."""
+    if key not in _object(obj, path):
         raise DatasetError(f"{path}.{key}" if path else key, "missing required field")
     return obj[key]
 
@@ -48,6 +55,17 @@ def _object(value: Any, path: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise DatasetError(path, f"expected an object, got {value!r}")
     return value
+
+
+def _required_object(obj: Any, key: str, path: str) -> Mapping[str, Any]:
+    """obj[key] when it is a JSON object; anything else is a DatasetError."""
+    return _object(_need(obj, key, path), f"{path}.{key}" if path else key)
+
+
+def _optional_object(obj: Mapping[str, Any], key: str, path: str) -> Mapping[str, Any]:
+    """obj[key] when it is a JSON object, {} when absent or null."""
+    value = obj.get(key)
+    return {} if value is None else _object(value, f"{path}.{key}" if path else key)
 
 
 def _list(value: Any, path: str) -> list[Any]:
@@ -65,44 +83,57 @@ def _flag(obj: Mapping[str, Any], key: str, path: str) -> bool:
     return value
 
 
-def _integer(value: Any, path: str, lo: int, hi: int | None = None) -> int:
-    """A JSON integer or decimal-integer string within [lo, hi]; anything else,
-    a bool or a float included, is a DatasetError at path."""
+def _integer(value: Any, path: str, lo: int | None, hi: int | None = None) -> int:
+    """A JSON integer or decimal-integer string within [lo, hi] (lo None: no
+    lower bound); anything else, a bool or a float included, is a DatasetError
+    at path."""
     if isinstance(value, (bool, float)):
         raise DatasetError(path, f"expected an integer, got {value!r}")
     try:
         n = int(value)
     except (ValueError, TypeError, OverflowError) as e:
         raise DatasetError(path, f"expected an integer, got {value!r}") from e
-    if n < lo or (hi is not None and n > hi):
+    if (lo is not None and n < lo) or (hi is not None and n > hi):
         bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
         raise DatasetError(path, f"must be {bounds}, got {n}")
     return n
 
 
-def _option(oobj: Mapping[str, Any], key: str, default: int | None,
-            lo: int, hi: int | None = None) -> int | None:
-    """An integer option; absent or null gives the default."""
-    value = oobj.get(key)
-    return default if value is None else _integer(value, f"options.{key}", lo, hi)
+def _required_integer(obj: Any, key: str, path: str, lo: int | None,
+                      hi: int | None = None) -> int:
+    """The integer obj[key] of the block at path, within [lo, hi]."""
+    return _integer(_need(obj, key, path), f"{path}.{key}", lo, hi)
+
+
+def _optional_integer(obj: Mapping[str, Any], key: str, path: str, default: int | None,
+                      lo: int, hi: int | None = None) -> int | None:
+    """The integer obj[key] of the block at path; absent or null gives default."""
+    value = obj.get(key)
+    return default if value is None else _integer(value, f"{path}.{key}", lo, hi)
 
 
 def _rational(value: Any, path: str) -> Fraction:
-    """An exact rational from a number or a "p/q" or decimal string; anything
-    else is a DatasetError at path."""
+    """An exact rational from a number or a "p/q" or decimal string, with
+    |numerator| and denominator at most 10^MAX_EXPONENT; anything else is a
+    DatasetError at path."""
+    s = str(value).strip()
     try:
-        return as_fraction(str(value))
+        # a decimal exponent is bounded before Fraction expands it into digits
+        huge = "/" not in s and abs(decimal.Decimal(s).adjusted()) > MAX_EXPONENT
+        x = Fraction(0) if huge else as_fraction(s)
     except (ValueError, ArithmeticError) as e:
         raise DatasetError(path, f"expected a rational, got {value!r}") from e
+    if huge or max(abs(x.numerator), x.denominator) > _LIMIT:
+        raise DatasetError(path, f"{value!r} lies beyond 10^(+-{MAX_EXPONENT})")
+    return x
 
 
 def _decimal(obj: Any, path: str) -> DecimalWithError:
-    if not isinstance(obj, Mapping) or "value" not in obj:
-        raise DatasetError(path, "expected {value, abs_error} decimal object")
-    try:
-        return DecimalWithError.parse(str(obj["value"]), str(obj.get("abs_error", "0")))
-    except (ValueError, ArithmeticError) as e:
-        raise DatasetError(path, f"bad decimal: {e}") from e
+    value = _rational(_need(obj, "value", path), f"{path}.value")
+    error = _rational(obj.get("abs_error", "0"), f"{path}.abs_error")
+    if error < 0:
+        raise DatasetError(f"{path}.abs_error", "negative error bound")
+    return DecimalWithError(value, error)
 
 
 @dataclass
@@ -294,73 +325,79 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         raise DatasetError("spec_version", f"unsupported version {version!r}")
 
     gobj = _need(doc, "group", "")
+    p = _integer(_need(gobj, "p", "group"), "group", None)
+    factors = [_integer(f, "group", None)
+               for f in _list(_need(gobj, "cyclic_factors", "group"), "group")]
     try:
-        group = DihedralGroup(int(_need(gobj, "p", "group")),
-                              [int(x) for x in _need(gobj, "cyclic_factors", "group")])
-    except (GroupError, ValueError, TypeError) as e:
+        group = DihedralGroup(p, factors)
+    except GroupError as e:
         raise DatasetError("group", str(e)) from e
     if group.p_order > MAX_P_ORDER:
         raise DatasetError("group.cyclic_factors",
                            f"|P| = {group.p_order} exceeds the supported {MAX_P_ORDER}")
+    char_labels = {c.label for c in irreducible_characters(group)}
 
-    cobj = _need(doc, "curve", "")
-    try:
-        curve = CurveInfo(
-            label=str(_need(cobj, "label", "curve")),
-            conductor=int(_need(cobj, "conductor", "curve")),
-            a_invariants=tuple(int(x) for x in _need(cobj, "a_invariants", "curve")),
-            rank_base=int(_need(cobj, "rank_base", "curve")),
-            rank_quadratic=int(_need(cobj, "rank_quadratic", "curve")),
-            torsion={str(k): int(v) for k, v in _need(cobj, "torsion", "curve").items()},
-            tamagawa_base={str(k): int(v) for k, v in cobj.get("tamagawa_base", {}).items()},
-            tamagawa_quadratic={str(k): int(v) for k, v in cobj.get("tamagawa_quadratic", {}).items()},
-            c_infinity=int(_need(cobj, "c_infinity", "curve")),
-            manin_constant=int(cobj.get("manin_constant", 1)),
-            unit_count_K=(int(cobj["unit_count_K"]) if cobj.get("unit_count_K") is not None else None),
-        )
-    except DatasetError:
-        raise
-    except (ValueError, TypeError, AttributeError) as e:
-        raise DatasetError("curve", str(e)) from e
+    def character(label: str, path: str) -> str:
+        if label not in char_labels:
+            raise DatasetError(path, "unknown character label")
+        return label
+
+    cobj = _required_object(doc, "curve", "")
+
+    def counts(key: str, block: Mapping[str, Any]) -> dict[str, int]:
+        return {str(k): _integer(v, f"curve.{key}.{k}", 1) for k, v in block.items()}
+
+    curve = CurveInfo(
+        label=str(_need(cobj, "label", "curve")),
+        conductor=_required_integer(cobj, "conductor", "curve", 1),
+        a_invariants=tuple(_integer(x, f"curve.a_invariants[{i}]", None) for i, x in
+                           enumerate(_list(_need(cobj, "a_invariants", "curve"),
+                                           "curve.a_invariants"))),
+        rank_base=_required_integer(cobj, "rank_base", "curve", 0),
+        rank_quadratic=_required_integer(cobj, "rank_quadratic", "curve", 0),
+        torsion=counts("torsion", _required_object(cobj, "torsion", "curve")),
+        tamagawa_base=counts("tamagawa_base", _optional_object(cobj, "tamagawa_base", "curve")),
+        tamagawa_quadratic=counts("tamagawa_quadratic",
+                                  _optional_object(cobj, "tamagawa_quadratic", "curve")),
+        c_infinity=_required_integer(cobj, "c_infinity", "curve", 1),
+        manin_constant=_optional_integer(cobj, "manin_constant", "curve", 1, 1),
+        unit_count_K=_optional_integer(cobj, "unit_count_K", "curve", None, 1),
+    )
     if len(curve.a_invariants) != 5:
         raise DatasetError("curve.a_invariants", "expected five Weierstrass coefficients")
     if curve.rank_base not in (0, 1):
         raise DatasetError("curve.rank_base", "only ranks 0 and 1 are supported")
 
-    tobj = _need(doc, "tower", "")
-    try:
-        tower = TowerInfo(
-            d_k_abs=_integer(_need(tobj, "d_k_abs", "tower"), "tower.d_k_abs", 1),
-            d_K_abs=_integer(_need(tobj, "d_K_abs", "tower"), "tower.d_K_abs", 1),
-            K_real=_flag(tobj, "K_real", "tower"),
-            conductor_norms={str(k): _integer(v, f"tower.conductor_norms.{k}", 1)
-                             for k, v in _need(tobj, "conductor_norms", "tower").items()},
-            S_r=tuple(str(x) for x in _need(tobj, "S_r", "tower")),
-            S_r_split=tuple(str(x) for x in tobj.get("S_r_split", [])),
-            S_bad=tuple(str(x) for x in tobj.get("S_bad", [])),
-        )
-    except DatasetError:
-        raise
-    except (ValueError, TypeError, AttributeError) as e:
-        raise DatasetError("tower", str(e)) from e
+    tobj = _required_object(doc, "tower", "")
+    tower = TowerInfo(
+        d_k_abs=_required_integer(tobj, "d_k_abs", "tower", 1),
+        d_K_abs=_required_integer(tobj, "d_K_abs", "tower", 1),
+        K_real=_flag(tobj, "K_real", "tower"),
+        conductor_norms={character(k, f"tower.conductor_norms.{k}"):
+                         _integer(v, f"tower.conductor_norms.{k}", 1)
+                         for k, v in _required_object(tobj, "conductor_norms", "tower").items()},
+        S_r=tuple(str(x) for x in _list(_need(tobj, "S_r", "tower"), "tower.S_r")),
+        S_r_split=tuple(str(x) for x in _list(tobj.get("S_r_split", []), "tower.S_r_split")),
+        S_bad=tuple(str(x) for x in _list(tobj.get("S_bad", []), "tower.S_bad")),
+    )
 
-    pobj = _object(_need(doc, "places", ""), "places")
+    pobj = _required_object(doc, "places", "")
     places: dict[str, LocalPlace] = {}
     for label, entry in pobj.items():
         path = f"places.{label}"
+        q = _required_integer(entry, "q", path, 2)
+        a = _required_integer(entry, "a", path, None)
+        inertia = [str(x) for x in _list(_need(entry, "inertia", path), f"{path}.inertia")]
+        frobenius = str(_need(entry, "frobenius", path))
+        # an unreadable u or t is reported at the place
+        pins = [(character(lbl, f"{path}.pinned.{lbl}"),
+                 _rational(_need(pin, "u", f"{path}.pinned.{lbl}"), path),
+                 _rational(_need(pin, "t", f"{path}.pinned.{lbl}"), path))
+                for lbl, pin in _optional_object(entry, "pinned", path).items()]
         try:
-            places[label] = parse_local_place(
-                group,
-                int(_need(entry, "q", path)),
-                int(_need(entry, "a", path)),
-                [str(x) for x in _need(entry, "inertia", path)],
-                str(_need(entry, "frobenius", path)),
-                entry.get("pinned"),
-            )
+            places[label] = parse_local_place(group, q, a, inertia, frobenius, pins)
             check_pinned_corrections(group, places[label])
-        except DatasetError:
-            raise
-        except (LocalDataError, ValueError, TypeError) as e:
+        except LocalDataError as e:
             raise DatasetError(path, str(e)) from e
     missing_places = [s for s in tower.S_r if s not in places]
     if missing_places:
@@ -369,21 +406,18 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
     if stray:
         raise DatasetError("places", f"local data for places outside S_r: {stray}")
 
-    aobj = _need(doc, "analytic", "")
+    aobj = _required_object(doc, "analytic", "")
     omega_plus = _decimal(_need(aobj, "omega_plus", "analytic"), "analytic.omega_plus")
     omega_minus = (_decimal(aobj["omega_minus"], "analytic.omega_minus")
                    if aobj.get("omega_minus") is not None else None)
-    chars = irreducible_characters(group)
-    char_labels = {c.label for c in chars}
-    cblock = _object(_need(aobj, "characters", "analytic"), "analytic.characters")
+    cblock = _required_object(aobj, "characters", "analytic")
     analytic_chars: dict[str, CharacterAnalytic] = {}
     for label, entry in cblock.items():
         path = f"analytic.characters.{label}"
-        if label not in char_labels:
-            raise DatasetError(path, "not an irreducible character label of this group")
+        character(label, path)
         entry = _object(entry, path)
         analytic_chars[label] = CharacterAnalytic(
-            order=_integer(_need(entry, "order", path), f"{path}.order", 0),
+            order=_required_integer(entry, "order", path, 0),
             leading_term=_decimal(_need(entry, "leading_term", path), f"{path}.leading_term"),
             truncated=_flag(entry, "truncated", path),
         )
@@ -397,8 +431,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
     if doc.get("heights") is not None:
         hobj = _object(doc["heights"], "heights")
         translates: dict[GroupElement, DecimalWithError] = {}
-        tblock = _object(_need(hobj, "translates", "heights"), "heights.translates")
-        for gs, entry in tblock.items():
+        for gs, entry in _required_object(hobj, "translates", "heights").items():
             path = f"heights.translates.{gs}"
             try:
                 g = group.parse_element(gs)
@@ -412,24 +445,27 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
                               translates=translates)
 
     bsd: dict[str, FieldBlock] = {}
-    bobj = doc.get("bsd")
-    for name, fobj in ({} if bobj is None else _object(bobj, "bsd")).items():
+    for name, fobj in _optional_object(doc, "bsd", "").items():
         path = f"bsd.{name}"
         fobj = _object(fobj, path)
         sig = _need(fobj, "signature", path)
         if not (isinstance(sig, (list, tuple)) and len(sig) == 2):
             raise DatasetError(f"{path}.signature", "expected [r1, r2]")
         r1, r2 = (_integer(r, f"{path}.signature[{i}]", 0) for i, r in enumerate(sig))
-        leading = {str(k): int(v) for k, v in _need(fobj, "leading_characters", path).items()}
-        for lbl in leading:
-            if lbl not in char_labels:
-                raise DatasetError(f"{path}.leading_characters.{lbl}", "unknown character")
+        # the multiplicity of psi in the L-series of a field is at most psi(1) <= 2
+        leading = {character(k, f"{path}.leading_characters.{k}"):
+                   _integer(v, f"{path}.leading_characters.{k}", 1, 2)
+                   for k, v in _required_object(fobj, "leading_characters", path).items()}
+        overrides = {character(k, f"{path}.leading_overrides.{k}"):
+                     _decimal(v, f"{path}.leading_overrides.{k}")
+                     for k, v in _optional_object(fobj, "leading_overrides", path).items()}
         reg = (_decimal(fobj["regulator"], f"{path}.regulator")
                if fobj.get("regulator") is not None else None)
         gens = None
         if fobj.get("regulator_generators") is not None:
             gens = []
-            for i, combo in enumerate(fobj["regulator_generators"]):
+            for i, combo in enumerate(_list(fobj["regulator_generators"],
+                                            f"{path}.regulator_generators")):
                 gpath = f"{path}.regulator_generators[{i}]"
                 gen: dict[GroupElement, Fraction] = {}
                 for k, v in _object(combo, gpath).items():
@@ -438,9 +474,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
                     except GroupError as e:
                         raise DatasetError(gpath, str(e)) from e
                 gens.append(gen)
-        overrides = {str(k): _decimal(v, f"{path}.leading_overrides.{k}")
-                     for k, v in (fobj.get("leading_overrides") or {}).items()}
-        degree = _integer(_need(fobj, "degree", path), f"{path}.degree", 1)
+        degree = _required_integer(fobj, "degree", path, 1)
         if group.order % degree != 0:
             raise DatasetError(f"{path}.degree", f"degree {degree} does not divide {group.order}")
         if r1 + 2 * r2 != degree:
@@ -449,12 +483,11 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             name=name,
             degree=degree,
             signature=(r1, r2),
-            d_abs=_integer(_need(fobj, "d_abs", path), f"{path}.d_abs", 1),
-            torsion=_integer(_need(fobj, "torsion", path), f"{path}.torsion", 1),
+            d_abs=_required_integer(fobj, "d_abs", path, 1),
+            torsion=_required_integer(fobj, "torsion", path, 1),
             tamagawa={str(k): tuple(_integer(x, f"{path}.tamagawa.{k}[{i}]", 1)
                                     for i, x in enumerate(_list(v, f"{path}.tamagawa.{k}")))
-                      for k, v in _object(_need(fobj, "tamagawa", path),
-                                          f"{path}.tamagawa").items()},
+                      for k, v in _required_object(fobj, "tamagawa", path).items()},
             leading_characters=leading,
             regulator=reg,
             regulator_generators=gens,
@@ -462,16 +495,15 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             omega_quotient=_rational(fobj.get("omega_quotient", "1"), f"{path}.omega_quotient"),
         )
 
-    oobj = doc.get("options")
-    oobj = {} if oobj is None else _object(oobj, "options")
+    oobj = _optional_object(doc, "options", "")
     options = Options(
-        p_power_required=_option(oobj, "p_power_required", None, 1),
-        den_bound=_option(oobj, "den_bound", 10 ** 6, 1),
+        p_power_required=_optional_integer(oobj, "p_power_required", "options", None, 1),
+        den_bound=_optional_integer(oobj, "den_bound", "options", 10 ** 6, 1),
         route=str(oobj.get("route", "auto")),
         gz_constant=(_rational(oobj["gz_constant"], "options.gz_constant")
                      if oobj.get("gz_constant") is not None else None),
         # every real embedding works at 50 digits; this sets only the sqrt(d) bounds
-        embedding_digits=_option(oobj, "embedding_digits", 50, 1, 1000),
+        embedding_digits=_optional_integer(oobj, "embedding_digits", "options", 50, 1, 1000),
     )
     if options.route not in ("auto", "direct", "qhat", "gz"):
         raise DatasetError("options.route", f"unknown route {options.route!r}")
@@ -486,7 +518,8 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         heights=heights,
         bsd=bsd,
         options=options,
-        provenance={str(k): str(v) for k, v in (doc.get("provenance") or {}).items()},
+        provenance={str(k): str(v)
+                    for k, v in _optional_object(doc, "provenance", "").items()},
     )
     _cross_validate(ds)
     return ds
@@ -503,10 +536,6 @@ def _cross_validate(ds: Dataset) -> None:
     if not ds.tower.K_real and ds.analytic.omega_minus is None:
         raise DatasetError("analytic.omega_minus",
                            "imaginary quadratic layer needs the minus period")
-    labels = {c.label for c in ds.characters()}
-    for label in ds.tower.conductor_norms:
-        if label not in labels:
-            raise DatasetError(f"tower.conductor_norms.{label}", "unknown character label")
     for s in ds.tower.S_r_split:
         if s not in ds.tower.S_r:
             raise DatasetError("tower.S_r_split", f"{s} is not in S_r")

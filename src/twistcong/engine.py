@@ -16,8 +16,8 @@ The pipeline per dataset:
    the same sums, runs its own P-level Galois equivariance test and tests
    S(pi)/|P| for p-integrality, and must agree with the line verdicts; so
    must the n = 1 shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi). Both Galois
-   equivariance tests are decided by one generator of the cyclic group
-   (Z/p^n)^*; every unit is scanned only to name the first failure.
+   equivariance tests are groups.first_equivariance_failure: one generator
+   of the cyclic (Z/p^n)^*, every unit only to name the first failure.
 
 The outcome is PASS / FAIL / INCONCLUSIVE: FAIL only when an exactly
 computed quantity falsifies the congruence, INCONCLUSIVE when recognition or
@@ -28,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .dataset import (CharacterAnalytic, Dataset, DatasetError, HypothesisResult,
-                      check_hypotheses)
+from .dataset import Dataset, DatasetError, HypothesisResult, check_hypotheses
 from .exact import (AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError,
-                    RecognitionError, cyclotomic_field, p_valuation, recognize_orbit,
-                    sqrt_rational_approx)
+                    RecognitionError, p_valuation, recognize_orbit, sqrt_rational_approx)
 from .groups import (Character, DihedralGroup, character_orbits, character_sums,
-                     irreducible_characters, res_map, zp_P_membership)
+                     first_equivariance_failure, irreducible_characters, res_map,
+                     zp_P_membership)
 from .heights import height_factor, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
 
@@ -82,7 +81,7 @@ class VerificationResult:
     equivariance_ok: bool = True
     membership_agrees: bool | None = None
     shortcut_agrees: bool | None = None
-    verdict: str = "INCONCLUSIVE"
+    verdict: str = "INCONCLUSIVE"    # what every early return of verify leaves
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -138,10 +137,7 @@ def recognize_characters(ds: Dataset, route: str) -> dict[str, CharacterResult]:
         for c, recognized in zip(orbit, orb.values):
             r = _char_route(ds, c, route)
             corr = global_correction(c, places)
-            if r == "qhat":
-                q = recognized * corr.u * corr.t
-            else:
-                q = recognized * corr.u
+            q = recognized * corr.u * (corr.t if r == "qhat" else 1)
             out[c.label] = CharacterResult(
                 label=c.label,
                 route=r,
@@ -217,12 +213,9 @@ def congruence_lines(group: DihedralGroup, sums: dict[tuple[int, ...], Cyclotomi
                 f"congruence sum at {group.format_element(pi)} is not rational; "
                 "the Q-vector is not Galois-equivariant")
         s = acc.rational_part()
-        if s == 0:
-            lines.append(CongruenceLine(group.format_element(pi), s, None, True))
-        else:
-            v = p_valuation(s, group.p)
-            lines.append(CongruenceLine(group.format_element(pi), s,
-                                        v, v >= n_required))
+        v = None if s == 0 else p_valuation(s, group.p)
+        lines.append(CongruenceLine(group.format_element(pi), s, v,
+                                    v is None or v >= n_required))
     return lines
 
 
@@ -231,58 +224,32 @@ def unit_and_equivariance(group: DihedralGroup, results: dict[str, CharacterResu
     """Condition (i): every Q a p-unit fixed by its stabilizer, and the
     orbit map sigma_a(Q_psi) = Q_(psi^a).
 
-    The orbit map is decided by one generator g of (Z/e)^*, by the argument
-    in groups.zp_P_membership, and it implies the stabilizer condition: if a
-    fixes psi, sigma_a(Q_psi) = Q_(psi^a) = Q_psi. Only when the check at g
-    fails are all units scanned, so that the notes name the first failing
-    label and a."""
+    The orbit map (groups.first_equivariance_failure) implies the stabilizer
+    condition: if a fixes psi, sigma_a(Q_psi) = Q_(psi^a) = Q_psi. Only when
+    it fails are the stabilizers searched; the notes name every label its
+    stabilizer moves, then the first failing label and a."""
     notes: list[str] = []
-    unit_ok = True
     for label, res in results.items():
         if res.q_value.is_zero():
-            unit_ok = False
             notes.append(f"Q({label}) = 0")
-            continue
-        if res.p_valuation != 0:
-            unit_ok = False
+        elif res.p_valuation != 0:
             notes.append(f"Q({label}) has valuation {res.p_valuation}, not a p-unit")
-    by_label = {c.label: c for c in irreducible_characters(group)}
-
-    def images(a: int) -> dict[str, str]:
-        # label of psi^sigma_a, without building a Character per (a, psi)
-        return {label: label if c.kind != "ind" else
-                "ind:" + ",".join(map(str, group.pair_rep(group.galois_on_chi(c.chi, a))))
-                for label, c in by_label.items()}
-
-    g = cyclotomic_field(group.exponent).generator
-    image_g = images(g)
-    if all(res.q_value.galois_apply(g) == results[image_g[label]].q_value
-           for label, res in results.items()):
+    unit_ok = not notes
+    failure = first_equivariance_failure(
+        {label: res.q_value for label, res in results.items()}, group.galois_label,
+        group.exponent)
+    if failure is None:
         return unit_ok, True, notes
-    eq_ok = True
     units = group.galois_unit_reps()
-    image = {a: images(a) for a in units}
     for label, res in results.items():
-        if by_label[label].kind != "ind" or res.q_value.m == 1:
-            continue
-        for a in units:
-            if image[a][label] == label and res.q_value.galois_apply(a) != res.q_value:
-                eq_ok = False
-                notes.append(f"Q({label}) not fixed by its stabilizer")
-                break
-    for a in units:
-        for label, res in results.items():
-            img = image[a][label]
-            lhs = (res.q_value.galois_apply(a) if res.q_value.m != 1
-                   else res.q_value)
-            if lhs != results[img].q_value:
-                eq_ok = False
-                notes.append(f"sigma_{a}(Q({label})) != Q({img})")
-                break
-        else:
-            continue
-        break
-    return unit_ok, eq_ok, notes
+        q = res.q_value
+        if label.startswith("ind:") and any(
+                group.galois_label(label, a) == label and q.galois_apply(a) != q
+                for a in units):
+            notes.append(f"Q({label}) not fixed by its stabilizer")
+    a, label = failure
+    notes.append(f"sigma_{a}(Q({label})) != Q({group.galois_label(label, a)})")
+    return unit_ok, False, notes
 
 
 def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
@@ -310,24 +277,19 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
     if failed_hyps:
         result.notes.extend(f"hypothesis ({h.key}) fails: {h.description}"
                             for h in failed_hyps)
-        result.verdict = "INCONCLUSIVE"
         return result
     if not ds.group.is_cyclic():
         result.notes.append(
             f"non-cyclic p-part: testing modulus p^{n_required} from the group-ring bound")
 
     try:
-        if chosen_route == "gz":
-            results = gz_q_vector(ds)
-        else:
-            results = recognize_characters(ds, chosen_route)
+        results = (gz_q_vector(ds) if chosen_route == "gz"
+                   else recognize_characters(ds, chosen_route))
     except AmbiguousRecognitionError as e:
         result.notes.append(f"recognition ambiguous: {e}")
-        result.verdict = "INCONCLUSIVE"
         return result
     except RecognitionError as e:
         result.notes.append(f"recognition failed: {e}")
-        result.verdict = "INCONCLUSIVE"
         return result
     result.characters = results
 
@@ -343,7 +305,6 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
         result.congruences = congruence_lines(ds.group, sums, n_required)
     except RecognitionError as e:
         result.notes.append(str(e))
-        result.verdict = "INCONCLUSIVE"
         return result
 
     # internal identity: sum over P of S(pi) equals |P| * Q(triv) * Q(eps)
@@ -351,7 +312,6 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
     base = q_values["triv"] * q_values["eps"]
     if not (base.is_rational() and total == ds.group.p_order * base.rational_part()):
         result.notes.append("internal identity sum_pi S(pi) = |P| Q(triv)Q(eps) violated")
-        result.verdict = "INCONCLUSIVE"
         return result
 
     # the Z_p[P] reading of the same sums must agree at the default modulus
@@ -362,7 +322,6 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
         if not result.membership_agrees:
             result.notes.append(
                 "group-ring membership check disagrees with the congruence sums")
-            result.verdict = "INCONCLUSIVE"
             return result
 
     # one-line shortcut at modulus p: S(1) = Q(triv)Q(eps) + 2 sum Q(Ind chi)
@@ -377,7 +336,6 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
             result.shortcut_agrees = (shortcut_ok == line_one.ok)
             if not result.shortcut_agrees:
                 result.notes.append("shortcut congruence disagrees with S(1)")
-                result.verdict = "INCONCLUSIVE"
                 return result
 
     if unit_ok and eq_ok and result.congruences_ok:
@@ -410,18 +368,9 @@ def relabel_dataset(ds: Dataset, a: int) -> Dataset:
     # translates: new generator s' = s^a, so the value at rot-vector r in the
     # new coordinates is the old value at a*r
     if new.heights is not None:
-        remapped = {}
-        for g_new in group.elements():
-            old = group.element(tuple(a * r for r in g_new.rot), g_new.flip)
-            remapped[g_new] = ds.heights.translates[old]
-        new.heights.translates = remapped
-    def move_label(lbl: str) -> str:
-        if not lbl.startswith("ind:"):
-            return lbl
-        vec = tuple(int(x) for x in lbl[4:].split(","))
-        moved = group.pair_rep(group.galois_on_chi(vec, a))
-        return "ind:" + ",".join(str(x) for x in moved)
-
+        new.heights.translates = {
+            g: ds.heights.translates[group.element(tuple(a * r for r in g.rot), g.flip)]
+            for g in group.elements()}
     # places: an element with old rot r gets new rot a^-1 * r; the pinned
     # correction values are rational and relabel-invariant, only labels move
     from .localfactors import LocalPlace
@@ -433,22 +382,20 @@ def relabel_dataset(ds: Dataset, a: int) -> Dataset:
             q=pl.q, a=pl.a,
             inertia=tuple(move(g) for g in pl.inertia),
             frobenius=move(pl.frobenius),
-            pinned=tuple((move_label(lbl), u, t) for lbl, u, t in pl.pinned),
+            pinned=tuple((group.galois_label(lbl, a), u, t) for lbl, u, t in pl.pinned),
         )
     new.places = new_places
     # character data: the physical character once labeled ind:v is now
     # labeled by a*v
-    remap_chars: dict[str, CharacterAnalytic] = {}
-    for lbl, ca in ds.analytic.characters.items():
-        remap_chars[move_label(lbl)] = ca
-    new.analytic.characters = remap_chars
+    new.analytic.characters = {group.galois_label(lbl, a): ca
+                               for lbl, ca in ds.analytic.characters.items()}
 
-    new.tower.conductor_norms = {move_label(lbl): nf
+    new.tower.conductor_norms = {group.galois_label(lbl, a): nf
                                  for lbl, nf in ds.tower.conductor_norms.items()}
     for name, fb in new.bsd.items():
         src = ds.bsd[name]
-        fb.leading_characters = {move_label(lbl): mult
+        fb.leading_characters = {group.galois_label(lbl, a): mult
                                  for lbl, mult in src.leading_characters.items()}
-        fb.leading_overrides = {move_label(lbl): v
+        fb.leading_overrides = {group.galois_label(lbl, a): v
                                 for lbl, v in src.leading_overrides.items()}
     return new

@@ -640,20 +640,26 @@ def real_embedding(x: CyclotomicNumber) -> DecimalWithError:
 # ---------------------------------------------------------------------------
 
 def _simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction with the smallest denominator in [lo, hi] (ties: closest to 0)."""
+    """The fraction with the smallest denominator in [lo, hi] (ties: closest to 0).
+
+    For 0 < lo, an integer walk down the continued fractions: while no integer
+    lies in [lo, hi], a = floor(lo) is a shared term and [lo, hi] becomes
+    [1/(hi - a), 1/(lo - a)]; the last term is lo or floor(lo) + 1."""
     if lo > hi:
         raise IntervalError("empty interval")
     if hi < 0:
         return -_simplest_in_interval(-hi, -lo)
     if lo <= 0:
         return Fraction(0)
-    a = lo.numerator // lo.denominator
-    if Fraction(a) == lo:
-        return lo
-    if Fraction(a + 1) <= hi:
-        return Fraction(a + 1)
-    inner = _simplest_in_interval(1 / (hi - a), 1 / (lo - a))
-    return a + 1 / inner
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    h0, k0, h1, k1 = 0, 1, 1, 0    # the two convergents before the current term
+    while True:
+        a, rest = divmod(ln, ld)
+        if rest == 0 or (a + 1) * hd <= hn:
+            a += rest > 0    # the last term: lo itself, or the integer above it
+            return Fraction(a * h1 + h0, a * k1 + k0)
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        ln, ld, hn, hd = hd, hn - a * hd, ld, rest
 
 
 def _farey_neighbors(c: Fraction, bound: int) -> tuple[Fraction, Fraction]:

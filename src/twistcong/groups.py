@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence, TypeVar
 
 from .exact import (CyclotomicNumber, InvalidAutomorphismError, cyclotomic_field,
                     is_probable_prime, p_valuation)
@@ -209,6 +209,14 @@ class DihedralGroup:
             raise InvalidAutomorphismError(f"{a} not coprime to exponent {self.exponent}")
         return tuple((a * c) % f for c, f in zip(avec, self.cyclic_factors))
 
+    def galois_label(self, label: str, a: int) -> str:
+        """The label of psi^sigma_a for psi labelled label: triv and eps stay,
+        ind:chi moves to the pair of a*chi."""
+        if not label.startswith("ind:"):
+            return label
+        chi = tuple(int(c) for c in label[4:].split(","))
+        return "ind:" + ",".join(map(str, self.pair_rep(self.galois_on_chi(chi, a))))
+
     def galois_unit_reps(self) -> list[int]:
         """Representatives of (Z/exponent)^*."""
         return list(cyclotomic_field(self.exponent).units)
@@ -275,14 +283,12 @@ class Character:
         return chi_g + chi_g.conjugate()
 
     def galois_image(self, a: int) -> "Character":
-        if self.kind != "ind":
-            return self
-        return Character(self.group, "ind", self.group.galois_on_chi(self.chi, a))
+        return Character.from_label(self.group, self.group.galois_label(self.label, a))
 
     def stabilizer_units(self) -> list[int]:
         """Units a of (Z/exponent)^* with psi^sigma_a = psi."""
         return [a for a in self.group.galois_unit_reps()
-                if self.galois_image(a) == self]
+                if self.group.galois_label(self.label, a) == self.label]
 
 
 def irreducible_characters(group: DihedralGroup) -> list[Character]:
@@ -308,14 +314,16 @@ def character_orbits(group: DihedralGroup) -> list[list[Character]]:
     in the order of the units a that first reach it. Built once per group;
     each call returns fresh lists."""
     if group._orbits is None:
+        by_label = {c.label: c for c in irreducible_characters(group)}
+        units = group.galois_unit_reps()
         orbits: list[tuple[Character, ...]] = []
-        seen: set[Character] = set()
-        for c in irreducible_characters(group):
-            if c in seen:
+        seen: set[str] = set()
+        for label in by_label:
+            if label in seen:
                 continue
-            orbit = tuple(dict.fromkeys(c.galois_image(a) for a in group.galois_unit_reps()))
+            orbit = dict.fromkeys(group.galois_label(label, a) for a in units)
             seen.update(orbit)
-            orbits.append(orbit)
+            orbits.append(tuple(by_label[image] for image in orbit))
         group._orbits = tuple(orbits)
     return [list(orbit) for orbit in group._orbits]
 
@@ -345,6 +353,37 @@ def kolyvagin_identity(m: int) -> bool:
         rhs[k] = rhs.get(k, 0) - c
     clean = lambda v: {k: c for k, c in v.items() if c != 0}
     return clean(lhs) == clean(rhs)
+
+
+# ---------------------------------------------------------------------------
+# Galois equivariance
+# ---------------------------------------------------------------------------
+
+Key = TypeVar("Key", bound=Hashable)
+
+
+def first_equivariance_failure(values: Mapping[Key, CyclotomicNumber],
+                               image: Callable[[Key, int], Key], e: int
+                               ) -> tuple[int, Key] | None:
+    """The first (a, key), units a of (Z/e)^* in increasing order and keys in
+    the order of values, with sigma_a(values[key]) != values[image(key, a)],
+    or None. The values have conductors dividing e, and image is an action:
+    image(image(k, a), b) = image(k, ab).
+
+    Only the generator g of cyclotomic_field(e) is checked unless that check
+    fails. (Z/e)^* is cyclic for odd prime powers e, sigma_ab = sigma_a sigma_b,
+    and == on CyclotomicNumber (equal (m, coeffs), rationals equal across
+    conductors) is an equivalence every sigma_a preserves. So if
+    sigma_g(values[k]) = values[image(k, g)] for every key k, induction on j
+    gives sigma_(g^j)(values[k]) = sigma_g(values[image(k, g^(j-1))]) =
+    values[image(k, g^j)], and the g^j are all the units. After a failure at
+    g every unit is scanned, so that the result is the first failure."""
+    field = cyclotomic_field(e)
+    g = field.generator
+    if all(v.galois_apply(g) == values[image(k, g)] for k, v in values.items()):
+        return None
+    return next((a, k) for a in field.units for k, v in values.items()
+                if v.galois_apply(a) != values[image(k, a)])
 
 
 # ---------------------------------------------------------------------------
@@ -427,29 +466,16 @@ def zp_P_membership(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     for every pi. Returns the coefficients and a list of failure notes.
 
     Galois equivariance, sigma_a(E_chi) = E_(a chi) for every a in (Z/e)^*,
-    is decided by one generator g of that cyclic group (E_chi of conductor 1
-    or e, as character_sums requires). sigma_ab = sigma_a sigma_b, chi -> a chi
-    composes the same way, and == on CyclotomicNumber (equal (m, coeffs),
-    rationals equal across conductors) is an equivalence every sigma_a
-    preserves. So if sigma_g(E_chi) = E_(g chi) for every chi, induction on k
-    gives sigma_(g^k)(E_chi) = sigma_g(E_(g^(k-1) chi)) = E_(g^k chi), and the
-    g^k are all the units. Only when the check at g fails are all a scanned,
-    so that the note names the first failing a.
+    is decided by first_equivariance_failure (E_chi of conductor 1 or e, as
+    character_sums requires), which names the first failing chi and a.
     """
     failures: list[str] = []
-    vectors = list(group.chi_vectors())
-    g = cyclotomic_field(group.exponent).generator
-    if not all(evals[avec].galois_apply(g) == evals[group.galois_on_chi(avec, g)]
-               for avec in vectors):
-        for a in group.galois_unit_reps():
-            for avec in vectors:
-                img = group.galois_on_chi(avec, a)
-                lhs = evals[avec].galois_apply(a) if evals[avec].m != 1 else evals[avec]
-                if lhs != evals[img]:
-                    failures.append(f"not Galois-equivariant at chi={avec}, a={a}")
-                    break
-            if failures:
-                break
+    failure = first_equivariance_failure(
+        {avec: evals[avec] for avec in group.chi_vectors()}, group.galois_on_chi,
+        group.exponent)
+    if failure is not None:
+        a, avec = failure
+        failures.append(f"not Galois-equivariant at chi={avec}, a={a}")
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for pi in group.p_elements():
         acc = sums[pi.rot]
@@ -477,8 +503,9 @@ def center_integrality(values: Mapping[str, CyclotomicNumber], group: DihedralGr
     the center of Z_p[G].
 
     Checks: each A(psi) lies in Z_p[zeta] and is fixed by the stabilizer of
-    psi; the vector is Galois-equivariant; and for every g in G the combination
-    |G|^-1 sum_psi psi(1) psi(g^-1) A(psi) is rational and p-integral.
+    psi; the vector is Galois-equivariant (first_equivariance_failure); and
+    for every g in G the combination |G|^-1 sum_psi psi(1) psi(g^-1) A(psi)
+    is rational and p-integral.
     """
     p = group.p
     chars = irreducible_characters(group)
@@ -486,23 +513,18 @@ def center_integrality(values: Mapping[str, CyclotomicNumber], group: DihedralGr
     for c in chars:
         if c.label not in values:
             raise GroupError(f"missing eigenvalue for {c.label}")
-    for c in chars:
         v = values[c.label]
         if not v.is_zero() and p_valuation(v, p) < 0:
             failures.append(f"A({c.label}) not p-integral")
         for a in c.stabilizer_units():
-            if v.m != 1 and v.galois_apply(a) != v:
+            if v.galois_apply(a) != v:
                 failures.append(f"A({c.label}) not fixed by its stabilizer (a={a})")
                 break
-    for a in group.galois_unit_reps():
-        for c in chars:
-            img = c.galois_image(a)
-            lhs = values[c.label].galois_apply(a) if values[c.label].m != 1 else values[c.label]
-            if lhs != values[img.label]:
-                failures.append(f"eigenvalues not Galois-equivariant at {c.label}, a={a}")
-                break
-        if any(f.startswith("eigenvalues not Galois") for f in failures):
-            break
+    failure = first_equivariance_failure({c.label: values[c.label] for c in chars},
+                                         group.galois_label, group.exponent)
+    if failure is not None:
+        a, label = failure
+        failures.append(f"eigenvalues not Galois-equivariant at {label}, a={a}")
     central: dict[str, Fraction] = {}
     for g in group.elements():
         acc = CyclotomicNumber.rational(0)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .exact import CyclotomicNumber, ExactArithmeticError, as_fraction
+from .exact import CyclotomicNumber, ExactArithmeticError
 from .groups import Character, DihedralGroup, GroupElement, GroupError
 
 
@@ -163,22 +163,16 @@ def discriminant_factor(char: Character, d_k_abs: int, d_K_abs: int,
 
 def parse_local_place(group: DihedralGroup, q: int, a: int,
                       inertia: Sequence[str], frobenius: str,
-                      pinned: Mapping[str, Mapping[str, str]] | None = None
+                      pinned: Sequence[tuple[str, Fraction, Fraction]] = ()
                       ) -> LocalPlace:
-    """Build a LocalPlace from serialized group elements, with sanity checks:
-    inertia generators nontrivial, Frobenius normalizes the inertia subgroup."""
+    """Build a LocalPlace from serialized group elements and (label, u, t)
+    pins, with sanity checks: inertia generators nontrivial, Frobenius
+    normalizes the inertia subgroup."""
     try:
         gens = tuple(group.parse_element(s) for s in inertia)
         frob = group.parse_element(frobenius)
     except GroupError as e:
         raise LocalDataError(str(e)) from e
-    pins: list[tuple[str, Fraction, Fraction]] = []
-    for label, pair in (pinned or {}).items():
-        try:
-            pins.append((str(label), as_fraction(str(pair["u"])),
-                         as_fraction(str(pair["t"]))))
-        except (KeyError, ValueError, TypeError, ArithmeticError) as e:
-            raise LocalDataError(f"bad pinned correction for {label!r}: {e}") from e
     if any(g == group.identity for g in gens):
         raise LocalDataError("trivial inertia generator listed at a ramified place")
     # closure of <gens> under conjugation by frob, checked on the generators:
@@ -200,13 +194,12 @@ def parse_local_place(group: DihedralGroup, q: int, a: int,
         conj = frob * g * frob.inverse()
         if conj not in subgroup:
             raise LocalDataError("Frobenius does not normalize the inertia subgroup")
-    return LocalPlace(q=q, a=a, inertia=gens, frobenius=frob, pinned=tuple(pins))
+    return LocalPlace(q=q, a=a, inertia=gens, frobenius=frob, pinned=tuple(pinned))
 
 
 def check_pinned_corrections(group: DihedralGroup, place: LocalPlace) -> None:
     """Compare declared (u, t) pins with the values computed from the Galois
     data; any mismatch is a hard data error."""
-    from .groups import Character
     for label, pu, pt in place.pinned:
         try:
             char = Character.from_label(group, label)

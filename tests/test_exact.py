@@ -361,6 +361,43 @@ def test_simplest_in_interval_idempotent(x):
     assert abs(wide - x) <= Fraction(1, 10 ** 12)
 
 
+def simplest_in_interval_by_recursion(lo, hi):
+    """_simplest_in_interval as first written: recursive over Fraction."""
+    if lo > hi:
+        raise IntervalError("empty interval")
+    if hi < 0:
+        return -simplest_in_interval_by_recursion(-hi, -lo)
+    if lo <= 0:
+        return Fraction(0)
+    a = lo.numerator // lo.denominator
+    if Fraction(a) == lo:
+        return lo
+    if Fraction(a + 1) <= hi:
+        return Fraction(a + 1)
+    inner = simplest_in_interval_by_recursion(1 / (hi - a), 1 / (lo - a))
+    return a + 1 / inner
+
+
+def test_simplest_in_interval_matches_the_recursion():
+    rng = random.Random(9)
+    intervals = []
+    # the intervals rational_reconstruct meets in criterion 9, either sign
+    for _ in range(1000):
+        x = Fraction(rng.randrange(-10 ** 4, 10 ** 4 + 1), rng.randrange(1, 10 ** 4 + 1))
+        err = Fraction(1, 10 ** 15) * max(1, abs(x))
+        x += err * Fraction(rng.randrange(-499, 500), 1000)
+        intervals.append((x - 2 * err, x + 2 * err))
+    # 30-digit endpoints, some straddling 0, and single points
+    for _ in range(250):
+        lo = Fraction(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(1, 10 ** 30))
+        hi = lo + Fraction(rng.randrange(1, 10 ** 30), rng.randrange(1, 10 ** 30)) ** 3
+        intervals += [(lo, hi), (lo, lo)]
+    for lo, hi in intervals:
+        assert _simplest_in_interval(lo, hi) == simplest_in_interval_by_recursion(lo, hi)
+    with pytest.raises(IntervalError):
+        _simplest_in_interval(Fraction(1), Fraction(0))
+
+
 @given(st.fractions(max_denominator=10 ** 5).filter(lambda f: f.denominator > 1),
        st.integers(min_value=1, max_value=10 ** 7))
 @settings(max_examples=120)

@@ -1,0 +1,75 @@
+"""A seeded fuzz of the dataset boundary: a bundled document with one or two
+of its fields replaced by a hostile value must end in a DatasetError or a
+verdict, within seconds, and never in any other exception."""
+import copy
+import json
+import random
+import time
+from importlib import resources
+
+import pytest
+
+from twistcong.dataset import DatasetError, parse_dataset
+from twistcong.engine import verify
+
+VALUES = ["1e400", "inf", "nan", "1/0", None, [], {}, 200000, "1e100000", "x", -1, 0,
+          True, 1.5, "-0", "1e-400", 5, "", [1, 2], {"a": 1}, "1e5000"]
+CASES_PER_SEED = 500
+SECONDS_PER_CASE = 5
+
+
+def bundled_docs():
+    root = resources.files("twistcong") / "datasets"
+    return [json.loads((root / f"{name}.json").read_text())
+            for name in ("21a1-quintic-19", "37a1-septic-577")]
+
+
+def field_paths(node, prefix=()):
+    """The path of every field below node, blocks and their members alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+def replace_field(doc, path, value):
+    """Put value at path, unless an earlier replacement removed the path."""
+    node = doc
+    for key in path[:-1]:
+        if not isinstance(node, (dict, list)) or key not in (
+                node if isinstance(node, dict) else range(len(node))):
+            return
+        node = node[key]
+    if isinstance(node, dict) or (isinstance(node, list) and path[-1] < len(node)):
+        node[path[-1]] = value
+
+
+def mutated_docs(seed):
+    rng = random.Random(seed)
+    docs = bundled_docs()
+    paths = [list(field_paths(doc)) for doc in docs]
+    for _ in range(CASES_PER_SEED):
+        i = rng.randrange(len(docs))
+        doc = copy.deepcopy(docs[i])
+        chosen = rng.sample(paths[i], rng.choice((1, 2)))
+        for path in chosen:
+            replace_field(doc, path, copy.deepcopy(rng.choice(VALUES)))
+        yield chosen, doc
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hostile_fields_end_in_a_dataset_error_or_a_verdict(seed):
+    raw, slow = [], []
+    for paths, doc in mutated_docs(seed):
+        where = [".".join(map(str, path)) for path in paths]
+        start = time.perf_counter()
+        try:
+            verify(parse_dataset(doc))
+        except DatasetError:
+            pass
+        except Exception as e:  # any other exception is a fault of the program
+            raw.append((where, f"{type(e).__name__}: {str(e)[:120]}"))
+        if time.perf_counter() - start > SECONDS_PER_CASE:
+            slow.append(where)
+    assert raw == [] and slow == []

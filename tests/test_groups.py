@@ -547,6 +547,47 @@ def test_equivariance_by_one_generator_matches_the_unit_scan(p, factors):
         (p % 4 == 1)
 
 
+def scan_center_integrality(values, group):
+    """The integrality, stabilizer and equivariance notes of center_integrality
+    as the scan over every unit a of (Z/e)^* finds them."""
+    chars = irreducible_characters(group)
+    units = group.galois_unit_reps()
+
+    def image(c, a):
+        return c.label if c.kind != "ind" else \
+            "ind:" + ",".join(map(str, group.pair_rep(group.galois_on_chi(c.chi, a))))
+
+    failures = []
+    for c in chars:
+        v = values[c.label]
+        if not v.is_zero() and p_valuation(v, group.p) < 0:
+            failures.append(f"A({c.label}) not p-integral")
+        for a in units:
+            if image(c, a) == c.label and v.galois_apply(a) != v:
+                failures.append(f"A({c.label}) not fixed by its stabilizer (a={a})")
+                break
+    for a in units:
+        for c in chars:
+            if values[c.label].galois_apply(a) != values[image(c, a)]:
+                failures.append(f"eigenvalues not Galois-equivariant at {c.label}, a={a}")
+                return failures
+    return failures
+
+
+@pytest.mark.parametrize("p, factors", [(3, [3]), (5, [5]), (7, [7]), (3, [9]), (3, [3, 3])])
+def test_center_integrality_by_one_generator_matches_the_unit_scan(p, factors):
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"center:{factors}")
+    verdicts = set()
+    for q in list(equivariance_cases(group, rng)) + [squares_equivariant_q(group, rng)]:
+        report = center_integrality(q, group)
+        want = scan_center_integrality(q, group)
+        rest = [f for f in report.failures if f.startswith("central coefficient")]
+        assert report.failures == want + rest and report.ok == (not (want + rest))
+        verdicts.add(any(f.startswith("eigenvalues not Galois") for f in want))
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # center of Z_p[G]
 # ---------------------------------------------------------------------------

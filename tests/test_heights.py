@@ -37,6 +37,30 @@ def test_validate_translates_accepts_symmetric():
     validate_translates(G5, translates_21())
 
 
+@pytest.mark.parametrize("p, factors", [(5, [5]), (3, [9, 3]), (5, [25])])
+def test_validate_translates_names_the_first_asymmetric_pair(p, factors):
+    """Each pair {g, g^-1} is checked once; the message names the element the
+    check of every g against its inverse, in group.elements() order, meets first."""
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"translates:{factors}")
+    tr = {g: DecimalWithError(Fraction(rng.randrange(-99, 100), 7), Fraction(1, 10 ** 9))
+          for g in group.elements()}
+    for g in group.p_elements():
+        tr[g.inverse()] = tr[g]
+    validate_translates(group, tr)
+    rotations = [g for g in group.p_elements() if g != group.identity]
+    for _ in range(10):
+        broken = dict(tr)
+        for shift, g in enumerate(rng.sample(rotations, 2), 1):
+            broken[g] = broken[g] + shift
+        first = next(g for g in group.elements()
+                     if not broken[g].overlaps(broken[g.inverse()]))
+        with pytest.raises(HeightDataError) as excinfo:
+            validate_translates(group, broken)
+        assert str(excinfo.value) == (
+            f"translates at {group.format_element(first)} and its inverse disagree")
+
+
 def test_validate_translates_rejects_missing_and_asymmetric():
     tr = translates_21()
     del tr[G5.tau]
