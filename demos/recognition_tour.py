@@ -11,7 +11,7 @@ from fractions import Fraction
 from twistcong.exact import (
     AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError,
     RecognitionError, p_valuation, rational_reconstruct, real_embedding,
-    recognize_orbit, sqrt_in_cyclotomic, sqrt_rational_approx,
+    recognize_orbit,
 )
 
 # a value known to 12 digits recognizes to the fraction it came from
@@ -32,31 +32,26 @@ except RecognitionError as e:
     print("with denominators capped at 3:", e)
 print()
 
-# conjugate pairs are recognized jointly through their sum and product, with
-# the square root realized exactly inside a cyclotomic field via a Gauss sum
-root5 = sqrt_rational_approx(5, 40)
-pair = [DecimalWithError.exact(24) + 8 * root5,
-        DecimalWithError.exact(24) - 8 * root5]
-orbit = recognize_orbit(pair, 5)
-print("pair 24 +/- 8*sqrt(5) recognized in Q(zeta_5):")
-for v in orbit.values:
-    print("  coefficients on the power basis:", [str(c) for c in v.coeffs])
+# a Galois orbit is recognized at once: the decimals of sigma_a(x), a = 1, 2, 3,
+# for x = 3 + 2(zeta_7 + zeta_7^-1), give the three coordinates of x in the
+# real cubic subfield of Q(zeta_7), and the orbit follows by permuting them
+z = CyclotomicNumber.zeta_power(7, 1)
+x = 3 + 2 * (z + z.conjugate())
+units = (1, 2, 3)
+decimals = [DecimalWithError(real_embedding(x.galois_apply(a)).value, Fraction(1, 10 ** 30))
+            for a in units]
+orbit = recognize_orbit(decimals, 7, units)
+print("orbit of 3 + 2(zeta_7 + zeta_7^-1) recognized in Q(zeta_7):")
+for a, d, v in zip(units, decimals, orbit.values):
+    print(f"  sigma_{a}: {float(d.value):+.15f} ->", [str(c) for c in v.coeffs])
 print("  minimal polynomial coefficients, ascending:",
       [str(c) for c in orbit.min_poly])
-print("  radicand:", orbit.radicand)
 print()
 
-# the exact square root really squares to 5
-r5 = sqrt_in_cyclotomic(5, 5)
-print("sqrt(5) in Q(zeta_5):", [str(c) for c in r5.coeffs],
-      " squares to", (r5 * r5).rational_part())
-print("its real embedding:", float(real_embedding(r5).value))
-print()
-
-# valuations extend to cyclotomic integers through norms; the element
-# 1 - zeta_5 is the standard uniformizer above 5
+# valuations extend to cyclotomic numbers; the element 1 - zeta_5 is the
+# standard uniformizer above 5, and x above has norm -7
 z = CyclotomicNumber.zeta_power(5, 1)
 pi5 = CyclotomicNumber.rational(1) - z
 print("v_5(1 - zeta_5) =", p_valuation(pi5, 5))
 print("v_5(1/25)       =", p_valuation(CyclotomicNumber.rational(Fraction(1, 25)), 5))
-print("v_5(24 + 8*sqrt(5)) =", p_valuation(orbit.values[0], 5))
+print("v_7(3 + 2(zeta_7 + zeta_7^-1)) =", p_valuation(orbit.values[0], 7))

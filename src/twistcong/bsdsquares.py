@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dataset import Dataset, DatasetError, FieldBlock
-from .exact import (CyclotomicNumber, DecimalWithError, RecognitionError,
-                    is_square_rational, rational_reconstruct, recognize_orbit,
-                    sqrt_rational_approx)
-from .groups import Character, character_orbits
+from .exact import (SQRT_DIGITS, CyclotomicNumber, DecimalWithError, is_square_rational,
+                    rational_reconstruct, recognize_orbit, sqrt_rational_approx)
+from .groups import Character, character_orbits, orbit_units
 from .heights import field_period, omega_factor, regulator_from_translates
 from .localfactors import discriminant_factor, global_correction
 
@@ -81,8 +80,7 @@ def field_regulator(ds: Dataset, fb: FieldBlock) -> DecimalWithError:
 
 def bsd_quotient(ds: Dataset, fb: FieldBlock) -> DecimalWithError:
     """B_E = L*(A/E,1) * sqrt|d_E| / (Omega(A/E) * Reg(A/E))."""
-    num = field_leading_term(ds, fb) * sqrt_rational_approx(fb.d_abs,
-                                                           ds.options.embedding_digits)
+    num = field_leading_term(ds, fb) * sqrt_rational_approx(fb.d_abs, SQRT_DIGITS)
     omega = field_period(fb.signature, ds.analytic.omega_plus,
                          ds.analytic.omega_minus, ds.curve.c_infinity)
     return num / (omega * field_regulator(ds, fb))
@@ -145,7 +143,7 @@ def character_bsd_quotients(ds: Dataset) -> dict[str, CyclotomicNumber]:
     the congruence engine, and its failures propagate."""
     group = ds.group
     out: dict[str, CyclotomicNumber] = {}
-    for orbit in character_orbits(group):
+    for orbit, units in zip(character_orbits(group), orbit_units(group)):
         if orbit[0].label != "triv" and _smallest_block_with(ds, orbit[0].label) is None:
             continue
         reg = regulator_normalization(ds, orbit[0].label)
@@ -153,11 +151,11 @@ def character_bsd_quotients(ds: Dataset) -> dict[str, CyclotomicNumber]:
         for c in orbit:
             d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs,
                                     ds.tower.conductor_norms.get(c.label, 1))
-            sqrt_d = sqrt_rational_approx(d, ds.options.embedding_digits)
+            sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
             omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus,
                                  ds.tower.K_real)
             numerics.append(sqrt_d * _detruncated_leading(ds, c.label) / (omega * reg))
-        orb = recognize_orbit(numerics, group.exponent, ds.options.den_bound)
+        orb = recognize_orbit(numerics, group.exponent, units, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
             out[c.label] = recognized
     return out

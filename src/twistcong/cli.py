@@ -139,22 +139,17 @@ def _selftest_checks():
            "non-integral one",
            good and not zp_P_membership(broken, group3, character_sums(broken, group3)).ok)
 
-    ok = True
     targets = [Fraction(24, 19), Fraction(-578, 577), Fraction(0), Fraction(100003, 7)]
     xs = [DecimalWithError(t + Fraction(1, 10 ** 25), Fraction(1, 10 ** 20))
           for t in targets]
-    orb = recognize_orbit(xs, 1, 10 ** 6)
-    ok = ok and [v.rational_part() for v in orb.values] == targets
-    from .exact import sqrt_in_cyclotomic
-    root5 = sqrt_in_cyclotomic(5, 5)
-    pair = [CyclotomicNumber.rational(24) + 8 * root5,
-            CyclotomicNumber.rational(24) - 8 * root5]
-    embs = [real_embedding(v) for v in pair]
-    widened = [DecimalWithError(e.value, e.abs_error + Fraction(1, 10 ** 30))
-               for e in embs]
-    orb2 = recognize_orbit(widened, 5, 10 ** 6)
-    ok = ok and list(orb2.values) == pair and orb2.radicand == 5
-    yield ("recognition round-trips (rationals and a conjugate pair)", ok)
+    ok = all(recognize_orbit([x], 1, (1,)).values == (t,) for x, t in zip(xs, targets))
+    # the conjugates of 3 + 2(zeta_7 + zeta_7^-1), in the order of the units 1, 2, 3
+    z = CyclotomicNumber.zeta_power(7, 1)
+    orbit = [(3 + 2 * (z + z.conjugate())).galois_apply(a) for a in (1, 2, 3)]
+    xs = [DecimalWithError(e.value, e.abs_error + Fraction(1, 10 ** 30))
+          for e in map(real_embedding, orbit)]
+    ok = ok and list(recognize_orbit(xs, 7, (1, 2, 3)).values) == orbit
+    yield ("recognition round-trips (rationals and a cubic orbit)", ok)
 
     for name in bundled_dataset_names():
         ds = load_bundled_dataset(name)

@@ -106,10 +106,10 @@ def _required_integer(obj: Any, key: str, path: str, lo: int | None,
 
 
 def _optional_integer(obj: Mapping[str, Any], key: str, path: str, default: int | None,
-                      lo: int, hi: int | None = None) -> int | None:
+                      lo: int) -> int | None:
     """The integer obj[key] of the block at path; absent or null gives default."""
     value = obj.get(key)
-    return default if value is None else _integer(value, f"{path}.{key}", lo, hi)
+    return default if value is None else _integer(value, f"{path}.{key}", lo)
 
 
 def _rational(value: Any, path: str) -> Fraction:
@@ -210,7 +210,6 @@ class Options:
     den_bound: int = 10 ** 6
     route: str = "auto"
     gz_constant: Fraction | None = None
-    embedding_digits: int = 50
 
 
 @dataclass
@@ -389,10 +388,9 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         a = _required_integer(entry, "a", path, None)
         inertia = [str(x) for x in _list(_need(entry, "inertia", path), f"{path}.inertia")]
         frobenius = str(_need(entry, "frobenius", path))
-        # an unreadable u or t is reported at the place
         pins = [(character(lbl, f"{path}.pinned.{lbl}"),
-                 _rational(_need(pin, "u", f"{path}.pinned.{lbl}"), path),
-                 _rational(_need(pin, "t", f"{path}.pinned.{lbl}"), path))
+                 _rational(_need(pin, "u", f"{path}.pinned.{lbl}"), f"{path}.pinned.{lbl}.u"),
+                 _rational(_need(pin, "t", f"{path}.pinned.{lbl}"), f"{path}.pinned.{lbl}.t"))
                 for lbl, pin in _optional_object(entry, "pinned", path).items()]
         try:
             places[label] = parse_local_place(group, q, a, inertia, frobenius, pins)
@@ -502,8 +500,6 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         route=str(oobj.get("route", "auto")),
         gz_constant=(_rational(oobj["gz_constant"], "options.gz_constant")
                      if oobj.get("gz_constant") is not None else None),
-        # every real embedding works at 50 digits; this sets only the sqrt(d) bounds
-        embedding_digits=_optional_integer(oobj, "embedding_digits", "options", 50, 1, 1000),
     )
     if options.route not in ("auto", "direct", "qhat", "gz"):
         raise DatasetError("options.route", f"unknown route {options.route!r}")
@@ -666,7 +662,6 @@ def serialize_dataset(ds: Dataset) -> dict[str, Any]:
             "route": ds.options.route,
             "gz_constant": (f"{ds.options.gz_constant.numerator}/{ds.options.gz_constant.denominator}"
                             if ds.options.gz_constant is not None else None),
-            "embedding_digits": ds.options.embedding_digits,
         },
         "provenance": dict(ds.provenance),
     }

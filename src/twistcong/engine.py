@@ -5,9 +5,11 @@ The pipeline per dataset:
 1. hypotheses on the arithmetic data (oddness, integrality, ramification
    disjointness, point counts) are re-checked from the dataset itself;
 2. for each irreducible character the normalized leading term is assembled
-   numerically as sqrt(d_psi) * L / (Omega_psi * H_psi), per Galois orbit the
-   numbers are recognized as exact algebraic values, and the local correction
-   u*t moves between the truncated and untruncated normalizations;
+   numerically as sqrt(d_psi) * L / (Omega_psi * H_psi); each Galois orbit of
+   characters, aligned by groups.orbit_units, is recognized at once as the
+   conjugates sigma_a(x) of one exact x in the real subfield of Q(zeta_e)
+   whose degree is the orbit's size (exact.recognize_orbit); and the local
+   correction u*t moves between the truncated and untruncated normalizations;
 3. the exact values are tested for p-unitness and Galois equivariance, and
    the congruence sums S(pi) = Q(triv)Q(eps) + sum over nontrivial chi of
    chi(pi)^-1 Q(Ind chi) are tested for divisibility by p^n at every pi;
@@ -29,11 +31,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .dataset import Dataset, DatasetError, HypothesisResult, check_hypotheses
-from .exact import (AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError,
-                    RecognitionError, p_valuation, recognize_orbit, sqrt_rational_approx)
+from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
+                    DecimalWithError, RecognitionError, p_valuation, recognize_orbit,
+                    sqrt_rational_approx)
 from .groups import (Character, DihedralGroup, character_orbits, character_sums,
-                     first_equivariance_failure, irreducible_characters, res_map,
-                     zp_P_membership)
+                     first_equivariance_failure, irreducible_characters, orbit_units,
+                     res_map, zp_P_membership)
 from .heights import height_factor, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
 
@@ -99,7 +102,7 @@ def assemble_numeric(ds: Dataset, char: Character) -> DecimalWithError:
     ca = ds.analytic.characters[char.label]
     d = discriminant_factor(char, ds.tower.d_k_abs, ds.tower.d_K_abs,
                             ds.tower.conductor_norms.get(char.label, 1))
-    sqrt_d = sqrt_rational_approx(d, ds.options.embedding_digits)
+    sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
     omega = omega_factor(char, ds.analytic.omega_plus, ds.analytic.omega_minus,
                          ds.tower.K_real)
     h = height_factor(char, ds.group, ds.heights.translates if ds.heights else None,
@@ -131,9 +134,9 @@ def recognize_characters(ds: Dataset, route: str) -> dict[str, CharacterResult]:
     places = [ds.places[s] for s in ds.tower.S_r]
     m = group.exponent
     out: dict[str, CharacterResult] = {}
-    for orbit in character_orbits(group):
+    for orbit, units in zip(character_orbits(group), orbit_units(group)):
         numerics = [assemble_numeric(ds, c) for c in orbit]
-        orb = recognize_orbit(numerics, m, ds.options.den_bound)
+        orb = recognize_orbit(numerics, m, units, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
             r = _char_route(ds, c, route)
             corr = global_correction(c, places)

@@ -11,6 +11,10 @@ Decimal inputs carry explicit rational error bounds and every arithmetic
 operation propagates a worst-case bound, so a successful recognition comes
 with an honest certificate: the recognized value is re-verified exactly and
 its embedding is checked back against the input interval.
+
+recognize_orbit is the one Galois-orbit recognizer. Its inputs are aligned,
+xs[i] ~ sigma_units[i](x); den_bound bounds each entry of a rational orbit,
+or else each coordinate of x in the real subfield of degree len(xs).
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, lcm
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import mpmath
 
@@ -152,19 +157,12 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
-
-
 # ---------------------------------------------------------------------------
 # the field Q(zeta_m)
 # ---------------------------------------------------------------------------
 
 _EMBEDDING_DPS = 50  # digits of the canonical embedding; error budget 10^-(dps - 5)
+SQRT_DIGITS = 50     # digits of the sqrt(d) bounds in every normalized leading term
 
 
 @dataclass(frozen=True)
@@ -232,6 +230,61 @@ class CyclotomicField:
             z = CyclotomicNumber.zeta_power(self.m, k)
             half.append(real_embedding(z + z.conjugate()))
         return tuple(half[min(k, self.m - k)] for k in range(self.m))
+
+    @lru_cache(maxsize=64)
+    def real_subfield(self, k: int) -> tuple[tuple, Mapping]:
+        """(basis, duals) for F, the subfield of degree k, which must be real.
+
+        (Z/m)^* is cyclic, so F is the fixed field of its k-th powers H.
+        basis is the first k linearly independent sums over the H-orbits of
+        zeta^i, i = 0, 1, ... (basis[0] = 1), and b^v its trace-dual basis,
+        Tr_F/Q(b_i b^v_j) = [i = j]. duals maps a^(phi/k) mod m, which names
+        the coset aH and so sigma_a on F, to the real embeddings of the
+        sigma_a(b^v_j)."""
+        m, phi = self.m, self.phi
+        if k < 1 or phi % (2 * k):
+            raise RecognitionError(f"Q(zeta_{m}) has no real subfield of degree {k}")
+        h = pow(self.generator, k, m)
+        powers = {pow(h, i, m) for i in range(phi // k)}    # H
+        basis, echelon = [], []
+        for i in range(m):
+            poly = [0] * m
+            for a in powers:
+                poly[a * i % m] = 1
+            b = CyclotomicNumber(m, self.reduce(poly))
+            row = list(b.coeffs)
+            for col, pivot in echelon:
+                f = row[col] / pivot[col]
+                row = [x - f * y for x, y in zip(row, pivot)]
+            col = next((j for j, x in enumerate(row) if x), None)
+            if col is not None:
+                echelon.append((col, row))
+                basis.append(b)
+                if len(basis) == k:
+                    break
+
+        def trace(y: CyclotomicNumber) -> Fraction:
+            # Tr(zeta^i) over Q is phi at i = 0, -q at the other multiples of q, else 0
+            c = y.coeffs
+            return Fraction(k, phi) * (phi * c[0] - self.q * sum(c[self.q::self.q]))
+
+        # Gauss-Jordan on [Gram | 1]; the trace form of a real field is
+        # positive definite, so no pivot vanishes
+        rows = [[trace(b * c) for c in basis] + [Fraction(i == j) for j in range(k)]
+                for i, b in enumerate(basis)]
+        for i in range(k):
+            rows[i] = [x / rows[i][i] for x in rows[i]]
+            for r in range(k):
+                f = rows[r][i]
+                if r != i and f:
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[i])]
+        dual = [CyclotomicNumber(m, [sum(g * b.coeffs[j] for g, b in zip(row[k:], basis))
+                                     for j in range(phi)]) for row in rows]
+        duals, a = {}, 1
+        for _ in range(k):
+            duals[pow(a, phi // k, m)] = tuple(real_embedding(d.galois_apply(a)) for d in dual)
+            a = a * self.generator % m
+        return tuple(basis), MappingProxyType(duals)
 
     def valuation(self, x: "CyclotomicNumber") -> Fraction:
         """v(x) at the one prime above p, normalized v(p) = 1.
@@ -457,36 +510,6 @@ def p_valuation(x, p: int) -> Fraction:
         raise UnsupportedConductorError(
             f"valuation at {p} of an irrational element of Q(zeta_{x.m}) is ambiguous")
     return field.valuation(x)
-
-
-def sqrt_in_cyclotomic(d: int, m: int) -> CyclotomicNumber:
-    """An exact square root of d > 0 inside Q(zeta_m), positive in the
-    canonical embedding.
-
-    Supported radicands: perfect squares (any m) and d whose squarefree part
-    is m's prime p with p = 1 mod 4 (quadratic Gauss sum). Verified by
-    squaring before being returned.
-    """
-    if d <= 0:
-        raise ExactArithmeticError("radicand must be positive")
-    s, d0 = squarefree_decompose(d)
-    if d0 == 1:
-        return CyclotomicNumber.rational(s).promote(m)
-    field = cyclotomic_field(m)
-    p = field.p
-    if d0 != p or p % 4 != 1:
-        raise RecognitionError(
-            f"sqrt({d}) does not lie in Q(zeta_{m}) (squarefree part {d0})")
-    # Gauss sum over the subfield Q(zeta_p): zeta_p = zeta_m^q
-    g = CyclotomicNumber.rational(0).promote(m)
-    for a in range(1, p):
-        g = g + legendre_symbol(a, p) * CyclotomicNumber.zeta_power(m, a * field.q)
-    if g * g != CyclotomicNumber.rational(p).promote(m):
-        raise ExactArithmeticError("Gauss sum square sanity check failed")
-    root = s * g
-    if real_embedding(root).value < 0:
-        root = -root
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -715,12 +738,10 @@ class AlgebraicOrbit:
     values    -- exact elements, aligned with the input order
     min_poly  -- monic minimal polynomial of the distinct values, ascending
                  rational coefficients [c0, c1, ..., 1]
-    radicand  -- squarefree d with the values in Q(sqrt(d)), or 1 when rational
     """
 
     values: tuple[CyclotomicNumber, ...]
     min_poly: tuple[Fraction, ...]
-    radicand: int
 
 
 def _min_poly_of(values: Iterable[CyclotomicNumber]) -> tuple[Fraction, ...]:
@@ -744,71 +765,46 @@ def _min_poly_of(values: Iterable[CyclotomicNumber]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def recognize_orbit(xs: Sequence[DecimalWithError], m: int,
+def recognize_orbit(xs: Sequence[DecimalWithError], m: int, units: Sequence[int],
                     den_bound: int = 10 ** 6) -> AlgebraicOrbit:
-    """Recognize each interval as an exact element of Q(zeta_m), jointly.
+    """Recognize xs as the Galois orbit of one real x in Q(zeta_m).
 
-    Strategy: rational reconstruction per entry; any entries that resist are
-    paired off and recognized through their sum and product (degree-2 factors
-    over Q, with the square root realized inside Q(zeta_m) via a Gauss sum).
-    Everything is verified exactly before being returned.
-    """
-    exact: dict[int, CyclotomicNumber] = {}
-    stubborn: list[int] = []
+    Aligned inputs: xs[i] ~ sigma_a(x) for a = units[i], the units naming
+    the k = len(xs) cosets of the k-th powers in (Z/m)^* (groups.orbit_units
+    aligns every character orbit). Each entry is first tried as a rational
+    of denominator <= den_bound. Otherwise x lies in the real subfield F of
+    degree k, and its coordinate on each basis vector b_j of F is the
+    interval Tr(x b^v_j) = sum_i xs[i] sigma_units[i](b^v_j), b^v the
+    trace-dual basis, reconstructed with denominator <= den_bound; the orbit
+    is sigma_a(x), a in units. Each value is checked against its input."""
     if len(xs) == 1:
         # a singleton orbit must be rational; let recognition errors
         # (including ambiguity) surface with their own reasons
-        exact[0] = CyclotomicNumber.rational(rational_reconstruct(xs[0], den_bound))
+        values = (CyclotomicNumber.rational(rational_reconstruct(xs[0], den_bound)),)
     else:
-        for i, x in enumerate(xs):
-            try:
-                exact[i] = CyclotomicNumber.rational(rational_reconstruct(x, den_bound))
-            except RecognitionError:
-                stubborn.append(i)
-
-    radicand = 1
-    if stubborn:
-        if len(stubborn) != 2:
-            raise RecognitionError(
-                f"{len(stubborn)} entries resist rational recognition; only "
-                "conjugate pairs are supported")
-        i, j = stubborn
-        s = rational_reconstruct(xs[i] + xs[j], den_bound)
-        q = rational_reconstruct(xs[i] * xs[j], den_bound)
-        disc = s * s - 4 * q
-        if disc <= 0:
-            raise RecognitionError("conjugate pair has non-real quadratic discriminant")
-        # disc = (u/w)^2 * d, d squarefree
-        scaled = disc.numerator * disc.denominator  # disc * den^2
-        sq, d = squarefree_decompose(scaled)
-        radicand = d
-        root = sqrt_in_cyclotomic(d, m)
-        half_diff = Fraction(sq, disc.denominator) / 2
-        r_plus = CyclotomicNumber.rational(s / 2).promote(m) + half_diff * root
-        r_minus = CyclotomicNumber.rational(s / 2).promote(m) - half_diff * root
-        # assign by real embedding: root > 0 so r_plus is the larger value
-        if xs[i].value >= xs[j].value:
-            exact[i], exact[j] = r_plus, r_minus
-        else:
-            exact[i], exact[j] = r_minus, r_plus
-
-    values = tuple(exact[i] for i in range(len(xs)))
+        try:
+            values = tuple(CyclotomicNumber.rational(rational_reconstruct(x, den_bound))
+                           for x in xs)
+        except RecognitionError:
+            field, k = cyclotomic_field(m), len(xs)
+            basis, duals = field.real_subfield(k)
+            keys = [pow(a, field.phi // k, m) for a in units]
+            if sorted(keys) != sorted(duals):
+                raise ExactArithmeticError(
+                    f"units {list(units)} do not name the {k} cosets of an orbit in Q(zeta_{m})")
+            coords = [rational_reconstruct(sum((x * duals[key][j] for x, key in zip(xs, keys)),
+                                               DecimalWithError.exact(0)), den_bound)
+                      for j in range(k)]
+            x = CyclotomicNumber(m, [sum(c * b.coeffs[i] for c, b in zip(coords, basis))
+                                     for i in range(field.phi)])
+            values = tuple(x.galois_apply(a) for a in units)
     poly = _min_poly_of(values)
 
     # verification: every exact value must sit inside (a slight widening of)
     # its input interval
     for x, v in zip(xs, values):
-        emb = real_embedding(v) if not v.is_rational() else DecimalWithError.exact(v.rational_part())
+        emb = real_embedding(v)
         widened = DecimalWithError(x.value, 2 * x.abs_error + emb.abs_error)
         if not widened.overlaps(emb):
             raise RecognitionError("recognized value does not match its input interval")
-    # and the minimal polynomial must vanish on each value
-    for v in values:
-        acc = CyclotomicNumber.rational(0).promote(v.m if v.m != 1 else 1)
-        power = CyclotomicNumber.rational(1)
-        for c in poly:
-            acc = acc + c * power
-            power = power * v
-        if not acc.is_zero():
-            raise ExactArithmeticError("internal recognition check failed")
-    return AlgebraicOrbit(values=values, min_poly=poly, radicand=radicand)
+    return AlgebraicOrbit(values=values, min_poly=poly)

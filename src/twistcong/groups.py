@@ -103,7 +103,7 @@ class DihedralGroup:
         self.order = 2 * self.p_order
         # filled on first use by irreducible_characters and character_orbits
         self._characters: tuple[Character, ...] | None = None
-        self._orbits: tuple[tuple[Character, ...], ...] | None = None
+        self._orbits: tuple[tuple[tuple[Character, ...], tuple[int, ...]], ...] | None = None
 
     # elements ----------------------------------------------------------------
 
@@ -242,9 +242,10 @@ class Character:
         if self.kind not in ("triv", "eps", "ind"):
             raise GroupError(f"unknown character kind {self.kind!r}")
         if self.kind == "ind":
-            if self.chi is None or all(c == 0 for c in self.chi):
+            chi = tuple(c % f for c, f in zip(self.chi or (), self.group.cyclic_factors))
+            if not any(chi):
                 raise GroupError("induced characters need a nontrivial chi vector")
-            object.__setattr__(self, "chi", self.group.pair_rep(self.chi))
+            object.__setattr__(self, "chi", self.group.pair_rep(chi))
         elif self.chi is not None:
             raise GroupError(f"{self.kind} character takes no chi vector")
 
@@ -311,21 +312,33 @@ def irreducible_characters(group: DihedralGroup) -> list[Character]:
 def character_orbits(group: DihedralGroup) -> list[list[Character]]:
     """Galois orbits of all irreducible characters: [triv], [eps], then the
     induced orbits in lexicographic order of their first member, each listed
-    in the order of the units a that first reach it. Built once per group;
-    each call returns fresh lists."""
+    in the order of the units a that first reach it. Built once per group,
+    with orbit_units; each call returns fresh lists."""
     if group._orbits is None:
         by_label = {c.label: c for c in irreducible_characters(group)}
         units = group.galois_unit_reps()
-        orbits: list[tuple[Character, ...]] = []
+        orbits = []
         seen: set[str] = set()
         for label in by_label:
             if label in seen:
                 continue
-            orbit = dict.fromkeys(group.galois_label(label, a) for a in units)
-            seen.update(orbit)
-            orbits.append(tuple(by_label[image] for image in orbit))
+            reached: dict[str, int] = {}
+            for a in units:
+                reached.setdefault(group.galois_label(label, a), a)
+            seen.update(reached)
+            orbits.append((tuple(by_label[image] for image in reached),
+                           tuple(reached.values())))
         group._orbits = tuple(orbits)
-    return [list(orbit) for orbit in group._orbits]
+    return [list(orbit) for orbit, _ in group._orbits]
+
+
+def orbit_units(group: DihedralGroup) -> list[tuple[int, ...]]:
+    """The Galois alignment of character_orbits: for each orbit, the units a
+    that first reach its members, so that member i is orbit[0]^sigma_a for
+    the i-th a. The Q-values of an orbit are then sigma_a(Q(orbit[0])) in
+    this order, the alignment exact.recognize_orbit takes."""
+    character_orbits(group)
+    return [units for _, units in group._orbits]
 
 
 # ---------------------------------------------------------------------------

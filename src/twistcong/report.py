@@ -29,21 +29,16 @@ def _fmt_rational(x: Fraction) -> str:
 
 
 def _quadratic_split(x: CyclotomicNumber):
-    """(r, c, d) with x = r + c*sqrt(d), when x generates a quadratic subfield."""
-    conjugates = [x]
-    for a in cyclotomic_field(x.m).units[1:]:
-        y = x.galois_apply(a)
-        if not any(y == z for z in conjugates):
-            conjugates.append(y)
-        if len(conjugates) > 2:
-            return None
-    if len(conjugates) != 2:
+    """(r, c, d) with x = r + c*sqrt(d), when x generates a real quadratic
+    subfield: exactly when sigma_g(x) != x = sigma_g(sigma_g(x)) for the
+    generator g of the cyclic Galois group, and sigma_g(x) is the other
+    conjugate."""
+    g = cyclotomic_field(x.m).generator
+    other = x.galois_apply(g)
+    if other == x or other.galois_apply(g) != x:
         return None
-    other = conjugates[1]
     s = x + other
     q = x * other
-    if not (s.is_rational() and q.is_rational()):
-        return None
     r = s.rational_part() / 2
     t = r * r - q.rational_part()          # (x - r)^2 = r^2 - q
     if t <= 0:

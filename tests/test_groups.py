@@ -98,6 +98,13 @@ def test_induced_character_values():
     assert psi.value(G5.identity) == CyclotomicNumber.rational(2)
 
 
+def test_from_label_reduces_exponents():
+    # "ind:7" once gave a character labelled ind:3 and "ind:5" one labelled ind:0
+    assert Character.from_label(G5, "ind:7").label == "ind:2"
+    with pytest.raises(GroupError):
+        Character.from_label(G5, "ind:5")
+
+
 def test_character_labels_roundtrip():
     for group in (G7, G33):
         for c in irreducible_characters(group):

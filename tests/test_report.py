@@ -4,10 +4,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from test_exact import sqrt_in_cyclotomic
 
 from twistcong.dataset import load_bundled_dataset
 from twistcong.engine import verify
-from twistcong.exact import CyclotomicNumber, sqrt_in_cyclotomic
+from twistcong.exact import CyclotomicNumber
 from twistcong.report import (
     REPORT_VERSION, format_algebraic, format_polynomial, render, render_text,
     render_structured, structured_report,

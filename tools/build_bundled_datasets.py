@@ -175,7 +175,6 @@ def build_37a1() -> dict:
             "den_bound": 1000000,
             "route": "auto",
             "gz_constant": "4",
-            "embedding_digits": 50,
         },
         "provenance": {
             "curve": "curve-table values (conductor, coefficients, rank, component counts)",
@@ -357,7 +356,6 @@ def build_21a1() -> dict:
             "den_bound": 1000000,
             "route": "auto",
             "gz_constant": None,
-            "embedding_digits": 50,
         },
         "provenance": {
             "curve": "curve-table values; torsion Z/2 x Z/4, split fiber I4 at 3, I2 at 7",

@@ -8,8 +8,9 @@ Hashed, in a fixed order: the text and structured reports of the two
 bundled datasets and of every `perfbench/gen.py` input of the `towers-gz`
 and `towers-auto` workloads at seeds 1 and 2, each verified under the
 defaults, `n_override=1`, `n_override=2` and `route="gz"`; then the
-`sha_predictions` of both bundled datasets. A call that raises is hashed as
-its exception type and message. The last line of output is the digest and
+`sha_predictions` of both bundled datasets; then `recognize_orbit` on the
+irrational orbits of sizes 2, 3 and 5 listed in ORBITS. A call that raises is
+hashed as its exception type and message. The last line of output is the digest and
 the number of outputs hashed; two checkouts that print the same line gave
 byte-identical reports.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,11 +29,18 @@ import gen  # noqa: E402
 from twistcong.bsdsquares import sha_predictions  # noqa: E402
 from twistcong.dataset import parse_dataset  # noqa: E402
 from twistcong.engine import verify  # noqa: E402
+from twistcong.exact import (CyclotomicNumber, DecimalWithError, real_embedding,  # noqa: E402
+                             recognize_orbit)
+from twistcong.groups import DihedralGroup, orbit_units  # noqa: E402
 from twistcong.report import render  # noqa: E402
 
 SEEDS = (1, 2)
 VARIANTS = (("defaults", {}), ("n_override=1", {"n_override": 1}),
             ("n_override=2", {"n_override": 2}), ("route=gz", {"route": "gz"}))
+# (p, r, {k: c_k}): the orbit of x = r + sum_k c_k (zeta_p^k + zeta_p^-k),
+# aligned as the induced orbit of the dihedral group of order 2p
+ORBITS = ((5, Fraction(32), {1: 16}), (7, Fraction(3), {1: 2}),
+          (11, Fraction(1, 3), {1: 1, 2: -2}))
 
 
 def inputs() -> list[tuple[str, dict]]:
@@ -62,6 +71,19 @@ def outputs():
         except Exception as e:
             text = f"{type(e).__name__}: {e}"
         yield label, text
+    for p, r, cs in ORBITS:
+        units = orbit_units(DihedralGroup(p, [p]))[2]
+        x = r + sum((c * (CyclotomicNumber.zeta_power(p, k) + CyclotomicNumber.zeta_power(p, -k))
+                     for k, c in cs.items()), CyclotomicNumber.rational(0))
+        xs = [DecimalWithError(real_embedding(x.galois_apply(a)).value, Fraction(1, 10 ** 30))
+              for a in units]
+        try:
+            orb = recognize_orbit(xs, p, units)
+            text = repr(([[str(c) for c in v.coeffs] for v in orb.values],
+                         [str(c) for c in orb.min_poly]))
+        except Exception as e:
+            text = f"{type(e).__name__}: {e}"
+        yield f"recognize_orbit p={p} size={len(units)}", text
 
 
 def report_digest() -> tuple[str, int]:
