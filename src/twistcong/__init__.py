@@ -8,8 +8,7 @@ S(pi) = 0 mod p^n together with their equivalent reformulations.
 """
 
 from .dataset import (Dataset, DatasetError, bundled_dataset_names,
-                      load_bundled_dataset, load_dataset, parse_dataset,
-                      serialize_dataset)
+                      load_bundled_dataset, load_dataset, parse_dataset)
 from .engine import (CharacterResult, CongruenceLine, RouteDataError,
                      VerificationResult, gz_q_vector, relabel_dataset, verify)
 from .exact import (AlgebraicOrbit, AmbiguousRecognitionError, CyclotomicNumber,
@@ -38,6 +37,6 @@ __all__ = [
     "random_s3_instance", "rational_reconstruct", "recognize_orbit",
     "regulator_normalization", "relabel_dataset", "render",
     "render_structured", "render_text", "res_map", "s3_consistency",
-    "serialize_dataset", "sha_prediction", "sha_predictions",
-    "structured_report", "verify", "zp_P_membership",
+    "sha_prediction", "sha_predictions", "structured_report", "verify",
+    "zp_P_membership",
 ]

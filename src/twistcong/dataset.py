@@ -1,4 +1,4 @@
-"""Dataset files: schema, parsing, validation, canonical serialization.
+"""Dataset files: schema, parsing, validation.
 
 A dataset bundles everything one congruence verification needs: the Galois
 group shape, curve constants, tower discriminants, ramified-place data,
@@ -532,6 +532,10 @@ def _cross_validate(ds: Dataset) -> None:
     if not ds.tower.K_real and ds.analytic.omega_minus is None:
         raise DatasetError("analytic.omega_minus",
                            "imaginary quadratic layer needs the minus period")
+    # the quadratic character's discriminant factor is the norm |d_K|/|d_k|^2
+    if ds.tower.d_K_abs % ds.tower.d_k_abs ** 2:
+        raise DatasetError("tower.d_K_abs", f"|d_K| = {ds.tower.d_K_abs} is not divisible "
+                                            f"by |d_k|^2 = {ds.tower.d_k_abs ** 2}")
     for s in ds.tower.S_r_split:
         if s not in ds.tower.S_r:
             raise DatasetError("tower.S_r_split", f"{s} is not in S_r")
@@ -586,104 +590,3 @@ def load_bundled_dataset(name: str) -> Dataset:
     except json.JSONDecodeError as e:
         raise DatasetError(name, f"invalid JSON: {e}") from e
     return parse_dataset(doc)
-
-
-# ---------------------------------------------------------------------------
-# canonical serialization
-# ---------------------------------------------------------------------------
-
-def _dec_obj(d: DecimalWithError) -> dict[str, str]:
-    # values are stored as exact rational strings when the denominator is
-    # friendly, else as the original decimal; serialization keeps rationals
-    value = d.value
-    if value.denominator == 1:
-        vs = str(value.numerator)
-    else:
-        vs = f"{value.numerator}/{value.denominator}"
-    es = "0" if d.abs_error == 0 else f"{d.abs_error.numerator}/{d.abs_error.denominator}"
-    return {"value": vs, "abs_error": es}
-
-
-def serialize_dataset(ds: Dataset) -> dict[str, Any]:
-    """Round-trippable JSON document (exact values, rational strings)."""
-    group = ds.group
-    doc: dict[str, Any] = {
-        "spec_version": SPEC_VERSION,
-        "label": ds.label,
-        "group": {"p": group.p, "cyclic_factors": list(group.cyclic_factors)},
-        "curve": {
-            "label": ds.curve.label,
-            "conductor": ds.curve.conductor,
-            "a_invariants": list(ds.curve.a_invariants),
-            "rank_base": ds.curve.rank_base,
-            "rank_quadratic": ds.curve.rank_quadratic,
-            "torsion": dict(ds.curve.torsion),
-            "tamagawa_base": dict(ds.curve.tamagawa_base),
-            "tamagawa_quadratic": dict(ds.curve.tamagawa_quadratic),
-            "c_infinity": ds.curve.c_infinity,
-            "manin_constant": ds.curve.manin_constant,
-            "unit_count_K": ds.curve.unit_count_K,
-        },
-        "tower": {
-            "d_k_abs": ds.tower.d_k_abs,
-            "d_K_abs": ds.tower.d_K_abs,
-            "K_real": ds.tower.K_real,
-            "conductor_norms": dict(ds.tower.conductor_norms),
-            "S_r": list(ds.tower.S_r),
-            "S_r_split": list(ds.tower.S_r_split),
-            "S_bad": list(ds.tower.S_bad),
-        },
-        "places": {
-            label: {
-                "q": pl.q,
-                "a": pl.a,
-                "inertia": [group.format_element(g) for g in pl.inertia],
-                "frobenius": group.format_element(pl.frobenius),
-                **({"pinned": {lbl: {"u": str(u), "t": str(t)}
-                               for lbl, u, t in pl.pinned}} if pl.pinned else {}),
-            }
-            for label, pl in ds.places.items()
-        },
-        "analytic": {
-            "omega_plus": _dec_obj(ds.analytic.omega_plus),
-            "omega_minus": (_dec_obj(ds.analytic.omega_minus)
-                            if ds.analytic.omega_minus is not None else None),
-            "characters": {
-                lbl: {"order": ca.order, "leading_term": _dec_obj(ca.leading_term),
-                      "truncated": ca.truncated}
-                for lbl, ca in ds.analytic.characters.items()
-            },
-        },
-        "heights": None,
-        "bsd": {},
-        "options": {
-            "p_power_required": ds.options.p_power_required,
-            "den_bound": ds.options.den_bound,
-            "route": ds.options.route,
-            "gz_constant": (f"{ds.options.gz_constant.numerator}/{ds.options.gz_constant.denominator}"
-                            if ds.options.gz_constant is not None else None),
-        },
-        "provenance": dict(ds.provenance),
-    }
-    if ds.heights is not None:
-        doc["heights"] = {
-            "normalization": ds.heights.normalization,
-            "translates": {group.format_element(g): _dec_obj(v)
-                           for g, v in ds.heights.translates.items()},
-        }
-    for name, fb in ds.bsd.items():
-        doc["bsd"][name] = {
-            "degree": fb.degree,
-            "signature": list(fb.signature),
-            "d_abs": fb.d_abs,
-            "torsion": fb.torsion,
-            "tamagawa": {k: list(v) for k, v in fb.tamagawa.items()},
-            "leading_characters": dict(fb.leading_characters),
-            "regulator": _dec_obj(fb.regulator) if fb.regulator is not None else None,
-            "regulator_generators": ([{group.format_element(g): str(c) for g, c in combo.items()}
-                                      for combo in fb.regulator_generators]
-                                     if fb.regulator_generators is not None else None),
-            "leading_overrides": {k: _dec_obj(v) for k, v in fb.leading_overrides.items()},
-            "omega_quotient": f"{fb.omega_quotient.numerator}/{fb.omega_quotient.denominator}",
-        }
-    return doc

@@ -374,13 +374,16 @@ def relabel_dataset(ds: Dataset, a: int) -> Dataset:
         new.heights.translates = {
             g: ds.heights.translates[group.element(tuple(a * r for r in g.rot), g.flip)]
             for g in group.elements()}
-    # places: an element with old rot r gets new rot a^-1 * r; the pinned
-    # correction values are rational and relabel-invariant, only labels move
+
+    def move(g):
+        # an element with old rot r gets new rot a^-1 * r
+        return group.element(tuple(a_inv * r for r in g.rot), g.flip)
+
+    # places: the pinned correction values are rational and relabel-invariant,
+    # only labels move
     from .localfactors import LocalPlace
     new_places = {}
     for label, pl in ds.places.items():
-        def move(g):
-            return group.element(tuple(a_inv * r for r in g.rot), g.flip)
         new_places[label] = LocalPlace(
             q=pl.q, a=pl.a,
             inertia=tuple(move(g) for g in pl.inertia),
@@ -401,4 +404,7 @@ def relabel_dataset(ds: Dataset, a: int) -> Dataset:
                                  for lbl, mult in src.leading_characters.items()}
         fb.leading_overrides = {group.galois_label(lbl, a): v
                                 for lbl, v in src.leading_overrides.items()}
+        if src.regulator_generators is not None:
+            fb.regulator_generators = [{move(g): c for g, c in combo.items()}
+                                       for combo in src.regulator_generators]
     return new

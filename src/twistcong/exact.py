@@ -125,38 +125,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n > 0 as s^2 * d with d squarefree; returns (s, d).
-
-    Trial division up to 10^6 plus a primality check on the remainder; raises
-    if the remainder could hide a square factor we cannot see.
-    """
-    if n <= 0:
-        raise ExactArithmeticError("squarefree decomposition needs n > 0")
-    s, d = 1, 1
-    m = n
-    q = 2
-    while q * q <= m and q < 10 ** 6:
-        if m % q == 0:
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            s *= q ** (e // 2)
-            if e % 2:
-                d *= q
-        q += 1 if q == 2 else 2
-    if m > 1:
-        r = isqrt(m)
-        if r * r == m:
-            s *= r
-        elif is_probable_prime(m):
-            d *= m
-        else:
-            raise ExactArithmeticError(f"cannot certify squarefree part of {n}")
-    return s, d
-
-
 # ---------------------------------------------------------------------------
 # the field Q(zeta_m)
 # ---------------------------------------------------------------------------

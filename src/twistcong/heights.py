@@ -17,6 +17,7 @@ Regulators of subfields divide the Gram determinant of [F:E]-scaled pairings.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from .exact import DecimalWithError, IntervalError, cyclotomic_field
@@ -107,17 +108,26 @@ def pairing_of_combinations(group: DihedralGroup,
 
 
 def _interval_det(rows: list[list[DecimalWithError]]) -> DecimalWithError:
+    """Laplace expansion along the first row, each minor computed once: the
+    minor on the last len(cols) rows is keyed by its column tuple cols, so an
+    r x r determinant costs O(2^r * r) interval products rather than O(r!),
+    and every minor is the very interval the plain recursion builds."""
     n = len(rows)
     if n == 0:
         return DecimalWithError.exact(1)
-    if n == 1:
-        return rows[0][0]
-    acc = DecimalWithError.exact(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _interval_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+
+    @cache
+    def minor(cols: tuple[int, ...]) -> DecimalWithError:
+        row = rows[n - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        acc = DecimalWithError.exact(0)
+        for j, c in enumerate(cols):
+            term = row[c] * minor(cols[:j] + cols[j + 1:])
+            acc = acc + term if j % 2 == 0 else acc - term
+        return acc
+
+    return minor(tuple(range(n)))
 
 
 def regulator_from_translates(group: DihedralGroup,

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isqrt
 
-from .exact import CyclotomicNumber, cyclotomic_field, real_embedding, squarefree_decompose
+from .exact import CyclotomicNumber, cyclotomic_field, real_embedding
 from .engine import VerificationResult
 
 REPORT_VERSION = 1
@@ -33,7 +34,8 @@ def _quadratic_split(x: CyclotomicNumber):
     subfield: exactly when sigma_g(x) != x = sigma_g(sigma_g(x)) for the
     generator g of the cyclic Galois group, and sigma_g(x) is the other
     conjugate."""
-    g = cyclotomic_field(x.m).generator
+    field = cyclotomic_field(x.m)
+    g = field.generator
     other = x.galois_apply(g)
     if other == x or other.galois_apply(g) != x:
         return None
@@ -43,8 +45,10 @@ def _quadratic_split(x: CyclotomicNumber):
     t = r * r - q.rational_part()          # (x - r)^2 = r^2 - q
     if t <= 0:
         return None
-    sq, d = squarefree_decompose(t.numerator * t.denominator)
-    c = Fraction(sq, t.denominator)
+    # x - r = c*sqrt(d) generates the one quadratic subfield Q(sqrt(+-p)) of
+    # Q(zeta_m); t > 0 makes it the real one, so d = p and t = c^2 * p
+    d = field.p
+    c = Fraction(isqrt(t.numerator * t.denominator // d), t.denominator)
     if real_embedding(x).value < r:
         c = -c
     return r, c, d

@@ -1,8 +1,10 @@
 """Sha predictions from field blocks and the sextic-tower consistency checks."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from test_dataset import bundled_doc
 
 from twistcong.bsdsquares import (
     NeronRow, S3Instance, TamagawaRow, bsd_quotient, character_bsd_quotients,
@@ -11,10 +13,9 @@ from twistcong.bsdsquares import (
     regulator_normalization, s3_consistency, sha_prediction, sha_predictions,
     tamagawa_congruence,
 )
-from twistcong.dataset import (DatasetError, load_bundled_dataset, parse_dataset,
-                               serialize_dataset)
+from twistcong.dataset import DatasetError, load_bundled_dataset, parse_dataset
 from twistcong.engine import recognize_characters
-from twistcong.exact import CyclotomicNumber
+from twistcong.exact import CyclotomicNumber, IntervalError
 from twistcong.groups import Character
 from twistcong.heights import equivariant_height
 
@@ -81,6 +82,19 @@ def test_field_regulators():
     assert ds.bsd["F"].regulator is None and f_reg.value > 0
 
 
+def test_ten_generator_block_ends_quickly():
+    # all ten translates of the rank-5 F block: the Laplace recursion behind
+    # the Gram determinant took 2.5 s at eight generators
+    doc = bundled_doc("21a1-quintic-19")
+    doc["bsd"]["F"]["regulator_generators"] = [{g: "1"} for g in doc["heights"]["translates"]]
+    assert len(doc["bsd"]["F"]["regulator_generators"]) == 10
+    ds = parse_dataset(doc)
+    start = time.perf_counter()
+    with pytest.raises(IntervalError, match="not certifiably positive"):
+        sha_predictions(ds)
+    assert time.perf_counter() - start < 2
+
+
 def test_bsd_quotients_are_recognizable():
     ds = load_bundled_dataset("21a1-quintic-19")
     for name, expected in (("k", Fraction(1, 4)), ("K", Fraction(1, 8)),
@@ -113,7 +127,7 @@ def test_regulator_normalization_needs_blocks():
     ds = load_bundled_dataset("37a1-septic-577")
     with pytest.raises(DatasetError, match="no field block carries"):
         regulator_normalization(ds, "ind:1")
-    doc = serialize_dataset(ds)
+    doc = bundled_doc("37a1-septic-577")
     doc["bsd"].pop("k")
     with pytest.raises(DatasetError, match="base-field block"):
         regulator_normalization(parse_dataset(doc), "eps")
@@ -149,8 +163,7 @@ def test_character_quotients_quintic():
 def test_character_quotients_with_trivial_regulators():
     # forcing all explicit regulators to 1 reduces the vector to
     # sqrt(d) * L / Omega, which lands on clean rationals here
-    ds = load_bundled_dataset("21a1-quintic-19")
-    doc = serialize_dataset(ds)
+    doc = bundled_doc("21a1-quintic-19")
     doc["bsd"]["K"]["regulator"] = {"value": "1", "abs_error": "0"}
     doc["bsd"]["L"]["regulator"] = {"value": "1", "abs_error": "0"}
     q = character_bsd_quotients(parse_dataset(doc))
@@ -161,8 +174,7 @@ def test_character_quotients_with_trivial_regulators():
 
 
 def test_character_quotients_restrict_to_available_blocks():
-    ds = load_bundled_dataset("37a1-septic-577")
-    doc = serialize_dataset(ds)
+    doc = bundled_doc("37a1-septic-577")
     doc["bsd"].pop("K")
     q = character_bsd_quotients(parse_dataset(doc))
     assert set(q) == {"triv"}

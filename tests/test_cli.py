@@ -2,9 +2,9 @@
 import json
 
 import pytest
+from test_dataset import bundled_doc
 
 from twistcong.cli import main
-from twistcong.dataset import load_bundled_dataset, serialize_dataset
 
 
 def run(capsys, *argv):
@@ -31,11 +31,22 @@ def test_verify_structured(capsys):
 
 
 def test_verify_from_file(tmp_path, capsys):
-    ds = load_bundled_dataset("37a1-septic-577")
     path = tmp_path / "copy.json"
-    path.write_text(json.dumps(serialize_dataset(ds)))
+    path.write_text(json.dumps(bundled_doc("37a1-septic-577")))
     code, out, _ = run(capsys, "verify", "--dataset", str(path))
     assert code == 0 and "verdict: PASS" in out
+
+
+@pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
+@pytest.mark.parametrize("d_k", [4, 9])
+def test_verify_d_k_squared_not_dividing_d_K_is_a_data_error(tmp_path, capsys, name, d_k):
+    doc = bundled_doc(name)
+    doc["tower"]["d_k_abs"] = d_k
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--dataset", str(path))
+    assert code == 3
+    assert "tower.d_K_abs" in err and "Traceback" not in err
 
 
 def test_verify_stricter_modulus_fails(capsys):

@@ -1,4 +1,4 @@
-"""Dataset schema: parsing, validation, hypotheses, serialization."""
+"""Dataset schema: parsing, validation, hypotheses."""
 import json
 import time
 from fractions import Fraction
@@ -8,8 +8,10 @@ import pytest
 
 from twistcong.dataset import (
     MAX_P_ORDER, DatasetError, Options, bundled_dataset_names, check_hypotheses,
-    load_bundled_dataset, load_dataset, parse_dataset, serialize_dataset,
+    load_bundled_dataset, load_dataset, parse_dataset,
 )
+from twistcong.engine import verify
+from twistcong.report import structured_report
 
 
 def bundled_doc(name):
@@ -48,32 +50,6 @@ def test_load_from_path(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DatasetError):
         load_dataset(str(bad))
-
-
-@pytest.mark.parametrize("name", ["37a1-septic-577", "21a1-quintic-19"])
-def test_serialize_roundtrip(name):
-    ds = parse_dataset(bundled_doc(name))
-    doc2 = serialize_dataset(ds)
-    ds2 = parse_dataset(doc2)
-    assert serialize_dataset(ds2) == doc2
-    assert ds2.label == ds.label
-    assert ds2.curve == ds.curve
-    assert ds2.tower == ds.tower
-    assert set(ds2.places) == set(ds.places)
-    for lbl, ca in ds.analytic.characters.items():
-        ca2 = ds2.analytic.characters[lbl]
-        assert (ca2.order, ca2.truncated) == (ca.order, ca.truncated)
-        assert ca2.leading_term.value == ca.leading_term.value
-        assert ca2.leading_term.abs_error == ca.leading_term.abs_error
-    if ds.heights is not None:
-        # element identity is per-group-object; compare by formatted name
-        names = {ds.group.format_element(g) for g in ds.heights.translates}
-        names2 = {ds2.group.format_element(g) for g in ds2.heights.translates}
-        assert names2 == names
-    assert set(ds2.bsd) == set(ds.bsd)
-    for k, fb in ds.bsd.items():
-        assert ds2.bsd[k].tamagawa == fb.tamagawa
-        assert ds2.bsd[k].leading_characters == fb.leading_characters
 
 
 def test_vanishing_orders_and_power():
@@ -298,6 +274,18 @@ def test_reject_nonpositive_discriminant(name, key, value):
 
 
 @pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
+@pytest.mark.parametrize("d_k", [4, 9])
+def test_reject_d_k_squared_not_dividing_d_K(name, d_k):
+    # a square d_k passes the triv recognition, and the quadratic character's
+    # |d_K|/|d_k|^2 once raised a raw LocalDataError in verify
+    doc = bundled_doc(name)
+    doc["tower"]["d_k_abs"] = d_k
+    with pytest.raises(DatasetError, match=r"\|d_k\|\^2") as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "tower.d_K_abs"
+
+
+@pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
 @pytest.mark.parametrize("key, value", [
     ("den_bound", "abc"), ("den_bound", []), ("den_bound", 0),
     ("p_power_required", "x"), ("p_power_required", 0),
@@ -325,8 +313,9 @@ def test_embedding_digits_key_is_ignored(value):
     # the retired option is read like any other unknown key
     doc = bundled_doc("21a1-quintic-19")
     doc["options"]["embedding_digits"] = value
-    assert serialize_dataset(parse_dataset(doc)) == serialize_dataset(
-        load_bundled_dataset("21a1-quintic-19"))
+    ds, plain = parse_dataset(doc), load_bundled_dataset("21a1-quintic-19")
+    assert ds.options == plain.options
+    assert structured_report(verify(ds)) == structured_report(verify(plain))
 
 
 @pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])

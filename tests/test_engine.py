@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistcong.bsdsquares import field_regulator
 from twistcong.dataset import DatasetError, load_bundled_dataset
 from twistcong.engine import (
     RouteDataError, gz_constant, gz_q_vector, relabel_dataset, unit_and_equivariance,
@@ -302,6 +303,18 @@ def test_relabel_preserves_verdict(name, units):
         for pl in moved.places.values():
             check_pinned_corrections(moved.group, pl)
     assert ds.group.format_element(ds.group.generator(0)) == "s1"
+
+
+@pytest.mark.parametrize("a", [2, 3, 4])
+def test_relabel_moves_regulator_generators(a):
+    # generators not closed under s -> s^a: their combinations must move with
+    # the labels, or the regulator changes (19.125 became 19.828125)
+    ds = load_bundled_dataset(QUINTIC)
+    ds.bsd["F"].regulator_generators = [{ds.group.parse_element(name): Fraction(1)}
+                                        for name in ("1", "s1", "s1^2")]
+    moved = relabel_dataset(ds, a)
+    assert field_regulator(ds, ds.bsd["F"]).value == Fraction(153, 8)
+    assert field_regulator(moved, moved.bsd["F"]) == field_regulator(ds, ds.bsd["F"])
 
 
 def test_relabel_needs_coprime_power():

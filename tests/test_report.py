@@ -1,5 +1,6 @@
 """Deterministic rendering of results, text and structured."""
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from test_exact import sqrt_in_cyclotomic
 
 from twistcong.dataset import load_bundled_dataset
 from twistcong.engine import verify
-from twistcong.exact import CyclotomicNumber
+from twistcong.exact import CyclotomicNumber, cyclotomic_field
 from twistcong.report import (
-    REPORT_VERSION, format_algebraic, format_polynomial, render, render_text,
+    REPORT_VERSION, _quadratic_split, format_algebraic, format_polynomial, render, render_text,
     render_structured, structured_report,
 )
 
@@ -109,6 +110,31 @@ def test_format_algebraic_quadratic():
     assert format_algebraic(root5) == "sqrt(5)"
     assert format_algebraic(-1 * root5) == "-sqrt(5)"
     assert format_algebraic(Fraction(1, 2) * root5) == "1/2*sqrt(5)"
+
+
+@pytest.mark.parametrize("m", [5, 13, 17, 25, 29, 125])
+def test_quadratic_split_reads_the_radicand_from_the_field(m):
+    # the real quadratic subfield of Q(zeta_m) is Q(sqrt(p)): d = p, with p
+    # also in the denominator of c
+    p = next(q for q in (5, 13, 17, 29) if m % q == 0)
+    root = sqrt_in_cyclotomic(p, m)
+    rng = random.Random(m)
+    for _ in range(20):
+        r = Fraction(rng.randint(-99, 99), rng.choice((1, 2, 7, p, p * p)))
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.choice((1, 3, p, p ** 3)))
+        x = CyclotomicNumber.rational(r).promote(m) + c * root
+        assert _quadratic_split(x) == (r, c, p)
+
+
+@pytest.mark.parametrize("m", [3, 7, 11, 27])
+def test_quadratic_split_declines_the_imaginary_subfield(m):
+    # for p = 3 mod 4 the quadratic subfield is Q(sqrt(-p)), never real
+    field = cyclotomic_field(m)
+    one = CyclotomicNumber.rational(1).promote(m)
+    gauss = sum((CyclotomicNumber.zeta_power(m, a * a * field.q) for a in range(1, field.p)),
+                one)
+    assert gauss * gauss == -field.p * one
+    assert _quadratic_split(one + gauss) is None
 
 
 def test_format_algebraic_power_basis():
