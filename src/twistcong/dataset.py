@@ -549,6 +549,18 @@ def _cross_validate(ds: Dataset) -> None:
             needs_heights = True
     if needs_heights and ds.heights is None:
         raise DatasetError("heights", "vanishing characters require height translates")
+    # a regulator needs one generator per unit of Mordell-Weil rank: sum
+    # mult * ord_psi over the block's L-series characters, with ord_psi from
+    # the rank pattern, so declared orders that break it stay hypothesis (h)
+    expected = ds.expected_vanishing_orders()
+    for name, fb in ds.bsd.items():
+        if fb.regulator_generators is None:
+            continue
+        rank = sum(mult * expected[lbl] for lbl, mult in fb.leading_characters.items())
+        if len(fb.regulator_generators) != rank:
+            raise DatasetError(f"bsd.{name}.regulator_generators",
+                               f"{len(fb.regulator_generators)} generators for "
+                               f"Mordell-Weil rank {rank}")
     if ds.heights is not None:
         from .heights import HeightDataError, validate_translates
         try:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Mapping
 
 from .dataset import Dataset, DatasetError, HypothesisResult, check_hypotheses
 from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
@@ -37,7 +38,7 @@ from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
 from .groups import (Character, DihedralGroup, character_orbits, character_sums,
                      first_equivariance_failure, irreducible_characters, orbit_units,
                      res_map, zp_P_membership)
-from .heights import height_factor, omega_factor
+from .heights import HeightDataError, character_heights, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
 
 
@@ -96,17 +97,26 @@ class VerificationResult:
 # numeric assembly
 # ---------------------------------------------------------------------------
 
-def assemble_numeric(ds: Dataset, char: Character) -> DecimalWithError:
+def assemble_numeric(ds: Dataset, char: Character,
+                     heights: Mapping[str, DecimalWithError] | None) -> DecimalWithError:
     """sqrt(d_psi) * leading_term / (Omega_psi * H_psi), as an interval; a
-    RecognitionError naming psi when the divisor interval contains 0."""
+    RecognitionError naming psi when the divisor interval contains 0.
+
+    H_psi is 1 at the character carrying the Mordell-Weil rank
+    (ds.rho_label(): "triv" for rank 0 and "eps" for rank 1 over the base),
+    and h_psi from the table of heights.character_heights otherwise."""
     ca = ds.analytic.characters[char.label]
     d = discriminant_factor(char, ds.tower.d_k_abs, ds.tower.d_K_abs,
                             ds.tower.conductor_norms.get(char.label, 1))
     sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
     omega = omega_factor(char, ds.analytic.omega_plus, ds.analytic.omega_minus,
                          ds.tower.K_real)
-    h = height_factor(char, ds.group, ds.heights.translates if ds.heights else None,
-                      ds.rho_label())
+    if char.label == ds.rho_label():
+        h = DecimalWithError.exact(1)
+    elif heights is None:
+        raise HeightDataError("height translates required for this character")
+    else:
+        h = heights[char.label]
     divisor = omega * h
     if divisor.contains(0):
         # declared error bounds that swallow Omega_psi * H_psi leave no value
@@ -133,9 +143,10 @@ def recognize_characters(ds: Dataset, route: str) -> dict[str, CharacterResult]:
     group = ds.group
     places = [ds.places[s] for s in ds.tower.S_r]
     m = group.exponent
+    heights = character_heights(group, ds.heights.translates) if ds.heights else None
     out: dict[str, CharacterResult] = {}
     for orbit, units in zip(character_orbits(group), orbit_units(group)):
-        numerics = [assemble_numeric(ds, c) for c in orbit]
+        numerics = [assemble_numeric(ds, c, heights) for c in orbit]
         orb = recognize_orbit(numerics, m, units, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
             r = _char_route(ds, c, route)

@@ -8,20 +8,29 @@ the absolute canonical height. Character contraction uses the closed form
     h_psi = (1/2) * sum_{g in G} psi(g) * t(g),
 
 which equals (psi(1)/(2|G|)) <T_psi Q, T_psi-dual Q> by Schur orthogonality.
-An induced psi vanishes on the reflections and takes on P only the values
-2cos(2 pi k/e), read from the cosine table cached once per field
-(CyclotomicField.trace_embeddings); the translates sharing a coefficient are
-summed first, so each distinct coefficient costs one interval product.
-Regulators of subfields divide the Gram determinant of [F:E]-scaled pairings.
+character_heights computes every h_psi of one translate table in a single
+pass. It brings the translates to one common denominator D, and the cosine
+table of the field (CyclotomicField.trace_embeddings, every value 2cos(2 pi
+k/e) an induced psi takes on P) to one common denominator C. It then pools
+each character's translates by coefficient in plain integers, and builds
+two Fractions per character at the end. An induced psi vanishes on the
+reflections.
+
+Regulators of subfields divide the Gram determinant of [F:E]-scaled
+pairings. pairing_of_combinations pools the coefficient products by
+translate; the determinant's minors are integer pairs (value, error) over a
+common denominator. Every interval equals, as Fractions, the one the plain
+term-by-term interval arithmetic gives.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
 from .exact import DecimalWithError, IntervalError, cyclotomic_field
-from .groups import Character, DihedralGroup, GroupElement
+from .groups import Character, DihedralGroup, GroupElement, irreducible_characters
 
 
 class HeightDataError(ValueError):
@@ -43,91 +52,130 @@ def validate_translates(group: DihedralGroup,
                 f"translates at {group.format_element(g)} and its inverse disagree")
 
 
-def equivariant_height(char: Character, group: DihedralGroup,
-                       translates: Mapping[GroupElement, DecimalWithError]
-                       ) -> DecimalWithError:
-    """h_psi = (1/2) sum_g psi(g) t(g), with exact character coefficients.
+def _common_denominator(intervals: Iterable[DecimalWithError]) -> int:
+    """The least D with D*x.value and D*x.abs_error integers for every x."""
+    return lcm(1, *(q.denominator for x in intervals for q in (x.value, x.abs_error)))
 
-    The translates that share a coefficient c are pooled, and c multiplies
-    each pool once: value c * sum(v), error |c| * sum(err) + c.err * sum(|v|)
-    + c.err * sum(err), which is exactly the sum of the per-term errors of
-    c * t(g). (|sum(v)| in place of sum(|v|) would be tighter, but would
-    change the interval.)
+
+def _scaled(x: DecimalWithError, d: int) -> tuple[int, int]:
+    """(D*value, D*abs_error) for a common denominator D of x."""
+    return (x.value.numerator * (d // x.value.denominator),
+            x.abs_error.numerator * (d // x.abs_error.denominator))
+
+
+def character_heights(group: DihedralGroup,
+                      translates: Mapping[GroupElement, DecimalWithError]
+                      ) -> dict[str, DecimalWithError]:
+    """h_psi = (1/2) sum_g psi(g) t(g) for every irreducible psi, by label.
+
+    The translates are brought to one denominator D, and the cosine table
+    to one denominator C. The translates sharing a coefficient c are pooled
+    in integers, and c multiplies each pool once: value c * sum(v), error
+    |c| * sum(err) + c.err * sum(|v|) + c.err * sum(err), which is exactly
+    the sum of the per-term errors of c * t(g). (|sum(v)| in place of
+    sum(|v|) would be tighter, but would change the interval.) Each height
+    is then two Fractions over 2*D (linear psi) or 2*D*C (induced psi).
     """
-    if char.kind == "ind":
-        # psi vanishes on the reflections; on P it is 2cos(2 pi k/e)
-        e = group.exponent
-        coefficients = cyclotomic_field(e).trace_embeddings
-        keys = {}
-        for g in group.p_elements():
-            k = group.chi_exponent(char.chi, g)
-            keys[g] = min(k, e - k)
-    else:
-        coefficients = {1: DecimalWithError.exact(1), -1: DecimalWithError.exact(-1)}
-        keys = {g: -1 if char.kind == "eps" and g.flip else 1 for g in group.elements()}
-    pools: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
-    for g, key in keys.items():
-        t = translates[g]
-        v, a, err = pools.get(key, (0, 0, 0))
-        pools[key] = (v + t.value, a + abs(t.value), err + t.abs_error)
-    value = error = Fraction(0)
-    for key, (v, a, err) in pools.items():
-        c = coefficients[key]
-        value += c.value * v
-        error += abs(c.value) * err + c.abs_error * a + c.abs_error * err
-    return DecimalWithError(value / 2, error / 2)
-
-
-def height_factor(char: Character, group: DihedralGroup,
-                  translates: Mapping[GroupElement, DecimalWithError] | None,
-                  generic_char_kind: str) -> DecimalWithError:
-    """The height factor H_psi in the normalized leading term: 1 at the
-    character carrying the Mordell-Weil rank (generic_char_kind, "triv" for
-    rank 0 and "eps" for rank 1 over the base), h_psi otherwise."""
-    if char.kind == generic_char_kind:
-        return DecimalWithError.exact(1)
-    if translates is None:
-        raise HeightDataError("height translates required for this character")
-    return equivariant_height(char, group, translates)
+    d = _common_denominator(translates.values())
+    rotations = []    # (v, |v|, err) over D, in group.p_elements() order
+    flip_v = flip_e = 0
+    for g in group.elements():
+        v, err = _scaled(translates[g], d)
+        if g.flip:
+            flip_v += v
+            flip_e += err
+        else:
+            rotations.append((v, abs(v), err))
+    rot_v = sum(v for v, _, _ in rotations)
+    all_e = flip_e + sum(err for _, _, err in rotations)
+    heights = {
+        "triv": DecimalWithError(Fraction(rot_v + flip_v, 2 * d), Fraction(all_e, 2 * d)),
+        "eps": DecimalWithError(Fraction(rot_v - flip_v, 2 * d), Fraction(all_e, 2 * d)),
+    }
+    # an induced psi vanishes on the reflections; at g in P it is
+    # 2cos(2 pi k/e) with k = chi_exponent(chi, g), read at min(k, e - k)
+    e = group.exponent
+    half = e // 2 + 1
+    cosines = cyclotomic_field(e).trace_embeddings[:half]
+    c = _common_denominator(cosines)
+    table = [_scaled(x, c) for x in cosines]
+    for char in irreducible_characters(group)[2:]:
+        # the exponents k at every rotation, in p_elements() order
+        ks = [0]
+        for a, f in zip(char.chi, group.cyclic_factors):
+            step = a * (e // f)
+            ks = [k + step * r for k in ks for r in range(f)]
+        pool_v, pool_a, pool_e = [0] * half, [0] * half, [0] * half
+        for k, (v, a, err) in zip(ks, rotations):
+            k = min(k % e, -k % e)
+            pool_v[k] += v
+            pool_a[k] += a
+            pool_e[k] += err
+        value = error = 0
+        for (cv, ce), v, a, err in zip(table, pool_v, pool_a, pool_e):
+            value += cv * v
+            error += abs(cv) * err + ce * a + ce * err
+        heights[char.label] = DecimalWithError(Fraction(value, 2 * d * c),
+                                               Fraction(error, 2 * d * c))
+    return heights
 
 
 def pairing_of_combinations(group: DihedralGroup,
                             translates: Mapping[GroupElement, DecimalWithError],
                             a: Mapping[GroupElement, Fraction],
                             b: Mapping[GroupElement, Fraction]) -> DecimalWithError:
-    """<sum a_g gQ, sum b_h hQ>_F = sum a_g b_h t(g^-1 h)."""
-    acc = DecimalWithError.exact(0)
+    """<sum a_g gQ, sum b_h hQ>_F = sum a_g b_h t(g^-1 h).
+
+    The products c = a_g b_h are pooled by g^-1 h into sum(c) and sum(|c|),
+    so each distinct translate makes one product: value t.value * sum(c),
+    error t.err * sum(|c|), exactly the sum of the per-term intervals."""
+    pools: dict[GroupElement, list] = {}
     for g, ca in a.items():
         if ca == 0:
             continue
+        g_inv = g.inverse()
         for h, cb in b.items():
             if cb == 0:
                 continue
-            acc = acc + translates[g.inverse() * h] * (ca * cb)
-    return acc
+            pool = pools.setdefault(g_inv * h, [0, 0])
+            pool[0] += ca * cb
+            pool[1] += abs(ca * cb)
+    value = error = Fraction(0)
+    for x, (c, c_abs) in pools.items():
+        t = translates[x]
+        value += t.value * c
+        error += t.abs_error * c_abs
+    return DecimalWithError(value, error)
 
 
 def _interval_det(rows: list[list[DecimalWithError]]) -> DecimalWithError:
     """Laplace expansion along the first row, each minor computed once: the
     minor on the last len(cols) rows is keyed by its column tuple cols, so an
-    r x r determinant costs O(2^r * r) interval products rather than O(r!),
-    and every minor is the very interval the plain recursion builds."""
+    r x r determinant costs O(2^r * r) products rather than O(r!). The
+    entries are integer pairs (value, error) over one denominator D, so a
+    k x k minor is a pair over D^k, and every minor is the very interval the
+    plain recursion builds."""
     n = len(rows)
     if n == 0:
         return DecimalWithError.exact(1)
+    d = _common_denominator(x for row in rows for x in row)
+    scaled = [[_scaled(x, d) for x in row] for row in rows]
 
     @cache
-    def minor(cols: tuple[int, ...]) -> DecimalWithError:
-        row = rows[n - len(cols)]
+    def minor(cols: tuple[int, ...]) -> tuple[int, int]:
+        row = scaled[n - len(cols)]
         if len(cols) == 1:
             return row[cols[0]]
-        acc = DecimalWithError.exact(0)
+        value = error = 0
         for j, c in enumerate(cols):
-            term = row[c] * minor(cols[:j] + cols[j + 1:])
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
+            a, a_err = row[c]
+            m, m_err = minor(cols[:j] + cols[j + 1:])
+            value += a * m if j % 2 == 0 else -a * m
+            error += abs(a) * m_err + abs(m) * a_err + a_err * m_err
+        return value, error
 
-    return minor(tuple(range(n)))
+    value, error = minor(tuple(range(n)))
+    return DecimalWithError(Fraction(value, d ** n), Fraction(error, d ** n))
 
 
 def regulator_from_translates(group: DihedralGroup,
@@ -138,19 +186,17 @@ def regulator_from_translates(group: DihedralGroup,
     with the pairing rescaled from the top field: <,>_E = <,>_F / [F:E].
 
     field_degree_over_base is [F:E]; the determinant of the r x r Gram matrix
-    is divided by it once per row.
+    is divided by it once per row. The interval determinant is homogeneous of
+    degree r, so dividing it by [F:E]^r gives the very interval that scaling
+    every entry would.
     """
     if field_degree_over_base < 1:
         raise HeightDataError("field degree ratio must be a positive integer")
     r = len(generators)
-    rows = []
-    for ga in generators:
-        row = []
-        for gb in generators:
-            row.append(pairing_of_combinations(group, translates, ga, gb)
-                       * Fraction(1, field_degree_over_base))
-        rows.append(row)
-    det = _interval_det(rows)
+    gram = _interval_det([[pairing_of_combinations(group, translates, ga, gb)
+                           for gb in generators] for ga in generators])
+    scale = field_degree_over_base ** r
+    det = DecimalWithError(gram.value / scale, gram.abs_error / scale)
     if r and not det.is_positive():
         raise IntervalError("regulator Gram determinant is not certifiably positive")
     return det

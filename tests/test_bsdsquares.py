@@ -15,9 +15,8 @@ from twistcong.bsdsquares import (
 )
 from twistcong.dataset import DatasetError, load_bundled_dataset, parse_dataset
 from twistcong.engine import recognize_characters
-from twistcong.exact import CyclotomicNumber, IntervalError
-from twistcong.groups import Character
-from twistcong.heights import equivariant_height
+from twistcong.exact import CyclotomicNumber
+from twistcong.heights import character_heights
 
 
 def test_mod_square_equivalent():
@@ -84,15 +83,17 @@ def test_field_regulators():
 
 def test_ten_generator_block_ends_quickly():
     # all ten translates of the rank-5 F block: the Laplace recursion behind
-    # the Gram determinant took 2.5 s at eight generators
+    # the Gram determinant took 2.5 s at eight generators; a generator count
+    # other than the rank now stops at the boundary
     doc = bundled_doc("21a1-quintic-19")
     doc["bsd"]["F"]["regulator_generators"] = [{g: "1"} for g in doc["heights"]["translates"]]
     assert len(doc["bsd"]["F"]["regulator_generators"]) == 10
-    ds = parse_dataset(doc)
     start = time.perf_counter()
-    with pytest.raises(IntervalError, match="not certifiably positive"):
-        sha_predictions(ds)
-    assert time.perf_counter() - start < 2
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert time.perf_counter() - start < 0.5
+    assert excinfo.value.path == "bsd.F.regulator_generators"
+    assert "10 generators for Mordell-Weil rank 5" in str(excinfo.value)
 
 
 def test_bsd_quotients_are_recognizable():
@@ -185,10 +186,8 @@ def test_height_and_regulator_normalizations_agree_mod_squares():
     # and by field regulators differ only by rational squares and the
     # component-count factor 2; frozen for both bundled datasets
     ds = load_bundled_dataset("21a1-quintic-19")
-    h1 = equivariant_height(Character.from_label(ds.group, "ind:1"),
-                            ds.group, ds.heights.translates)
-    h2 = equivariant_height(Character.from_label(ds.group, "ind:2"),
-                            ds.group, ds.heights.translates)
+    heights = character_heights(ds.group, ds.heights.translates)
+    h1, h2 = heights["ind:1"], heights["ind:2"]
     assert (h1 * h2).contains(Fraction(99, 16))
     assert mod_square_equivalent(Fraction(99, 16),
                                  regulator_normalization(ds, "ind:1").value)

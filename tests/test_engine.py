@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import twistcong.engine as engine
 from twistcong.bsdsquares import field_regulator
 from twistcong.dataset import DatasetError, load_bundled_dataset
 from twistcong.engine import (
@@ -13,6 +14,7 @@ from twistcong.engine import (
 from twistcong.exact import (
     CyclotomicNumber, DecimalWithError, real_embedding, sqrt_rational_approx,
 )
+from twistcong.heights import character_heights
 from twistcong.localfactors import check_pinned_corrections
 from twistcong.report import structured_report
 
@@ -259,6 +261,20 @@ def test_height_error_swallowing_the_height_is_inconclusive():
     assert r.verdict == "INCONCLUSIVE"
     assert r.notes == [
         "recognition failed: the period-height divisor of eps is an interval containing 0"]
+
+
+@pytest.mark.parametrize("name", [SEPTIC, QUINTIC])
+def test_one_height_table_per_verify(name, monkeypatch):
+    # every character's height comes from one pass over the translates
+    calls = []
+
+    def counted(group, translates):
+        calls.append(group.order)
+        return character_heights(group, translates)
+
+    monkeypatch.setattr(engine, "character_heights", counted)
+    assert verify(load_bundled_dataset(name)).verdict == "PASS"
+    assert len(calls) == 1
 
 
 def test_hypothesis_violation_inconclusive():

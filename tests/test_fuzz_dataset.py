@@ -9,8 +9,10 @@ from importlib import resources
 
 import pytest
 
+from twistcong.bsdsquares import sha_predictions
 from twistcong.dataset import DatasetError, parse_dataset
 from twistcong.engine import verify
+from twistcong.exact import ExactArithmeticError
 
 VALUES = ["1e400", "inf", "nan", "1/0", None, [], {}, 200000, "1e100000", "x", -1, 0,
           True, 1.5, "-0", "1e-400", 5, "", [1, 2], {"a": 1}, "1e5000"]
@@ -73,3 +75,52 @@ def test_hostile_fields_end_in_a_dataset_error_or_a_verdict(seed):
         if time.perf_counter() - start > SECONDS_PER_CASE:
             slow.append(where)
     assert raw == [] and slow == []
+
+
+def resized_generator_lists(seed, cases=40):
+    """Bundled documents with one or two list-length mutations of one block's
+    regulator_generators: drop an entry, duplicate one, or append a translate.
+    Yields the block's path, the steps, whether the length changed, and the
+    document."""
+    rng = random.Random(f"generators:{seed}")
+    docs = bundled_docs()
+    for _ in range(cases):
+        doc = copy.deepcopy(rng.choice(docs))
+        name = rng.choice([n for n, b in doc["bsd"].items() if b["regulator_generators"]])
+        gens = doc["bsd"][name]["regulator_generators"]
+        length = len(gens)
+        steps = rng.sample(("drop", "duplicate", "append"), rng.choice((1, 2)))
+        for step in steps:
+            if step == "drop" and gens:
+                del gens[rng.randrange(len(gens))]
+            elif step == "duplicate" and gens:
+                gens.insert(rng.randrange(len(gens) + 1), copy.deepcopy(rng.choice(gens)))
+            elif step == "append":
+                gens.append({rng.choice(list(doc["heights"]["translates"])): "1"})
+        yield f"bsd.{name}", "+".join(steps), len(gens) != length, doc
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_resized_generator_lists_end_in_an_error_or_a_prediction(seed):
+    # the command line reports a DatasetError or an ExactArithmeticError
+    # (a degenerate Gram determinant) with exit 3; a count other than the
+    # block's rank is a DatasetError at the list itself
+    raw, slow, unchecked = [], [], []
+    for block, steps, resized, doc in resized_generator_lists(seed):
+        where = f"{block}: {steps}"
+        start = time.perf_counter()
+        try:
+            sha_predictions(parse_dataset(doc))
+            if resized:
+                unchecked.append(where)
+        except DatasetError as e:
+            if resized and e.path != f"{block}.regulator_generators":
+                unchecked.append(where)
+        except ExactArithmeticError:
+            if resized:
+                unchecked.append(where)
+        except Exception as e:  # any other exception is a fault of the program
+            raw.append((where, f"{type(e).__name__}: {str(e)[:120]}"))
+        if time.perf_counter() - start > SECONDS_PER_CASE:
+            slow.append(where)
+    assert raw == [] and slow == [] and unchecked == []

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from twistcong.dataset import load_bundled_dataset
+from twistcong.engine import assemble_numeric
 from twistcong.exact import (
     DecimalWithError, IntervalError, real_embedding, sqrt_rational_approx,
 )
 from twistcong.groups import Character, DihedralGroup, irreducible_characters
 from twistcong.heights import (
-    HeightDataError, _interval_det, equivariant_height, field_period, height_factor,
-    omega_factor, pairing_of_combinations, regulator_from_translates,
-    validate_translates,
+    HeightDataError, _interval_det, character_heights, field_period, omega_factor,
+    pairing_of_combinations, regulator_from_translates, validate_translates,
 )
 
 G5 = DihedralGroup(5, [5])
@@ -73,21 +73,20 @@ def test_validate_translates_rejects_missing_and_asymmetric():
 
 
 def test_quadratic_contraction_exact():
-    h = equivariant_height(Character.from_label(G5, "eps"), G5, translates_21())
+    h = character_heights(G5, translates_21())["eps"]
     assert h.abs_error == 0 and h.value == Fraction(13, 4)
 
 
 def test_trivial_contraction_vanishes_for_minus_part():
-    h = equivariant_height(Character.from_label(G5, "triv"), G5, translates_21())
+    h = character_heights(G5, translates_21())["triv"]
     assert h.contains(0)
     assert h.abs_error < Fraction(1, 10 ** 30)
 
 
 def test_induced_contractions_are_conjugate_quadratics():
-    tr = translates_21()
+    heights = character_heights(G5, translates_21())
     r5 = sqrt_rational_approx(5, 45)
-    h1 = equivariant_height(Character.from_label(G5, "ind:1"), G5, tr)
-    h2 = equivariant_height(Character.from_label(G5, "ind:2"), G5, tr)
+    h1, h2 = heights["ind:1"], heights["ind:2"]
     assert h1.contains(Fraction(21, 8) + Fraction(3, 8) * r5.value)
     assert h2.contains(Fraction(21, 8) - Fraction(3, 8) * r5.value)
     # sum and product are rational: trace 21/4, norm 99/16
@@ -97,7 +96,7 @@ def test_induced_contractions_are_conjugate_quadratics():
 
 def direct_equivariant_height(char, group, translates):
     """h_psi = (1/2) sum_g psi(g) t(g), one interval product per group
-    element with psi(g) embedded afresh: the reference for equivariant_height."""
+    element with psi(g) embedded afresh: the reference for character_heights."""
     acc = DecimalWithError.exact(0)
     for g in group.elements():
         v = char.value(g)
@@ -123,21 +122,56 @@ def test_equivariant_height_matches_direct_loop(p, factors):
         tr = {g: DecimalWithError(Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 3)),
                                   Fraction(rng.randrange(0, 100), 10 ** rng.randrange(6, 30)))
               for g in group.elements()}
-        for char in irreducible_characters(group):
-            got, want = equivariant_height(char, group, tr), direct_equivariant_height(char, group, tr)
-            assert got.value == want.value, char.label
-            assert got.abs_error == want.abs_error, char.label
+        heights = character_heights(group, tr)
+        assert list(heights) == [c.label for c in irreducible_characters(group)]
+        for label, got in heights.items():
+            want = direct_equivariant_height(Character.from_label(group, label), group, tr)
+            assert got.value == want.value, label
+            assert got.abs_error == want.abs_error, label
 
 
 def test_height_factor_pins_generic_character():
-    tr = translates_21()
-    eps = Character.from_label(G5, "eps")
-    triv = Character.from_label(G5, "triv")
-    assert height_factor(triv, G5, tr, "triv").value == 1
-    assert height_factor(eps, G5, tr, "triv").value == Fraction(13, 4)
-    assert height_factor(eps, G5, None, "eps").value == 1
-    with pytest.raises(HeightDataError):
-        height_factor(eps, G5, None, "triv")
+    """H_psi is 1 at the generic character (triv on the rank-0 quintic) and
+    the table's h_psi elsewhere; without translates a non-generic character
+    is a HeightDataError."""
+    ds = load_bundled_dataset("21a1-quintic-19")
+    triv, eps = (Character.from_label(ds.group, label) for label in ("triv", "eps"))
+    heights = character_heights(ds.group, ds.heights.translates)
+    assert ds.rho_label() == "triv"
+    assert assemble_numeric(ds, triv, heights) == assemble_numeric(ds, triv, None)
+    unit = {"eps": DecimalWithError.exact(1)}
+    assert (assemble_numeric(ds, eps, heights).value
+            == assemble_numeric(ds, eps, unit).value / heights["eps"].value)
+    with pytest.raises(HeightDataError, match="height translates required"):
+        assemble_numeric(ds, eps, None)
+
+
+def direct_pairing(translates, a, b):
+    """The plain double loop, one interval product per coefficient pair: the
+    reference for pairing_of_combinations."""
+    acc = DecimalWithError.exact(0)
+    for g, ca in a.items():
+        for h, cb in b.items():
+            if ca and cb:
+                acc = acc + translates[g.inverse() * h] * (ca * cb)
+    return acc
+
+
+@pytest.mark.parametrize("p, factors", [(5, [5]), (3, [9]), (3, [3, 3])])
+def test_pairing_matches_double_loop(p, factors):
+    """Mixed-sign coefficients that repeat a translate g^-1 h: an error pooled
+    from |sum(c)| in place of sum(|c|) would show."""
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"pairing:{factors}")
+    elements = list(group.elements())
+    tr = {g: DecimalWithError(Fraction(rng.randrange(-10 ** 4, 10 ** 4), rng.randrange(1, 50)),
+                              Fraction(rng.randrange(1, 100), 10 ** rng.randrange(6, 20)))
+          for g in elements}
+    for _ in range(10):
+        a, b = ({g: Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                 for g in rng.sample(elements, rng.randrange(1, 7))} for _ in range(2))
+        got, want = pairing_of_combinations(group, tr, a, b), direct_pairing(tr, a, b)
+        assert got.value == want.value and got.abs_error == want.abs_error
 
 
 def test_pairing_of_combinations():
@@ -198,6 +232,21 @@ def test_memoized_determinant_matches_laplace_recursion(r):
     assert _interval_det(rows) == laplace_det(rows)
 
 
+@pytest.mark.parametrize("r, degree", [(1, 1), (2, 2), (3, 5), (4, 2)])
+def test_regulator_matches_laplace_of_scaled_pairings(r, degree):
+    """The regulator is the plain Laplace recursion over the double-loop
+    pairings, each divided by [F:E] before the determinant."""
+    rng = random.Random(f"regulator:{r}:{degree}")
+    tr = {g: DecimalWithError(t.value, Fraction(rng.randrange(1, 9), 10 ** rng.randrange(8, 20)))
+          for g, t in translates_21().items()}
+    rotations = [G5.element((i,)) for i in range(5)]
+    gens = [{g: Fraction(rng.randrange(1, 5), rng.randrange(1, 3)),
+             rotations[(i + 1) % 5]: Fraction(-rng.randrange(0, 2), 3)}
+            for i, g in enumerate(rotations[:r])]
+    rows = [[direct_pairing(tr, a, b) * Fraction(1, degree) for b in gens] for a in gens]
+    assert regulator_from_translates(G5, tr, gens, degree) == laplace_det(rows)
+
+
 def test_empty_generator_list_gives_unit_regulator():
     reg = regulator_from_translates(G5, translates_21(), [], 1)
     assert reg.value == 1 and reg.abs_error == 0
@@ -210,16 +259,15 @@ def test_empty_generator_list_gives_unit_regulator():
 def test_septic_contractions_recover_eta():
     ds = load_bundled_dataset("37a1-septic-577")
     g = ds.group
-    tr = ds.heights.translates
-    h_triv = equivariant_height(Character.from_label(g, "triv"), g, tr)
-    assert h_triv.contains(Fraction(1022228164799376, 10 ** 16))
+    heights = character_heights(g, ds.heights.translates)
+    assert heights["triv"].contains(Fraction(1022228164799376, 10 ** 16))
     # each induced contraction recovers one of the planted Gram eigenvalues:
     # log 4, log 8, log 3 to the shipped precision
     import mpmath
     with mpmath.workdps(50):
         for label, target in (("ind:1", mpmath.log(4)), ("ind:2", mpmath.log(8)),
                               ("ind:3", mpmath.log(3))):
-            h = equivariant_height(Character.from_label(g, label), g, tr)
+            h = heights[label]
             t = Fraction(mpmath.nstr(target, 40, strip_zeros=False))
             assert abs(h.value - t) < Fraction(1, 10 ** 30)
 
