@@ -20,7 +20,8 @@ import sys
 from fractions import Fraction
 
 from .bsdsquares import plant_violation, random_s3_instance, s3_consistency, sha_predictions
-from .dataset import Dataset, DatasetError, bundled_dataset_names, load_bundled_dataset, load_dataset
+from .dataset import (ROUTES, Dataset, DatasetError, bundled_dataset_names,
+                      load_bundled_dataset, load_dataset)
 from .engine import verify
 from .exact import ExactArithmeticError, is_square_rational
 from .report import render
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dataset", required=True,
                     help="path to a dataset file, or the name of a bundled one")
     pv.add_argument("--format", choices=("text", "structured"), default="text")
-    pv.add_argument("--route", choices=("auto", "direct", "qhat", "gz"), default=None,
+    pv.add_argument("--route", choices=ROUTES, default=None,
                     help="override the dataset's verification route")
     pv.add_argument("--den-bound", type=int, default=None,
                     help="denominator bound for recognizing exact values")

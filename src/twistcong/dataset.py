@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .exact import DecimalWithError, as_fraction
+from .exact import DecimalWithError, as_fraction, rational_valuation
 from .groups import (Character, DihedralGroup, GroupElement, GroupError, character_orbits,
                      irreducible_characters)
 from .localfactors import (LocalDataError, LocalPlace, check_pinned_corrections,
@@ -204,6 +204,9 @@ class FieldBlock:
         return prod
 
 
+ROUTES = ("auto", "direct", "qhat", "gz")
+
+
 @dataclass
 class Options:
     p_power_required: int | None = None
@@ -248,11 +251,7 @@ class Dataset:
         if self.options.p_power_required is not None:
             return self.options.p_power_required
         # v_p(|P|); equals n for cyclic P, the group-ring bound otherwise
-        v, m = 0, self.group.p_order
-        while m % self.group.p == 0:
-            m //= self.group.p
-            v += 1
-        return v
+        return rational_valuation(self.group.p_order, self.group.p)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +500,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         gz_constant=(_rational(oobj["gz_constant"], "options.gz_constant")
                      if oobj.get("gz_constant") is not None else None),
     )
-    if options.route not in ("auto", "direct", "qhat", "gz"):
+    if options.route not in ROUTES:
         raise DatasetError("options.route", f"unknown route {options.route!r}")
 
     ds = Dataset(

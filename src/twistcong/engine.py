@@ -16,10 +16,11 @@ The pipeline per dataset:
 4. S(pi) is evaluated once (groups.character_sums) by integer shift-and-add,
    one reduction mod Phi_e per pi. The Z_p[P] membership formulation reads
    the same sums, runs its own P-level Galois equivariance test and tests
-   S(pi)/|P| for p-integrality, and must agree with the line verdicts; so
-   must the n = 1 shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi). Both Galois
-   equivariance tests are groups.first_equivariance_failure: one generator
-   of the cyclic (Z/p^n)^*, every unit only to name the first failure.
+   S(pi)/|P| for p-integrality, and must agree with the line verdicts
+   whenever the modulus is p^v_p(|P|), however it was set; so must the n = 1
+   shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi). Both Galois equivariance tests
+   are groups.first_equivariance_failure: one generator of the cyclic
+   (Z/p^n)^*, every unit only to name the first failure.
 
 The outcome is PASS / FAIL / INCONCLUSIVE: FAIL only when an exactly
 computed quantity falsifies the congruence, INCONCLUSIVE when recognition or
@@ -31,10 +32,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
-from .dataset import Dataset, DatasetError, HypothesisResult, check_hypotheses
+from .dataset import ROUTES, Dataset, DatasetError, HypothesisResult, check_hypotheses
 from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
-                    DecimalWithError, RecognitionError, p_valuation, recognize_orbit,
-                    sqrt_rational_approx)
+                    DecimalWithError, RecognitionError, p_valuation, rational_valuation,
+                    recognize_orbit, sqrt_rational_approx)
 from .groups import (Character, DihedralGroup, character_orbits, character_sums,
                      first_equivariance_failure, irreducible_characters, orbit_units,
                      res_map, zp_P_membership)
@@ -270,13 +271,14 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
            den_bound: int | None = None) -> VerificationResult:
     """Full verification of one dataset; never raises on a mathematical
     failure, only on malformed or insufficient data."""
-    if den_bound is not None:
-        # recognition reads the override from a copy; the caller's dataset is untouched
-        ds = replace(ds, options=replace(ds.options, den_bound=den_bound))
-    chosen_route = route or ds.options.route
-    if chosen_route not in ("auto", "direct", "qhat", "gz"):
+    # the overrides go into one copy of the options; the caller's dataset is untouched
+    overrides = {"route": route, "p_power_required": n_override, "den_bound": den_bound}
+    ds = replace(ds, options=replace(ds.options, **{
+        key: value for key, value in overrides.items() if value is not None}))
+    chosen_route = ds.options.route
+    if chosen_route not in ROUTES:
         raise DatasetError("options.route", f"unknown route {chosen_route!r}")
-    n_required = n_override if n_override is not None else ds.required_p_power()
+    n_required = ds.required_p_power()
     if n_required < 1:
         raise DatasetError("options.p_power_required", "required power must be >= 1")
 
@@ -328,8 +330,8 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
         result.notes.append("internal identity sum_pi S(pi) = |P| Q(triv)Q(eps) violated")
         return result
 
-    # the Z_p[P] reading of the same sums must agree at the default modulus
-    if n_required == ds.required_p_power() and ds.options.p_power_required is None:
+    # the Z_p[P] reading of the same sums must agree at the group-ring bound v_p(|P|)
+    if n_required == rational_valuation(ds.group.p_order, ds.group.p):
         membership = zp_P_membership(evals, ds.group, sums)
         scaled_ok = result.congruences_ok and eq_ok
         result.membership_agrees = (membership.ok == scaled_ok)

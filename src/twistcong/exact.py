@@ -78,8 +78,8 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def rational_valuation(x: Fraction, p: int) -> int:
-    """v_p of a nonzero rational."""
+def rational_valuation(x: Fraction | int, p: int) -> int:
+    """v_p of a nonzero rational or integer."""
     if x == 0:
         raise ExactArithmeticError("valuation of zero is not defined")
     v = 0
@@ -674,17 +674,15 @@ def _farey_neighbors(c: Fraction, bound: int) -> tuple[Fraction, Fraction]:
     return neighbor(1), neighbor(-1)
 
 
-def rational_reconstruct(x: DecimalWithError, den_bound: int = 10 ** 6,
-                         tol: Fraction | None = None) -> Fraction:
-    """The unique rational with denominator <= den_bound within tol of x.
+def rational_reconstruct(x: DecimalWithError, den_bound: int = 10 ** 6) -> Fraction:
+    """The unique rational with denominator <= den_bound within twice the
+    input's error bound of x.
 
-    tol defaults to twice the input's error bound. Raises RecognitionError when
-    no candidate exists and AmbiguousRecognitionError when the interval admits
-    a second candidate of admissible denominator.
+    Raises RecognitionError when no candidate exists and
+    AmbiguousRecognitionError when the interval admits a second candidate of
+    admissible denominator.
     """
-    if tol is None:
-        tol = 2 * x.abs_error
-    tol = as_fraction(tol)
+    tol = 2 * x.abs_error
     lo, hi = x.value - tol, x.value + tol
     c = _simplest_in_interval(lo, hi)
     if c.denominator > den_bound:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterator, Mapping, Sequence, TypeVar
 
 from .exact import (CyclotomicNumber, InvalidAutomorphismError, cyclotomic_field,
-                    is_probable_prime, p_valuation)
+                    is_probable_prime, p_valuation, rational_valuation)
 
 
 class GroupError(ValueError):
@@ -84,22 +84,13 @@ class DihedralGroup:
         if not factors:
             raise GroupError("P must be nontrivial")
         for f in factors:
-            ff = f
-            while ff > 1 and ff % p == 0:
-                ff //= p
-            if ff != 1 or f < p:
+            if f < p or p ** rational_valuation(f, p) != f:
                 raise GroupError(f"cyclic factor {f} is not a positive power of {p}")
         self.p = p
         self.cyclic_factors = tuple(factors)
         self.exponent = max(factors)
-        self.n = 0
-        e = self.exponent
-        while e > 1:
-            e //= p
-            self.n += 1
-        self.p_order = 1
-        for f in factors:
-            self.p_order *= f
+        self.n = rational_valuation(self.exponent, p)
+        self.p_order = prod(factors)
         self.order = 2 * self.p_order
         # filled on first use by irreducible_characters and character_orbits
         self._characters: tuple[Character, ...] | None = None
@@ -518,7 +509,9 @@ def center_integrality(values: Mapping[str, CyclotomicNumber], group: DihedralGr
     Checks: each A(psi) lies in Z_p[zeta] and is fixed by the stabilizer of
     psi; the vector is Galois-equivariant (first_equivariance_failure); and
     for every g in G the combination |G|^-1 sum_psi psi(1) psi(g^-1) A(psi)
-    is rational and p-integral.
+    is rational and p-integral: S(pi)/|P| at a rotation pi, S = character_sums
+    of res_map's P-vector with (A(triv) + A(eps))/2 at the trivial chi, and
+    (A(triv) - A(eps))/|G| at every reflection, where only triv and eps survive.
     """
     p = group.p
     chars = irreducible_characters(group)
@@ -538,15 +531,17 @@ def center_integrality(values: Mapping[str, CyclotomicNumber], group: DihedralGr
     if failure is not None:
         a, label = failure
         failures.append(f"eigenvalues not Galois-equivariant at {label}, a={a}")
+    evals = res_map(values, group)
+    evals[(0,) * len(group.cyclic_factors)] = (values["triv"] + values["eps"]) * Fraction(1, 2)
+    sums = character_sums(evals, group)
+    reflection = values["triv"] - values["eps"]
     central: dict[str, Fraction] = {}
     for g in group.elements():
-        acc = CyclotomicNumber.rational(0)
-        for c in chars:
-            acc = acc + c.degree * (c.value(g.inverse()) * values[c.label])
+        acc, size = (reflection, group.order) if g.flip else (sums[g.rot], group.p_order)
         if not acc.is_rational():
             failures.append(f"central coefficient at {group.format_element(g)} not rational")
             continue
-        coeff = acc.rational_part() / group.order
+        coeff = acc.rational_part() / size
         central[group.format_element(g)] = coeff
         if coeff != 0 and p_valuation(coeff, p) < 0:
             failures.append(

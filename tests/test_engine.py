@@ -16,7 +16,7 @@ from twistcong.exact import (
 )
 from twistcong.heights import character_heights
 from twistcong.localfactors import check_pinned_corrections
-from twistcong.report import structured_report
+from twistcong.report import render, structured_report
 
 SEPTIC = "37a1-septic-577"
 QUINTIC = "21a1-quintic-19"
@@ -295,6 +295,19 @@ def test_stricter_modulus_fails():
     # the cross-checks are pinned to the default modulus and stay out of this
     assert r.membership_agrees is None
     assert r.shortcut_agrees is None
+
+
+@pytest.mark.parametrize("name, power, agrees",
+                         [(SEPTIC, 1, True), (QUINTIC, 1, True), (QUINTIC, 2, None)])
+def test_pinned_modulus_reports_as_the_override(name, power, agrees):
+    # the modulus alone decides the Z_p[P] cross-check: it runs at v_p(|P|) = 1,
+    # whether the dataset pins the modulus or the caller overrides it
+    ds = load_bundled_dataset(name)
+    pinned = replace(ds, options=replace(ds.options, p_power_required=power))
+    got, want = verify(pinned), verify(ds, n_override=power)
+    assert got.membership_agrees is want.membership_agrees is agrees
+    for fmt in ("text", "structured"):
+        assert render(got, fmt) == render(want, fmt)
 
 
 def test_bad_override_rejected():

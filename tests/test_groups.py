@@ -1,6 +1,7 @@
 """Dihedral groups, characters, the group ring, and the two lattice-membership
 decisions."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from twistcong.engine import CharacterResult, congruence_lines, unit_and_equivariance
 from twistcong.exact import CyclotomicNumber, UnsupportedConductorError, euler_phi, p_valuation
 from twistcong.groups import (
-    Character, DihedralGroup, GroupError, center_integrality, character_orbits,
+    Character, DihedralGroup, GroupError, IntegralityReport, center_integrality, character_orbits,
     character_sums, irreducible_characters, kolyvagin_identity, res_map,
     zp_P_membership,
 )
@@ -607,6 +608,60 @@ def class_sum_row(group, h):
         val = c.value(h)
         out[c.label] = val * Fraction(len(cls), c.degree)
     return out
+
+
+def dense_center_integrality(values, group):
+    """center_integrality with every central coefficient summed over the
+    character table, |G|^-1 sum_psi psi(1) psi(g^-1) A(psi) at every g in G."""
+    failures = scan_center_integrality(values, group)
+    central = {}
+    for g in group.elements():
+        acc = CyclotomicNumber.rational(0)
+        for c in irreducible_characters(group):
+            acc = acc + c.degree * (c.value(g.inverse()) * values[c.label])
+        name = group.format_element(g)
+        if not acc.is_rational():
+            failures.append(f"central coefficient at {name} not rational")
+            continue
+        central[name] = coeff = acc.rational_part() / group.order
+        if coeff != 0 and p_valuation(coeff, group.p) < 0:
+            failures.append(f"central coefficient {coeff} at {name} not p-integral")
+    return IntegralityReport(ok=not failures, central_values=central, failures=failures)
+
+
+@pytest.mark.parametrize("p, factors", [(3, [3]), (5, [5]), (3, [9]), (5, [25]), (3, [3, 3]),
+                                        (3, [9, 3])])
+def test_center_integrality_matches_the_dense_table_sum(p, factors):
+    group = DihedralGroup(p, factors)
+    e = group.exponent
+    rng = random.Random(f"dense:{factors}")
+    cases = list(equivariance_cases(group, rng))
+    # an irrational A(triv) leaves the reflections irrational; A/p is not integral
+    irrational = random_equivariant_q(group, rng, rational=False)
+    irrational["triv"] = CyclotomicNumber(e, [random_fraction(rng) for _ in range(euler_phi(e))])
+    cases += [irrational, {k: v * Fraction(1, p) for k, v in cases[0].items()}]
+    kinds = set()
+    for q in cases:
+        report, want = center_integrality(q, group), dense_center_integrality(q, group)
+        assert report == want
+        assert list(report.central_values) == list(want.central_values)
+        kinds.update(f.rsplit(" ", 1)[1] for f in report.failures
+                     if f.startswith("central coefficient"))
+    assert kinds == {"rational", "p-integral"}
+
+
+def test_center_integrality_at_order_121_is_fast():
+    group = DihedralGroup(11, [121])
+    s = group.generator(0)
+    row = class_sum_row(group, s)
+    start = time.perf_counter()
+    report = center_integrality(row, group)
+    elapsed = time.perf_counter() - start
+    # the class sum of s is s + s^-1
+    assert report.ok and report.failures == []
+    assert {g: c for g, c in report.central_values.items() if c} == {"s1": 1, "s1^120": 1}
+    assert len(report.central_values) == group.order
+    assert elapsed < 1, f"center_integrality took {elapsed:.2f} s at |P| = 121"
 
 
 def test_center_integrality_class_sum():

@@ -7,7 +7,9 @@ Run from the root of a checkout:
 Hashed, in a fixed order: the text and structured reports of the two
 bundled datasets and of every `perfbench/gen.py` input of the `towers-gz`
 and `towers-auto` workloads at seeds 1 and 2, each verified under the
-defaults, `n_override=1`, `n_override=2` and `route="gz"`; then the
+defaults, `n_override=1`, `n_override=2` and `route="gz"`, and after the
+defaults the `center_integrality` report on the Q-vector (none when that
+verification returned before recognition); then the
 `sha_predictions` of both bundled datasets; then `recognize_orbit` on the
 irrational orbits of sizes 2, 3 and 5 listed in ORBITS. A call that raises is
 hashed as its exception type and message. The last line of output is the digest and
@@ -31,7 +33,7 @@ from twistcong.dataset import parse_dataset  # noqa: E402
 from twistcong.engine import verify  # noqa: E402
 from twistcong.exact import (CyclotomicNumber, DecimalWithError, real_embedding,  # noqa: E402
                              recognize_orbit)
-from twistcong.groups import DihedralGroup, orbit_units  # noqa: E402
+from twistcong.groups import DihedralGroup, center_integrality, orbit_units  # noqa: E402
 from twistcong.report import render  # noqa: E402
 
 SEEDS = (1, 2)
@@ -58,12 +60,19 @@ def outputs():
         for variant, kwargs in VARIANTS:
             label = f"{name} [{variant}]"
             try:
-                result = verify(parse_dataset(doc), **kwargs)
+                result = verify(ds := parse_dataset(doc), **kwargs)
             except Exception as e:  # recorded, not hidden: it is part of the digest
                 yield label, f"{type(e).__name__}: {e}"
                 continue
             for fmt in ("text", "structured"):
                 yield f"{label} {fmt}", render(result, fmt)
+            if variant == "defaults" and result.characters:
+                q_values = {lbl: r.q_value for lbl, r in result.characters.items()}
+                try:
+                    text = repr(center_integrality(q_values, ds.group))
+                except Exception as e:
+                    text = f"{type(e).__name__}: {e}"
+                yield f"{name} center_integrality", text
     for entry in gen.bundled_inputs(ROOT / "src"):
         label = f"sha_predictions {entry['name']}"
         try:
