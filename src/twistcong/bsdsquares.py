@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dataset import Dataset, DatasetError, FieldBlock
+from .engine import assemble_numeric
 from .exact import (SQRT_DIGITS, CyclotomicNumber, DecimalWithError, is_square_rational,
                     rational_reconstruct, recognize_orbit, sqrt_rational_approx)
 from .groups import Character, character_orbits, orbit_units
-from .heights import field_period, omega_factor, regulator_from_translates
-from .localfactors import discriminant_factor, global_correction
+from .heights import field_period, regulator_from_translates
+from .localfactors import global_correction
 
 
 def mod_square_equivalent(x: Fraction, y: Fraction) -> bool:
@@ -135,7 +136,8 @@ def regulator_normalization(ds: Dataset, label: str) -> DecimalWithError:
 def character_bsd_quotients(ds: Dataset) -> dict[str, CyclotomicNumber]:
     """Per-character analogue of bsd_quotient: sqrt(d) * L* / (Omega * R)
     where the normalization R comes from field regulators instead of the
-    equivariant height pairing, via regulator_normalization.
+    equivariant height pairing, via regulator_normalization, and the quotient
+    is assembled by engine.assemble_numeric, as verify assembles its own.
 
     Characters whose field has no block in the dataset are left out, so a
     dataset with only base and quadratic blocks yields the two degree-one
@@ -147,14 +149,8 @@ def character_bsd_quotients(ds: Dataset) -> dict[str, CyclotomicNumber]:
         if orbit[0].label != "triv" and _smallest_block_with(ds, orbit[0].label) is None:
             continue
         reg = regulator_normalization(ds, orbit[0].label)
-        numerics = []
-        for c in orbit:
-            d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs,
-                                    ds.tower.conductor_norms.get(c.label, 1))
-            sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
-            omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus,
-                                 ds.tower.K_real)
-            numerics.append(sqrt_d * _detruncated_leading(ds, c.label) / (omega * reg))
+        numerics = assemble_numeric(ds, orbit, [_detruncated_leading(ds, c.label) for c in orbit],
+                                    [reg] * len(orbit))
         orb = recognize_orbit(numerics, group.exponent, units, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
             out[c.label] = recognized

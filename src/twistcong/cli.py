@@ -24,7 +24,7 @@ from .dataset import (ROUTES, Dataset, DatasetError, bundled_dataset_names,
                       load_bundled_dataset, load_dataset)
 from .engine import verify
 from .exact import ExactArithmeticError, is_square_rational
-from .report import render
+from .report import REPORT_VERSION, render
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 3
 
@@ -81,7 +81,7 @@ def _cmd_bsd_squares(args) -> int:
                          "square": square})
         if args.format == "structured":
             body = json.dumps(
-                {"report_version": 1, "dataset": ds.label, "sha_predictions": rows},
+                {"report_version": REPORT_VERSION, "dataset": ds.label, "sha_predictions": rows},
                 indent=2, sort_keys=True) + "\n"
         else:
             lines = [f"dataset: {ds.label}"]

@@ -566,13 +566,16 @@ def _cross_validate(ds: Dataset) -> None:
             validate_translates(ds.group, ds.heights.translates)
         except HeightDataError as e:
             raise DatasetError("heights.translates", str(e)) from e
-    # per-Galois-orbit consistency of the truncation flags
+    # conjugate characters share the truncation flag and the conductor norm,
+    # so the engine computes one discriminant factor per Galois orbit
     for orbit in character_orbits(ds.group)[2:]:
-        flags = {ds.analytic.characters[c.label].truncated for c in orbit}
-        if len(flags) > 1:
-            raise DatasetError("analytic.characters",
-                               f"mixed truncation flags inside the Galois orbit of "
-                               f"{orbit[0].label}")
+        for path, what, values in (
+                ("analytic.characters", "mixed truncation flags",
+                 {ds.analytic.characters[c.label].truncated for c in orbit}),
+                ("tower.conductor_norms", "mixed conductor norms",
+                 {ds.tower.conductor_norms.get(c.label, 1) for c in orbit})):
+            if len(values) > 1:
+                raise DatasetError(path, f"{what} inside the Galois orbit of {orbit[0].label}")
 
 
 def load_dataset(path: str) -> Dataset:

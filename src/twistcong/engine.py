@@ -28,15 +28,16 @@ a hypothesis leaves the question open.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from math import gcd
+from typing import Mapping, Sequence
 
 from .dataset import ROUTES, Dataset, DatasetError, HypothesisResult, check_hypotheses
 from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
                     DecimalWithError, RecognitionError, p_valuation, rational_valuation,
                     recognize_orbit, sqrt_rational_approx)
-from .groups import (Character, DihedralGroup, character_orbits, character_sums,
+from .groups import (Character, DihedralGroup, GroupElement, character_orbits, character_sums,
                      first_equivariance_failure, irreducible_characters, orbit_units,
                      res_map, zp_P_membership)
 from .heights import HeightDataError, character_heights, omega_factor
@@ -98,32 +99,43 @@ class VerificationResult:
 # numeric assembly
 # ---------------------------------------------------------------------------
 
-def assemble_numeric(ds: Dataset, char: Character,
-                     heights: Mapping[str, DecimalWithError] | None) -> DecimalWithError:
-    """sqrt(d_psi) * leading_term / (Omega_psi * H_psi), as an interval; a
-    RecognitionError naming psi when the divisor interval contains 0.
-
-    H_psi is 1 at the character carrying the Mordell-Weil rank
-    (ds.rho_label(): "triv" for rank 0 and "eps" for rank 1 over the base),
-    and h_psi from the table of heights.character_heights otherwise."""
-    ca = ds.analytic.characters[char.label]
-    d = discriminant_factor(char, ds.tower.d_k_abs, ds.tower.d_K_abs,
-                            ds.tower.conductor_norms.get(char.label, 1))
-    sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
-    omega = omega_factor(char, ds.analytic.omega_plus, ds.analytic.omega_minus,
-                         ds.tower.K_real)
-    if char.label == ds.rho_label():
-        h = DecimalWithError.exact(1)
-    elif heights is None:
+def height_norm(ds: Dataset, label: str,
+                heights: Mapping[str, DecimalWithError] | None) -> DecimalWithError:
+    """H_psi: 1 at the character carrying the Mordell-Weil rank (ds.rho_label():
+    "triv" for rank 0 and "eps" for rank 1 over the base), and h_psi from the
+    table of heights.character_heights otherwise."""
+    if label == ds.rho_label():
+        return DecimalWithError.exact(1)
+    if heights is None:
         raise HeightDataError("height translates required for this character")
-    else:
-        h = heights[char.label]
-    divisor = omega * h
-    if divisor.contains(0):
-        # declared error bounds that swallow Omega_psi * H_psi leave no value
-        raise RecognitionError(
-            f"the period-height divisor of {char.label} is an interval containing 0")
-    return sqrt_d * ca.leading_term / divisor
+    return heights[label]
+
+
+def assemble_numeric(ds: Dataset, orbit: Sequence[Character],
+                     leading: Sequence[DecimalWithError],
+                     norms: Sequence[DecimalWithError]) -> list[DecimalWithError]:
+    """sqrt(d_psi) * L_psi / (Omega_psi * N_psi) for each psi of one Galois
+    orbit, as intervals; a RecognitionError naming psi when the divisor
+    interval contains 0. leading and norms are aligned with orbit.
+
+    Conjugate characters have the same kind and, by dataset._cross_validate,
+    the same conductor norm, so sqrt(d_psi) and Omega_psi are computed once
+    per orbit."""
+    c = orbit[0]
+    d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs,
+                            ds.tower.conductor_norms.get(c.label, 1))
+    sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
+    omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus,
+                         ds.tower.K_real)
+    out = []
+    for c, lead, norm in zip(orbit, leading, norms):
+        divisor = omega * norm
+        if divisor.contains(0):
+            # declared error bounds that swallow Omega_psi * N_psi leave no value
+            raise RecognitionError(
+                f"the period-height divisor of {c.label} is an interval containing 0")
+        out.append(sqrt_d * lead / divisor)
+    return out
 
 
 def _char_route(ds: Dataset, char: Character, route: str) -> str:
@@ -139,30 +151,32 @@ def _char_route(ds: Dataset, char: Character, route: str) -> str:
     return route
 
 
+def _character_result(ds: Dataset, c: Character, route: str,
+                      recognized: CyclotomicNumber,
+                      min_poly: tuple[Fraction, ...] | None = None) -> CharacterResult:
+    """The result for c on the given route: Q = recognized * u * t, or
+    recognized * u alone on the direct route, whose leading term was truncated."""
+    corr = global_correction(c, [ds.places[s] for s in ds.tower.S_r])
+    q = recognized * corr.u * (1 if route == "direct" else corr.t)
+    return CharacterResult(
+        label=c.label, route=route, declared_order=ds.analytic.characters[c.label].order,
+        q_value=q, correction=corr, recognized=recognized, min_poly=min_poly,
+        p_valuation=p_valuation(q, ds.group.p) if not q.is_zero() else Fraction(0))
+
+
 def recognize_characters(ds: Dataset, route: str) -> dict[str, CharacterResult]:
     """Recognize all normalized leading terms, one Galois orbit at a time."""
     group = ds.group
-    places = [ds.places[s] for s in ds.tower.S_r]
-    m = group.exponent
     heights = character_heights(group, ds.heights.translates) if ds.heights else None
     out: dict[str, CharacterResult] = {}
     for orbit, units in zip(character_orbits(group), orbit_units(group)):
-        numerics = [assemble_numeric(ds, c, heights) for c in orbit]
-        orb = recognize_orbit(numerics, m, units, ds.options.den_bound)
+        numerics = assemble_numeric(
+            ds, orbit, [ds.analytic.characters[c.label].leading_term for c in orbit],
+            [height_norm(ds, c.label, heights) for c in orbit])
+        orb = recognize_orbit(numerics, group.exponent, units, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
-            r = _char_route(ds, c, route)
-            corr = global_correction(c, places)
-            q = recognized * corr.u * (corr.t if r == "qhat" else 1)
-            out[c.label] = CharacterResult(
-                label=c.label,
-                route=r,
-                declared_order=ds.analytic.characters[c.label].order,
-                q_value=q,
-                correction=corr,
-                recognized=recognized,
-                min_poly=orb.min_poly if len(orbit) > 1 else None,
-                p_valuation=p_valuation(q, group.p) if not q.is_zero() else Fraction(0),
-            )
+            out[c.label] = _character_result(ds, c, _char_route(ds, c, route), recognized,
+                                             orb.min_poly if len(orbit) > 1 else None)
     return out
 
 
@@ -193,23 +207,9 @@ def gz_q_vector(ds: Dataset, constant: Fraction | None = None
     sits at the rank-growing characters and the quadratic character keeps
     only its local correction."""
     C = constant if constant is not None else gz_constant(ds)
-    places = [ds.places[s] for s in ds.tower.S_r]
-    out: dict[str, CharacterResult] = {}
-    for c in irreducible_characters(ds.group):
-        corr = global_correction(c, places)
-        scale = Fraction(1) if c.kind == "eps" else C
-        q = corr.u * (corr.t * scale)
-        out[c.label] = CharacterResult(
-            label=c.label,
-            route="gz",
-            declared_order=ds.analytic.characters[c.label].order,
-            q_value=q,
-            correction=corr,
-            recognized=CyclotomicNumber.rational(scale),
-            min_poly=None,
-            p_valuation=p_valuation(q, ds.group.p) if not q.is_zero() else Fraction(0),
-        )
-    return out
+    return {c.label: _character_result(
+                ds, c, "gz", CyclotomicNumber.rational(Fraction(1) if c.kind == "eps" else C))
+            for c in irreducible_characters(ds.group)}
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,8 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
         result.notes.extend(f"hypothesis ({h.key}) fails: {h.description}"
                             for h in failed_hyps)
         return result
-    if not ds.group.is_cyclic():
+    bound = rational_valuation(ds.group.p_order, ds.group.p)
+    if not ds.group.is_cyclic() and n_required == bound:
         result.notes.append(
             f"non-cyclic p-part: testing modulus p^{n_required} from the group-ring bound")
 
@@ -331,7 +332,7 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
         return result
 
     # the Z_p[P] reading of the same sums must agree at the group-ring bound v_p(|P|)
-    if n_required == rational_valuation(ds.group.p_order, ds.group.p):
+    if n_required == bound:
         membership = zp_P_membership(evals, ds.group, sums)
         scaled_ok = result.congruences_ok and eq_ok
         result.membership_agrees = (membership.ok == scaled_ok)
@@ -369,55 +370,31 @@ def relabel_dataset(ds: Dataset, a: int) -> Dataset:
     """The same dataset with the p-part generators replaced by their a-th
     powers (a coprime to the exponent). Physical content is unchanged; every
     label moves along. Verification must give the same verdict.
+
+    The typed values are walked, not named: a GroupElement with rot r moves to
+    a^-1 * r (the new generator is s^a); a string that is a character label
+    moves to the label of psi^sigma_a; dicts, lists, tuples and dataclasses are
+    rebuilt from their moved parts; everything else, the shared group object
+    and the numbers included, is kept. So a place name or a dataset label that
+    equals a character label moves too, with every other occurrence of it.
     """
-    import copy
-    from math import gcd
-
     group = ds.group
-    e = group.exponent
-    if gcd(a, e) != 1:
-        raise DatasetError("relabel", f"{a} is not coprime to the exponent {e}")
-    a_inv = pow(a, -1, e)
+    if gcd(a, group.exponent) != 1:
+        raise DatasetError("relabel", f"{a} is not coprime to the exponent {group.exponent}")
+    a_inv = pow(a, -1, group.exponent)
+    labels = {c.label for c in irreducible_characters(group)}
 
-    # keep the group object itself shared: element equality is tied to it
-    new = copy.deepcopy(ds, {id(group): group})
-    # translates: new generator s' = s^a, so the value at rot-vector r in the
-    # new coordinates is the old value at a*r
-    if new.heights is not None:
-        new.heights.translates = {
-            g: ds.heights.translates[group.element(tuple(a * r for r in g.rot), g.flip)]
-            for g in group.elements()}
+    def move(x):
+        if isinstance(x, GroupElement):
+            return group.element(tuple(a_inv * r for r in x.rot), x.flip)
+        if isinstance(x, str):
+            return group.galois_label(x, a) if x in labels else x
+        if isinstance(x, dict):
+            return {move(k): move(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return type(x)(move(v) for v in x)
+        if is_dataclass(x) and not isinstance(x, type):
+            return replace(x, **{f.name: move(getattr(x, f.name)) for f in fields(x) if f.init})
+        return x
 
-    def move(g):
-        # an element with old rot r gets new rot a^-1 * r
-        return group.element(tuple(a_inv * r for r in g.rot), g.flip)
-
-    # places: the pinned correction values are rational and relabel-invariant,
-    # only labels move
-    from .localfactors import LocalPlace
-    new_places = {}
-    for label, pl in ds.places.items():
-        new_places[label] = LocalPlace(
-            q=pl.q, a=pl.a,
-            inertia=tuple(move(g) for g in pl.inertia),
-            frobenius=move(pl.frobenius),
-            pinned=tuple((group.galois_label(lbl, a), u, t) for lbl, u, t in pl.pinned),
-        )
-    new.places = new_places
-    # character data: the physical character once labeled ind:v is now
-    # labeled by a*v
-    new.analytic.characters = {group.galois_label(lbl, a): ca
-                               for lbl, ca in ds.analytic.characters.items()}
-
-    new.tower.conductor_norms = {group.galois_label(lbl, a): nf
-                                 for lbl, nf in ds.tower.conductor_norms.items()}
-    for name, fb in new.bsd.items():
-        src = ds.bsd[name]
-        fb.leading_characters = {group.galois_label(lbl, a): mult
-                                 for lbl, mult in src.leading_characters.items()}
-        fb.leading_overrides = {group.galois_label(lbl, a): v
-                                for lbl, v in src.leading_overrides.items()}
-        if src.regulator_generators is not None:
-            fb.regulator_generators = [{move(g): c for g, c in combo.items()}
-                                       for combo in src.regulator_generators]
-    return new
+    return move(ds)

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from test_dataset import bundled_doc
 
+import twistcong.bsdsquares as bsdsquares
 from twistcong.bsdsquares import (
-    NeronRow, S3Instance, TamagawaRow, bsd_quotient, character_bsd_quotients,
+    NeronRow, S3Instance, TamagawaRow, _detruncated_leading, _smallest_block_with,
+    bsd_quotient, character_bsd_quotients,
     field_leading_term, field_regulator, mod_square_equivalent,
     neron_quotient_check, plant_violation, random_s3_instance,
     regulator_normalization, s3_consistency, sha_prediction, sha_predictions,
@@ -15,8 +17,10 @@ from twistcong.bsdsquares import (
 )
 from twistcong.dataset import DatasetError, load_bundled_dataset, parse_dataset
 from twistcong.engine import recognize_characters
-from twistcong.exact import CyclotomicNumber
-from twistcong.heights import character_heights
+from twistcong.exact import SQRT_DIGITS, CyclotomicNumber, recognize_orbit, sqrt_rational_approx
+from twistcong.groups import character_orbits, orbit_units
+from twistcong.heights import character_heights, omega_factor
+from twistcong.localfactors import discriminant_factor
 
 
 def test_mod_square_equivalent():
@@ -172,6 +176,47 @@ def test_character_quotients_with_trivial_regulators():
     assert q["eps"] == CyclotomicNumber.rational(Fraction(13, 4))
     assert q["ind:1"] + q["ind:2"] == CyclotomicNumber.rational(156)
     assert q["ind:1"] * q["ind:2"] == CyclotomicNumber.rational(1584)
+
+
+def direct_bsd_quotients(ds):
+    """The per-character loop: sqrt(d_psi) and Omega_psi computed afresh for
+    every character. Returns the assembled intervals and the recognized
+    values, by label."""
+    intervals, values = {}, {}
+    for orbit, units in zip(character_orbits(ds.group), orbit_units(ds.group)):
+        if orbit[0].label != "triv" and _smallest_block_with(ds, orbit[0].label) is None:
+            continue
+        reg = regulator_normalization(ds, orbit[0].label)
+        numerics = []
+        for c in orbit:
+            d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs,
+                                    ds.tower.conductor_norms.get(c.label, 1))
+            sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
+            omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus,
+                                 ds.tower.K_real)
+            numerics.append(sqrt_d * _detruncated_leading(ds, c.label) / (omega * reg))
+        orb = recognize_orbit(numerics, ds.group.exponent, units, ds.options.den_bound)
+        for c, x, value in zip(orbit, numerics, orb.values):
+            intervals[c.label], values[c.label] = x, value
+    return intervals, values
+
+
+@pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
+def test_character_quotients_match_the_per_character_loop(name, monkeypatch):
+    # the shared per-orbit assembly gives Fraction-identical intervals
+    ds = load_bundled_dataset(name)
+    want_intervals, want_values = direct_bsd_quotients(ds)
+    seen = []
+
+    def recording(xs, *args):
+        seen.extend(xs)
+        return recognize_orbit(xs, *args)
+
+    monkeypatch.setattr(bsdsquares, "recognize_orbit", recording)
+    got = character_bsd_quotients(ds)
+    assert got == want_values and list(got) == list(want_values)
+    for x, want in zip(seen, want_intervals.values(), strict=True):
+        assert (x.value, x.abs_error) == (want.value, want.abs_error)
 
 
 def test_character_quotients_restrict_to_available_blocks():

@@ -178,6 +178,21 @@ def test_reject_mixed_truncation_in_orbit():
         parse_dataset(doc)
 
 
+@pytest.mark.parametrize("norms", [{"ind:2": 19}, {"ind:1": 361 * 19}, {"ind:2": None}])
+def test_reject_conductor_norms_differing_in_orbit(norms):
+    # conjugate characters have equal conductors; the engine takes one
+    # discriminant factor per Galois orbit, and an absent norm counts as 1
+    doc = bundled_doc("21a1-quintic-19")
+    for label, value in norms.items():
+        if value is None:
+            del doc["tower"]["conductor_norms"][label]
+        else:
+            doc["tower"]["conductor_norms"][label] = value
+    with pytest.raises(DatasetError, match="mixed conductor norms") as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "tower.conductor_norms"
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 @pytest.mark.parametrize("path", ["tower.K_real", "analytic.characters.ind:1.truncated"])
 def test_reject_non_boolean_flag(path, value):

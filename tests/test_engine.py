@@ -1,12 +1,15 @@
 """End-to-end verification on the bundled datasets, all routes and verdicts."""
+import copy
+import importlib.util
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import twistcong.engine as engine
 from twistcong.bsdsquares import field_regulator
-from twistcong.dataset import DatasetError, load_bundled_dataset
+from twistcong.dataset import DatasetError, load_bundled_dataset, parse_dataset
 from twistcong.engine import (
     RouteDataError, gz_constant, gz_q_vector, relabel_dataset, unit_and_equivariance,
     verify,
@@ -15,11 +18,21 @@ from twistcong.exact import (
     CyclotomicNumber, DecimalWithError, real_embedding, sqrt_rational_approx,
 )
 from twistcong.heights import character_heights
-from twistcong.localfactors import check_pinned_corrections
+from twistcong.localfactors import LocalPlace, check_pinned_corrections
 from twistcong.report import render, structured_report
 
 SEPTIC = "37a1-septic-577"
 QUINTIC = "21a1-quintic-19"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def benchmark_doc(workload, seed, name):
+    """The dataset document of one seeded benchmark input (perfbench/gen.py)."""
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return next(i["doc"] for i in gen.make_inputs(workload, seed, ROOT / "src")
+                if i["name"] == name)
 
 
 def lines_by_element(result):
@@ -277,6 +290,26 @@ def test_one_height_table_per_verify(name, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", [SEPTIC, QUINTIC])
+def test_one_square_root_and_period_per_orbit(name, monkeypatch):
+    # conjugate characters share d_psi and Omega_psi: one call per Galois
+    # orbit (triv, eps and one induced orbit on both datasets)
+    calls = {"sqrt_rational_approx": 0, "omega_factor": 0}
+
+    def counted(fn_name):
+        fn = getattr(engine, fn_name)
+
+        def wrapper(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(engine, fn_name, counted(fn_name))
+    assert verify(load_bundled_dataset(name)).verdict == "PASS"
+    assert calls == {"sqrt_rational_approx": 3, "omega_factor": 3}
+
+
 def test_hypothesis_violation_inconclusive():
     ds = load_bundled_dataset(QUINTIC)
     ds.curve.torsion["F"] = 40      # now p = 5 divides a torsion order
@@ -308,6 +341,17 @@ def test_pinned_modulus_reports_as_the_override(name, power, agrees):
     assert got.membership_agrees is want.membership_agrees is agrees
     for fmt in ("text", "structured"):
         assert render(got, fmt) == render(want, fmt)
+
+
+@pytest.mark.parametrize("n_override, noted", [(None, True), (2, True), (1, False)])
+def test_group_ring_note_only_at_the_bound(n_override, noted):
+    # the 3x3 tower's group-ring bound is v_3(9) = 2; a modulus set below it
+    # does not come from the bound
+    ds = parse_dataset(benchmark_doc("towers-gz", 1, "gz-3x3"))
+    r = verify(ds, n_override=n_override)
+    note = "non-cyclic p-part: testing modulus p^2 from the group-ring bound"
+    assert (note in r.notes) is noted
+    assert any("group-ring bound" in n for n in r.notes) is noted
 
 
 def test_bad_override_rejected():
@@ -349,3 +393,52 @@ def test_relabel_moves_regulator_generators(a):
 def test_relabel_needs_coprime_power():
     with pytest.raises(DatasetError, match="coprime"):
         relabel_dataset(load_bundled_dataset(QUINTIC), 5)
+
+
+def hand_relabel(ds, a):
+    """relabel_dataset written out field by field: the oracle for the walk."""
+    group = ds.group
+    a_inv = pow(a, -1, group.exponent)
+    new = copy.deepcopy(ds, {id(group): group})
+    if new.heights is not None:
+        new.heights.translates = {
+            g: ds.heights.translates[group.element(tuple(a * r for r in g.rot), g.flip)]
+            for g in group.elements()}
+
+    def move(g):
+        return group.element(tuple(a_inv * r for r in g.rot), g.flip)
+
+    new.places = {
+        label: LocalPlace(q=pl.q, a=pl.a, inertia=tuple(move(g) for g in pl.inertia),
+                          frobenius=move(pl.frobenius),
+                          pinned=tuple((group.galois_label(lbl, a), u, t)
+                                       for lbl, u, t in pl.pinned))
+        for label, pl in ds.places.items()}
+    new.analytic.characters = {group.galois_label(lbl, a): ca
+                               for lbl, ca in ds.analytic.characters.items()}
+    new.tower.conductor_norms = {group.galois_label(lbl, a): nf
+                                 for lbl, nf in ds.tower.conductor_norms.items()}
+    for name, fb in new.bsd.items():
+        src = ds.bsd[name]
+        fb.leading_characters = {group.galois_label(lbl, a): mult
+                                 for lbl, mult in src.leading_characters.items()}
+        fb.leading_overrides = {group.galois_label(lbl, a): v
+                                for lbl, v in src.leading_overrides.items()}
+        if src.regulator_generators is not None:
+            fb.regulator_generators = [{move(g): c for g, c in combo.items()}
+                                       for combo in src.regulator_generators]
+    return new
+
+
+@pytest.mark.parametrize("name", [SEPTIC, QUINTIC])
+def test_relabel_walk_matches_the_field_by_field_oracle(name):
+    ds = load_bundled_dataset(name)
+    for a in ds.group.galois_unit_reps():
+        moved = relabel_dataset(ds, a)
+        assert moved == hand_relabel(ds, a)
+        assert moved.group is ds.group
+        # the inverse relabeling restores the dataset
+        assert relabel_dataset(moved, pow(a, -1, ds.group.exponent)) == ds
+        # no container is shared with the input
+        moved.curve.torsion["base"] = 0
+        assert ds.curve.torsion != moved.curve.torsion

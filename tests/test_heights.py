@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twistcong.dataset import load_bundled_dataset
-from twistcong.engine import assemble_numeric
+from twistcong.engine import assemble_numeric, height_norm
 from twistcong.exact import (
     DecimalWithError, IntervalError, real_embedding, sqrt_rational_approx,
 )
@@ -138,12 +138,16 @@ def test_height_factor_pins_generic_character():
     triv, eps = (Character.from_label(ds.group, label) for label in ("triv", "eps"))
     heights = character_heights(ds.group, ds.heights.translates)
     assert ds.rho_label() == "triv"
-    assert assemble_numeric(ds, triv, heights) == assemble_numeric(ds, triv, None)
+
+    def assemble(char, table):
+        lead = ds.analytic.characters[char.label].leading_term
+        return assemble_numeric(ds, [char], [lead], [height_norm(ds, char.label, table)])[0]
+
+    assert assemble(triv, heights) == assemble(triv, None)
     unit = {"eps": DecimalWithError.exact(1)}
-    assert (assemble_numeric(ds, eps, heights).value
-            == assemble_numeric(ds, eps, unit).value / heights["eps"].value)
+    assert assemble(eps, heights).value == assemble(eps, unit).value / heights["eps"].value
     with pytest.raises(HeightDataError, match="height translates required"):
-        assemble_numeric(ds, eps, None)
+        assemble(eps, None)
 
 
 def direct_pairing(translates, a, b):

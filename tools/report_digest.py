@@ -9,12 +9,14 @@ bundled datasets and of every `perfbench/gen.py` input of the `towers-gz`
 and `towers-auto` workloads at seeds 1 and 2, each verified under the
 defaults, `n_override=1`, `n_override=2` and `route="gz"`, and after the
 defaults the `center_integrality` report on the Q-vector (none when that
-verification returned before recognition); then the
-`sha_predictions` of both bundled datasets; then `recognize_orbit` on the
-irrational orbits of sizes 2, 3 and 5 listed in ORBITS. A call that raises is
-hashed as its exception type and message. The last line of output is the digest and
-the number of outputs hashed; two checkouts that print the same line gave
-byte-identical reports.
+verification returned before recognition); then the `sha_predictions` of
+both bundled datasets; then `recognize_orbit` on the irrational orbits of
+sizes 2, 3 and 5 listed in ORBITS; then the text and structured reports of
+`verify(relabel_dataset(ds, a))` for both bundled datasets at every unit
+a != 1 modulo the exponent of P, and for every benchmark input at a = 2. A
+call that raises is hashed as its exception type and message. The last line
+of output is the digest and the number of outputs hashed; two checkouts that
+print the same line gave byte-identical reports.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 from twistcong.bsdsquares import sha_predictions  # noqa: E402
 from twistcong.dataset import parse_dataset  # noqa: E402
-from twistcong.engine import verify  # noqa: E402
+from twistcong.engine import relabel_dataset, verify  # noqa: E402
 from twistcong.exact import (CyclotomicNumber, DecimalWithError, real_embedding,  # noqa: E402
                              recognize_orbit)
 from twistcong.groups import DihedralGroup, center_integrality, orbit_units  # noqa: E402
@@ -93,6 +95,22 @@ def outputs():
         except Exception as e:
             text = f"{type(e).__name__}: {e}"
         yield f"recognize_orbit p={p} size={len(units)}", text
+    for name, doc in inputs():
+        try:
+            ds = parse_dataset(doc)
+        except Exception as e:
+            yield f"{name} relabel", f"{type(e).__name__}: {e}"
+            continue
+        bundled = name.startswith("bundled/")
+        for a in [a for a in ds.group.galois_unit_reps() if a != 1] if bundled else [2]:
+            label = f"{name} relabel a={a}"
+            try:
+                result = verify(relabel_dataset(ds, a))
+            except Exception as e:
+                yield label, f"{type(e).__name__}: {e}"
+                continue
+            for fmt in ("text", "structured"):
+                yield f"{label} {fmt}", render(result, fmt)
 
 
 def report_digest() -> tuple[str, int]:
