@@ -15,11 +15,11 @@ from twistcong.exact import (
 )
 
 # a value known to 12 digits recognizes to the fraction it came from
-x = DecimalWithError.parse("1.263157894737", "0.000000000001")
+x = DecimalWithError(Fraction("1.263157894737"), Fraction("0.000000000001"))
 print("1.263157894737 +/-", float(x.abs_error), "->", rational_reconstruct(x))
 
 # widen the error bar and the same digits stop being conclusive
-wide = DecimalWithError.parse("1.263157894737", "0.01")
+wide = DecimalWithError(Fraction("1.263157894737"), Fraction("0.01"))
 try:
     rational_reconstruct(wide)
 except AmbiguousRecognitionError as e:

@@ -18,7 +18,6 @@ or else each coordinate of x in the real subfield of degree len(xs).
 """
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -62,19 +61,12 @@ class AmbiguousRecognitionError(RecognitionError):
 # ---------------------------------------------------------------------------
 
 def as_fraction(x) -> Fraction:
-    """Coerce int / Fraction / Decimal / decimal-string / rational-string to Fraction."""
+    """Coerce an int or a Fraction to a Fraction; strings are read only by
+    `dataset`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, decimal.Decimal):
-        return Fraction(x)
-    if isinstance(x, str):
-        s = x.strip()
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(decimal.Decimal(s))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -496,10 +488,6 @@ class DecimalWithError:
         object.__setattr__(self, "abs_error", as_fraction(self.abs_error))
         if self.abs_error < 0:
             raise IntervalError("negative error bound")
-
-    @classmethod
-    def parse(cls, value: str, abs_error: str = "0") -> "DecimalWithError":
-        return cls(as_fraction(value), as_fraction(abs_error))
 
     @classmethod
     def exact(cls, value) -> "DecimalWithError":

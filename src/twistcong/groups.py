@@ -155,11 +155,8 @@ class DihedralGroup:
             if not part.startswith("s"):
                 raise GroupError(f"bad element factor {part!r} in {s!r}")
             body = part[1:]
-            if "^" in body:
-                idx_s, exp_s = body.split("^")
-            else:
-                idx_s, exp_s = body, "1"
             try:
+                idx_s, exp_s = body.split("^") if "^" in body else (body, "1")
                 idx, exp = int(idx_s), int(exp_s)
             except ValueError as e:
                 raise GroupError(f"bad element factor {part!r} in {s!r}") from e

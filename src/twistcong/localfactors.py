@@ -175,36 +175,31 @@ def parse_local_place(group: DihedralGroup, q: int, a: int,
         raise LocalDataError(str(e)) from e
     if any(g == group.identity for g in gens):
         raise LocalDataError("trivial inertia generator listed at a ramified place")
-    # closure of <gens> under conjugation by frob, checked on the generators:
-    # in a dihedral group conjugation by any element maps each generator to a
-    # product of generators and inverses; verify frob * g * frob^-1 lies in
-    # the subgroup generated by gens (by brute force over the small subgroup)
+    # the subgroup <gens>, closed under right multiplication (G is finite);
+    # a generator already in the span of the earlier ones adds nothing, so
+    # at most log2|G| + 1 of them do any work
     subgroup = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                for cand in (h * g, h * g.inverse()):
-                    if cand not in subgroup:
-                        subgroup.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
+    spanning: list[GroupElement] = []
     for g in gens:
-        conj = frob * g * frob.inverse()
-        if conj not in subgroup:
-            raise LocalDataError("Frobenius does not normalize the inertia subgroup")
+        if g in subgroup:
+            continue
+        spanning.append(g)
+        frontier = set(subgroup)
+        while frontier:
+            frontier = {h * k for h in frontier for k in spanning} - subgroup
+            subgroup |= frontier
+    # Frobenius normalizes <gens> iff it conjugates each spanning generator into it
+    if any(frob * g * frob.inverse() not in subgroup for g in spanning):
+        raise LocalDataError("Frobenius does not normalize the inertia subgroup")
     return LocalPlace(q=q, a=a, inertia=gens, frobenius=frob, pinned=tuple(pinned))
 
 
 def check_pinned_corrections(group: DihedralGroup, place: LocalPlace) -> None:
     """Compare declared (u, t) pins with the values computed from the Galois
-    data; any mismatch is a hard data error."""
+    data; any mismatch is a hard data error. Each pinned label names a
+    character of group (parse_dataset checks it)."""
     for label, pu, pt in place.pinned:
-        try:
-            char = Character.from_label(group, label)
-        except GroupError as e:
-            raise LocalDataError(f"pinned correction for unknown character {label!r}") from e
+        char = Character.from_label(group, label)
         corr = local_correction(char, place)
         if corr.u != CyclotomicNumber.rational(pu) or corr.t != pt:
             got_u = corr.u.rational_part() if corr.u.is_rational() else corr.u

@@ -1,4 +1,5 @@
 """Dataset schema: parsing, validation, hypotheses."""
+import decimal
 import json
 import time
 from fractions import Fraction
@@ -6,8 +7,9 @@ from importlib import resources
 
 import pytest
 
+import twistcong.dataset as dataset
 from twistcong.dataset import (
-    MAX_P_ORDER, DatasetError, Options, bundled_dataset_names, check_hypotheses,
+    MAX_P_ORDER, DatasetError, Options, _rational, bundled_dataset_names, check_hypotheses,
     load_bundled_dataset, load_dataset, parse_dataset,
 )
 from twistcong.engine import verify
@@ -243,6 +245,29 @@ def test_all_orders_zero_may_omit_heights():
     assert by_key["h"].status == "fails"
 
 
+def test_reject_missing_translate():
+    doc = bundled_doc("37a1-septic-577")
+    del doc["heights"]["translates"]["t"]
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "heights.translates"
+    assert str(excinfo.value) == "heights.translates: missing elements ['t']"
+
+
+def test_reject_element_with_two_exponents():
+    # each raised a raw ValueError from unpacking "s1^2^3"
+    doc = bundled_doc("37a1-septic-577")
+    doc["heights"]["translates"]["s1^2^3"] = doc["heights"]["translates"]["s1"]
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "heights.translates.s1^2^3"
+    doc = bundled_doc("37a1-septic-577")
+    doc["places"]["577"]["inertia"] = ["s1^2^3"]
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "places.577"
+
+
 def test_reject_asymmetric_translates():
     doc = bundled_doc("21a1-quintic-19")
     doc["heights"]["translates"]["s1"] = {"value": "7/2", "abs_error": "0"}
@@ -390,6 +415,22 @@ def test_reject_nonpositive_cyclic_factor_quickly(factors):
     assert excinfo.value.path == "group"
 
 
+@pytest.mark.parametrize("p, factors", [
+    (2 ** 4423 - 1, None), (2 ** 9689 - 1, None), (2 ** 9689 - 1, [3]),
+], ids=["M4423", "M9689", "M9689-factor-3"])
+def test_reject_large_prime_quickly(p, factors):
+    # the Mersenne primes once took 2.8 s and 27.4 s to fail at group.cyclic_factors,
+    # after a primality test on p
+    doc = bundled_doc("21a1-quintic-19")
+    doc["group"] = {"p": p, "cyclic_factors": factors or [p]}
+    start = time.perf_counter()
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert time.perf_counter() - start < 0.5
+    assert excinfo.value.path == "group.p"
+    assert len(str(excinfo.value)) < 100
+
+
 def test_group_within_the_size_cap_is_parsed_further():
     # |P| = 625 passes the cap and fails only on the characters it lacks
     doc = bundled_doc("21a1-quintic-19")
@@ -509,3 +550,47 @@ def test_reject_bad_integer_list_entries(keys, value, path):
     with pytest.raises(DatasetError) as excinfo:
         parse_dataset(doc)
     assert excinfo.value.path == path
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("24/19", Fraction(24, 19)), ("-3.25", Fraction(-13, 4)), ("1e-33", Fraction(1, 10 ** 33)),
+    (" 7 ", Fraction(7)), ("1/-3", Fraction(-1, 3)), ("1 / 3", Fraction(1, 3)),
+    ("1_000", Fraction(1000)), (".5", Fraction(1, 2)), ("+2", Fraction(2)),
+    ("1e1000", Fraction(10 ** 1000)), (7, Fraction(7)), (0.5, Fraction(1, 2)),
+])
+def test_rational_accepted_forms(value, expected):
+    assert _rational(value, "x") == expected
+
+
+@pytest.mark.parametrize("value", ["1/0", "x", "inf", "nan", "1/2/3", "", True, None])
+def test_rational_rejected_forms(value):
+    with pytest.raises(DatasetError) as excinfo:
+        _rational(value, "x")
+    assert str(excinfo.value) == f"x: expected a rational, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["1e1001", "1e-1001", "1e100000", "5/" + "9" * 1001],
+                         ids=["1e1001", "1e-1001", "1e100000", "5/9...9"])
+def test_rational_out_of_range_forms(value):
+    with pytest.raises(DatasetError) as excinfo:
+        _rational(value, "x")
+    assert str(excinfo.value) == f"x: {value!r} lies beyond 10^(+-1000)"
+
+
+def test_each_decimal_string_is_read_once(monkeypatch):
+    built, read = [], []
+
+    class Counted(decimal.Decimal):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    def recorded(value, path, rational=dataset._rational):
+        read.append(value)
+        return rational(value, path)
+
+    monkeypatch.setattr(dataset.decimal, "Decimal", Counted)
+    monkeypatch.setattr(dataset, "_rational", recorded)
+    parse_dataset(bundled_doc("37a1-septic-577"))
+    decimals = [v for v in read if "/" not in str(v)]
+    assert decimals and len(built) == len(decimals)

@@ -255,7 +255,8 @@ def test_wide_interval_inconclusive():
     assert any("recognition ambiguous" in n for n in r.notes)
 
 
-@pytest.mark.parametrize("abs_error", ["1e400", "200000"])
+@pytest.mark.parametrize("abs_error", [Fraction(10) ** 400, Fraction(200000)],
+                         ids=["1e400", "200000"])
 def test_period_error_swallowing_the_period_is_inconclusive(abs_error):
     # each raised a raw IntervalError: division by an interval containing zero
     ds = load_bundled_dataset(QUINTIC)
@@ -269,7 +270,7 @@ def test_period_error_swallowing_the_period_is_inconclusive(abs_error):
 def test_height_error_swallowing_the_height_is_inconclusive():
     ds = load_bundled_dataset(QUINTIC)
     one = ds.group.identity
-    ds.heights.translates[one] = replace(ds.heights.translates[one], abs_error="200000")
+    ds.heights.translates[one] = replace(ds.heights.translates[one], abs_error=Fraction(200000))
     r = verify(ds)
     assert r.verdict == "INCONCLUSIVE"
     assert r.notes == [

@@ -61,11 +61,8 @@ def test_validate_translates_names_the_first_asymmetric_pair(p, factors):
             f"translates at {group.format_element(first)} and its inverse disagree")
 
 
-def test_validate_translates_rejects_missing_and_asymmetric():
-    tr = translates_21()
-    del tr[G5.tau]
-    with pytest.raises(HeightDataError):
-        validate_translates(G5, tr)
+def test_validate_translates_rejects_asymmetric():
+    # a missing translate is rejected by parse_dataset (tests/test_dataset.py)
     tr = translates_21()
     tr[G5.generator(0)] = DecimalWithError.exact(Fraction(3, 5))  # breaks t(s)=t(s^-1)
     with pytest.raises(HeightDataError):

@@ -6,6 +6,8 @@ pair (u, t) is pinned down as a function of the point count N_v and residue
 size q_v. Those nine cells are frozen here and checked against the general
 eigenvalue computation.
 """
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -353,3 +355,51 @@ def test_place_validation():
     # but it is normalized by the identity and by itself
     parse_local_place(G7, 5, 1, ["t"], "1")
     parse_local_place(G7, 5, 1, ["t"], "t")
+
+
+def bfs_normalizes(gens, frob):
+    """The breadth-first closure of <gens> over every generator and its
+    inverse, kept as an oracle: True when frob conjugates each generator
+    into it."""
+    identity = frob.group.identity
+    subgroup, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                for cand in (h * g, h * g.inverse()):
+                    if cand not in subgroup:
+                        subgroup.add(cand)
+                        nxt.append(cand)
+        frontier = nxt
+    return all(frob * g * frob.inverse() in subgroup for g in gens)
+
+
+@pytest.mark.parametrize("p, factors", [(3, [9, 3]), (5, [25]), (3, [27])])
+def test_inertia_closure_matches_the_breadth_first_oracle(p, factors):
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"inertia:{factors}")
+    nontrivial = [g for g in group.elements() if g != group.identity]
+    outcomes = set()
+    for _ in range(150):
+        gens = [rng.choice(nontrivial) for _ in range(rng.randrange(1, 5))]
+        gens += rng.sample(gens, rng.randrange(len(gens) + 1))   # repeats
+        frob = rng.choice(nontrivial)
+        try:
+            parse_local_place(group, 5, 1, [group.format_element(g) for g in gens],
+                              group.format_element(frob))
+            accepted = True
+        except LocalDataError:
+            accepted = False
+        assert accepted == bfs_normalizes(gens, frob), (gens, frob)
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+def test_repeated_inertia_generators_parse_quickly():
+    # 1000 copies of s1 in D_1458 once took 6.1 s, one closure per copy
+    group = DihedralGroup(3, [729])
+    start = time.perf_counter()
+    place = parse_local_place(group, 5, 1, ["s1"] * 1000, "t")
+    assert time.perf_counter() - start < 0.5
+    assert len(place.inertia) == 1000

@@ -13,16 +13,21 @@ verification returned before recognition); then the `sha_predictions` of
 both bundled datasets; then `recognize_orbit` on the irrational orbits of
 sizes 2, 3 and 5 listed in ORBITS; then the text and structured reports of
 `verify(relabel_dataset(ds, a))` for both bundled datasets at every unit
-a != 1 modulo the exponent of P, and for every benchmark input at a = 2. A
-call that raises is hashed as its exception type and message. The last line
-of output is the digest and the number of outputs hashed; two checkouts that
-print the same line gave byte-identical reports.
+a != 1 modulo the exponent of P, and for every benchmark input at a = 2;
+then the outcome of `parse_dataset` on each of the 1500 hostile documents of
+`tests/test_fuzz_dataset.py` (`mutated_docs` at seeds 0, 1 and 2): "ok", or
+the error with its dotted path. A call that raises is hashed as its
+exception type and message. The last line of output is the digest and the
+number of outputs hashed; two checkouts that print the same line gave
+byte-identical reports and boundary messages.
 """
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +44,7 @@ from twistcong.groups import DihedralGroup, center_integrality, orbit_units  # n
 from twistcong.report import render  # noqa: E402
 
 SEEDS = (1, 2)
+FUZZ_SEEDS = (0, 1, 2)
 VARIANTS = (("defaults", {}), ("n_override=1", {"n_override": 1}),
             ("n_override=2", {"n_override": 2}), ("route=gz", {"route": "gz"}))
 # (p, r, {k: c_k}): the orbit of x = r + sum_k c_k (zeta_p^k + zeta_p^-k),
@@ -113,11 +119,28 @@ def outputs():
                 yield f"{label} {fmt}", render(result, fmt)
 
 
+def fuzz_outcomes():
+    """(label, outcome) of parse_dataset on every hostile fuzz document; the
+    generator is loaded from the test file, not copied."""
+    path = ROOT / "tests" / "test_fuzz_dataset.py"
+    spec = importlib.util.spec_from_file_location("test_fuzz_dataset", path)
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    for seed in FUZZ_SEEDS:
+        for case, (_, doc) in enumerate(fuzz.mutated_docs(seed)):
+            try:
+                parse_dataset(doc)
+                text = "ok"
+            except Exception as e:
+                text = f"{type(e).__name__}: {e}"
+            yield f"fuzz seed={seed} case={case}", text
+
+
 def report_digest() -> tuple[str, int]:
     """The SHA-256 hex digest over every output, and the number of outputs."""
     digest = hashlib.sha256()
     count = 0
-    for label, text in outputs():
+    for label, text in chain(outputs(), fuzz_outcomes()):
         for part in (label, text):
             data = part.encode("utf-8")
             digest.update(len(data).to_bytes(8, "big") + data)
