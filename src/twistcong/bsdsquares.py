@@ -22,8 +22,9 @@ from fractions import Fraction
 
 from .dataset import Dataset, DatasetError, FieldBlock
 from .engine import assemble_numeric
-from .exact import (SQRT_DIGITS, CyclotomicNumber, DecimalWithError, is_square_rational,
-                    rational_reconstruct, recognize_orbit, sqrt_rational_approx)
+from .exact import (SQRT_DIGITS, CyclotomicNumber, DecimalWithError, IntervalError,
+                    is_square_rational, rational_reconstruct, recognize_orbit,
+                    sqrt_rational_approx)
 from .groups import Character, character_orbits, orbit_units
 from .heights import field_period, regulator_from_translates
 from .localfactors import global_correction
@@ -73,9 +74,11 @@ def field_regulator(ds: Dataset, fb: FieldBlock) -> DecimalWithError:
     if fb.regulator_generators is not None:
         if ds.heights is None:
             raise DatasetError(f"bsd.{fb.name}", "regulator generators need height translates")
-        ratio = ds.group.order // fb.degree
-        return regulator_from_translates(ds.group, ds.heights.translates,
-                                         fb.regulator_generators, ratio)
+        try:
+            return regulator_from_translates(ds.group, ds.heights.translates,
+                                             fb.regulator_generators, ds.group.order // fb.degree)
+        except IntervalError as e:
+            raise DatasetError(f"bsd.{fb.name}.regulator_generators", str(e)) from e
     return DecimalWithError.exact(1)
 
 
@@ -84,7 +87,10 @@ def bsd_quotient(ds: Dataset, fb: FieldBlock) -> DecimalWithError:
     num = field_leading_term(ds, fb) * sqrt_rational_approx(fb.d_abs, SQRT_DIGITS)
     omega = field_period(fb.signature, ds.analytic.omega_plus,
                          ds.analytic.omega_minus, ds.curve.c_infinity)
-    return num / (omega * field_regulator(ds, fb))
+    divisor = omega * field_regulator(ds, fb)
+    if abs(divisor.value) <= divisor.abs_error:
+        raise DatasetError(f"bsd.{fb.name}", "the period times the regulator may be 0")
+    return num / divisor
 
 
 def sha_prediction(ds: Dataset, field_name: str) -> Fraction:

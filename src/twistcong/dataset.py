@@ -483,7 +483,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             raise DatasetError(f"{path}.degree", f"degree {degree} does not divide {group.order}")
         if r1 + 2 * r2 != degree:
             raise DatasetError(f"{path}.signature", "r1 + 2*r2 must equal the degree")
-        bsd[name] = FieldBlock(
+        bsd[name] = fb = FieldBlock(
             name=name,
             degree=degree,
             signature=(r1, r2),
@@ -498,6 +498,11 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             leading_overrides=overrides,
             omega_quotient=_rational(fobj.get("omega_quotient", "1"), f"{path}.omega_quotient"),
         )
+        if fb.regulator is not None and not fb.regulator.is_positive():
+            raise DatasetError(f"{path}.regulator", "regulator is not certifiably positive")
+        if fb.omega_quotient <= 0:
+            raise DatasetError(f"{path}.omega_quotient",
+                               f"must be positive, got {fb.omega_quotient}")
 
     oobj = _optional_object(doc, "options", "")
     options = Options(

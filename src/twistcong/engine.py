@@ -281,6 +281,8 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
     n_required = ds.required_p_power()
     if n_required < 1:
         raise DatasetError("options.p_power_required", "required power must be >= 1")
+    if ds.options.den_bound < 1:
+        raise DatasetError("options.den_bound", "denominator bound must be >= 1")
 
     result = VerificationResult(
         dataset_label=ds.label,

@@ -14,16 +14,17 @@ its embedding is checked back against the input interval.
 
 recognize_orbit is the one Galois-orbit recognizer. Its inputs are aligned,
 xs[i] ~ sigma_units[i](x); den_bound bounds each entry of a rational orbit,
-or else each coordinate of x in the real subfield of degree len(xs).
+or else each coordinate of x in the power basis 1, z, ..., z^(phi-1).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 from math import isqrt, lcm
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 import mpmath
 
@@ -191,60 +192,12 @@ class CyclotomicField:
             half.append(real_embedding(z + z.conjugate()))
         return tuple(half[min(k, self.m - k)] for k in range(self.m))
 
-    @lru_cache(maxsize=64)
-    def real_subfield(self, k: int) -> tuple[tuple, Mapping]:
-        """(basis, duals) for F, the subfield of degree k, which must be real.
-
-        (Z/m)^* is cyclic, so F is the fixed field of its k-th powers H.
-        basis is the first k linearly independent sums over the H-orbits of
-        zeta^i, i = 0, 1, ... (basis[0] = 1), and b^v its trace-dual basis,
-        Tr_F/Q(b_i b^v_j) = [i = j]. duals maps a^(phi/k) mod m, which names
-        the coset aH and so sigma_a on F, to the real embeddings of the
-        sigma_a(b^v_j)."""
-        m, phi = self.m, self.phi
-        if k < 1 or phi % (2 * k):
-            raise RecognitionError(f"Q(zeta_{m}) has no real subfield of degree {k}")
-        h = pow(self.generator, k, m)
-        powers = {pow(h, i, m) for i in range(phi // k)}    # H
-        basis, echelon = [], []
-        for i in range(m):
-            poly = [0] * m
-            for a in powers:
-                poly[a * i % m] = 1
-            b = CyclotomicNumber(m, self.reduce(poly))
-            row = list(b.coeffs)
-            for col, pivot in echelon:
-                f = row[col] / pivot[col]
-                row = [x - f * y for x, y in zip(row, pivot)]
-            col = next((j for j, x in enumerate(row) if x), None)
-            if col is not None:
-                echelon.append((col, row))
-                basis.append(b)
-                if len(basis) == k:
-                    break
-
-        def trace(y: CyclotomicNumber) -> Fraction:
-            # Tr(zeta^i) over Q is phi at i = 0, -q at the other multiples of q, else 0
-            c = y.coeffs
-            return Fraction(k, phi) * (phi * c[0] - self.q * sum(c[self.q::self.q]))
-
-        # Gauss-Jordan on [Gram | 1]; the trace form of a real field is
-        # positive definite, so no pivot vanishes
-        rows = [[trace(b * c) for c in basis] + [Fraction(i == j) for j in range(k)]
-                for i, b in enumerate(basis)]
-        for i in range(k):
-            rows[i] = [x / rows[i][i] for x in rows[i]]
-            for r in range(k):
-                f = rows[r][i]
-                if r != i and f:
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[i])]
-        dual = [CyclotomicNumber(m, [sum(g * b.coeffs[j] for g, b in zip(row[k:], basis))
-                                     for j in range(phi)]) for row in rows]
-        duals, a = {}, 1
-        for _ in range(k):
-            duals[pow(a, phi // k, m)] = tuple(real_embedding(d.galois_apply(a)) for d in dual)
-            a = a * self.generator % m
-        return tuple(basis), MappingProxyType(duals)
+    def trace(self, x: "CyclotomicNumber") -> Fraction:
+        """Tr(x) from Q(zeta_m) to Q. Tr(zeta^i), i < phi, is phi at i = 0,
+        -q at the other multiples of q and 0 elsewhere (Washington, GTM 83,
+        ch. 2)."""
+        c = x.promote(self.m).coeffs
+        return self.phi * c[0] - self.q * sum(c[self.q::self.q])
 
     def valuation(self, x: "CyclotomicNumber") -> Fraction:
         """v(x) at the one prime above p, normalized v(p) = 1.
@@ -377,11 +330,10 @@ class CyclotomicNumber:
         if a.m == 1:
             return CyclotomicNumber(1, [a.coeffs[0] * b.coeffs[0]])
         prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        terms = [(j, cj) for j, cj in enumerate(b.coeffs) if cj]
         for i, ci in enumerate(a.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if cj != 0:
+            if ci:
+                for j, cj in terms:
                     prod[i + j] += ci * cj
         return CyclotomicNumber(a.m, cyclotomic_field(a.m).reduce(prod))
 
@@ -562,6 +514,17 @@ class DecimalWithError:
         return f"DecimalWithError({float(self.value):.12g} +- {float(self.abs_error):.3g})"
 
 
+def common_denominator(intervals: Iterable[DecimalWithError]) -> int:
+    """The least D with D*x.value and D*x.abs_error integers for every x."""
+    return lcm(1, *(q.denominator for x in intervals for q in (x.value, x.abs_error)))
+
+
+def scaled(x: DecimalWithError, d: int) -> tuple[int, int]:
+    """(D*value, D*abs_error) for a common denominator D of x."""
+    return (x.value.numerator * (d // x.value.denominator),
+            x.abs_error.numerator * (d // x.abs_error.denominator))
+
+
 def sqrt_rational_approx(n: int, digits: int = 40) -> DecimalWithError:
     """Rational approximation of sqrt(n) for n >= 0; exact for perfect squares."""
     if n < 0:
@@ -698,25 +661,68 @@ class AlgebraicOrbit:
     min_poly: tuple[Fraction, ...]
 
 
-def _min_poly_of(values: Iterable[CyclotomicNumber]) -> tuple[Fraction, ...]:
-    distinct: list[CyclotomicNumber] = []
-    for v in values:
-        if not any(v == w for w in distinct):
-            distinct.append(v)
-    # product of (X - v) with rational coefficients
-    poly = [CyclotomicNumber.rational(1)]
-    for v in distinct:
-        nxt = [CyclotomicNumber.rational(0) for _ in range(len(poly) + 1)]
-        for i, c in enumerate(poly):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * v
-        poly = nxt
-    out = []
-    for c in poly:
-        if not c.is_rational():
-            raise RecognitionError("candidate set is not Galois-stable")
-        out.append(c.rational_part())
-    return tuple(out)
+def _min_poly_of(values: Sequence[CyclotomicNumber]) -> tuple[Fraction, ...]:
+    """The monic polynomial of the distinct values, one whole conjugate set,
+    by Newton's identities j b_j = -(b_(j-1) p_1 + ... + b_0 p_j), b_j the
+    coefficient of X^(d-j). The power sum p_j of rational values is the sum
+    of their j-th powers, and otherwise (d/phi) Tr(x^j) for any one value x."""
+    distinct = list(dict.fromkeys(values))
+    d = len(distinct)
+    if all(v.is_rational() for v in distinct):
+        sums = [sum(v.coeffs[0] ** j for v in distinct) for j in range(1, d + 1)]
+    else:
+        field = cyclotomic_field(distinct[0].m)
+        sums = [Fraction(d, field.phi) * field.trace(y)    # x, x^2, ..., x^d
+                for y in accumulate(repeat(distinct[0], d), mul)]
+    b = [Fraction(1)]
+    for j in range(1, d + 1):
+        b.append(-sum(b[j - i] * sums[i - 1] for i in range(1, j + 1)) / j)
+    return tuple(reversed(b))
+
+
+def _subfield_element(xs: Sequence[DecimalWithError], field: CyclotomicField,
+                      units: Sequence[int], den_bound: int) -> CyclotomicNumber:
+    """The x of the real subfield of degree k = len(xs) with xs[i] ~
+    sigma_units[i](x), from its power-basis coordinates.
+
+    For i, j < phi, Tr(zeta^(i-j)) = m[i = j] - q[i = j mod q], so the trace
+    form inverts in closed form: m c_j = T_j + sum_(l < phi, l = j mod q) T_l
+    with T_j = Tr(x zeta^-j), which for a real x is (1/2) sum over the units
+    a of sigma_a(x) 2cos(2 pi a j/m). The cosines of each coset aH of the
+    k-th powers H are pooled in integers over the table's denominator C,
+    against the inputs over theirs, D."""
+    m, phi, q, k = field.m, field.phi, field.q, len(xs)
+    if k < 1 or phi % (2 * k):
+        raise RecognitionError(f"Q(zeta_{m}) has no real subfield of degree {k}")
+    keys = [pow(a, phi // k, m) for a in units]
+    if sorted(keys) != sorted(pow(field.generator, i * phi // k, m) for i in range(k)):
+        raise ExactArithmeticError(
+            f"units {list(units)} do not name the {k} cosets of an orbit in Q(zeta_{m})")
+    h = pow(field.generator, k, m)
+    cosets = [[a * pow(h, i, m) % m for i in range(phi // k)] for a in units]
+    c = common_denominator(field.trace_embeddings)
+    cos_v, cos_e = zip(*(scaled(y, c) for y in field.trace_embeddings))
+    d = common_denominator(xs)
+    inputs = [scaled(y, d) for y in xs]
+    tv, te = [], []    # value and error of 2*D*C*T_j
+    for j in range(phi):
+        value = error = 0
+        for (xv, xe), coset in zip(inputs, cosets):
+            pv = sum(cos_v[a * j % m] for a in coset)
+            pe = sum(cos_e[a * j % m] for a in coset)
+            value += xv * pv
+            error += abs(xv) * pe + abs(pv) * xe + xe * pe
+        tv.append(value)
+        te.append(error)
+    class_v, class_e = [sum(tv[r::q]) for r in range(q)], [sum(te[r::q]) for r in range(q)]
+    den = 2 * d * c * m
+    x = CyclotomicNumber(m, [rational_reconstruct(DecimalWithError(
+        Fraction(tv[j] + class_v[j % q], den), Fraction(te[j] + class_e[j % q], den)), den_bound)
+        for j in range(phi)])
+    # the conjugates are the sigma_a(x), a in units, only when H fixes x
+    if x.galois_apply(h) != x:
+        raise RecognitionError(f"the recognized element is not in the subfield of degree {k}")
+    return x
 
 
 def recognize_orbit(xs: Sequence[DecimalWithError], m: int, units: Sequence[int],
@@ -726,11 +732,10 @@ def recognize_orbit(xs: Sequence[DecimalWithError], m: int, units: Sequence[int]
     Aligned inputs: xs[i] ~ sigma_a(x) for a = units[i], the units naming
     the k = len(xs) cosets of the k-th powers in (Z/m)^* (groups.orbit_units
     aligns every character orbit). Each entry is first tried as a rational
-    of denominator <= den_bound. Otherwise x lies in the real subfield F of
-    degree k, and its coordinate on each basis vector b_j of F is the
-    interval Tr(x b^v_j) = sum_i xs[i] sigma_units[i](b^v_j), b^v the
-    trace-dual basis, reconstructed with denominator <= den_bound; the orbit
-    is sigma_a(x), a in units. Each value is checked against its input."""
+    of denominator <= den_bound. Otherwise x lies in the real subfield of
+    degree k, and each coordinate of x in the power basis is read from the
+    explicit inverse of the trace form, with denominator <= den_bound; the
+    orbit is sigma_a(x), a in units. Each value is checked against its input."""
     if len(xs) == 1:
         # a singleton orbit must be rational; let recognition errors
         # (including ambiguity) surface with their own reasons
@@ -740,17 +745,7 @@ def recognize_orbit(xs: Sequence[DecimalWithError], m: int, units: Sequence[int]
             values = tuple(CyclotomicNumber.rational(rational_reconstruct(x, den_bound))
                            for x in xs)
         except RecognitionError:
-            field, k = cyclotomic_field(m), len(xs)
-            basis, duals = field.real_subfield(k)
-            keys = [pow(a, field.phi // k, m) for a in units]
-            if sorted(keys) != sorted(duals):
-                raise ExactArithmeticError(
-                    f"units {list(units)} do not name the {k} cosets of an orbit in Q(zeta_{m})")
-            coords = [rational_reconstruct(sum((x * duals[key][j] for x, key in zip(xs, keys)),
-                                               DecimalWithError.exact(0)), den_bound)
-                      for j in range(k)]
-            x = CyclotomicNumber(m, [sum(c * b.coeffs[i] for c, b in zip(coords, basis))
-                                     for i in range(field.phi)])
+            x = _subfield_element(xs, cyclotomic_field(m), units, den_bound)
             values = tuple(x.galois_apply(a) for a in units)
     poly = _min_poly_of(values)
 

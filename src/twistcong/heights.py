@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .exact import DecimalWithError, IntervalError, cyclotomic_field
+from .exact import (DecimalWithError, IntervalError, common_denominator, cyclotomic_field,
+                    scaled)
 from .groups import Character, DihedralGroup, GroupElement, irreducible_characters
 
 
@@ -50,17 +50,6 @@ def validate_translates(group: DihedralGroup,
                 f"translates at {group.format_element(g)} and its inverse disagree")
 
 
-def _common_denominator(intervals: Iterable[DecimalWithError]) -> int:
-    """The least D with D*x.value and D*x.abs_error integers for every x."""
-    return lcm(1, *(q.denominator for x in intervals for q in (x.value, x.abs_error)))
-
-
-def _scaled(x: DecimalWithError, d: int) -> tuple[int, int]:
-    """(D*value, D*abs_error) for a common denominator D of x."""
-    return (x.value.numerator * (d // x.value.denominator),
-            x.abs_error.numerator * (d // x.abs_error.denominator))
-
-
 def character_heights(group: DihedralGroup,
                       translates: Mapping[GroupElement, DecimalWithError]
                       ) -> dict[str, DecimalWithError]:
@@ -74,11 +63,11 @@ def character_heights(group: DihedralGroup,
     sum(|v|) would be tighter, but would change the interval.) Each height
     is then two Fractions over 2*D (linear psi) or 2*D*C (induced psi).
     """
-    d = _common_denominator(translates.values())
+    d = common_denominator(translates.values())
     rotations = []    # (v, |v|, err) over D, in group.p_elements() order
     flip_v = flip_e = 0
     for g in group.elements():
-        v, err = _scaled(translates[g], d)
+        v, err = scaled(translates[g], d)
         if g.flip:
             flip_v += v
             flip_e += err
@@ -95,8 +84,8 @@ def character_heights(group: DihedralGroup,
     e = group.exponent
     half = e // 2 + 1
     cosines = cyclotomic_field(e).trace_embeddings[:half]
-    c = _common_denominator(cosines)
-    table = [_scaled(x, c) for x in cosines]
+    c = common_denominator(cosines)
+    table = [scaled(x, c) for x in cosines]
     for char in irreducible_characters(group)[2:]:
         # the exponents k at every rotation, in p_elements() order
         ks = [0]
@@ -156,12 +145,12 @@ def _interval_det(rows: list[list[DecimalWithError]]) -> DecimalWithError:
     n = len(rows)
     if n == 0:
         return DecimalWithError.exact(1)
-    d = _common_denominator(x for row in rows for x in row)
-    scaled = [[_scaled(x, d) for x in row] for row in rows]
+    d = common_denominator(x for row in rows for x in row)
+    entries = [[scaled(x, d) for x in row] for row in rows]
 
     @cache
     def minor(cols: tuple[int, ...]) -> tuple[int, int]:
-        row = scaled[n - len(cols)]
+        row = entries[n - len(cols)]
         if len(cols) == 1:
             return row[cols[0]]
         value = error = 0

@@ -100,6 +100,26 @@ def test_ten_generator_block_ends_quickly():
     assert "10 generators for Mordell-Weil rank 5" in str(excinfo.value)
 
 
+def test_degenerate_generators_are_a_data_error_at_their_list():
+    doc = bundled_doc("37a1-septic-577")
+    doc["bsd"]["K"]["regulator_generators"] = [{"1": "0"}]
+    ds = parse_dataset(doc)
+    with pytest.raises(DatasetError) as excinfo:
+        field_regulator(ds, ds.bsd["K"])
+    assert excinfo.value.path == "bsd.K.regulator_generators"
+    assert "not certifiably positive" in str(excinfo.value)
+
+
+def test_a_period_its_error_swallows_is_a_data_error_at_the_block():
+    doc = bundled_doc("37a1-septic-577")
+    doc["analytic"]["omega_plus"]["abs_error"] = "3"
+    ds = parse_dataset(doc)
+    for name in ("k", "K"):
+        with pytest.raises(DatasetError) as excinfo:
+            bsd_quotient(ds, ds.bsd[name])
+        assert excinfo.value.path == f"bsd.{name}"
+
+
 def test_bsd_quotients_are_recognizable():
     ds = load_bundled_dataset("21a1-quintic-19")
     for name, expected in (("k", Fraction(1, 4)), ("K", Fraction(1, 8)),

@@ -63,6 +63,13 @@ def test_verify_weak_bound_inconclusive(capsys):
     assert "verdict: INCONCLUSIVE" in out
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_verify_nonpositive_den_bound_is_a_data_error(capsys, bound):
+    code, _, err = run(capsys, "verify", "--dataset", "21a1-quintic-19", "--den-bound", bound)
+    assert code == 3
+    assert "options.den_bound" in err and "Traceback" not in err
+
+
 def test_verify_missing_dataset(capsys):
     code, _, err = run(capsys, "verify", "--dataset", "no-such-dataset")
     assert code == 3
@@ -143,6 +150,30 @@ def test_bsd_squares_structured(capsys):
     rows = {r["field"]: r for r in doc["sha_predictions"]}
     assert rows["k"]["sha"] == "1" and rows["k"]["square"]
     assert rows["K"]["integral"]
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    # each ended in a division or Gram determinant message with no field
+    # named, and an omega_quotient of -1 printed "Sha(K) = -1"
+    (("bsd", "K", "omega_quotient"), "0", "bsd.K.omega_quotient"),
+    (("bsd", "K", "omega_quotient"), "-1", "bsd.K.omega_quotient"),
+    (("bsd", "K", "regulator"), {"value": "0"}, "bsd.K.regulator"),
+    (("bsd", "K", "regulator"), {"value": "-1"}, "bsd.K.regulator"),
+    (("bsd", "K", "regulator_generators"), [{"1": "0"}], "bsd.K.regulator_generators"),
+    (("analytic", "omega_plus", "abs_error"), "3", "bsd.K"),
+])
+def test_bsd_squares_names_the_field_of_a_vanishing_divisor(tmp_path, capsys, keys, value,
+                                                            path):
+    doc = bundled_doc("37a1-septic-577")
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "bsd-squares", "--dataset", str(target))
+    assert code == 3
+    assert f"twistcong: {path}: " in err and "Traceback" not in err
 
 
 def test_bsd_squares_random(capsys):

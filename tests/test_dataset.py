@@ -485,6 +485,22 @@ def test_reject_bad_rationals(keys, value, path):
     assert excinfo.value.path == path
 
 
+@pytest.mark.parametrize("keys, value, path", [
+    (("bsd", "K", "omega_quotient"), "0", "bsd.K.omega_quotient"),
+    (("bsd", "K", "omega_quotient"), "-1/2", "bsd.K.omega_quotient"),
+    (("bsd", "K", "regulator"), {"value": "0"}, "bsd.K.regulator"),
+    (("bsd", "L", "regulator"), {"value": "-1"}, "bsd.L.regulator"),
+    (("bsd", "L", "regulator"), {"value": "1", "abs_error": "1"}, "bsd.L.regulator"),
+])
+def test_reject_bsd_divisors_that_are_not_positive(keys, value, path):
+    # the Sha prediction divides by both
+    doc = bundled_doc("21a1-quintic-19")
+    set_field(doc, keys, value)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == path
+
+
 @pytest.mark.parametrize("u", ["x", "1/0"])
 def test_reject_unparsable_pin(u):
     doc = bundled_doc("21a1-quintic-19")

@@ -246,6 +246,16 @@ def test_den_bound_override_leaves_dataset_untouched():
     assert verify(ds).verdict == "PASS"
 
 
+@pytest.mark.parametrize("den_bound", [0, -5])
+@pytest.mark.parametrize("route", [None, "gz"])
+def test_nonpositive_den_bound_override_is_a_data_error(den_bound, route):
+    # the auto route once reported "no rational with denominator <= 0" as
+    # INCONCLUSIVE, and the gz route ignored the bound
+    with pytest.raises(DatasetError) as excinfo:
+        verify(load_bundled_dataset(QUINTIC), route=route, den_bound=den_bound)
+    assert excinfo.value.path == "options.den_bound"
+
+
 def test_wide_interval_inconclusive():
     ds = load_bundled_dataset(QUINTIC)
     ca = ds.analytic.characters["eps"]

@@ -1,6 +1,7 @@
 """Exact arithmetic: cyclotomic field axioms, valuations, intervals,
 recognition."""
 import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -524,22 +525,56 @@ SUBFIELD_CASES = [(7, 3, 3), (9, 3, 3), (11, 5, 5), (13, 2, 2), (13, 3, 3), (13,
                   (25, 5, 10), (25, 10, 10)]
 
 
+def subfield_element(m, d, data):
+    """A drawn x of the real subfield of degree d of Q(zeta_m): the relative
+    trace of a drawn y to the fixed field of the d-th powers. One common
+    denominator keeps every coordinate under the default bound."""
+    numerators = data.draw(st.lists(st.integers(-50, 50), max_size=euler_phi(m)))
+    y = CyclotomicNumber(m, [Fraction(n, 12) for n in numerators])
+    d_th_powers = {pow(a, d, m) for a in range(1, m) if gcd(a, m) == 1}
+    return sum((y.galois_apply(h) for h in d_th_powers), CyclotomicNumber.rational(0))
+
+
 @pytest.mark.parametrize("m, d, k", SUBFIELD_CASES)
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_recognize_orbit_round_trips_in_real_subfields(m, d, k, data):
-    # one common denominator keeps every coordinate of x under the default bound
-    numerators = data.draw(st.lists(st.integers(-50, 50), max_size=euler_phi(m)))
-    y = CyclotomicNumber(m, [Fraction(n, 12) for n in numerators])
-    # the relative trace of y to the fixed field of the d-th powers
-    d_th_powers = {pow(a, d, m) for a in range(1, m) if gcd(a, m) == 1}
-    x = sum((y.galois_apply(h) for h in d_th_powers), CyclotomicNumber.rational(0))
+    x = subfield_element(m, d, data)
     units = coset_reps(m, k)
     assert len(units) == k
     orb = recognize_orbit(embedded_orbit(x, units), m, units)
     assert orb.values == tuple(x.galois_apply(a) for a in units)
     assert len(orb.min_poly) - 1 == len(set(orb.values))
     assert d % (len(orb.min_poly) - 1) == 0
+
+
+def test_recognize_orbit_of_size_50_at_125_ends_quickly():
+    # the Gauss-Jordan basis and the product of linear factors took 12-13 s
+    z = CyclotomicNumber.zeta_power(125, 1)
+    x = Fraction(3, 2) + z + z.conjugate()
+    units = coset_reps(125, 50)
+    xs = embedded_orbit(x, units)
+    start = time.perf_counter()
+    orb = recognize_orbit(xs, 125, units)
+    assert time.perf_counter() - start < 3
+    assert orb.values[0] == x and len(orb.min_poly) == 51
+
+
+def test_recognize_orbit_rejects_coordinates_outside_the_subfield():
+    # wide inputs whose coordinates reconstruct to an element that the cubes
+    # do not fix: its sigma_a, a in units, are not a whole conjugate set
+    xs = [DecimalWithError(v, Fraction(1, 25))
+          for v in (Fraction(1787, 1000), Fraction(-38, 25), Fraction(-9, 4))]
+    with pytest.raises(RecognitionError, match="not in the subfield of degree 3"):
+        recognize_orbit(xs, 9, (1, 2, 4), 3)
+
+
+@given(x=cyclo(9) | cyclo(13) | cyclo(25))
+@settings(max_examples=30, deadline=None)
+def test_trace_is_the_sum_of_the_conjugates(x):
+    field = cyclotomic_field(x.m)
+    total = sum((x.galois_apply(a) for a in field.units), CyclotomicNumber.rational(0))
+    assert total == field.trace(x)
 
 
 def test_groups_alignment_is_the_coset_alignment():
@@ -669,3 +704,109 @@ def test_recognize_orbit_agrees_with_the_pair_oracle(p):
         assert new == old, (regime, r, c)
         seen.add(new if isinstance(new, type) else tuple)
     assert seen == {tuple, AmbiguousRecognitionError, RecognitionError}
+
+
+# ---------------------------------------------------------------------------
+# the retired Gauss-Jordan subfield basis and product of linear factors,
+# kept as oracles
+# ---------------------------------------------------------------------------
+
+def gauss_jordan_subfield(m, k):
+    """(basis, duals) as the retired CyclotomicField.real_subfield built
+    them: basis is the first k linearly independent sums over the H-orbits of
+    zeta^i, H the k-th powers, and duals maps a^(phi/k) mod m to the real
+    embeddings of sigma_a of the trace-dual basis, from Gauss-Jordan on the
+    Gram matrix."""
+    field = cyclotomic_field(m)
+    phi = field.phi
+    h = pow(field.generator, k, m)
+    powers = {pow(h, i, m) for i in range(phi // k)}
+    basis, echelon = [], []
+    for i in range(m):
+        poly = [0] * m
+        for a in powers:
+            poly[a * i % m] = 1
+        b = CyclotomicNumber(m, field.reduce(poly))
+        row = list(b.coeffs)
+        for col, pivot in echelon:
+            f = row[col] / pivot[col]
+            row = [x - f * y for x, y in zip(row, pivot)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            echelon.append((col, row))
+            basis.append(b)
+            if len(basis) == k:
+                break
+
+    def trace(y):
+        c = y.coeffs
+        return Fraction(k, phi) * (phi * c[0] - field.q * sum(c[field.q::field.q]))
+
+    rows = [[trace(b * c) for c in basis] + [Fraction(i == j) for j in range(k)]
+            for i, b in enumerate(basis)]
+    for i in range(k):
+        rows[i] = [x / rows[i][i] for x in rows[i]]
+        for r in range(k):
+            f = rows[r][i]
+            if r != i and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[i])]
+    dual = [CyclotomicNumber(m, [sum(g * b.coeffs[j] for g, b in zip(row[k:], basis))
+                                 for j in range(phi)]) for row in rows]
+    duals, a = {}, 1
+    for _ in range(k):
+        duals[pow(a, phi // k, m)] = tuple(real_embedding(d.galois_apply(a)) for d in dual)
+        a = a * field.generator % m
+    return basis, duals
+
+
+def gauss_jordan_element(xs, m, units, den_bound=10 ** 6):
+    """x as the retired recognizer solved for it: its coordinate on b_j is
+    Tr(x b^v_j) = sum_i xs[i] sigma_units[i](b^v_j)."""
+    k = len(xs)
+    basis, duals = gauss_jordan_subfield(m, k)
+    keys = [pow(a, euler_phi(m) // k, m) for a in units]
+    coords = [rational_reconstruct(sum((x * duals[key][j] for x, key in zip(xs, keys)),
+                                       DecimalWithError.exact(0)), den_bound)
+              for j in range(k)]
+    return CyclotomicNumber(m, [sum(c * b.coeffs[i] for c, b in zip(coords, basis))
+                                for i in range(euler_phi(m))])
+
+
+def product_min_poly(values):
+    """The product of (X - v) over the distinct values, in the field."""
+    distinct = []
+    for v in values:
+        if not any(v == w for w in distinct):
+            distinct.append(v)
+    poly = [CyclotomicNumber.rational(1)]
+    for v in distinct:
+        nxt = [CyclotomicNumber.rational(0) for _ in range(len(poly) + 1)]
+        for i, c in enumerate(poly):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * v
+        poly = nxt
+    return tuple(c.rational_part() for c in poly)
+
+
+@pytest.mark.parametrize("m, d, k", SUBFIELD_CASES)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_recognize_orbit_agrees_with_the_gauss_jordan_oracle(m, d, k, data):
+    x = subfield_element(m, d, data)
+    units = coset_reps(m, k)
+    xs = embedded_orbit(x, units)
+    orb = recognize_orbit(xs, m, units)
+    assert orb.values[0] == gauss_jordan_element(xs, m, units)
+    assert orb.min_poly == product_min_poly(orb.values)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rational_orbits_agree_with_the_product_oracle(data):
+    k = data.draw(st.sampled_from([2, 3, 6]))
+    rs = data.draw(st.lists(small_fractions, min_size=k, max_size=k).filter(
+        lambda rs: len(set(rs)) > 1))
+    xs = [DecimalWithError(r, Fraction(1, 10 ** 20)) for r in rs]
+    orb = recognize_orbit(xs, 13, coset_reps(13, k))
+    assert orb.values == tuple(CyclotomicNumber.rational(r) for r in rs)
+    assert orb.min_poly == product_min_poly(orb.values)

@@ -1,6 +1,7 @@
 """A seeded fuzz of the dataset boundary: a bundled document with one or two
 of its fields replaced by a hostile value must end in a DatasetError or a
-verdict, within seconds, and never in any other exception."""
+verdict, and in a DatasetError or Sha predictions, within seconds, and never
+in any other exception."""
 import copy
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 from twistcong.bsdsquares import sha_predictions
 from twistcong.dataset import DatasetError, parse_dataset
 from twistcong.engine import verify
-from twistcong.exact import ExactArithmeticError
+from twistcong.exact import ExactArithmeticError, RecognitionError
 
 VALUES = ["1e400", "inf", "nan", "1/0", None, [], {}, 200000, "1e100000", "x", -1, 0,
           True, 1.5, "-0", "1e-400", 5, "", [1, 2], {"a": 1}, "1e5000"]
@@ -62,16 +63,20 @@ def mutated_docs(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_hostile_fields_end_in_a_dataset_error_or_a_verdict(seed):
+    # a document that parses is verified and gets its Sha predictions; a
+    # prediction may also end in a RecognitionError (it is undetermined)
     raw, slow = [], []
     for paths, doc in mutated_docs(seed):
         where = [".".join(map(str, path)) for path in paths]
         start = time.perf_counter()
-        try:
-            verify(parse_dataset(doc))
-        except DatasetError:
-            pass
-        except Exception as e:  # any other exception is a fault of the program
-            raw.append((where, f"{type(e).__name__}: {str(e)[:120]}"))
+        for run, allowed in ((verify, DatasetError),
+                             (sha_predictions, (DatasetError, RecognitionError))):
+            try:
+                run(parse_dataset(doc))
+            except allowed:
+                pass
+            except Exception as e:  # any other exception is a fault of the program
+                raw.append((where, f"{run.__name__}: {type(e).__name__}: {str(e)[:120]}"))
         if time.perf_counter() - start > SECONDS_PER_CASE:
             slow.append(where)
     assert raw == [] and slow == []

@@ -10,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = ("d559357daa6d3801892ef1b43de5cb90bb6a8b97e23fd369d2da8fa3258f5ed7", 2124)
+PINNED = ("77e823b5903d756793c60cc148838d90d3658e0191316d858639a3009f211528", 2127)
 
 
 def load_tool():

@@ -10,8 +10,9 @@ and `towers-auto` workloads at seeds 1 and 2, each verified under the
 defaults, `n_override=1`, `n_override=2` and `route="gz"`, and after the
 defaults the `center_integrality` report on the Q-vector (none when that
 verification returned before recognition); then the `sha_predictions` of
-both bundled datasets; then `recognize_orbit` on the irrational orbits of
-sizes 2, 3 and 5 listed in ORBITS; then the text and structured reports of
+both bundled datasets; then `recognize_orbit` on the irrational orbits
+listed in ORBITS, of sizes 2, 3 and 5 at m = p and 10, 9 and 21 at
+m = 25, 27 and 49; then the text and structured reports of
 `verify(relabel_dataset(ds, a))` for both bundled datasets at every unit
 a != 1 modulo the exponent of P, and for every benchmark input at a = 2;
 then the outcome of `parse_dataset` on each of the 1500 hostile documents of
@@ -47,10 +48,14 @@ SEEDS = (1, 2)
 FUZZ_SEEDS = (0, 1, 2)
 VARIANTS = (("defaults", {}), ("n_override=1", {"n_override": 1}),
             ("n_override=2", {"n_override": 2}), ("route=gz", {"route": "gz"}))
-# (p, r, {k: c_k}): the orbit of x = r + sum_k c_k (zeta_p^k + zeta_p^-k),
-# aligned as the induced orbit of the dihedral group of order 2p
-ORBITS = ((5, Fraction(32), {1: 16}), (7, Fraction(3), {1: 2}),
-          (11, Fraction(1, 3), {1: 1, 2: -2}))
+# (p, m, r, {k: c_k}): the orbit of x = r + sum_k c_k (zeta_m^k + zeta_m^-k),
+# aligned as the induced orbit of size phi(m)/2 of the dihedral group of
+# order 2m; at m = p^n with n > 1 the coordinates of x couple modulo p^(n-1)
+ORBITS = ((5, 5, Fraction(32), {1: 16}), (7, 7, Fraction(3), {1: 2}),
+          (11, 11, Fraction(1, 3), {1: 1, 2: -2}),
+          (5, 25, Fraction(1, 2), {1: 1, 2: -3, 5: 2}),
+          (3, 27, Fraction(2), {1: Fraction(1, 2), 4: 1, 9: -1}),
+          (7, 49, Fraction(-1, 3), {1: 1, 3: Fraction(2, 5), 7: 2}))
 
 
 def inputs() -> list[tuple[str, dict]]:
@@ -88,19 +93,19 @@ def outputs():
         except Exception as e:
             text = f"{type(e).__name__}: {e}"
         yield label, text
-    for p, r, cs in ORBITS:
-        units = orbit_units(DihedralGroup(p, [p]))[2]
-        x = r + sum((c * (CyclotomicNumber.zeta_power(p, k) + CyclotomicNumber.zeta_power(p, -k))
+    for p, m, r, cs in ORBITS:
+        units = orbit_units(DihedralGroup(p, [m]))[2]
+        x = r + sum((c * (CyclotomicNumber.zeta_power(m, k) + CyclotomicNumber.zeta_power(m, -k))
                      for k, c in cs.items()), CyclotomicNumber.rational(0))
         xs = [DecimalWithError(real_embedding(x.galois_apply(a)).value, Fraction(1, 10 ** 30))
               for a in units]
         try:
-            orb = recognize_orbit(xs, p, units)
+            orb = recognize_orbit(xs, m, units)
             text = repr(([[str(c) for c in v.coeffs] for v in orb.values],
                          [str(c) for c in orb.min_poly]))
         except Exception as e:
             text = f"{type(e).__name__}: {e}"
-        yield f"recognize_orbit p={p} size={len(units)}", text
+        yield f"recognize_orbit m={m} size={len(units)}", text
     for name, doc in inputs():
         try:
             ds = parse_dataset(doc)
