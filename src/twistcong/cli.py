@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
-from .bsdsquares import plant_violation, random_s3_instance, s3_consistency, sha_predictions
 from .dataset import (ROUTES, Dataset, DatasetError, bundled_dataset_names,
                       load_bundled_dataset, load_dataset)
 from .engine import verify
-from .exact import ExactArithmeticError, is_square_rational
+from .exact import ExactArithmeticError, RecognitionError, is_square_rational
 from .report import REPORT_VERSION, render
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 3
@@ -63,13 +61,29 @@ def _cmd_verify(args) -> int:
     return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(result.verdict, EXIT_INCONCLUSIVE)
 
 
+def _positive_int(text: str) -> int:
+    # a screen of no instances would report success without testing anything
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _cmd_bsd_squares(args) -> int:
+    import random
+
+    from .bsdsquares import plant_violation, random_s3_instance, s3_consistency, sha_predictions
+
     if args.dataset is None and args.random is None:
         raise DatasetError("", "bsd-squares needs --dataset or --random")
 
     if args.dataset is not None:
         ds = _load(args.dataset)
-        preds = sha_predictions(ds)
+        try:
+            preds = sha_predictions(ds)
+        except RecognitionError as e:
+            # the data are well formed, but too coarse to fix a prediction
+            print(f"twistcong: inconclusive: {e}", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
         rows = []
         all_ok = True
         for name in sorted(preds):
@@ -198,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--dataset", default=None,
                     help="dataset whose field blocks to evaluate")
     pb.add_argument("--format", choices=("text", "structured"), default="text")
-    pb.add_argument("--random", type=int, default=None, metavar="N",
+    pb.add_argument("--random", type=_positive_int, default=None, metavar="N",
                     help="screen N synthetic sextic-tower instances instead")
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", default=None, metavar="PATH",

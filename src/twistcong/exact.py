@@ -18,6 +18,7 @@ or else each coordinate of x in the power basis 1, z, ..., z^(phi-1).
 """
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -25,8 +26,6 @@ from itertools import accumulate, repeat
 from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
-
-import mpmath
 
 
 class ExactArithmeticError(ValueError):
@@ -92,6 +91,13 @@ def is_square_rational(x: Fraction) -> bool:
         return False
     n, d = x.numerator, x.denominator
     return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+
+
+def scientific(x: Fraction, digits: int) -> str:
+    """x rounded to at most `digits` significant digits, as in 1.23e-5, without
+    float(): float(x) reads 0 below about 1e-324 and overflows above 1.8e308."""
+    ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return f"{ctx.divide(decimal.Decimal(x.numerator), x.denominator):e}"
 
 
 def is_probable_prime(n: int) -> bool:
@@ -174,9 +180,11 @@ class CyclotomicField:
                     if all(pow(a, self.phi // r, self.m) != 1 for r in primes))
 
     @cached_property
-    def embedding(self) -> tuple[tuple[mpmath.mpf, mpmath.mpf], ...]:
-        """(cos, sin) of 2*pi*i/m for i < phi: the power basis under the
-        canonical embedding zeta_m -> exp(2*pi*i/m), at _EMBEDDING_DPS digits."""
+    def embedding(self) -> tuple[tuple, ...]:
+        """(cos, sin) of 2*pi*i/m for i < phi, as mpmath numbers: the power
+        basis under the canonical embedding zeta_m -> exp(2*pi*i/m), at
+        _EMBEDDING_DPS digits."""
+        import mpmath
         with mpmath.workdps(_EMBEDDING_DPS):
             angles = [mpmath.mpf(2 * i) / self.m for i in range(self.phi)]
             return tuple((mpmath.cospi(t), mpmath.sinpi(t)) for t in angles)
@@ -511,7 +519,8 @@ class DecimalWithError:
         return self.value - self.abs_error > 0
 
     def __repr__(self):
-        return f"DecimalWithError({float(self.value):.12g} +- {float(self.abs_error):.3g})"
+        return (f"DecimalWithError({scientific(self.value, 12)} "
+                f"+- {scientific(self.abs_error, 3)})")
 
 
 def common_denominator(intervals: Iterable[DecimalWithError]) -> int:
@@ -558,6 +567,7 @@ def real_embedding(x: CyclotomicNumber) -> DecimalWithError:
     """
     if x.m == 1 or x.is_rational():
         return DecimalWithError.exact(x.coeffs[0])
+    import mpmath    # only irrational input needs it; the gz route never gets here
     total = sum(abs(c) for c in x.coeffs) + 1
     budget = total * Fraction(10) ** (-(_EMBEDDING_DPS - 5))
     with mpmath.workdps(_EMBEDDING_DPS):
@@ -573,7 +583,7 @@ def real_embedding(x: CyclotomicNumber) -> DecimalWithError:
         im_frac = _mpf_to_fraction(im)
     if abs(im_frac) > budget:
         raise NotRealError(
-            f"imaginary part {float(im_frac):.3g} exceeds error budget under embedding 1")
+            f"imaginary part {scientific(im_frac, 3)} exceeds error budget under embedding 1")
     return DecimalWithError(re_frac, budget)
 
 
@@ -638,8 +648,8 @@ def rational_reconstruct(x: DecimalWithError, den_bound: int = 10 ** 6) -> Fract
     c = _simplest_in_interval(lo, hi)
     if c.denominator > den_bound:
         raise RecognitionError(
-            f"no rational with denominator <= {den_bound} within {float(tol):.3g} "
-            f"of {float(x.value):.12g}")
+            f"no rational with denominator <= {den_bound} within {scientific(tol, 3)} "
+            f"of {scientific(x.value, 12)}")
     n1, n2 = _farey_neighbors(c, den_bound)
     for other in (n1, n2):
         if other != c and lo <= other <= hi:

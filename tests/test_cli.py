@@ -1,5 +1,10 @@
-"""Command-line behavior: subcommands, formats, exit codes."""
+"""Command-line behavior: subcommands, formats, exit codes, and the modules
+each command loads."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_dataset import bundled_doc
@@ -176,6 +181,32 @@ def test_bsd_squares_names_the_field_of_a_vanishing_divisor(tmp_path, capsys, ke
     assert f"twistcong: {path}: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("keys, value", [
+    # the two fuzz documents (seed 0, cases 70 and 333) whose predictions exited 3
+    (("bsd", "k", "regulator_generators", 0, "1"), -1),
+    (("bsd", "k", "d_abs"), 5),
+])
+def test_bsd_squares_undetermined_prediction_is_inconclusive(tmp_path, capsys, keys, value):
+    doc = bundled_doc("37a1-septic-577")
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    target = tmp_path / "coarse.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bsd-squares", "--dataset", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("twistcong: inconclusive: no rational with denominator <= 1000000")
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_bsd_squares_empty_screen_is_a_usage_error(capsys, count):
+    with pytest.raises(SystemExit) as e:
+        main(["bsd-squares", f"--random={count}"])
+    assert e.value.code == 3
+    assert f"expected a positive integer, got '{count}'" in capsys.readouterr().err
+
+
 def test_bsd_squares_random(capsys):
     code, out, _ = run(capsys, "bsd-squares", "--random", "50", "--seed", "3")
     assert code == 0
@@ -194,3 +225,36 @@ def test_selftest(capsys):
     assert "all selftest checks passed" in out
     lines = [l for l in out.splitlines() if l and not l.startswith("all ")]
     assert lines and all(l.startswith("ok  ") for l in lines)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code; this process
+    has loaded every module already."""
+    script = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.split())
+
+
+def verify_code(*route):
+    argv = ["verify", "--dataset", "21a1-quintic-19", *route, "--out", os.devnull]
+    return f"from twistcong import cli\nassert cli.main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("code, absent, present", [
+    ("import twistcong.cli", {"mpmath", "twistcong.bsdsquares"}, {"twistcong.engine"}),
+    ("import twistcong.dataset",
+     {"twistcong.engine", "twistcong.report", "twistcong.bsdsquares"}, {"twistcong.exact"}),
+    (verify_code("--route", "gz"), {"mpmath", "twistcong.bsdsquares"}, {"twistcong.report"}),
+    # the auto route embeds irrational leading terms: the gz case above does
+    # not pass merely because nothing ever loads mpmath
+    (verify_code(), {"twistcong.bsdsquares"}, {"mpmath"}),
+], ids=["import-cli", "import-dataset", "verify-gz", "verify-auto"])
+def test_each_command_imports_only_what_it_runs(code, absent, present):
+    loaded = modules_after(code)
+    assert not absent & loaded
+    assert present <= loaded

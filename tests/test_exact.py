@@ -15,7 +15,7 @@ from twistcong.exact import (
     _farey_neighbors, _mpf_to_fraction, _simplest_in_interval, as_fraction,
     cyclotomic_field, euler_phi, is_probable_prime, is_square_rational, p_valuation,
     rational_reconstruct, rational_valuation, real_embedding, recognize_orbit,
-    sqrt_rational_approx,
+    scientific, sqrt_rational_approx,
 )
 from twistcong.groups import DihedralGroup, character_orbits, orbit_units
 
@@ -441,6 +441,30 @@ def test_rational_reconstruct_rejects_and_ambiguous():
     wide = DecimalWithError(Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(AmbiguousRecognitionError):
         rational_reconstruct(wide, 100)
+
+
+def test_a_value_below_the_float_range_keeps_its_magnitude_in_messages():
+    # float() read 1e-800 as 0, so the message said "within 0 of 0"
+    tiny = Fraction(1, 10 ** 800)
+    assert repr(DecimalWithError(tiny, tiny / 7)) == "DecimalWithError(1e-800 +- 1.43e-801)"
+    with pytest.raises(RecognitionError, match=r"within 2e-810 of 1e-800$"):
+        rational_reconstruct(DecimalWithError(tiny, tiny / 10 ** 10), 10 ** 6)
+
+
+def test_a_value_above_the_float_range_is_a_recognition_error():
+    # float() raised OverflowError here, in place of the RecognitionError
+    x = DecimalWithError(10 ** 400 + Fraction(1, 3), Fraction(1, 10 ** 10))
+    with pytest.raises(RecognitionError, match=r"of 1\.00000000000e\+400$"):
+        rational_reconstruct(x, 2)
+
+
+@pytest.mark.parametrize("x, digits, text", [
+    (Fraction(0), 3, "0e+0"), (Fraction(5), 3, "5e+0"), (Fraction(-7, 2), 3, "-3.5e+0"),
+    (Fraction(1, 3), 12, "3.33333333333e-1"), (Fraction(-12, 10 ** 6), 3, "-1.2e-5"),
+    (Fraction(9995, 10 ** 4), 3, "1.00e+0"), (Fraction(10 ** 2000 + 1, 3), 3, "3.33e+1999"),
+])
+def test_scientific_rounds_to_the_given_significant_digits(x, digits, text):
+    assert scientific(x, digits) == text
 
 
 def test_recognize_orbit_rational_and_pair():
