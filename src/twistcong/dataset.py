@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import decimal
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
@@ -347,6 +348,15 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
             raise DatasetError(path, "unknown character label")
         return label
 
+    def distinct(g: GroupElement, key: str, keys: dict[GroupElement, str], path: str
+                 ) -> GroupElement:
+        """g, which the key at path names, unless an earlier key of its object
+        did ("s1^6" is "s1" at |P| = 5)."""
+        if g in keys:
+            raise DatasetError(path, f"names the same group element as {keys[g]!r}")
+        keys[g] = key
+        return g
+
     cobj = _required_object(doc, "curve", "")
 
     def counts(key: str, block: Mapping[str, Any]) -> dict[str, int]:
@@ -385,6 +395,9 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         S_r_split=tuple(str(x) for x in _list(tobj.get("S_r_split", []), "tower.S_r_split")),
         S_bad=tuple(str(x) for x in _list(tobj.get("S_bad", []), "tower.S_bad")),
     )
+    repeated = sorted(s for s, n in Counter(tower.S_r).items() if n > 1)
+    if repeated:
+        raise DatasetError("tower.S_r", f"places listed more than once: {repeated}")
 
     pobj = _required_object(doc, "places", "")
     places: dict[str, LocalPlace] = {}
@@ -435,13 +448,14 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
     if doc.get("heights") is not None:
         hobj = _object(doc["heights"], "heights")
         translates: dict[GroupElement, DecimalWithError] = {}
+        keys: dict[GroupElement, str] = {}
         for gs, entry in _required_object(hobj, "translates", "heights").items():
             path = f"heights.translates.{gs}"
             try:
                 g = group.parse_element(gs)
             except GroupError as e:
                 raise DatasetError(path, str(e)) from e
-            translates[g] = _decimal(entry, path)
+            translates[distinct(g, gs, keys, path)] = _decimal(entry, path)
         missing_tr = [group.format_element(g) for g in group.elements() if g not in translates]
         if missing_tr:
             raise DatasetError("heights.translates", f"missing elements {missing_tr}")
@@ -472,11 +486,13 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
                                             f"{path}.regulator_generators")):
                 gpath = f"{path}.regulator_generators[{i}]"
                 gen: dict[GroupElement, Fraction] = {}
+                keys = {}
                 for k, v in _object(combo, gpath).items():
                     try:
-                        gen[group.parse_element(k)] = _rational(v, f"{gpath}.{k}")
+                        g = group.parse_element(k)
                     except GroupError as e:
                         raise DatasetError(gpath, str(e)) from e
+                    gen[distinct(g, k, keys, f"{gpath}.{k}")] = _rational(v, f"{gpath}.{k}")
                 gens.append(gen)
         degree = _required_integer(fobj, "degree", path, 1)
         if group.order % degree != 0:

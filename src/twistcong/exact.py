@@ -4,7 +4,10 @@ recognition of exact values from decimal approximations.
 cyclotomic_field(m), m = p^n with p an odd prime, is the one field core: it
 holds p, p^(n-1), phi, the units (Z/m)^* and a generator of that cyclic
 group, the reduction modulo Phi_m, the valuation at the prime 1 - zeta_m
-above p and the cached canonical embedding. Elements are
+above p and the cached cosine table: 2cos(2*pi*k/m) for every k, integers
+over one denominator, the only real numbers the canonical embedding needs.
+real_embedding decides realness exactly (x is fixed by complex conjugation)
+and then reads the table in one integer dot product. Elements are
 `fractions.Fraction` vectors over the power basis 1, z, ..., z^(phi-1)
 (m = 1 for Q); they are multiplied but never divided.
 Decimal inputs carry explicit rational error bounds and every arithmetic
@@ -41,7 +44,7 @@ class InvalidAutomorphismError(ExactArithmeticError):
 
 
 class NotRealError(ExactArithmeticError):
-    """Asked for a real embedding of an element with a non-negligible imaginary part."""
+    """Asked for the real embedding of an element complex conjugation does not fix."""
 
 
 class IntervalError(ExactArithmeticError):
@@ -128,7 +131,7 @@ def is_probable_prime(n: int) -> bool:
 # the field Q(zeta_m)
 # ---------------------------------------------------------------------------
 
-_EMBEDDING_DPS = 50  # digits of the canonical embedding; error budget 10^-(dps - 5)
+_EMBEDDING_DPS = 50  # digits of CyclotomicField.cosines; an irrational entry errs by 10^-(dps - 5)
 SQRT_DIGITS = 50     # digits of the sqrt(d) bounds in every normalized leading term
 
 
@@ -180,25 +183,27 @@ class CyclotomicField:
                     if all(pow(a, self.phi // r, self.m) != 1 for r in primes))
 
     @cached_property
-    def embedding(self) -> tuple[tuple, ...]:
-        """(cos, sin) of 2*pi*i/m for i < phi, as mpmath numbers: the power
-        basis under the canonical embedding zeta_m -> exp(2*pi*i/m), at
-        _EMBEDDING_DPS digits."""
-        import mpmath
+    def cosines(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(C, values, errors), integers over the one denominator C: entry k,
+        for k in [0, m), is the interval values[k]/C +- errors[k]/C around
+        2cos(2*pi*k/m), the image of zeta^k + zeta^-k under the canonical
+        embedding zeta_m -> exp(2*pi*i/m). Entries k and m - k are equal. An
+        entry is exact when 3k = 0 mod m (2 at k = 0, -1 at k = m/3 when
+        m = 3^n), the only rational ones for odd m; every other is one
+        mpmath.cospi call at _EMBEDDING_DPS digits."""
+        import mpmath    # only irrational embeddings need it; the gz route never gets here
+        c, m = 10 ** _EMBEDDING_DPS, self.m
+        values, errors = [2 * c], [0]
         with mpmath.workdps(_EMBEDDING_DPS):
-            angles = [mpmath.mpf(2 * i) / self.m for i in range(self.phi)]
-            return tuple((mpmath.cospi(t), mpmath.sinpi(t)) for t in angles)
-
-    @cached_property
-    def trace_embeddings(self) -> tuple["DecimalWithError", ...]:
-        """Entry k, for k in [0, m), is real_embedding(zeta_m^k + zeta_m^-k),
-        i.e. 2cos(2*pi*k/m): every value an induced dihedral character takes.
-        Entries k and m - k are one object."""
-        half = []
-        for k in range(self.m // 2 + 1):
-            z = CyclotomicNumber.zeta_power(self.m, k)
-            half.append(real_embedding(z + z.conjugate()))
-        return tuple(half[min(k, self.m - k)] for k in range(self.m))
+            for k in range(1, m // 2 + 1):
+                if 3 * k % m == 0:
+                    values.append(-c)
+                    errors.append(0)
+                else:
+                    values.append(int(mpmath.nint(2 * c * mpmath.cospi(mpmath.mpf(2 * k) / m))))
+                    errors.append(10 ** 5)    # 10^-(dps - 5) over C = 10^dps
+        return (c, tuple(values[min(k, m - k)] for k in range(m)),
+                tuple(errors[min(k, m - k)] for k in range(m)))
 
     def trace(self, x: "CyclotomicNumber") -> Fraction:
         """Tr(x) from Q(zeta_m) to Q. Tr(zeta^i), i < phi, is phi at i = 0,
@@ -548,43 +553,22 @@ def sqrt_rational_approx(n: int, digits: int = 40) -> DecimalWithError:
 # real embeddings
 # ---------------------------------------------------------------------------
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0 and exp != 0:
-        raise ExactArithmeticError("non-finite value in embedding")
-    # mpmath on the gmpy backend hands out gmpy2.mpz mantissas; Fraction must
-    # not be built from them (mixed-type internals break big-value arithmetic)
-    val = Fraction(int(man), 1) * (Fraction(2) ** int(exp))
-    return -val if sign else val
-
-
 def real_embedding(x: CyclotomicNumber) -> DecimalWithError:
-    """The image of x under the canonical embedding zeta_m -> exp(2*pi*i/m),
-    which must be real.
+    """The image of x under the canonical embedding zeta_m -> exp(2*pi*i/m);
+    raises NotRealError unless x is fixed by complex conjugation.
 
-    Returns a conservative interval; raises NotRealError when the imaginary
-    part exceeds the numerical error budget.
-    """
+    A real x = sum c_i zeta^i equals (1/2) sum c_i (zeta^i + zeta^-i), so its
+    image is (1/2) sum c_i T[i] against the cosine table T, one integer dot
+    product, with error (1/2) sum |c_i| e_i."""
     if x.m == 1 or x.is_rational():
         return DecimalWithError.exact(x.coeffs[0])
-    import mpmath    # only irrational input needs it; the gz route never gets here
-    total = sum(abs(c) for c in x.coeffs) + 1
-    budget = total * Fraction(10) ** (-(_EMBEDDING_DPS - 5))
-    with mpmath.workdps(_EMBEDDING_DPS):
-        re = mpmath.mpf(0)
-        im = mpmath.mpf(0)
-        for c, (cos, sin) in zip(x.coeffs, cyclotomic_field(x.m).embedding):
-            if c == 0:
-                continue
-            cm = mpmath.mpf(c.numerator) / c.denominator
-            re += cm * cos
-            im += cm * sin
-        re_frac = _mpf_to_fraction(re)
-        im_frac = _mpf_to_fraction(im)
-    if abs(im_frac) > budget:
-        raise NotRealError(
-            f"imaginary part {scientific(im_frac, 3)} exceeds error budget under embedding 1")
-    return DecimalWithError(re_frac, budget)
+    if x != x.conjugate():
+        raise NotRealError(f"complex conjugation moves this element of Q(zeta_{x.m})")
+    c, values, errors = cyclotomic_field(x.m).cosines
+    d = lcm(*(y.denominator for y in x.coeffs))
+    ns = [y.numerator * (d // y.denominator) for y in x.coeffs]    # D c_i
+    return DecimalWithError(Fraction(sum(map(mul, ns, values)), 2 * c * d),
+                            Fraction(sum(abs(n) * e for n, e in zip(ns, errors)), 2 * c * d))
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +694,7 @@ def _subfield_element(xs: Sequence[DecimalWithError], field: CyclotomicField,
             f"units {list(units)} do not name the {k} cosets of an orbit in Q(zeta_{m})")
     h = pow(field.generator, k, m)
     cosets = [[a * pow(h, i, m) % m for i in range(phi // k)] for a in units]
-    c = common_denominator(field.trace_embeddings)
-    cos_v, cos_e = zip(*(scaled(y, c) for y in field.trace_embeddings))
+    c, cos_v, cos_e = field.cosines
     d = common_denominator(xs)
     inputs = [scaled(y, d) for y in xs]
     tv, te = [], []    # value and error of 2*D*C*T_j

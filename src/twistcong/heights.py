@@ -9,12 +9,12 @@ the absolute canonical height. Character contraction uses the closed form
 
 which equals (psi(1)/(2|G|)) <T_psi Q, T_psi-dual Q> by Schur orthogonality.
 character_heights computes every h_psi of one translate table in a single
-pass. It brings the translates to one common denominator D, and the cosine
-table of the field (CyclotomicField.trace_embeddings, every value 2cos(2 pi
-k/e) an induced psi takes on P) to one common denominator C. It then pools
-each character's translates by coefficient in plain integers, and builds
-two Fractions per character at the end. An induced psi vanishes on the
-reflections.
+pass. It brings the translates to one common denominator D and reads the
+field's cosine table (CyclotomicField.cosines: every value 2cos(2 pi k/e) an
+induced psi takes on P, integers over one denominator C) as it is. It then
+pools each character's translates by coefficient in plain integers, and
+builds two Fractions per character at the end. An induced psi vanishes on
+the reflections.
 
 Regulators of subfields divide the Gram determinant of [F:E]-scaled
 pairings. pairing_of_combinations pools the coefficient products by
@@ -28,8 +28,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
 
-from .exact import (DecimalWithError, IntervalError, common_denominator, cyclotomic_field,
-                    scaled)
+from .exact import DecimalWithError, IntervalError, common_denominator, cyclotomic_field, scaled
 from .groups import Character, DihedralGroup, GroupElement, irreducible_characters
 
 
@@ -55,9 +54,9 @@ def character_heights(group: DihedralGroup,
                       ) -> dict[str, DecimalWithError]:
     """h_psi = (1/2) sum_g psi(g) t(g) for every irreducible psi, by label.
 
-    The translates are brought to one denominator D, and the cosine table
-    to one denominator C. The translates sharing a coefficient c are pooled
-    in integers, and c multiplies each pool once: value c * sum(v), error
+    The translates are brought to one denominator D; the cosine table is
+    over its own denominator C. The translates sharing a coefficient c are
+    pooled in integers, and c multiplies each pool once: value c * sum(v), error
     |c| * sum(err) + c.err * sum(|v|) + c.err * sum(err), which is exactly
     the sum of the per-term errors of c * t(g). (|sum(v)| in place of
     sum(|v|) would be tighter, but would change the interval.) Each height
@@ -83,9 +82,7 @@ def character_heights(group: DihedralGroup,
     # 2cos(2 pi k/e) with k = chi_exponent(chi, g), read at min(k, e - k)
     e = group.exponent
     half = e // 2 + 1
-    cosines = cyclotomic_field(e).trace_embeddings[:half]
-    c = common_denominator(cosines)
-    table = [scaled(x, c) for x in cosines]
+    c, cos_v, cos_e = cyclotomic_field(e).cosines
     for char in irreducible_characters(group)[2:]:
         # the exponents k at every rotation, in p_elements() order
         ks = [0]
@@ -99,7 +96,7 @@ def character_heights(group: DihedralGroup,
             pool_a[k] += a
             pool_e[k] += err
         value = error = 0
-        for (cv, ce), v, a, err in zip(table, pool_v, pool_a, pool_e):
+        for cv, ce, v, a, err in zip(cos_v, cos_e, pool_v, pool_a, pool_e):
             value += cv * v
             error += abs(cv) * err + ce * a + ce * err
         heights[char.label] = DecimalWithError(Fraction(value, 2 * d * c),

@@ -268,6 +268,40 @@ def test_reject_element_with_two_exponents():
     assert excinfo.value.path == "places.577"
 
 
+def test_reject_a_ramified_place_listed_twice():
+    # each repeat of 19 applied its correction once more: verify printed PASS
+    # with t(triv) = 8192/6859 in place of 32/19
+    doc = bundled_doc("21a1-quintic-19")
+    doc["tower"]["S_r"] = ["2", "19", "19", "19"]
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "tower.S_r"
+    assert "['19']" in str(excinfo.value)
+
+
+def test_reject_two_translate_keys_naming_one_element():
+    # at |P| = 5, s1^6 is s1 and s1^9 is s1^4: the last key won, and the
+    # recognition ended INCONCLUSIVE
+    doc = bundled_doc("21a1-quintic-19")
+    for key in ("s1^6", "s1^9"):
+        doc["heights"]["translates"][key] = {"value": "12345", "abs_error": "0"}
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "heights.translates.s1^6"
+    assert "'s1'" in str(excinfo.value)
+
+
+def test_reject_two_generator_keys_naming_one_element():
+    # at |P| = 7, s1^8 is s1: its coefficient replaced s1's, and bsd-squares
+    # exited inconclusive
+    doc = bundled_doc("37a1-septic-577")
+    doc["bsd"]["K"]["regulator_generators"][0]["s1^8"] = "5"
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "bsd.K.regulator_generators[0].s1^8"
+    assert "'s1'" in str(excinfo.value)
+
+
 def test_reject_asymmetric_translates():
     doc = bundled_doc("21a1-quintic-19")
     doc["heights"]["translates"]["s1"] = {"value": "7/2", "abs_error": "0"}

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from twistcong.exact import (
     AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, ExactArithmeticError,
     IntervalError, NotRealError, RecognitionError, UnsupportedConductorError,
-    _farey_neighbors, _mpf_to_fraction, _simplest_in_interval, as_fraction,
+    _farey_neighbors, _simplest_in_interval, as_fraction,
     cyclotomic_field, euler_phi, is_probable_prime, is_square_rational, p_valuation,
     rational_reconstruct, rational_valuation, real_embedding, recognize_orbit,
     scientific, sqrt_rational_approx,
@@ -305,59 +305,75 @@ def test_real_embedding_rejects_imaginary():
     z = CyclotomicNumber.zeta_power(5, 1)
     with pytest.raises(NotRealError):
         real_embedding(z)
+    # 10^-60 (zeta_5 - zeta_5^-1) is purely imaginary: realness is decided
+    # exactly, so no numerical budget can swallow it
+    with pytest.raises(NotRealError):
+        real_embedding(Fraction(1, 10 ** 60) * (z - z.conjugate()))
 
 
-def direct_real_embedding(x):
-    """The canonical embedding by a per-call mpmath loop that computes every
-    cosine and sine afresh: the reference for real_embedding."""
-    if x.m == 1 or x.is_rational():
-        return DecimalWithError.exact(x.coeffs[0])
-    total = sum(abs(c) for c in x.coeffs) + 1
-    budget = total * Fraction(10) ** -45
-    with mpmath.workdps(50):
-        re = mpmath.mpf(0)
-        im = mpmath.mpf(0)
-        for i, c in enumerate(x.coeffs):
-            if c == 0:
-                continue
-            t = mpmath.mpf(2 * i) / x.m
-            cm = mpmath.mpf(c.numerator) / c.denominator
-            re += cm * mpmath.cospi(t)
-            im += cm * mpmath.sinpi(t)
-        re_frac = _mpf_to_fraction(re)
-        im_frac = _mpf_to_fraction(im)
-    if abs(im_frac) > budget:
-        raise NotRealError("imaginary part exceeds error budget")
-    return DecimalWithError(re_frac, budget)
+def mp_fraction(x) -> Fraction:
+    """An mpmath number rounded to 100 significant digits, which are all
+    correct when it was computed at 110; every such value below is under
+    10^9 in absolute value, so it errs by less than 10^-90."""
+    return Fraction(mpmath.nstr(x, 100))
+
+
+def contains_reference(interval: DecimalWithError, want: Fraction) -> bool:
+    return abs(interval.value - want) <= interval.abs_error + Fraction(1, 10 ** 90)
+
+
+def direct_real_embedding(x) -> Fraction:
+    """sum c_i cos(2 pi i/m) for x = sum c_i zeta^i, by a per-call mpmath loop
+    at 110 digits: the reference value for real_embedding."""
+    with mpmath.workdps(110):
+        return mp_fraction(mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator
+                                       * mpmath.cospi(mpmath.mpf(2 * i) / x.m)
+                                       for i, c in enumerate(x.coeffs) if c))
 
 
 @pytest.mark.parametrize("m", [5, 7, 9, 25, 49])
 def test_real_embedding_matches_direct_loop(m):
+    """The interval contains the 100-digit value, and errs by at most
+    (sum |c| + 1) 10^-45, the bound of a 50-digit embedding."""
     rng = random.Random(m)
     for _ in range(10):
         y = CyclotomicNumber(m, [Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 4))
                                  if rng.random() < 0.7 else 0 for _ in range(euler_phi(m))])
         x = y + y.conjugate()
-        got, want = real_embedding(x), direct_real_embedding(x)
-        assert (got.value, got.abs_error) == (want.value, want.abs_error)
-    z = CyclotomicNumber.zeta_power(m, 1)
-    for embed in (real_embedding, direct_real_embedding):
-        with pytest.raises(NotRealError):
-            embed(z)
+        got = real_embedding(x)
+        assert contains_reference(got, direct_real_embedding(x))
+        assert got.abs_error <= (sum(abs(c) for c in x.coeffs) + 1) * Fraction(1, 10 ** 45)
+    with pytest.raises(NotRealError):
+        real_embedding(CyclotomicNumber.zeta_power(m, 1))
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27])
 def test_trace_embeddings_match_real_embedding(m):
-    table = cyclotomic_field(m).trace_embeddings
-    assert len(table) == m
+    """CyclotomicField.cosines bounds the embedded traces zeta^k + zeta^-k,
+    2cos(2 pi k/m), for every k: entries k and m - k are equal, the entries
+    at 3k = 0 mod m are exact, and every entry and every real_embedding of
+    zeta^k + zeta^-k contains the 100-digit value."""
+    c, values, errors = cyclotomic_field(m).cosines
+    assert len(values) == len(errors) == m
     for k in range(m):
+        assert (values[k], errors[k]) == (values[-k % m], errors[-k % m])
+        with mpmath.workdps(110):
+            want = mp_fraction(2 * mpmath.cospi(mpmath.mpf(2 * k) / m))
+        entry = DecimalWithError(Fraction(values[k], c), Fraction(errors[k], c))
+        assert contains_reference(entry, want)
         z = CyclotomicNumber.zeta_power(m, k)
-        want = real_embedding(z + z.conjugate())
-        assert (table[k].value, table[k].abs_error) == (want.value, want.abs_error)
-        assert table[k] == table[m - k if k else 0]
-    assert table[0] == DecimalWithError.exact(2)
-    if m == 3:
-        assert table[1].value == -1 and table[1].abs_error == 0
+        assert contains_reference(real_embedding(z + z.conjugate()), want)
+        assert (errors[k] == 0) == (3 * k % m == 0)
+    assert Fraction(values[0], c) == 2
+    if m % 3 == 0:
+        assert Fraction(values[m // 3], c) == -1 and errors[m // 3] == 0
+
+
+def test_a_fresh_cosine_table_builds_quickly():
+    field = cyclotomic_field.__wrapped__(997)    # not the cached field: build the table here
+    start = time.perf_counter()
+    assert len(field.cosines[1]) == 997
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

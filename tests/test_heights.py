@@ -8,7 +8,7 @@ import pytest
 from twistcong.dataset import load_bundled_dataset
 from twistcong.engine import assemble_numeric, height_norm
 from twistcong.exact import (
-    DecimalWithError, IntervalError, real_embedding, sqrt_rational_approx,
+    DecimalWithError, IntervalError, cyclotomic_field, sqrt_rational_approx,
 )
 from twistcong.groups import Character, DihedralGroup, irreducible_characters
 from twistcong.heights import (
@@ -93,7 +93,9 @@ def test_induced_contractions_are_conjugate_quadratics():
 
 def direct_equivariant_height(char, group, translates):
     """h_psi = (1/2) sum_g psi(g) t(g), one interval product per group
-    element with psi(g) embedded afresh: the reference for character_heights."""
+    element, an irrational psi(g) = 2cos(2 pi k/e) read from entry k of the
+    field's cosine table: the reference for character_heights."""
+    c, values, errors = cyclotomic_field(group.exponent).cosines
     acc = DecimalWithError.exact(0)
     for g in group.elements():
         v = char.value(g)
@@ -102,7 +104,8 @@ def direct_equivariant_height(char, group, translates):
         if v.is_rational():
             coeff = DecimalWithError.exact(v.rational_part())
         else:
-            coeff = real_embedding(v)
+            k = group.chi_exponent(char.chi, g)
+            coeff = DecimalWithError(Fraction(values[k], c), Fraction(errors[k], c))
         acc = acc + coeff * translates[g]
     return acc * Fraction(1, 2)
 

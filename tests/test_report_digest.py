@@ -10,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = ("77e823b5903d756793c60cc148838d90d3658e0191316d858639a3009f211528", 2127)
+PINNED = ("8ec6c95d4a5f2b52b08298ed2ff7f0a62e1c1835ac2826c4579d509a7a44247a", 2128)
 
 
 def load_tool():
