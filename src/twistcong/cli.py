@@ -209,11 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bsd-squares",
                         help="leading-term quotients and Sha predictions")
-    pb.add_argument("--dataset", default=None,
-                    help="dataset whose field blocks to evaluate")
+    mode = pb.add_mutually_exclusive_group()
+    mode.add_argument("--dataset", default=None,
+                      help="dataset whose field blocks to evaluate")
+    mode.add_argument("--random", type=_positive_int, default=None, metavar="N",
+                      help="screen N synthetic sextic-tower instances instead")
     pb.add_argument("--format", choices=("text", "structured"), default="text")
-    pb.add_argument("--random", type=_positive_int, default=None, metavar="N",
-                    help="screen N synthetic sextic-tower instances instead")
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", default=None, metavar="PATH",
                     help="write the report to this file instead of standard output")

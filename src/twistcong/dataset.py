@@ -327,9 +327,9 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         raise DatasetError("spec_version", f"unsupported version {version!r}")
 
     gobj = _need(doc, "group", "")
-    p = _integer(_need(gobj, "p", "group"), "group", None)
-    factors = [_integer(f, "group", None)
-               for f in _list(_need(gobj, "cyclic_factors", "group"), "group")]
+    p = _required_integer(gobj, "p", "group", None)
+    factors = [_integer(f, f"group.cyclic_factors[{i}]", None) for i, f in
+               enumerate(_list(_need(gobj, "cyclic_factors", "group"), "group.cyclic_factors"))]
     # every cyclic factor is a power of p, so |P| >= p: the bound is checked
     # before a primality test on a p of thousands of digits
     if p > MAX_P_ORDER:
@@ -606,11 +606,12 @@ def _cross_validate(ds: Dataset) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    # invalid UTF-8 and integers past Python's digit limit are ValueErrors too
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DatasetError("", f"invalid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:
+        raise DatasetError("", f"invalid JSON: {e}") from e
     return parse_dataset(doc)
 
 

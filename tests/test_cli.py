@@ -54,6 +54,20 @@ def test_verify_d_k_squared_not_dividing_d_K_is_a_data_error(tmp_path, capsys, n
     assert "tower.d_K_abs" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("data", [
+    b'{"spec_version": 1, "label": "\xff"}',
+    b"[" * 100000 + b"]" * 100000,
+    b'{"spec_version": ' + b"1" * 5000 + b"}",
+], ids=["invalid-utf8", "deep-nesting", "5000-digit-integer"])
+def test_verify_unreadable_json_is_a_data_error(tmp_path, capsys, data):
+    # each raised a raw UnicodeDecodeError, RecursionError or ValueError: exit 1
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, _, err = run(capsys, "verify", "--dataset", str(path))
+    assert code == 3
+    assert err.startswith("twistcong: : invalid JSON: ") and "Traceback" not in err
+
+
 def test_verify_stricter_modulus_fails(capsys):
     code, out, _ = run(capsys, "verify", "--dataset", "21a1-quintic-19",
                        "--n-override", "2")
@@ -217,6 +231,14 @@ def test_bsd_squares_needs_a_mode(capsys):
     code, _, err = run(capsys, "bsd-squares")
     assert code == 3
     assert "--dataset or --random" in err
+
+
+def test_bsd_squares_takes_one_mode(capsys):
+    # --random was silently dropped when --dataset was given
+    with pytest.raises(SystemExit) as e:
+        main(["bsd-squares", "--dataset", "21a1-quintic-19", "--random", "5"])
+    assert e.value.code == 3
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_selftest(capsys):

@@ -446,7 +446,8 @@ def test_reject_nonpositive_cyclic_factor_quickly(factors):
     with pytest.raises(DatasetError) as excinfo:
         parse_dataset(doc)
     assert time.perf_counter() - start < 1
-    assert excinfo.value.path == "group"
+    # 0.5 is no integer; 0 and -5 are integers but no cyclic factor
+    assert excinfo.value.path == ("group.cyclic_factors[0]" if factors == [0.5] else "group")
 
 
 @pytest.mark.parametrize("p, factors", [
@@ -558,6 +559,8 @@ def test_reject_unparsable_pin(u):
     (("heights",), 5),
     (("heights", "translates"), []),
     (("bsd", "K", "tamagawa", "3"), 4),
+    # each was reported at the path group
+    (("group", "cyclic_factors"), "x"),
 ])
 def test_reject_non_object_blocks(keys, value):
     doc = bundled_doc("21a1-quintic-19")
@@ -578,6 +581,9 @@ def test_reject_non_object_blocks(keys, value):
     (("bsd", "F", "d_abs"), 0),
     (("bsd", "F", "torsion"), "x"),
     (("bsd", "F", "torsion"), None),
+    # each was reported at the path group
+    (("group", "p"), "x"),
+    (("group", "p"), True),
 ])
 def test_reject_bad_integer_fields(keys, value):
     doc = bundled_doc("21a1-quintic-19")
@@ -593,6 +599,8 @@ def test_reject_bad_integer_fields(keys, value):
     (("bsd", "k", "signature"), [1, -1], "bsd.k.signature[1]"),
     (("bsd", "K", "tamagawa", "3"), ["x"], "bsd.K.tamagawa.3[0]"),
     (("bsd", "K", "tamagawa", "7"), [2, 0], "bsd.K.tamagawa.7[1]"),
+    # reported at the path group
+    (("group", "cyclic_factors"), ["x"], "group.cyclic_factors[0]"),
 ])
 def test_reject_bad_integer_list_entries(keys, value, path):
     doc = bundled_doc("21a1-quintic-19")

@@ -3,14 +3,17 @@ of its fields replaced by a hostile value must end in a DatasetError or a
 verdict, and in a DatasetError or Sha predictions, within seconds, and never
 in any other exception."""
 import copy
+import importlib.util
 import json
 import random
 import time
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from twistcong.bsdsquares import sha_predictions
+from twistcong.bsdsquares import field_regulator, sha_predictions
 from twistcong.dataset import DatasetError, parse_dataset
 from twistcong.engine import verify
 from twistcong.exact import ExactArithmeticError, RecognitionError
@@ -19,6 +22,7 @@ VALUES = ["1e400", "inf", "nan", "1/0", None, [], {}, 200000, "1e100000", "x", -
           True, 1.5, "-0", "1e-400", 5, "", [1, 2], {"a": 1}, "1e5000"]
 CASES_PER_SEED = 500
 SECONDS_PER_CASE = 5
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def bundled_docs():
@@ -129,3 +133,29 @@ def test_resized_generator_lists_end_in_an_error_or_a_prediction(seed):
         if time.perf_counter() - start > SECONDS_PER_CASE:
             slow.append(where)
     assert raw == [] and slow == [] and unchecked == []
+
+
+def test_rank_twenty_block_ends_quickly():
+    # the auto-23 benchmark tower with a degree-46 block of rank 20: ten
+    # induced characters of multiplicity 2 and one generator per rotation.
+    # The memoized Laplace minors took 10.6 s here on 2 vCPUs. The Gram
+    # matrix is a*I + b*J with a = t(1) - t(s1) and b = t(s1), so its
+    # determinant is a^19 * (a + 20b)
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    doc = gen.auto_input((23, [23]), random.Random(1))["doc"]
+    doc["bsd"]["F"] = {
+        "degree": 46, "signature": [46, 0] if doc["tower"]["K_real"] else [0, 23],
+        "d_abs": 1, "torsion": 1, "tamagawa": {},
+        "leading_characters": {f"ind:{i}": 2 for i in range(1, 11)},
+        "regulator_generators": [{gen.fmt_element((j,), 0): "1"} for j in range(20)],
+    }
+    ds = parse_dataset(doc)
+    t1, ts = (Fraction(doc["heights"]["translates"][g]["value"]) for g in ("1", "s1"))
+    start = time.perf_counter()
+    reg = field_regulator(ds, ds.bsd["F"])
+    with pytest.raises(RecognitionError, match=r"within 1\.87e-19 of 6\.97470641988e\+15"):
+        sha_predictions(ds)
+    assert time.perf_counter() - start < 1
+    assert reg.value == (t1 - ts) ** 19 * (t1 + 19 * ts) and reg.abs_error == 0

@@ -17,10 +17,11 @@ m = 25, 27, 49 and 121; then the text and structured reports of
 a != 1 modulo the exponent of P, and for every benchmark input at a = 2;
 then the outcome of `parse_dataset` on each of the 1500 hostile documents of
 `tests/test_fuzz_dataset.py` (`mutated_docs` at seeds 0, 1 and 2): "ok", or
-the error with its dotted path. A call that raises is hashed as its
-exception type and message. The last line of output is the digest and the
-number of outputs hashed; two checkouts that print the same line gave
-byte-identical reports and boundary messages.
+the error with its dotted path, and for each document that parses its
+`sha_predictions`. A call that raises is hashed as its exception type and
+message. The last line of output is the digest and the number of outputs
+hashed; two checkouts that print the same line gave byte-identical reports
+and boundary messages.
 """
 from __future__ import annotations
 
@@ -126,20 +127,27 @@ def outputs():
 
 
 def fuzz_outcomes():
-    """(label, outcome) of parse_dataset on every hostile fuzz document; the
-    generator is loaded from the test file, not copied."""
+    """(label, outcome) of parse_dataset on every hostile fuzz document, and
+    of sha_predictions on each that parses; the generator is loaded from the
+    test file, not copied."""
     path = ROOT / "tests" / "test_fuzz_dataset.py"
     spec = importlib.util.spec_from_file_location("test_fuzz_dataset", path)
     fuzz = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fuzz)
     for seed in FUZZ_SEEDS:
         for case, (_, doc) in enumerate(fuzz.mutated_docs(seed)):
+            label = f"fuzz seed={seed} case={case}"
             try:
-                parse_dataset(doc)
-                text = "ok"
+                ds = parse_dataset(doc)
+            except Exception as e:
+                yield label, f"{type(e).__name__}: {e}"
+                continue
+            yield label, "ok"
+            try:
+                text = repr(sorted(sha_predictions(ds).items()))
             except Exception as e:
                 text = f"{type(e).__name__}: {e}"
-            yield f"fuzz seed={seed} case={case}", text
+            yield f"{label} sha_predictions", text
 
 
 def report_digest() -> tuple[str, int]:
