@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Any, Mapping
 
 from .exact import DecimalWithError, rational_valuation
@@ -38,11 +39,12 @@ _LIMIT = 10 ** MAX_EXPONENT
 
 
 class DatasetError(ValueError):
-    """Malformed dataset; message carries a dotted path to the offending field."""
+    """Malformed dataset; message carries a dotted path to the offending field,
+    or is the message alone when the path is empty (the whole document)."""
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 def _need(obj: Any, key: str, path: str) -> Any:
@@ -605,14 +607,17 @@ def _cross_validate(ds: Dataset) -> None:
                 raise DatasetError(path, f"{what} inside the Galois orbit of {orbit[0].label}")
 
 
-def load_dataset(path: str) -> Dataset:
-    # invalid UTF-8 and integers past Python's digit limit are ValueErrors too
+def _read_json(source, label: str) -> Any:
+    """The JSON document in source, a Path or a package resource; invalid UTF-8,
+    over-long integers and deep nesting too are DatasetErrors at label."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        return json.loads(source.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as e:
-        raise DatasetError("", f"invalid JSON: {e}") from e
-    return parse_dataset(doc)
+        raise DatasetError(label, f"invalid JSON: {e}") from e
+
+
+def load_dataset(path: str) -> Dataset:
+    return parse_dataset(_read_json(Path(path), ""))
 
 
 def bundled_dataset_names() -> list[str]:
@@ -627,8 +632,4 @@ def load_bundled_dataset(name: str) -> Dataset:
     entry = resources.files(__package__) / "datasets" / f"{name}.json"
     if not entry.is_file():
         raise DatasetError("datasets", f"no bundled dataset named {name!r}")
-    try:
-        doc = json.loads(entry.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DatasetError(name, f"invalid JSON: {e}") from e
-    return parse_dataset(doc)
+    return parse_dataset(_read_json(entry, name))

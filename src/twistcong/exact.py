@@ -7,9 +7,10 @@ group, the reduction modulo Phi_m, the valuation at the prime 1 - zeta_m
 above p and the cached cosine table: 2cos(2*pi*k/m) for every k, integers
 over one denominator, the only real numbers the canonical embedding needs.
 real_embedding decides realness exactly (x is fixed by complex conjugation)
-and then reads the table in one integer dot product. Elements are
-`fractions.Fraction` vectors over the power basis 1, z, ..., z^(phi-1)
-(m = 1 for Q); they are multiplied but never divided.
+and then reads the table in one integer dot product. An element is phi
+integers in the power basis 1, z, ..., z^(phi-1) (m = 1 for Q) over one
+denominator, in lowest terms (Cohen, GTM 138, 4.2); its arithmetic works on
+the integers and does one gcd at the end, and never divides.
 Decimal inputs carry explicit rational error bounds and every arithmetic
 operation propagates a worst-case bound, so a successful recognition comes
 with an honest certificate: the recognized value is re-verified exactly and
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -153,8 +154,8 @@ class CyclotomicField:
     units: tuple[int, ...]
 
     def reduce(self, poly: Sequence) -> list:
-        """The int or Fraction polynomial poly in zeta_m, of any length,
-        reduced modulo Phi_m: x^phi = -(1 + x^q + ... + x^((p-2)q))."""
+        """The integer polynomial poly in zeta_m, of any length, reduced
+        modulo Phi_m: x^phi = -(1 + x^q + ... + x^((p-2)q))."""
         phi, q = self.phi, self.q
         cs = list(poly) + [0] * (phi - len(poly))
         # top-down, so every folded coefficient lands below the degree just cleared
@@ -209,8 +210,8 @@ class CyclotomicField:
         """Tr(x) from Q(zeta_m) to Q. Tr(zeta^i), i < phi, is phi at i = 0,
         -q at the other multiples of q and 0 elsewhere (Washington, GTM 83,
         ch. 2)."""
-        c = x.promote(self.m).coeffs
-        return self.phi * c[0] - self.q * sum(c[self.q::self.q])
+        x = x.promote(self.m)
+        return Fraction(self.phi * x.num[0] - self.q * sum(x.num[self.q::self.q]), x.den)
 
     def valuation(self, x: "CyclotomicNumber") -> Fraction:
         """v(x) at the one prime above p, normalized v(p) = 1.
@@ -220,15 +221,14 @@ class CyclotomicField:
         b_i pi^i have valuations v_p(b_i) + i/phi, distinct mod 1: v(x) is
         their minimum. With x = f(zeta)/D, f integral, the b_i are up to sign
         the coefficients of f(1 + y), a Taylor shift of O(phi^2) additions."""
-        den = lcm(*(c.denominator for c in x.coeffs))
-        b = [c.numerator * (den // c.denominator) for c in x.coeffs]
+        b = list(x.num)
         for i in range(len(b) - 1):
             for j in range(len(b) - 2, i - 1, -1):
                 b[j] += b[j + 1]
         scaled = [self.phi * rational_valuation(c, self.p) + i for i, c in enumerate(b) if c]
         if not scaled:
             raise ExactArithmeticError("valuation of zero is not defined")
-        return Fraction(min(scaled), self.phi) - rational_valuation(den, self.p)
+        return Fraction(min(scaled), self.phi) - rational_valuation(x.den, self.p)
 
 
 @lru_cache(maxsize=64)
@@ -258,25 +258,36 @@ def euler_phi(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 class CyclotomicNumber:
-    """Element of Q(zeta_m), m = 1 or an odd prime power, in the power basis."""
+    """(num[0] + num[1] z + ... + num[phi-1] z^(phi-1)) / den in Q(zeta_m), m = 1
+    or an odd prime power, with den > 0 and gcd(den, *num) = 1, so equal
+    elements of one conductor have equal (num, den). Built from ints or
+    Fractions over den, padded with zeros to phi(m)."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "num", "den")
 
-    def __init__(self, m: int, coeffs: Sequence[Fraction]):
-        phi = euler_phi(m)
-        cs = [as_fraction(c) for c in coeffs]
-        if len(cs) > phi:
-            raise ExactArithmeticError(
-                f"coefficient vector of length {len(cs)} too long for phi({m}) = {phi}")
-        cs += [Fraction(0)] * (phi - len(cs))
-        self.m = m
-        self.coeffs = tuple(cs)
+    def __init__(self, m: int, coeffs: Sequence = (), den: int = 1):
+        phi, num = euler_phi(m), list(coeffs)
+        if len(num) > phi or den < 1:
+            raise ExactArithmeticError(f"{len(num)} coefficients over {den} are not an "
+                                       f"element of Q(zeta_{m}), phi({m}) = {phi}")
+        if not all(type(c) is int for c in num):
+            fs = [as_fraction(c) for c in num]
+            d = lcm(1, *(f.denominator for f in fs))
+            num, den = [f.numerator * (d // f.denominator) for f in fs], den * d
+        if den > 1 and (g := gcd(den, *num)) > 1:
+            num, den = [c // g for c in num], den // g
+        self.m, self.num, self.den = m, tuple(num) + (0,) * (phi - len(num)), den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions, for display."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # construction -----------------------------------------------------------
 
     @classmethod
     def rational(cls, x) -> "CyclotomicNumber":
-        return cls(1, [as_fraction(x)])
+        return cls(1, [x])
 
     @classmethod
     def zeta_power(cls, m: int, k: int) -> "CyclotomicNumber":
@@ -290,22 +301,22 @@ class CyclotomicNumber:
         if m == self.m:
             return self
         if self.is_rational():
-            return CyclotomicNumber(m, [self.coeffs[0]])
+            return CyclotomicNumber(m, self.num[:1], self.den)
         raise UnsupportedConductorError(
             f"cannot move an irrational element from conductor {self.m} to {m}")
 
     # predicates / accessors --------------------------------------------------
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def rational_part(self) -> Fraction:
         if not self.is_rational():
             raise ExactArithmeticError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # arithmetic --------------------------------------------------------------
 
@@ -314,26 +325,25 @@ class CyclotomicNumber:
             other = CyclotomicNumber.rational(other)
         if not isinstance(other, CyclotomicNumber):
             raise TypeError(f"cannot combine CyclotomicNumber with {type(other).__name__}")
-        if self.m == other.m:
-            return self, other
-        if self.m == 1:
-            return self.promote(other.m), other
-        if other.m == 1:
-            return self, other.promote(self.m)
-        raise UnsupportedConductorError(
-            f"mixed conductors {self.m} and {other.m}")
+        if self.m != other.m and 1 not in (self.m, other.m):
+            raise UnsupportedConductorError(f"mixed conductors {self.m} and {other.m}")
+        m = max(self.m, other.m)
+        return self.promote(m), other.promote(m)
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return CyclotomicNumber(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        g = gcd(a.den, b.den)
+        sa, sb = b.den // g, a.den // g
+        return CyclotomicNumber(a.m, [x * sa + y * sb for x, y in zip(a.num, b.num)],
+                                a.den * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.m, [-c for c in self.coeffs])
+        return CyclotomicNumber(self.m, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CyclotomicNumber) else -as_fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -341,60 +351,48 @@ class CyclotomicNumber:
     def __mul__(self, other):
         a, b = self._pair(other)
         if a.m == 1:
-            return CyclotomicNumber(1, [a.coeffs[0] * b.coeffs[0]])
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        terms = [(j, cj) for j, cj in enumerate(b.coeffs) if cj]
-        for i, ci in enumerate(a.coeffs):
+            return CyclotomicNumber(1, [a.num[0] * b.num[0]], a.den * b.den)
+        prod = [0] * (2 * len(a.num) - 1)
+        terms = [(j, cj) for j, cj in enumerate(b.num) if cj]
+        for i, ci in enumerate(a.num):
             if ci:
                 for j, cj in terms:
                     prod[i + j] += ci * cj
-        return CyclotomicNumber(a.m, cyclotomic_field(a.m).reduce(prod))
+        return CyclotomicNumber(a.m, cyclotomic_field(a.m).reduce(prod), a.den * b.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ExactArithmeticError("negative powers are not supported")
-        result = CyclotomicNumber.rational(1).promote(self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        result = CyclotomicNumber(self.m, [1])
+        for _ in range(k):    # a sparse self keeps each product sparse, unlike squaring
+            result = result * self
         return result
 
     def __eq__(self, other):
+        # both sides in lowest terms: equal elements have equal integers, and
+        # a rational equals another conductor's element only if both are rational
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == as_fraction(other)
-        if not isinstance(other, CyclotomicNumber):
+            other = CyclotomicNumber.rational(other)
+        elif not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except UnsupportedConductorError:
-            # different genuine conductors can still both be rational
-            if self.is_rational() and other.is_rational():
-                return self.coeffs[0] == other.coeffs[0]
-            return False
-        return a.coeffs == b.coeffs
+        if self.m == other.m:
+            return self.den == other.den and self.num == other.num
+        return (self.is_rational() and other.is_rational()
+                and (self.num[0], self.den) == (other.num[0], other.den))
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.m, self.coeffs))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.m, self.num, self.den))
 
     def __repr__(self):
         if self.is_rational():
-            return f"CyclotomicNumber({self.coeffs[0]})"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                z = f"z{i}" if i > 1 else "z"
-                terms.append(f"{c}*{z}" if c != 1 else z)
+            return f"CyclotomicNumber({self.rational_part()})"
+        cs = [(i, Fraction(n, self.den)) for i, n in enumerate(self.num) if n]
+        terms = (str(c) if i == 0 else ("" if c == 1 else f"{c}*") + (f"z{i}" if i > 1 else "z")
+                 for i, c in cs)
         return f"CyclotomicNumber(m={self.m}: {' + '.join(terms)})"
 
     # Galois action -----------------------------------------------------------
@@ -407,10 +405,10 @@ class CyclotomicNumber:
         if a % field.p == 0:
             raise InvalidAutomorphismError(f"{a} is not coprime to conductor {self.m}")
         poly = [0] * self.m
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, c in enumerate(self.num):
+            if c:
                 poly[(a * i) % self.m] += c
-        return CyclotomicNumber(self.m, field.reduce(poly))
+        return CyclotomicNumber(self.m, field.reduce(poly), self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -425,7 +423,7 @@ def p_valuation(x, p: int) -> Fraction:
     valuated at m's own prime unless they are rational.
     """
     if isinstance(x, (int, Fraction)):
-        return Fraction(rational_valuation(as_fraction(x), p))
+        return Fraction(rational_valuation(x, p))
     if not isinstance(x, CyclotomicNumber):
         raise TypeError(f"cannot take a valuation of {type(x).__name__}")
     if x.is_rational():
@@ -561,12 +559,11 @@ def real_embedding(x: CyclotomicNumber) -> DecimalWithError:
     image is (1/2) sum c_i T[i] against the cosine table T, one integer dot
     product, with error (1/2) sum |c_i| e_i."""
     if x.m == 1 or x.is_rational():
-        return DecimalWithError.exact(x.coeffs[0])
+        return DecimalWithError.exact(x.rational_part())
     if x != x.conjugate():
         raise NotRealError(f"complex conjugation moves this element of Q(zeta_{x.m})")
     c, values, errors = cyclotomic_field(x.m).cosines
-    d = lcm(*(y.denominator for y in x.coeffs))
-    ns = [y.numerator * (d // y.denominator) for y in x.coeffs]    # D c_i
+    ns, d = x.num, x.den    # c_i = ns[i] / d
     return DecimalWithError(Fraction(sum(map(mul, ns, values)), 2 * c * d),
                             Fraction(sum(abs(n) * e for n, e in zip(ns, errors)), 2 * c * d))
 
@@ -656,22 +653,27 @@ class AlgebraicOrbit:
 
 
 def _min_poly_of(values: Sequence[CyclotomicNumber]) -> tuple[Fraction, ...]:
-    """The monic polynomial of the distinct values, one whole conjugate set,
-    by Newton's identities j b_j = -(b_(j-1) p_1 + ... + b_0 p_j), b_j the
-    coefficient of X^(d-j). The power sum p_j of rational values is the sum
-    of their j-th powers, and otherwise (d/phi) Tr(x^j) for any one value x."""
+    """The monic polynomial of the distinct values, one whole conjugate set.
+    With D a common denominator, the D*x are algebraic integers, so Newton's
+    identities j b_j = -(b_(j-1) p_1 + ... + b_0 p_j) on their power sums p_j
+    run in integers and each division by j is exact; b_j / D^j is then the
+    coefficient of X^(d-j). p_j is the sum of the j-th powers of rational
+    values, and otherwise (d/phi) Tr(y^j) for y = D*x, x any one value."""
     distinct = list(dict.fromkeys(values))
     d = len(distinct)
     if all(v.is_rational() for v in distinct):
-        sums = [sum(v.coeffs[0] ** j for v in distinct) for j in range(1, d + 1)]
+        den = lcm(*(v.den for v in distinct))
+        ys = [v.num[0] * (den // v.den) for v in distinct]
+        sums = [sum(y ** j for y in ys) for j in range(1, d + 1)]
     else:
-        field = cyclotomic_field(distinct[0].m)
-        sums = [Fraction(d, field.phi) * field.trace(y)    # x, x^2, ..., x^d
-                for y in accumulate(repeat(distinct[0], d), mul)]
-    b = [Fraction(1)]
+        x = distinct[0]
+        field, den = cyclotomic_field(x.m), x.den
+        sums = [d * field.trace(y).numerator // field.phi    # y, y^2, ..., y^d
+                for y in accumulate(repeat(CyclotomicNumber(x.m, x.num), d), mul)]
+    b = [1]
     for j in range(1, d + 1):
-        b.append(-sum(b[j - i] * sums[i - 1] for i in range(1, j + 1)) / j)
-    return tuple(reversed(b))
+        b.append(-sum(b[j - i] * sums[i - 1] for i in range(1, j + 1)) // j)
+    return tuple(Fraction(b[j], den ** j) for j in range(d, -1, -1))
 
 
 def _subfield_element(xs: Sequence[DecimalWithError], field: CyclotomicField,

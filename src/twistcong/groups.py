@@ -373,7 +373,7 @@ def first_equivariance_failure(values: Mapping[Key, CyclotomicNumber],
 
     Only the generator g of cyclotomic_field(e) is checked unless that check
     fails. (Z/e)^* is cyclic for odd prime powers e, sigma_ab = sigma_a sigma_b,
-    and == on CyclotomicNumber (equal (m, coeffs), rationals equal across
+    and == on CyclotomicNumber (equal (m, num, den), rationals equal across
     conductors) is an equivalence every sigma_a preserves. So if
     sigma_g(values[k]) = values[image(k, g)] for every key k, induction on j
     gives sigma_(g^j)(values[k]) = sigma_g(values[image(k, g^(j-1))]) =
@@ -420,10 +420,11 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     E = res_map(Q) the congruence sum at pi, and |P| times the Fourier
     coefficient of (E_chi) at pi, which the Z_p[P] membership test reads.
 
-    Each nonzero E_chi_a is put over one common denominator D as a sparse integer
-    vector in the power basis of Q(zeta_e); chi_a(pi)^-1 = zeta_e^k with
-    k = -sum_i a_i r_i e/f_i shifts its indices by k, so S(pi) costs O(|P| nnz)
-    integer additions and one reduction modulo Phi_e, and no cyclotomic product."""
+    Each nonzero E_chi_a, integers over its own denominator, is put over one
+    common denominator D as a sparse integer vector in the power basis of
+    Q(zeta_e); chi_a(pi)^-1 = zeta_e^k with k = -sum_i a_i r_i e/f_i shifts
+    its indices by k, so S(pi) costs O(|P| nnz) integer additions and one
+    reduction modulo Phi_e, and no cyclotomic product."""
     vectors = list(group.chi_vectors())
     missing = [v for v in vectors if v not in evals]
     if missing:
@@ -432,11 +433,11 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     field = cyclotomic_field(e)
     # coerce as the product zeta_e^k * E_chi would: E_chi of conductor 1 or e
     one = CyclotomicNumber.zeta_power(e, 0)
-    values = [one._pair(evals[avec])[1].coeffs for avec in vectors]
-    den = lcm(*(c.denominator for cs in values for c in cs))
+    values = [one._pair(evals[avec])[1] for avec in vectors]
+    den = lcm(*(v.den for v in values))
     terms = [([a * (e // f) for a, f in zip(avec, group.cyclic_factors)],
-              [(i, c.numerator * (den // c.denominator)) for i, c in enumerate(cs) if c])
-             for avec, cs in zip(vectors, values) if any(cs)]
+              [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c])
+             for avec, v in zip(vectors, values) if not v.is_zero()]
     sums: dict[tuple[int, ...], CyclotomicNumber] = {}
     for pi in group.p_elements():
         acc = [0] * e
@@ -444,7 +445,7 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
             k = -sum(map(mul, weights, pi.rot))
             for i, c in nonzero:
                 acc[(i + k) % e] += c
-        sums[pi.rot] = CyclotomicNumber(e, [Fraction(c, den) for c in field.reduce(acc)])
+        sums[pi.rot] = CyclotomicNumber(e, field.reduce(acc), den)
     return sums
 
 

@@ -67,19 +67,14 @@ def format_algebraic(x: CyclotomicNumber) -> str:
         sign = "+" if c > 0 else "-"
         return f"{_fmt_rational(r)} {sign} {root}"
     terms = []
-    for i, coeff in enumerate(x.coeffs):
-        if coeff == 0:
-            continue
-        if i == 0:
-            terms.append(_fmt_rational(coeff))
-        else:
-            z = "z" if i == 1 else f"z^{i}"
-            if coeff == 1:
-                terms.append(z)
-            elif coeff == -1:
-                terms.append(f"-{z}")
-            else:
-                terms.append(f"{_fmt_rational(coeff)}*{z}")
+    for i, c in enumerate(x.coeffs):
+        z = "z" if i == 1 else f"z^{i}"
+        if c and i == 0:
+            terms.append(_fmt_rational(c))
+        elif c in (1, -1):
+            terms.append(f"-{z}" if c < 0 else z)
+        elif c:
+            terms.append(f"{_fmt_rational(c)}*{z}")
     return " + ".join(terms).replace("+ -", "- ") + f"  [z = zeta_{x.m}]"
 
 

@@ -65,7 +65,7 @@ def test_verify_unreadable_json_is_a_data_error(tmp_path, capsys, data):
     path.write_bytes(data)
     code, _, err = run(capsys, "verify", "--dataset", str(path))
     assert code == 3
-    assert err.startswith("twistcong: : invalid JSON: ") and "Traceback" not in err
+    assert err.startswith("twistcong: invalid JSON: ") and "Traceback" not in err
 
 
 def test_verify_stricter_modulus_fails(capsys):

@@ -146,7 +146,7 @@ def test_zeta_power_order():
 
 
 def test_negative_powers_are_refused():
-    # elements have no inverse; a negative k must not loop in the bit walk
+    # elements have no inverse; a negative k must raise, not return 1
     with pytest.raises(ExactArithmeticError):
         CyclotomicNumber.zeta_power(7, 1) ** -1
 
@@ -245,6 +245,147 @@ def test_valuation_of_uniformizer():
     pi = CyclotomicNumber.rational(1) - CyclotomicNumber.zeta_power(5, 1)
     assert p_valuation(pi, 5) == Fraction(1, 4)
     assert p_valuation(CyclotomicNumber.rational(Fraction(1, 25)), 5) == -2
+
+
+# ---------------------------------------------------------------------------
+# the integer core against a Fraction reference
+# ---------------------------------------------------------------------------
+
+class FractionCyclotomic:
+    """Reference element of Q(zeta_m): phi(m) Fractions in the power basis.
+    Products and Galois images are taken modulo x^m - 1 and then reduced by
+    Phi_m: for m = p^n, q = m/p and r < q, zeta^(r + (p-1)q) = -sum_(j < p-1)
+    zeta^(r + jq), so coordinate i < phi loses the one at phi + (i mod q)."""
+
+    def __init__(self, m, coeffs):
+        self.m = m
+        self.p = next(d for d in range(2, m + 1) if m % d == 0) if m > 1 else 1
+        self.phi = m - m // self.p if m > 1 else 1
+        self.coeffs = [Fraction(c) for c in coeffs] + [Fraction(0)] * (self.phi - len(coeffs))
+
+    def _reduced(self, poly):
+        if self.m == 1:
+            return FractionCyclotomic(1, poly)
+        q = self.m // self.p
+        return FractionCyclotomic(self.m, [poly[i] - poly[self.phi + i % q]
+                                           for i in range(self.phi)])
+
+    def __add__(self, other):
+        return FractionCyclotomic(self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return FractionCyclotomic(self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        poly = [Fraction(0)] * self.m
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                poly[(i + j) % self.m] += a * b
+        return self._reduced(poly)
+
+    def __pow__(self, k):
+        result = FractionCyclotomic(self.m, [1])
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def galois_apply(self, a):
+        poly = [Fraction(0)] * self.m
+        for i, c in enumerate(self.coeffs):
+            poly[a * i % self.m] += c
+        return self._reduced(poly)
+
+    def conjugates(self):
+        return [self.galois_apply(a) for a in range(1, self.m) if a % self.p] or [self]
+
+    def trace(self):
+        total = FractionCyclotomic(self.m, [])
+        for y in self.conjugates():
+            total = total + y
+        assert not any(total.coeffs[1:])
+        return total.coeffs[0]
+
+    def norm(self):
+        total = FractionCyclotomic(self.m, [1])
+        for y in self.conjugates():
+            total = total * y
+        assert not any(total.coeffs[1:])
+        return total.coeffs[0]
+
+    def __repr__(self):
+        if not any(self.coeffs[1:]):
+            return f"CyclotomicNumber({self.coeffs[0]})"
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                z = f"z{i}" if i > 1 else "z"
+                terms.append(f"{c}*{z}" if c != 1 else z)
+        return f"CyclotomicNumber(m={self.m}: {' + '.join(terms)})"
+
+
+CORE_CONDUCTORS = [1, 5, 25, 27]
+
+
+def core_and_reference(data, m):
+    cs = data.draw(st.lists(small_fractions, max_size=euler_phi(m)))
+    return CyclotomicNumber(m, cs), FractionCyclotomic(m, cs)
+
+
+def assert_matches(got, want):
+    """got holds phi integers over den > 0 in lowest terms, and is want."""
+    assert got.m == want.m and len(got.num) == want.phi
+    assert all(type(n) is int for n in got.num) and type(got.den) is int
+    assert got.den > 0 and gcd(got.den, *got.num) == 1
+    assert [Fraction(n, got.den) for n in got.num] == want.coeffs
+    assert repr(got) == repr(want)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_core_matches_the_fraction_reference(data):
+    m = data.draw(st.sampled_from(CORE_CONDUCTORS))
+    (x, rx), (y, ry) = core_and_reference(data, m), core_and_reference(data, m)
+    k = data.draw(st.integers(0, 5))
+    a = data.draw(st.sampled_from([a for a in range(1, m) if gcd(a, m) == 1] or [1]))
+    for got, want in [(x, rx), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                      (x ** k, rx ** k), (x.galois_apply(a), rx.galois_apply(a))]:
+        assert_matches(got, want)
+    if m > 1:
+        assert cyclotomic_field(m).trace(x) == rx.trace()
+    real, real_ref = x + x.conjugate(), rx + rx.galois_apply(m - 1)
+    assert_matches(real, real_ref)
+    assert contains_reference(real_embedding(real), direct_real_embedding(real_ref))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_p_valuation_matches_the_reference_norm(data):
+    m = data.draw(st.sampled_from(CORE_CONDUCTORS))
+    x, rx = core_and_reference(data, m)
+    if x.is_zero():
+        return
+    p = rx.p if m > 1 else 5
+    assert p_valuation(x, p) == Fraction(rational_valuation(rx.norm(), p), rx.phi)
+
+
+@given(small_fractions, st.sampled_from(CORE_CONDUCTORS), st.sampled_from(CORE_CONDUCTORS))
+@settings(max_examples=80)
+def test_rationals_equal_and_hash_as_fractions_across_conductors(r, m1, m2):
+    z = CyclotomicNumber.zeta_power(m2, 1)
+    a, b = CyclotomicNumber(m1, [r]), (CyclotomicNumber(m2, [r]) + z) - z
+    assert a == b == r and b == a and hash(a) == hash(b) == hash(r)
+    assert {r: "found"}[b] == "found"
+    if r.denominator == 1:
+        assert a == int(r) and hash(a) == hash(int(r))
+    assert a != r + 1 and a != CyclotomicNumber(m2, [r + 1])
+    if r:    # r/2 often keeps r's numerator, so the denominators must differ
+        assert a != r / 2 and a != CyclotomicNumber(m2, [r / 2])
+    if m2 > 1:
+        assert a != b + z and b + z != r
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +739,11 @@ def test_recognize_orbit_of_size_50_at_125_ends_quickly():
     orb = recognize_orbit(xs, 125, units)
     assert time.perf_counter() - start < 3
     assert orb.values[0] == x and len(orb.min_poly) == 51
+    # the degree-50 polynomial vanishes at x, by Horner's rule in Q(zeta_125)
+    acc = CyclotomicNumber.rational(0)
+    for c in reversed(orb.min_poly):
+        acc = acc * x + c
+    assert acc.is_zero()
 
 
 def test_recognize_orbit_rejects_coordinates_outside_the_subfield():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = ("1afc65823f4efdca0d39d8a162119df0836935fb73266d64fb4a97b9c2353d33", 2262)
+PINNED = ("f9cc3355e3f02437d1c470c4c6ec585fee86263ce1d500e5657f0f15a6e6d05c", 2263)
 
 
 def load_tool():

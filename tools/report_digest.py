@@ -11,8 +11,8 @@ defaults, `n_override=1`, `n_override=2` and `route="gz"`, and after the
 defaults the `center_integrality` report on the Q-vector (none when that
 verification returned before recognition); then the `sha_predictions` of
 both bundled datasets; then `recognize_orbit` on the irrational orbits
-listed in ORBITS, of sizes 2, 3 and 5 at m = p and 10, 9, 21 and 55 at
-m = 25, 27, 49 and 121; then the text and structured reports of
+listed in ORBITS, of sizes 2, 3 and 5 at m = p and 10, 9, 21, 55 and 147
+at m = 25, 27, 49, 121 and 343; then the text and structured reports of
 `verify(relabel_dataset(ds, a))` for both bundled datasets at every unit
 a != 1 modulo the exponent of P, and for every benchmark input at a = 2;
 then the outcome of `parse_dataset` on each of the 1500 hostile documents of
@@ -57,7 +57,8 @@ ORBITS = ((5, 5, Fraction(32), {1: 16}), (7, 7, Fraction(3), {1: 2}),
           (5, 25, Fraction(1, 2), {1: 1, 2: -3, 5: 2}),
           (3, 27, Fraction(2), {1: Fraction(1, 2), 4: 1, 9: -1}),
           (7, 49, Fraction(-1, 3), {1: 1, 3: Fraction(2, 5), 7: 2}),
-          (11, 121, Fraction(3, 2), {1: 1, 5: -2, 11: Fraction(1, 3)}))
+          (11, 121, Fraction(3, 2), {1: 1, 5: -2, 11: Fraction(1, 3)}),
+          (7, 343, Fraction(2, 3), {1: 1, 2: Fraction(-1, 2), 49: 3}))
 
 
 def inputs() -> list[tuple[str, dict]]:
