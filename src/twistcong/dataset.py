@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, NoReturn, TypeVar
 
 from .exact import DecimalWithError, rational_valuation
 from .groups import (Character, DihedralGroup, GroupElement, GroupError, character_orbits,
@@ -37,6 +37,8 @@ MAX_P_ORDER = 1000
 MAX_EXPONENT = 1000
 _LIMIT = 10 ** MAX_EXPONENT
 
+T = TypeVar("T")
+
 
 class DatasetError(ValueError):
     """Malformed dataset; message carries a dotted path to the offending field,
@@ -45,75 +47,6 @@ class DatasetError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
-
-
-def _need(obj: Any, key: str, path: str) -> Any:
-    """obj[key] of the JSON object obj at path; anything else is a DatasetError."""
-    if key not in _object(obj, path):
-        raise DatasetError(f"{path}.{key}" if path else key, "missing required field")
-    return obj[key]
-
-
-def _object(value: Any, path: str) -> Mapping[str, Any]:
-    """value when it is a JSON object; anything else is a DatasetError at path."""
-    if not isinstance(value, Mapping):
-        raise DatasetError(path, f"expected an object, got {value!r}")
-    return value
-
-
-def _required_object(obj: Any, key: str, path: str) -> Mapping[str, Any]:
-    """obj[key] when it is a JSON object; anything else is a DatasetError."""
-    return _object(_need(obj, key, path), f"{path}.{key}" if path else key)
-
-
-def _optional_object(obj: Mapping[str, Any], key: str, path: str) -> Mapping[str, Any]:
-    """obj[key] when it is a JSON object, {} when absent or null."""
-    value = obj.get(key)
-    return {} if value is None else _object(value, f"{path}.{key}" if path else key)
-
-
-def _list(value: Any, path: str) -> list[Any]:
-    """value when it is a JSON array; anything else is a DatasetError at path."""
-    if not isinstance(value, list):
-        raise DatasetError(path, f"expected an array, got {value!r}")
-    return value
-
-
-def _flag(obj: Mapping[str, Any], key: str, path: str) -> bool:
-    """A required JSON true/false; a quoted or numeric stand-in is rejected."""
-    value = _need(obj, key, path)
-    if not isinstance(value, bool):
-        raise DatasetError(f"{path}.{key}", f"expected true or false, got {value!r}")
-    return value
-
-
-def _integer(value: Any, path: str, lo: int | None, hi: int | None = None) -> int:
-    """A JSON integer or decimal-integer string within [lo, hi] (lo None: no
-    lower bound); anything else, a bool or a float included, is a DatasetError
-    at path."""
-    if isinstance(value, (bool, float)):
-        raise DatasetError(path, f"expected an integer, got {value!r}")
-    try:
-        n = int(value)
-    except (ValueError, TypeError, OverflowError) as e:
-        raise DatasetError(path, f"expected an integer, got {value!r}") from e
-    if (lo is not None and n < lo) or (hi is not None and n > hi):
-        bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
-        raise DatasetError(path, f"must be {bounds}, got {n}")
-    return n
-
-
-def _required_integer(obj: Any, key: str, path: str, lo: int | None,
-                      hi: int | None = None) -> int:
-    """The integer obj[key] of the block at path, within [lo, hi]."""
-    return _integer(_need(obj, key, path), f"{path}.{key}", lo, hi)
-
-
-def _optional_integer(obj: Mapping[str, Any], key: str, path: str, default: int | None,
-                      lo: int) -> int | None:
-    """The integer obj[key] of the block at path; absent or null gives default."""
-    value = obj.get(key)
-    return default if value is None else _integer(value, f"{path}.{key}", lo)
 
 
 def _rational(value: Any, path: str) -> Fraction:
@@ -136,12 +69,111 @@ def _rational(value: Any, path: str) -> Fraction:
     return x
 
 
-def _decimal(obj: Any, path: str) -> DecimalWithError:
-    value = _rational(_need(obj, "value", path), f"{path}.value")
-    error = _rational(obj.get("abs_error", "0"), f"{path}.abs_error")
-    if error < 0:
-        raise DatasetError(f"{path}.abs_error", "negative error bound")
-    return DecimalWithError(value, error)
+class _Json:
+    """A JSON value and the dotted path it was read at ("" for the document).
+    Each reader returns a typed value or raises a DatasetError at that path."""
+
+    __slots__ = ("value", "path")
+
+    def __init__(self, value: Any, path: str):
+        self.value = value
+        self.path = path
+
+    def fail(self, message: str) -> NoReturn:
+        raise DatasetError(self.path, message)
+
+    def _object(self) -> dict[str, Any]:
+        if not isinstance(self.value, dict):
+            self.fail(f"expected an object, got {self.value!r}")
+        return self.value
+
+    def _at(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def __getitem__(self, key: str) -> _Json:
+        """The required member key of this object."""
+        obj, path = self._object(), self._at(key)
+        if key not in obj:
+            raise DatasetError(path, "missing required field")
+        return _Json(obj[key], path)
+
+    def get(self, key: str, default: Any) -> _Json:
+        """The member key, or default when it is absent; a null member is read
+        as null, which no reader accepts."""
+        return _Json(self._object().get(key, default), self._at(key))
+
+    def optional(self, key: str, default: Any = None) -> _Json | None:
+        """The member key; when it is absent or null, None for a None default
+        and default read at the member's path otherwise."""
+        value = self._object().get(key)
+        if value is None:
+            if default is None:
+                return None
+            value = default
+        return _Json(value, self._at(key))
+
+    def members(self) -> list[tuple[str, _Json]]:
+        """The (key, value) pairs of this object, in document order."""
+        return [(key, _Json(value, self._at(key))) for key, value in self._object().items()]
+
+    def array(self) -> list[_Json]:
+        if not isinstance(self.value, list):
+            self.fail(f"expected an array, got {self.value!r}")
+        return [_Json(x, f"{self.path}[{i}]") for i, x in enumerate(self.value)]
+
+    def elements(self, group: DihedralGroup, read: Callable[[_Json], T]
+                 ) -> dict[GroupElement, T]:
+        """The members of this object keyed by the group elements their keys
+        name, each value read by read; a key naming the same element as an
+        earlier one ("s1^6" is "s1" at |P| = 5) is rejected."""
+        out: dict[GroupElement, T] = {}
+        keys: dict[GroupElement, str] = {}
+        for key, node in self.members():
+            try:
+                g = group.parse_element(key)
+            except GroupError as e:
+                node.fail(str(e))
+            if g in keys:
+                node.fail(f"names the same group element as {keys[g]!r}")
+            keys[g] = key
+            out[g] = read(node)
+        return out
+
+    def int(self, lo: int | None = None, hi: int | None = None) -> int:
+        """A JSON integer or decimal-integer string within [lo, hi] (lo None: no
+        lower bound); a bool or a float is rejected."""
+        value = self.value
+        if isinstance(value, (bool, float)):
+            self.fail(f"expected an integer, got {value!r}")
+        try:
+            n = int(value)
+        except (ValueError, TypeError, OverflowError):
+            self.fail(f"expected an integer, got {value!r}")
+        if (lo is not None and n < lo) or (hi is not None and n > hi):
+            bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            self.fail(f"must be {bounds}, got {n}")
+        return n
+
+    def rational(self) -> Fraction:
+        return _rational(self.value, self.path)
+
+    def decimal(self) -> DecimalWithError:
+        """An object {"value": v, "abs_error": e}, e >= 0 and "0" when absent."""
+        value = self["value"].rational()
+        error = self.get("abs_error", "0")
+        bound = error.rational()
+        if bound < 0:
+            error.fail("negative error bound")
+        return DecimalWithError(value, bound)
+
+    def flag(self) -> bool:
+        """JSON true or false; a quoted or numeric stand-in is rejected."""
+        if not isinstance(self.value, bool):
+            self.fail(f"expected true or false, got {self.value!r}")
+        return self.value
+
+    def text(self) -> str:
+        return str(self.value)
 
 
 @dataclass
@@ -321,220 +353,164 @@ def check_hypotheses(ds: Dataset) -> list[HypothesisResult]:
 # parsing
 # ---------------------------------------------------------------------------
 
-def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
-    if not isinstance(doc, Mapping):
+def parse_dataset(doc: Any) -> Dataset:
+    if not isinstance(doc, dict):
         raise DatasetError("", "dataset document must be a JSON object")
-    version = _need(doc, "spec_version", "")
-    if version != SPEC_VERSION:
-        raise DatasetError("spec_version", f"unsupported version {version!r}")
+    root = _Json(doc, "")
+    version = root["spec_version"]
+    if version.value != SPEC_VERSION:
+        version.fail(f"unsupported version {version.value!r}")
 
-    gobj = _need(doc, "group", "")
-    p = _required_integer(gobj, "p", "group", None)
-    factors = [_integer(f, f"group.cyclic_factors[{i}]", None) for i, f in
-               enumerate(_list(_need(gobj, "cyclic_factors", "group"), "group.cyclic_factors"))]
+    gobj = root["group"]
+    p = gobj["p"].int()
+    factors = [f.int() for f in gobj["cyclic_factors"].array()]
     # every cyclic factor is a power of p, so |P| >= p: the bound is checked
     # before a primality test on a p of thousands of digits
     if p > MAX_P_ORDER:
-        raise DatasetError("group.p", f"p exceeds the supported |P| <= {MAX_P_ORDER}")
+        gobj["p"].fail(f"p exceeds the supported |P| <= {MAX_P_ORDER}")
     try:
         group = DihedralGroup(p, factors)
     except GroupError as e:
-        raise DatasetError("group", str(e)) from e
+        gobj.fail(str(e))
     if group.p_order > MAX_P_ORDER:
-        raise DatasetError("group.cyclic_factors",
-                           f"|P| = {group.p_order} exceeds the supported {MAX_P_ORDER}")
+        gobj["cyclic_factors"].fail(f"|P| = {group.p_order} exceeds the supported {MAX_P_ORDER}")
     char_labels = {c.label for c in irreducible_characters(group)}
 
-    def character(label: str, path: str) -> str:
-        if label not in char_labels:
-            raise DatasetError(path, "unknown character label")
-        return label
+    def characters(block: _Json) -> Iterator[tuple[str, _Json]]:
+        """The members of block, each keyed by the label of a character."""
+        for label, node in block.members():
+            if label not in char_labels:
+                node.fail("unknown character label")
+            yield label, node
 
-    def distinct(g: GroupElement, key: str, keys: dict[GroupElement, str], path: str
-                 ) -> GroupElement:
-        """g, which the key at path names, unless an earlier key of its object
-        did ("s1^6" is "s1" at |P| = 5)."""
-        if g in keys:
-            raise DatasetError(path, f"names the same group element as {keys[g]!r}")
-        keys[g] = key
-        return g
+    def counts(block: _Json) -> dict[str, int]:
+        return {k: v.int(1) for k, v in block.members()}
 
-    cobj = _required_object(doc, "curve", "")
-
-    def counts(key: str, block: Mapping[str, Any]) -> dict[str, int]:
-        return {str(k): _integer(v, f"curve.{key}.{k}", 1) for k, v in block.items()}
-
+    cobj = root["curve"]
     curve = CurveInfo(
-        label=str(_need(cobj, "label", "curve")),
-        conductor=_required_integer(cobj, "conductor", "curve", 1),
-        a_invariants=tuple(_integer(x, f"curve.a_invariants[{i}]", None) for i, x in
-                           enumerate(_list(_need(cobj, "a_invariants", "curve"),
-                                           "curve.a_invariants"))),
-        rank_base=_required_integer(cobj, "rank_base", "curve", 0),
-        rank_quadratic=_required_integer(cobj, "rank_quadratic", "curve", 0),
-        torsion=counts("torsion", _required_object(cobj, "torsion", "curve")),
-        tamagawa_base=counts("tamagawa_base", _optional_object(cobj, "tamagawa_base", "curve")),
-        tamagawa_quadratic=counts("tamagawa_quadratic",
-                                  _optional_object(cobj, "tamagawa_quadratic", "curve")),
-        c_infinity=_required_integer(cobj, "c_infinity", "curve", 1),
-        manin_constant=_optional_integer(cobj, "manin_constant", "curve", 1, 1),
-        unit_count_K=_optional_integer(cobj, "unit_count_K", "curve", None, 1),
+        label=cobj["label"].text(),
+        conductor=cobj["conductor"].int(1),
+        a_invariants=tuple(x.int() for x in cobj["a_invariants"].array()),
+        rank_base=cobj["rank_base"].int(0),
+        rank_quadratic=cobj["rank_quadratic"].int(0),
+        torsion=counts(cobj["torsion"]),
+        tamagawa_base=counts(cobj.optional("tamagawa_base", {})),
+        tamagawa_quadratic=counts(cobj.optional("tamagawa_quadratic", {})),
+        c_infinity=cobj["c_infinity"].int(1),
+        manin_constant=cobj.optional("manin_constant", 1).int(1),
+        unit_count_K=u.int(1) if (u := cobj.optional("unit_count_K")) else None,
     )
     if len(curve.a_invariants) != 5:
-        raise DatasetError("curve.a_invariants", "expected five Weierstrass coefficients")
+        cobj["a_invariants"].fail("expected five Weierstrass coefficients")
     if curve.rank_base not in (0, 1):
-        raise DatasetError("curve.rank_base", "only ranks 0 and 1 are supported")
+        cobj["rank_base"].fail("only ranks 0 and 1 are supported")
 
-    tobj = _required_object(doc, "tower", "")
+    tobj = root["tower"]
     tower = TowerInfo(
-        d_k_abs=_required_integer(tobj, "d_k_abs", "tower", 1),
-        d_K_abs=_required_integer(tobj, "d_K_abs", "tower", 1),
-        K_real=_flag(tobj, "K_real", "tower"),
-        conductor_norms={character(k, f"tower.conductor_norms.{k}"):
-                         _integer(v, f"tower.conductor_norms.{k}", 1)
-                         for k, v in _required_object(tobj, "conductor_norms", "tower").items()},
-        S_r=tuple(str(x) for x in _list(_need(tobj, "S_r", "tower"), "tower.S_r")),
-        S_r_split=tuple(str(x) for x in _list(tobj.get("S_r_split", []), "tower.S_r_split")),
-        S_bad=tuple(str(x) for x in _list(tobj.get("S_bad", []), "tower.S_bad")),
+        d_k_abs=tobj["d_k_abs"].int(1),
+        d_K_abs=tobj["d_K_abs"].int(1),
+        K_real=tobj["K_real"].flag(),
+        conductor_norms={k: v.int(1) for k, v in characters(tobj["conductor_norms"])},
+        S_r=tuple(x.text() for x in tobj["S_r"].array()),
+        S_r_split=tuple(x.text() for x in tobj.get("S_r_split", []).array()),
+        S_bad=tuple(x.text() for x in tobj.get("S_bad", []).array()),
     )
     repeated = sorted(s for s, n in Counter(tower.S_r).items() if n > 1)
     if repeated:
-        raise DatasetError("tower.S_r", f"places listed more than once: {repeated}")
+        tobj["S_r"].fail(f"places listed more than once: {repeated}")
 
-    pobj = _required_object(doc, "places", "")
+    pobj = root["places"]
     places: dict[str, LocalPlace] = {}
-    for label, entry in pobj.items():
-        path = f"places.{label}"
-        q = _required_integer(entry, "q", path, 2)
-        a = _required_integer(entry, "a", path, None)
-        inertia = [str(x) for x in _list(_need(entry, "inertia", path), f"{path}.inertia")]
-        frobenius = str(_need(entry, "frobenius", path))
-        pins = [(character(lbl, f"{path}.pinned.{lbl}"),
-                 _rational(_need(pin, "u", f"{path}.pinned.{lbl}"), f"{path}.pinned.{lbl}.u"),
-                 _rational(_need(pin, "t", f"{path}.pinned.{lbl}"), f"{path}.pinned.{lbl}.t"))
-                for lbl, pin in _optional_object(entry, "pinned", path).items()]
+    for label, entry in pobj.members():
+        q = entry["q"].int(2)
+        a = entry["a"].int()
+        inertia = [x.text() for x in entry["inertia"].array()]
+        frobenius = entry["frobenius"].text()
+        pins = [(lbl, pin["u"].rational(), pin["t"].rational())
+                for lbl, pin in characters(entry.optional("pinned", {}))]
         try:
             places[label] = parse_local_place(group, q, a, inertia, frobenius, pins)
             check_pinned_corrections(group, places[label])
         except LocalDataError as e:
-            raise DatasetError(path, str(e)) from e
+            entry.fail(str(e))
     missing_places = [s for s in tower.S_r if s not in places]
     if missing_places:
-        raise DatasetError("places", f"no local data for ramified places {missing_places}")
+        pobj.fail(f"no local data for ramified places {missing_places}")
     stray = [s for s in places if s not in tower.S_r]
     if stray:
-        raise DatasetError("places", f"local data for places outside S_r: {stray}")
+        pobj.fail(f"local data for places outside S_r: {stray}")
 
-    aobj = _required_object(doc, "analytic", "")
-    omega_plus = _decimal(_need(aobj, "omega_plus", "analytic"), "analytic.omega_plus")
-    omega_minus = (_decimal(aobj["omega_minus"], "analytic.omega_minus")
-                   if aobj.get("omega_minus") is not None else None)
-    cblock = _required_object(aobj, "characters", "analytic")
-    analytic_chars: dict[str, CharacterAnalytic] = {}
-    for label, entry in cblock.items():
-        path = f"analytic.characters.{label}"
-        character(label, path)
-        entry = _object(entry, path)
-        analytic_chars[label] = CharacterAnalytic(
-            order=_required_integer(entry, "order", path, 0),
-            leading_term=_decimal(_need(entry, "leading_term", path), f"{path}.leading_term"),
-            truncated=_flag(entry, "truncated", path),
-        )
+    aobj = root["analytic"]
+    omega_plus = aobj["omega_plus"].decimal()
+    omega_minus = m.decimal() if (m := aobj.optional("omega_minus")) else None
+    cblock = aobj["characters"]
+    analytic_chars = {label: CharacterAnalytic(order=entry["order"].int(0),
+                                               leading_term=entry["leading_term"].decimal(),
+                                               truncated=entry["truncated"].flag())
+                      for label, entry in characters(cblock)}
     missing_chars = sorted(char_labels - set(analytic_chars))
     if missing_chars:
-        raise DatasetError("analytic.characters", f"missing characters {missing_chars}")
+        cblock.fail(f"missing characters {missing_chars}")
     analytic = AnalyticBlock(omega_plus=omega_plus, omega_minus=omega_minus,
                              characters=analytic_chars)
 
     heights: HeightBlock | None = None
-    if doc.get("heights") is not None:
-        hobj = _object(doc["heights"], "heights")
-        translates: dict[GroupElement, DecimalWithError] = {}
-        keys: dict[GroupElement, str] = {}
-        for gs, entry in _required_object(hobj, "translates", "heights").items():
-            path = f"heights.translates.{gs}"
-            try:
-                g = group.parse_element(gs)
-            except GroupError as e:
-                raise DatasetError(path, str(e)) from e
-            translates[distinct(g, gs, keys, path)] = _decimal(entry, path)
+    if hobj := root.optional("heights"):
+        translates = hobj["translates"].elements(group, _Json.decimal)
         missing_tr = [group.format_element(g) for g in group.elements() if g not in translates]
         if missing_tr:
-            raise DatasetError("heights.translates", f"missing elements {missing_tr}")
-        heights = HeightBlock(normalization=str(_need(hobj, "normalization", "heights")),
-                              translates=translates)
+            hobj["translates"].fail(f"missing elements {missing_tr}")
+        heights = HeightBlock(normalization=hobj["normalization"].text(), translates=translates)
 
     bsd: dict[str, FieldBlock] = {}
-    for name, fobj in _optional_object(doc, "bsd", "").items():
-        path = f"bsd.{name}"
-        fobj = _object(fobj, path)
-        sig = _need(fobj, "signature", path)
-        if not (isinstance(sig, (list, tuple)) and len(sig) == 2):
-            raise DatasetError(f"{path}.signature", "expected [r1, r2]")
-        r1, r2 = (_integer(r, f"{path}.signature[{i}]", 0) for i, r in enumerate(sig))
+    for name, fobj in root.optional("bsd", {}).members():
+        sig = fobj["signature"]
+        if not (isinstance(sig.value, list) and len(sig.value) == 2):
+            sig.fail("expected [r1, r2]")
+        r1, r2 = (r.int(0) for r in sig.array())
         # the multiplicity of psi in the L-series of a field is at most psi(1) <= 2
-        leading = {character(k, f"{path}.leading_characters.{k}"):
-                   _integer(v, f"{path}.leading_characters.{k}", 1, 2)
-                   for k, v in _required_object(fobj, "leading_characters", path).items()}
-        overrides = {character(k, f"{path}.leading_overrides.{k}"):
-                     _decimal(v, f"{path}.leading_overrides.{k}")
-                     for k, v in _optional_object(fobj, "leading_overrides", path).items()}
-        reg = (_decimal(fobj["regulator"], f"{path}.regulator")
-               if fobj.get("regulator") is not None else None)
-        gens = None
-        if fobj.get("regulator_generators") is not None:
-            gens = []
-            for i, combo in enumerate(_list(fobj["regulator_generators"],
-                                            f"{path}.regulator_generators")):
-                gpath = f"{path}.regulator_generators[{i}]"
-                gen: dict[GroupElement, Fraction] = {}
-                keys = {}
-                for k, v in _object(combo, gpath).items():
-                    try:
-                        g = group.parse_element(k)
-                    except GroupError as e:
-                        raise DatasetError(gpath, str(e)) from e
-                    gen[distinct(g, k, keys, f"{gpath}.{k}")] = _rational(v, f"{gpath}.{k}")
-                gens.append(gen)
-        degree = _required_integer(fobj, "degree", path, 1)
+        leading = {k: v.int(1, 2) for k, v in characters(fobj["leading_characters"])}
+        overrides = {k: v.decimal()
+                     for k, v in characters(fobj.optional("leading_overrides", {}))}
+        reg = rg.decimal() if (rg := fobj.optional("regulator")) else None
+        gens = ([combo.elements(group, _Json.rational) for combo in gs.array()]
+                if (gs := fobj.optional("regulator_generators")) else None)
+        degree = fobj["degree"].int(1)
         if group.order % degree != 0:
-            raise DatasetError(f"{path}.degree", f"degree {degree} does not divide {group.order}")
+            fobj["degree"].fail(f"degree {degree} does not divide {group.order}")
         if r1 + 2 * r2 != degree:
-            raise DatasetError(f"{path}.signature", "r1 + 2*r2 must equal the degree")
+            sig.fail("r1 + 2*r2 must equal the degree")
         bsd[name] = fb = FieldBlock(
             name=name,
             degree=degree,
             signature=(r1, r2),
-            d_abs=_required_integer(fobj, "d_abs", path, 1),
-            torsion=_required_integer(fobj, "torsion", path, 1),
-            tamagawa={str(k): tuple(_integer(x, f"{path}.tamagawa.{k}[{i}]", 1)
-                                    for i, x in enumerate(_list(v, f"{path}.tamagawa.{k}")))
-                      for k, v in _required_object(fobj, "tamagawa", path).items()},
+            d_abs=fobj["d_abs"].int(1),
+            torsion=fobj["torsion"].int(1),
+            tamagawa={k: tuple(x.int(1) for x in v.array())
+                      for k, v in fobj["tamagawa"].members()},
             leading_characters=leading,
             regulator=reg,
             regulator_generators=gens,
             leading_overrides=overrides,
-            omega_quotient=_rational(fobj.get("omega_quotient", "1"), f"{path}.omega_quotient"),
+            omega_quotient=fobj.get("omega_quotient", "1").rational(),
         )
         if fb.regulator is not None and not fb.regulator.is_positive():
-            raise DatasetError(f"{path}.regulator", "regulator is not certifiably positive")
+            fobj["regulator"].fail("regulator is not certifiably positive")
         if fb.omega_quotient <= 0:
-            raise DatasetError(f"{path}.omega_quotient",
-                               f"must be positive, got {fb.omega_quotient}")
+            fobj["omega_quotient"].fail(f"must be positive, got {fb.omega_quotient}")
 
-    oobj = _optional_object(doc, "options", "")
+    oobj = root.optional("options", {})
     options = Options(
-        p_power_required=_optional_integer(oobj, "p_power_required", "options", None, 1),
-        den_bound=_optional_integer(oobj, "den_bound", "options", 10 ** 6, 1),
-        route=str(oobj.get("route", "auto")),
-        gz_constant=(_rational(oobj["gz_constant"], "options.gz_constant")
-                     if oobj.get("gz_constant") is not None else None),
+        p_power_required=n.int(1) if (n := oobj.optional("p_power_required")) else None,
+        den_bound=oobj.optional("den_bound", 10 ** 6).int(1),
+        route=oobj.get("route", "auto").text(),
+        gz_constant=c.rational() if (c := oobj.optional("gz_constant")) else None,
     )
     if options.route not in ROUTES:
-        raise DatasetError("options.route", f"unknown route {options.route!r}")
+        oobj["route"].fail(f"unknown route {options.route!r}")
 
     ds = Dataset(
-        label=str(doc.get("label", "unnamed")),
+        label=root.get("label", "unnamed").text(),
         group=group,
         curve=curve,
         tower=tower,
@@ -543,8 +519,7 @@ def parse_dataset(doc: Mapping[str, Any]) -> Dataset:
         heights=heights,
         bsd=bsd,
         options=options,
-        provenance={str(k): str(v)
-                    for k, v in _optional_object(doc, "provenance", "").items()},
+        provenance={k: v.text() for k, v in root.optional("provenance", {}).members()},
     )
     _cross_validate(ds)
     return ds
