@@ -62,7 +62,9 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    # a screen of no instances would report success without testing anything
+    # a count or bound below 1 is a usage error before any data are read: a
+    # screen of no instances would report success without testing anything,
+    # and verify would name a dataset field the user never wrote
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -199,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--format", choices=("text", "structured"), default="text")
     pv.add_argument("--route", choices=ROUTES, default=None,
                     help="override the dataset's verification route")
-    pv.add_argument("--den-bound", type=int, default=None,
+    pv.add_argument("--den-bound", type=_positive_int, default=None,
                     help="denominator bound for recognizing exact values")
-    pv.add_argument("--n-override", type=int, default=None,
+    pv.add_argument("--n-override", type=_positive_int, default=None,
                     help="test divisibility by p^n for this n instead of the default")
     pv.add_argument("--out", default=None, metavar="PATH",
                     help="write the report to this file instead of standard output")

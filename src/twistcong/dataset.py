@@ -8,6 +8,8 @@ Birch--Swinnerton-Dyer mod-squares checks.
 
 All numbers arrive as strings ("24/19", "3.25", "1e-33") and are parsed into
 exact rationals, each string once and here alone; nothing in this module rounds.
+Raw JSON becomes typed values in one place, the reader _Json, which carries
+the dotted path of each value so that every DatasetError names its field.
 """
 from __future__ import annotations
 
@@ -173,7 +175,11 @@ class _Json:
         return self.value
 
     def text(self) -> str:
-        return str(self.value)
+        """A JSON string; any other value, null included, is rejected, where
+        str() would make null a place named "None"."""
+        if not isinstance(self.value, str):
+            self.fail(f"expected a string, got {self.value!r}")
+        return self.value
 
 
 @dataclass

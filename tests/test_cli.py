@@ -84,9 +84,24 @@ def test_verify_weak_bound_inconclusive(capsys):
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
 def test_verify_nonpositive_den_bound_is_a_data_error(capsys, bound):
-    code, _, err = run(capsys, "verify", "--dataset", "21a1-quintic-19", "--den-bound", bound)
-    assert code == 3
-    assert "options.den_bound" in err and "Traceback" not in err
+    # once rejected only inside verify, at options.den_bound: a field the user never wrote
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--dataset", "21a1-quintic-19", f"--den-bound={bound}"])
+    err = capsys.readouterr().err
+    assert e.value.code == 3
+    assert f"--den-bound: expected a positive integer, got '{bound}'" in err
+    assert "options." not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_verify_nonpositive_n_override_is_a_usage_error(capsys, n):
+    # once rejected only inside verify, at options.p_power_required
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--dataset", "21a1-quintic-19", "--n-override", n])
+    err = capsys.readouterr().err
+    assert e.value.code == 3
+    assert f"--n-override: expected a positive integer, got '{n}'" in err
+    assert "options." not in err and "Traceback" not in err
 
 
 def test_verify_missing_dataset(capsys):

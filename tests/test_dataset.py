@@ -2,6 +2,8 @@
 import decimal
 import json
 import time
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -14,6 +16,9 @@ from twistcong.dataset import (
 )
 from twistcong.engine import verify
 from twistcong.report import structured_report
+
+
+QUINTIC, SEPTIC = "21a1-quintic-19", "37a1-septic-577"
 
 
 def bundled_doc(name):
@@ -300,6 +305,17 @@ def test_reject_two_generator_keys_naming_one_element():
         parse_dataset(doc)
     assert excinfo.value.path == "bsd.K.regulator_generators[0].s1^8"
     assert "'s1'" in str(excinfo.value)
+
+
+def test_reject_a_generator_key_naming_no_element():
+    # reported at the generator, not at its key, while a translate key was
+    # reported at the key
+    doc = bundled_doc("37a1-septic-577")
+    doc["bsd"]["K"]["regulator_generators"][0]["s2"] = "1"
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "bsd.K.regulator_generators[0].s2"
+    assert "generator index 2 out of range" in str(excinfo.value)
 
 
 def test_reject_asymmetric_translates():
@@ -636,6 +652,8 @@ def test_rational_out_of_range_forms(value):
 
 
 def test_each_decimal_string_is_read_once(monkeypatch):
+    # counting Decimal builds alone missed a field read twice: the builds
+    # doubled along with the reads
     built, read = [], []
 
     class Counted(decimal.Decimal):
@@ -644,11 +662,119 @@ def test_each_decimal_string_is_read_once(monkeypatch):
             return super().__new__(cls, *args)
 
     def recorded(value, path, rational=dataset._rational):
-        read.append(value)
+        read.append((value, path))
         return rational(value, path)
 
     monkeypatch.setattr(dataset.decimal, "Decimal", Counted)
     monkeypatch.setattr(dataset, "_rational", recorded)
-    parse_dataset(bundled_doc("37a1-septic-577"))
-    decimals = [v for v in read if "/" not in str(v)]
-    assert decimals and len(built) == len(decimals)
+    for name in (QUINTIC, SEPTIC):
+        read.clear()
+        built.clear()
+        parse_dataset(bundled_doc(name))
+        decimals = [v for v, _ in read if "/" not in str(v)]
+        assert decimals and len(built) == len(decimals)
+        repeated = [path for path, n in Counter(path for _, path in read).items() if n > 1]
+        assert not repeated, (name, repeated)
+
+
+def delete_field(doc, keys):
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block.pop(keys[-1], None)
+
+
+def parse_outcome(doc):
+    """The parsed dataset without its group object (so that two parses
+    compare equal), or the error."""
+    try:
+        return repr(replace(parse_dataset(doc), group=None))
+    except DatasetError as e:
+        return f"DatasetError: {e}"
+
+
+@pytest.mark.parametrize("name, field", [
+    (QUINTIC, "curve.tamagawa_base"),
+    (QUINTIC, "curve.tamagawa_quadratic"),
+    (QUINTIC, "curve.manin_constant"),
+    (QUINTIC, "curve.unit_count_K"),
+    (QUINTIC, "places.19.pinned"),
+    (SEPTIC, "analytic.omega_minus"),
+    (QUINTIC, "heights"),
+    (QUINTIC, "bsd"),
+    (QUINTIC, "bsd.F.leading_overrides"),
+    (QUINTIC, "bsd.K.regulator"),
+    (QUINTIC, "bsd.F.regulator_generators"),
+    (QUINTIC, "options"),
+    (QUINTIC, "options.p_power_required"),
+    (QUINTIC, "options.den_bound"),
+    (SEPTIC, "options.gz_constant"),
+    (QUINTIC, "provenance"),
+])
+def test_null_reads_as_absent(name, field):
+    absent, null = bundled_doc(name), bundled_doc(name)
+    delete_field(absent, field.split("."))
+    set_field(null, field.split("."), None)
+    assert parse_outcome(null) == parse_outcome(absent)
+
+
+NULL_REJECTED = [
+    ("tower.S_r_split", "expected an array, got None"),
+    ("tower.S_bad", "expected an array, got None"),
+    ("analytic.omega_plus.abs_error", "expected a rational, got None"),
+    ("analytic.omega_minus.abs_error", "expected a rational, got None"),
+    ("analytic.characters.ind:1.leading_term.abs_error", "expected a rational, got None"),
+    ("heights.translates.s1.abs_error", "expected a rational, got None"),
+    ("bsd.F.leading_overrides.eps.abs_error", "expected a rational, got None"),
+    ("bsd.K.regulator.abs_error", "expected a rational, got None"),
+    ("bsd.F.omega_quotient", "expected a rational, got None"),
+    # once "unknown route 'None'"
+    ("options.route", "expected a string, got None"),
+    # once the label "None"; an absent label is "unnamed"
+    ("label", "expected a string, got None"),
+]
+
+
+@pytest.mark.parametrize("field, message", NULL_REJECTED, ids=[f for f, _ in NULL_REJECTED])
+def test_null_is_rejected_where_absent_takes_a_default(field, message):
+    absent, null = bundled_doc(QUINTIC), bundled_doc(QUINTIC)
+    delete_field(absent, field.split("."))
+    set_field(null, field.split("."), None)
+    parse_dataset(absent)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(null)
+    assert str(excinfo.value) == f"{field}: {message}"
+
+
+def test_absent_label_is_unnamed():
+    doc = bundled_doc(QUINTIC)
+    del doc["label"]
+    assert parse_dataset(doc).label == "unnamed"
+
+
+NON_STRING_TEXTS = [
+    # null parsed, and the report read "dataset: None"
+    ("label", None, "label", None),
+    # {"a": 1} became the label "{'a': 1}"
+    ("curve.label", {"a": 1}, "curve.label", {"a": 1}),
+    ("heights.normalization", 1.5, "heights.normalization", 1.5),
+    ("options.route", 5, "options.route", 5),
+    ("provenance.curve", True, "provenance.curve", True),
+    # 19 was read as the place "19" and parsed
+    ("tower.S_r", ["2", 19], "tower.S_r[1]", 19),
+    ("tower.S_r_split", [2], "tower.S_r_split[0]", 2),
+    # null listed a place named "None"
+    ("tower.S_bad", [None], "tower.S_bad[0]", None),
+    ("places.19.inertia", [1], "places.19.inertia[0]", 1),
+    ("places.19.frobenius", ["t"], "places.19.frobenius", ["t"]),
+]
+
+
+@pytest.mark.parametrize("field, value, path, got", NON_STRING_TEXTS,
+                         ids=[path for _, _, path, _ in NON_STRING_TEXTS])
+def test_reject_text_fields_that_are_not_strings(field, value, path, got):
+    doc = bundled_doc(QUINTIC)
+    set_field(doc, field.split("."), value)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == f"{path}: expected a string, got {got!r}"

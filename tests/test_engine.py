@@ -368,6 +368,9 @@ def test_group_ring_note_only_at_the_bound(n_override, noted):
 def test_bad_override_rejected():
     with pytest.raises(DatasetError, match="p_power_required"):
         verify(load_bundled_dataset(QUINTIC), n_override=0)
+    # the command line rejects both before loading; library callers still get this
+    with pytest.raises(DatasetError, match="den_bound"):
+        verify(load_bundled_dataset(QUINTIC), den_bound=0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = ("f9cc3355e3f02437d1c470c4c6ec585fee86263ce1d500e5657f0f15a6e6d05c", 2263)
+PINNED = ("3c62b6a207a0af77878fe6feec1a9d4d4f15641ef3ffa59f39fe3836fa2b5023", 2239)
 
 
 def load_tool():
