@@ -89,12 +89,13 @@ class _Json:
             self.fail(f"expected an object, got {self.value!r}")
         return self.value
 
-    def _at(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
+    # the member reads below run once per field, so they check the object
+    # and join the member's path inline
 
     def __getitem__(self, key: str) -> _Json:
         """The required member key of this object."""
-        obj, path = self._object(), self._at(key)
+        obj = self.value if isinstance(self.value, dict) else self._object()
+        path = f"{self.path}.{key}" if self.path else key
         if key not in obj:
             raise DatasetError(path, "missing required field")
         return _Json(obj[key], path)
@@ -102,7 +103,8 @@ class _Json:
     def get(self, key: str, default: Any) -> _Json:
         """The member key, or default when it is absent; a null member is read
         as null, which no reader accepts."""
-        return _Json(self._object().get(key, default), self._at(key))
+        obj = self.value if isinstance(self.value, dict) else self._object()
+        return _Json(obj.get(key, default), f"{self.path}.{key}" if self.path else key)
 
     def optional(self, key: str, default: Any = None) -> _Json | None:
         """The member key; when it is absent or null, None for a None default
@@ -112,11 +114,12 @@ class _Json:
             if default is None:
                 return None
             value = default
-        return _Json(value, self._at(key))
+        return _Json(value, f"{self.path}.{key}" if self.path else key)
 
     def members(self) -> list[tuple[str, _Json]]:
         """The (key, value) pairs of this object, in document order."""
-        return [(key, _Json(value, self._at(key))) for key, value in self._object().items()]
+        prefix = f"{self.path}." if self.path else ""
+        return [(key, _Json(value, prefix + key)) for key, value in self._object().items()]
 
     def array(self) -> list[_Json]:
         if not isinstance(self.value, list):
