@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterator, NoReturn, TypeVar
+from typing import Any, Callable, Iterator, NoReturn
 
 from .exact import DecimalWithError, rational_valuation
 from .groups import (Character, DihedralGroup, GroupElement, GroupError, character_orbits,
@@ -38,9 +38,6 @@ MAX_P_ORDER = 1000
 # Fraction expands "1e<k>" into k digits, and verify prints values in messages
 MAX_EXPONENT = 1000
 _LIMIT = 10 ** MAX_EXPONENT
-
-T = TypeVar("T")
-
 
 class DatasetError(ValueError):
     """Malformed dataset; message carries a dotted path to the offending field,
@@ -90,7 +87,7 @@ class _Json:
         return self.value
 
     # the member reads below run once per field, so they check the object
-    # and join the member's path inline
+    # and join the member's path inline rather than through helper calls
 
     def __getitem__(self, key: str) -> _Json:
         """The required member key of this object."""
@@ -109,7 +106,8 @@ class _Json:
     def optional(self, key: str, default: Any = None) -> _Json | None:
         """The member key; when it is absent or null, None for a None default
         and default read at the member's path otherwise."""
-        value = self._object().get(key)
+        obj = self.value if isinstance(self.value, dict) else self._object()
+        value = obj.get(key)
         if value is None:
             if default is None:
                 return None
@@ -118,20 +116,21 @@ class _Json:
 
     def members(self) -> list[tuple[str, _Json]]:
         """The (key, value) pairs of this object, in document order."""
+        obj = self.value if isinstance(self.value, dict) else self._object()
         prefix = f"{self.path}." if self.path else ""
-        return [(key, _Json(value, prefix + key)) for key, value in self._object().items()]
+        return [(key, _Json(value, prefix + key)) for key, value in obj.items()]
 
     def array(self) -> list[_Json]:
         if not isinstance(self.value, list):
             self.fail(f"expected an array, got {self.value!r}")
         return [_Json(x, f"{self.path}[{i}]") for i, x in enumerate(self.value)]
 
-    def elements(self, group: DihedralGroup, read: Callable[[_Json], T]
-                 ) -> dict[GroupElement, T]:
+    def elements(self, group: DihedralGroup, read: Callable[[_Json], Any]
+                 ) -> dict[GroupElement, Any]:
         """The members of this object keyed by the group elements their keys
         name, each value read by read; a key naming the same element as an
         earlier one ("s1^6" is "s1" at |P| = 5) is rejected."""
-        out: dict[GroupElement, T] = {}
+        out: dict[GroupElement, Any] = {}
         keys: dict[GroupElement, str] = {}
         for key, node in self.members():
             try:
