@@ -206,7 +206,6 @@ class TowerInfo:
     K_real: bool
     conductor_norms: dict[str, int]
     S_r: tuple[str, ...]
-    S_r_split: tuple[str, ...]
     S_bad: tuple[str, ...]
 
 
@@ -366,7 +365,8 @@ def parse_dataset(doc: Any) -> Dataset:
         raise DatasetError("", "dataset document must be a JSON object")
     root = _Json(doc, "")
     version = root["spec_version"]
-    if version.value != SPEC_VERSION:
+    # a JSON integer alone: true and 1.0 compare equal to 1
+    if type(version.value) is not int or version.value != SPEC_VERSION:
         version.fail(f"unsupported version {version.value!r}")
 
     gobj = root["group"]
@@ -414,15 +414,15 @@ def parse_dataset(doc: Any) -> Dataset:
         cobj["rank_base"].fail("only ranks 0 and 1 are supported")
 
     tobj = root["tower"]
-    tower = TowerInfo(
-        d_k_abs=tobj["d_k_abs"].int(1),
-        d_K_abs=tobj["d_K_abs"].int(1),
-        K_real=tobj["K_real"].flag(),
-        conductor_norms={k: v.int(1) for k, v in characters(tobj["conductor_norms"])},
-        S_r=tuple(x.text() for x in tobj["S_r"].array()),
-        S_r_split=tuple(x.text() for x in tobj.get("S_r_split", []).array()),
-        S_bad=tuple(x.text() for x in tobj.get("S_bad", []).array()),
-    )
+    d_k_abs, d_K_abs, K_real = tobj["d_k_abs"].int(1), tobj["d_K_abs"].int(1), tobj["K_real"].flag()
+    conductor_norms = {k: v.int(1) for k, v in characters(tobj["conductor_norms"])}
+    S_r = tuple(x.text() for x in tobj["S_r"].array())
+    # S_r_split enters no computation; its entries must still be places of S_r
+    for x in tobj.get("S_r_split", []).array():
+        if (place := x.text()) not in S_r:
+            x.fail(f"{place} is not in S_r")
+    S_bad = tuple(x.text() for x in tobj.get("S_bad", []).array())
+    tower = TowerInfo(d_k_abs, d_K_abs, K_real, conductor_norms, S_r, S_bad)
     repeated = sorted(s for s, n in Counter(tower.S_r).items() if n > 1)
     if repeated:
         tobj["S_r"].fail(f"places listed more than once: {repeated}")
@@ -548,9 +548,6 @@ def _cross_validate(ds: Dataset) -> None:
     if ds.tower.d_K_abs % ds.tower.d_k_abs ** 2:
         raise DatasetError("tower.d_K_abs", f"|d_K| = {ds.tower.d_K_abs} is not divisible "
                                             f"by |d_k|^2 = {ds.tower.d_k_abs ** 2}")
-    for s in ds.tower.S_r_split:
-        if s not in ds.tower.S_r:
-            raise DatasetError("tower.S_r_split", f"{s} is not in S_r")
     # orders must be 0 or 1 and need heights when any is 1
     needs_heights = False
     for lbl, ca in ds.analytic.characters.items():

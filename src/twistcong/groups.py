@@ -6,15 +6,20 @@ and tau is an involution acting on P by inversion. Irreducible complex
 characters are the trivial character, the quadratic character cutting out the
 fixed field of P, and the two-dimensional characters induced from the
 nontrivial characters of P, one per conjugate pair {chi, chi-bar}.
+
+Each group builds one character table (DihedralGroup.character_table); every
+lookup by label, Galois image or restriction to P reads it, and no label is
+parsed back into a chi vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm, prod
-from operator import mul
-from typing import Callable, Hashable, Iterator, Mapping, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .exact import (CyclotomicNumber, InvalidAutomorphismError, cyclotomic_field,
                     is_probable_prime, p_valuation, rational_valuation)
@@ -92,9 +97,6 @@ class DihedralGroup:
         self.n = rational_valuation(self.exponent, p)
         self.p_order = prod(factors)
         self.order = 2 * self.p_order
-        # filled on first use by irreducible_characters and character_orbits
-        self._characters: tuple[Character, ...] | None = None
-        self._orbits: tuple[tuple[tuple[Character, ...], tuple[int, ...]], ...] | None = None
 
     # elements ----------------------------------------------------------------
 
@@ -179,18 +181,16 @@ class DihedralGroup:
         e = self.exponent
         return sum(a * r * (e // f) for a, r, f in zip(avec, g.rot, self.cyclic_factors)) % e
 
+    def chi_exponents(self, avec: Sequence[int]) -> list[int]:
+        """The chi_exponent of chi_a at every rotation, in p_elements() order."""
+        e, ks = self.exponent, [0]
+        for a, f in zip(avec, self.cyclic_factors):
+            step = a * (e // f)
+            ks = [(k + step * r) % e for k in ks for r in range(f)]
+        return ks
+
     def chi_value(self, avec: Sequence[int], g: GroupElement) -> CyclotomicNumber:
         return CyclotomicNumber.zeta_power(self.exponent, self.chi_exponent(avec, g))
-
-    def chi_inverse_vector(self, avec: Sequence[int]) -> tuple[int, ...]:
-        return tuple((-a) % f for a, f in zip(avec, self.cyclic_factors))
-
-    def pair_rep(self, avec: Sequence[int]) -> tuple[int, ...]:
-        """Canonical representative of {chi, chi-bar}: the lexicographically
-        smaller exponent vector."""
-        a = tuple(avec)
-        b = self.chi_inverse_vector(a)
-        return min(a, b)
 
     def galois_on_chi(self, avec: Sequence[int], a: int) -> tuple[int, ...]:
         if a % self.p == 0:
@@ -199,67 +199,66 @@ class DihedralGroup:
 
     def galois_label(self, label: str, a: int) -> str:
         """The label of psi^sigma_a for psi labelled label: triv and eps stay,
-        ind:chi moves to the pair of a*chi."""
-        if not label.startswith("ind:"):
-            return label
-        chi = tuple(int(c) for c in label[4:].split(","))
-        return "ind:" + ",".join(map(str, self.pair_rep(self.galois_on_chi(chi, a))))
+        the character induced from chi moves to the one induced from a*chi."""
+        chi = Character.from_label(self, label).chi
+        return self.character_table.induced[self.galois_on_chi(chi, a)].label if chi else label
 
     def galois_unit_reps(self) -> list[int]:
         """Representatives of (Z/exponent)^*."""
         return list(cyclotomic_field(self.exponent).units)
+
+    @cached_property
+    def character_table(self) -> CharacterTable:
+        """The irreducible characters and their Galois orbits, from one pass over chi_vectors()."""
+        by_label = {kind: Character(self, kind, kind) for kind in ("triv", "eps")}
+        induced: dict[tuple[int, ...], Character] = {}
+        # after the trivial chi, in lexicographic order: chi-bar is met first or not yet
+        for avec in list(self.chi_vectors())[1:]:
+            char = induced.get(self.galois_on_chi(avec, -1))
+            if char is None:
+                char = Character(self, "ind", "ind:" + ",".join(map(str, avec)), avec)
+                by_label[char.label] = char
+            induced[avec] = char
+        units, orbits, seen = self.galois_unit_reps(), [], set()
+        for char in by_label.values():
+            if char in seen:
+                continue
+            reached: dict[Character, int] = {}
+            for a in units:
+                reached.setdefault(char if char.chi is None else
+                                   induced[self.galois_on_chi(char.chi, a)], a)
+            seen.update(reached)
+            orbits.append((tuple(reached), tuple(reached.values())))
+        return CharacterTable(MappingProxyType(by_label), MappingProxyType(induced), tuple(orbits))
 
 
 # ---------------------------------------------------------------------------
 # irreducible characters of G
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Character:
     """An irreducible character of a generalized dihedral group.
 
-    kind is "triv", "eps" (quadratic, kernel P) or "ind" (dimension 2,
-    induced from the P-character pair with canonical exponent vector chi).
-    """
+    kind is "triv", "eps" (quadratic, kernel P) or "ind" (dimension 2, induced
+    from the pair {chi, chi-bar}, chi the lexicographically smaller). Only
+    DihedralGroup.character_table builds them, so they compare by identity."""
 
     group: DihedralGroup
     kind: str
+    label: str
     chi: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("triv", "eps", "ind"):
-            raise GroupError(f"unknown character kind {self.kind!r}")
-        if self.kind == "ind":
-            chi = tuple(c % f for c, f in zip(self.chi or (), self.group.cyclic_factors))
-            if not any(chi):
-                raise GroupError("induced characters need a nontrivial chi vector")
-            object.__setattr__(self, "chi", self.group.pair_rep(chi))
-        elif self.chi is not None:
-            raise GroupError(f"{self.kind} character takes no chi vector")
 
     @property
     def degree(self) -> int:
         return 2 if self.kind == "ind" else 1
 
-    @property
-    def label(self) -> str:
-        if self.kind == "ind":
-            return "ind:" + ",".join(str(c) for c in self.chi)
-        return self.kind
-
     @classmethod
     def from_label(cls, group: DihedralGroup, label: str) -> "Character":
-        if label in ("triv", "eps"):
-            return cls(group, label)
-        if label.startswith("ind:"):
-            try:
-                chi = tuple(int(c) for c in label[4:].split(","))
-            except ValueError as e:
-                raise GroupError(f"bad character label {label!r}") from e
-            if len(chi) != len(group.cyclic_factors):
-                raise GroupError(f"character label {label!r} has wrong arity")
-            return cls(group, "ind", chi)
-        raise GroupError(f"bad character label {label!r}")
+        try:
+            return group.character_table.by_label[label]
+        except KeyError:
+            raise GroupError(f"bad character label {label!r}") from None
 
     def value(self, g: GroupElement) -> CyclotomicNumber:
         if self.kind == "triv":
@@ -271,53 +270,29 @@ class Character:
         chi_g = self.group.chi_value(self.chi, g)
         return chi_g + chi_g.conjugate()
 
-    def galois_image(self, a: int) -> "Character":
-        return Character.from_label(self.group, self.group.galois_label(self.label, a))
-
     def stabilizer_units(self) -> list[int]:
         """Units a of (Z/exponent)^* with psi^sigma_a = psi."""
         return [a for a in self.group.galois_unit_reps()
                 if self.group.galois_label(self.label, a) == self.label]
 
 
+class CharacterTable(NamedTuple):
+    by_label: Mapping[str, Character]  # triv, eps, then Ind chi in lexicographic chi order
+    induced: Mapping[tuple[int, ...], Character]  # Ind chi at every chi != 1, chi-bar too
+    # each Galois orbit, with the units a that first reach its members
+    orbits: tuple[tuple[tuple[Character, ...], tuple[int, ...]], ...]
+
+
 def irreducible_characters(group: DihedralGroup) -> list[Character]:
-    """triv, eps, then the induced characters in lexicographic chi order.
-    Built once per group; each call returns a fresh list."""
-    if group._characters is None:
-        chars = [Character(group, "triv"), Character(group, "eps")]
-        seen: set[tuple[int, ...]] = set()
-        for avec in group.chi_vectors():
-            if all(c == 0 for c in avec):
-                continue
-            rep = group.pair_rep(avec)
-            if rep not in seen:
-                seen.add(rep)
-                chars.append(Character(group, "ind", rep))
-        group._characters = tuple(chars)
-    return list(group._characters)
+    """triv, eps, then the induced characters in lexicographic chi order."""
+    return list(group.character_table.by_label.values())
 
 
 def character_orbits(group: DihedralGroup) -> list[list[Character]]:
     """Galois orbits of all irreducible characters: [triv], [eps], then the
     induced orbits in lexicographic order of their first member, each listed
-    in the order of the units a that first reach it. Built once per group,
-    with orbit_units; each call returns fresh lists."""
-    if group._orbits is None:
-        by_label = {c.label: c for c in irreducible_characters(group)}
-        units = group.galois_unit_reps()
-        orbits = []
-        seen: set[str] = set()
-        for label in by_label:
-            if label in seen:
-                continue
-            reached: dict[str, int] = {}
-            for a in units:
-                reached.setdefault(group.galois_label(label, a), a)
-            seen.update(reached)
-            orbits.append((tuple(by_label[image] for image in reached),
-                           tuple(reached.values())))
-        group._orbits = tuple(orbits)
-    return [list(orbit) for orbit, _ in group._orbits]
+    in the order of the units a that first reach it, as fresh lists."""
+    return [list(orbit) for orbit, _ in group.character_table.orbits]
 
 
 def orbit_units(group: DihedralGroup) -> list[tuple[int, ...]]:
@@ -325,8 +300,7 @@ def orbit_units(group: DihedralGroup) -> list[tuple[int, ...]]:
     that first reach its members, so that member i is orbit[0]^sigma_a for
     the i-th a. The Q-values of an orbit are then sigma_a(Q(orbit[0])) in
     this order, the alignment exact.recognize_orbit takes."""
-    character_orbits(group)
-    return [units for _, units in group._orbits]
+    return [units for _, units in group.character_table.orbits]
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +367,16 @@ def first_equivariance_failure(values: Mapping[Key, CyclotomicNumber],
 
 def res_map(values: Mapping[str, CyclotomicNumber], group: DihedralGroup
             ) -> dict[tuple[int, ...], CyclotomicNumber]:
-    """Push a G-character vector down to a P-character vector.
-
-    The component at the trivial chi is value(triv)*value(eps); at a
-    nontrivial chi it is the value at the induced character of {chi, chi-bar}.
-    """
+    """Push a G-character vector down to a P-character vector: value(triv) *
+    value(eps) at the trivial chi, and at a nontrivial chi the value at the
+    character induced from {chi, chi-bar}."""
     out: dict[tuple[int, ...], CyclotomicNumber] = {}
-    triv_vec = tuple(0 for _ in group.cyclic_factors)
     try:
-        out[triv_vec] = values["triv"] * values["eps"]
+        out[(0,) * len(group.cyclic_factors)] = values["triv"] * values["eps"]
+        for avec, char in group.character_table.induced.items():
+            out[avec] = values[char.label]
     except KeyError as e:
         raise GroupError(f"missing character value {e.args[0]!r}") from e
-    for avec in group.chi_vectors():
-        if avec == triv_vec:
-            continue
-        label = "ind:" + ",".join(str(c) for c in group.pair_rep(avec))
-        if label not in values:
-            raise GroupError(f"missing character value {label!r}")
-        out[avec] = values[label]
     return out
 
 
@@ -424,7 +390,9 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     common denominator D as a sparse integer vector in the power basis of
     Q(zeta_e); chi_a(pi)^-1 = zeta_e^k with k = -sum_i a_i r_i e/f_i shifts
     its indices by k, so S(pi) costs O(|P| nnz) integer additions and one
-    reduction modulo Phi_e, and no cyclotomic product."""
+    reduction modulo Phi_e, and no cyclotomic product. The sum is symmetric
+    in a and r, so chi_exponents(pi.rot) gives k for every chi at once, in
+    chi_vectors() order, one row of |P| integers per pi."""
     vectors = list(group.chi_vectors())
     missing = [v for v in vectors if v not in evals]
     if missing:
@@ -435,14 +403,14 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     one = CyclotomicNumber.zeta_power(e, 0)
     values = [one._pair(evals[avec])[1] for avec in vectors]
     den = lcm(*(v.den for v in values))
-    terms = [([a * (e // f) for a, f in zip(avec, group.cyclic_factors)],
-              [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c])
-             for avec, v in zip(vectors, values) if not v.is_zero()]
+    terms = [(j, [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c])
+             for j, v in enumerate(values) if not v.is_zero()]
     sums: dict[tuple[int, ...], CyclotomicNumber] = {}
     for pi in group.p_elements():
+        ks = group.chi_exponents(pi.rot)
         acc = [0] * e
-        for weights, nonzero in terms:
-            k = -sum(map(mul, weights, pi.rot))
+        for j, nonzero in terms:
+            k = -ks[j]
             for i, c in nonzero:
                 acc[(i + k) % e] += c
         sums[pi.rot] = CyclotomicNumber(e, field.reduce(acc), den)

@@ -84,14 +84,9 @@ def character_heights(group: DihedralGroup,
     half = e // 2 + 1
     c, cos_v, cos_e = cyclotomic_field(e).cosines
     for char in irreducible_characters(group)[2:]:
-        # the exponents k at every rotation, in p_elements() order
-        ks = [0]
-        for a, f in zip(char.chi, group.cyclic_factors):
-            step = a * (e // f)
-            ks = [k + step * r for k in ks for r in range(f)]
         pool_v, pool_a, pool_e = [0] * half, [0] * half, [0] * half
-        for k, (v, a, err) in zip(ks, rotations):
-            k = min(k % e, -k % e)
+        for k, (v, a, err) in zip(group.chi_exponents(char.chi), rotations):
+            k = min(k, e - k)
             pool_v[k] += v
             pool_a[k] += a
             pool_e[k] += err

@@ -104,10 +104,13 @@ def test_hypothesis_failures_detected():
 
 
 def test_reject_wrong_version():
-    doc = bundled_doc("37a1-septic-577")
-    doc["spec_version"] = 2
-    with pytest.raises(DatasetError, match="spec_version"):
-        parse_dataset(doc)
+    # true and 1.0 were accepted, for True == 1 == 1.0
+    for version in (2, True, 1.0, "1"):
+        doc = bundled_doc("37a1-septic-577")
+        doc["spec_version"] = version
+        with pytest.raises(DatasetError) as excinfo:
+            parse_dataset(doc)
+        assert str(excinfo.value) == f"spec_version: unsupported version {version!r}"
 
 
 def test_reject_missing_block():
@@ -282,6 +285,17 @@ def test_reject_a_ramified_place_listed_twice():
         parse_dataset(doc)
     assert excinfo.value.path == "tower.S_r"
     assert "['19']" in str(excinfo.value)
+
+
+def test_reject_a_split_place_outside_S_r():
+    # S_r_split enters no computation, but each entry must be a place of S_r
+    doc = bundled_doc("21a1-quintic-19")
+    doc["tower"]["S_r_split"] = ["19", "7"]
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == "tower.S_r_split[1]: 7 is not in S_r"
+    doc["tower"]["S_r_split"] = ["19", "2"]
+    assert not hasattr(parse_dataset(doc).tower, "S_r_split")
 
 
 def test_reject_two_translate_keys_naming_one_element():

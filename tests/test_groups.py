@@ -11,13 +11,16 @@ from twistcong.engine import CharacterResult, congruence_lines, unit_and_equivar
 from twistcong.exact import CyclotomicNumber, UnsupportedConductorError, euler_phi, p_valuation
 from twistcong.groups import (
     Character, DihedralGroup, GroupError, IntegralityReport, center_integrality, character_orbits,
-    character_sums, irreducible_characters, kolyvagin_identity, res_map,
+    character_sums, irreducible_characters, kolyvagin_identity, orbit_units, res_map,
     zp_P_membership,
 )
 
 G7 = DihedralGroup(7, [7])
 G5 = DihedralGroup(5, [5])
 G33 = DihedralGroup(3, [3, 3])
+# group shapes for the character table and the character sums
+SUM_SHAPES = [(3, [3]), (5, [5]), (7, [7]), (11, [11]), (3, [9]), (5, [25]),
+              (3, [27]), (3, [3, 3]), (3, [9, 3])]
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +102,72 @@ def test_induced_character_values():
     assert psi.value(G5.identity) == CyclotomicNumber.rational(2)
 
 
-def test_from_label_reduces_exponents():
-    # "ind:7" once gave a character labelled ind:3 and "ind:5" one labelled ind:0
-    assert Character.from_label(G5, "ind:7").label == "ind:2"
-    with pytest.raises(GroupError):
-        Character.from_label(G5, "ind:5")
+def test_from_label_reads_the_table_alone():
+    # "ind:7" and "ind:3" name ind:2 only after reduction and pairing, "ind:5"
+    # the trivial chi; the table holds canonical labels alone
+    for label in ("ind:7", "ind:3", "ind:5"):
+        with pytest.raises(GroupError, match="bad character label"):
+            Character.from_label(G5, label)
+    for c in irreducible_characters(G5):
+        assert Character.from_label(G5, c.label) is c
 
 
 def test_character_labels_roundtrip():
     for group in (G7, G33):
         for c in irreducible_characters(group):
             assert Character.from_label(group, c.label).label == c.label
+
+
+def reference_label(group, avec):
+    """The label of the character induced from chi_avec, formatted as labels
+    once were: from the lexicographically smaller of chi and chi-bar."""
+    inverse = tuple(-a % f for a, f in zip(avec, group.cyclic_factors))
+    return "ind:" + ",".join(map(str, min(tuple(avec), inverse)))
+
+
+def reference_galois_label(group, label, a):
+    """galois_label as first written: an induced label is parsed back into its
+    chi vector, moved by a and formatted again."""
+    if not label.startswith("ind:"):
+        return label
+    chi = tuple(int(c) for c in label[4:].split(","))
+    return reference_label(group, group.galois_on_chi(chi, a))
+
+
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+def test_character_table_matches_the_label_parsing_reference(p, factors):
+    group = DihedralGroup(p, factors)
+    nontrivial = [v for v in group.chi_vectors() if any(v)]
+    labels = ["triv", "eps"] + [reference_label(group, v) for v in nontrivial
+                                if reference_label(group, v) == "ind:" + ",".join(map(str, v))]
+    assert [c.label for c in irreducible_characters(group)] == labels
+    units = group.galois_unit_reps()
+    for label in labels:
+        assert Character.from_label(group, label).label == label
+        for a in units:
+            assert group.galois_label(label, a) == reference_galois_label(group, label, a)
+    # each orbit lists its members in the order of the units that first reach them
+    for orbit, first_units in zip(character_orbits(group), orbit_units(group)):
+        reached = {}
+        for a in units:
+            reached.setdefault(reference_galois_label(group, orbit[0].label, a), a)
+        assert [c.label for c in orbit] == list(reached)
+        assert first_units == tuple(reached.values())
+    # res_map reads each nontrivial chi at the label of its induced character
+    values = {label: CyclotomicNumber.rational(i + 2) for i, label in enumerate(labels)}
+    evals = res_map(values, group)
+    assert list(evals) == list(group.chi_vectors())
+    assert evals[(0,) * len(factors)] == CyclotomicNumber.rational(6)
+    for v in nontrivial:
+        assert evals[v] is values[reference_label(group, v)]
+
+
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+def test_chi_exponents_match_chi_exponent(p, factors):
+    group = DihedralGroup(p, factors)
+    for avec in group.chi_vectors():
+        assert group.chi_exponents(avec) == [group.chi_exponent(avec, pi)
+                                             for pi in group.p_elements()]
 
 
 def test_galois_orbits_partition():
@@ -133,7 +191,7 @@ def induced_orbits_oracle(group):
             continue
         orbit = []
         for a in group.galois_unit_reps():
-            img = c.galois_image(a)
+            img = Character.from_label(group, group.galois_label(c.label, a))
             if img.label not in {o.label for o in orbit}:
                 orbit.append(img)
         seen.update(o.label for o in orbit)
@@ -155,8 +213,8 @@ def test_stabilizer_fixes_character():
         if c.kind != "ind":
             continue
         for a in c.stabilizer_units():
-            img = c.galois_image(a)
-            assert img.label == c.label
+            img = Character.from_label(G33, G33.galois_label(c.label, a))
+            assert img is c
 
 
 def test_character_tables_are_fresh_copies_of_one_table_per_group():
@@ -257,10 +315,6 @@ def test_membership_non_cyclic():
 # the character sums S(pi) against oracles that do not share their code path
 # ---------------------------------------------------------------------------
 
-SUM_SHAPES = [(3, [3]), (5, [5]), (7, [7]), (11, [11]), (3, [9]), (5, [25]),
-              (3, [27]), (3, [3, 3]), (3, [9, 3])]
-
-
 def random_fraction(rng):
     return Fraction(rng.randrange(-60, 61), rng.choice([1, 1, 2, 3, 5, 7, 9, 25]))
 
@@ -271,8 +325,7 @@ def per_formulation_sum(group, q_values, pi):
     acc = q_values["triv"] * q_values["eps"]
     for avec in group.chi_vectors():
         if any(avec):
-            label = "ind:" + ",".join(str(x) for x in group.pair_rep(avec))
-            acc = acc + group.chi_value(avec, pi.inverse()) * q_values[label]
+            acc = acc + group.chi_value(avec, pi.inverse()) * q_values[reference_label(group, avec)]
     return acc
 
 
@@ -292,7 +345,7 @@ def random_equivariant_q(group, rng, rational=True):
             for s in first.stabilizer_units():
                 x = x + y.galois_apply(s)
         for a in group.galois_unit_reps():
-            q[first.galois_image(a).label] = x.galois_apply(a)
+            q[group.galois_label(first.label, a)] = x.galois_apply(a)
     return q
 
 
@@ -437,9 +490,8 @@ def scan_unit_and_equivariance(group, results):
     eq_ok = True
     by_label = {c.label: c for c in irreducible_characters(group)}
     units = group.galois_unit_reps()
-    image = {a: {label: label if c.kind != "ind" else
-                 "ind:" + ",".join(map(str, group.pair_rep(group.galois_on_chi(c.chi, a))))
-                 for label, c in by_label.items()} for a in units}
+    image = {a: {label: reference_galois_label(group, label, a) for label in by_label}
+             for a in units}
     for label, res in results.items():
         if by_label[label].kind != "ind" or res.q_value.m == 1:
             continue
@@ -509,7 +561,7 @@ def squares_equivariant_q(group, rng):
             if s in squares:
                 y = y + z.galois_apply(s)
         for a in squares + [a for a in units if a not in squares]:
-            q.setdefault(first.galois_image(a).label, y.galois_apply(a))
+            q.setdefault(group.galois_label(first.label, a), y.galois_apply(a))
     return q
 
 
@@ -562,8 +614,7 @@ def scan_center_integrality(values, group):
     units = group.galois_unit_reps()
 
     def image(c, a):
-        return c.label if c.kind != "ind" else \
-            "ind:" + ",".join(map(str, group.pair_rep(group.galois_on_chi(c.chi, a))))
+        return reference_galois_label(group, c.label, a)
 
     failures = []
     for c in chars:
