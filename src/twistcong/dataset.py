@@ -7,9 +7,10 @@ translates of a generating point, and optional per-field blocks for the
 Birch--Swinnerton-Dyer mod-squares checks.
 
 All numbers arrive as strings ("24/19", "3.25", "1e-33") and are parsed into
-exact rationals, each string once and here alone; nothing in this module rounds.
-Raw JSON becomes typed values in one place, the reader _Json, which carries
-the dotted path of each value so that every DatasetError names its field.
+exact rationals, each distinct text once per document and here alone; nothing
+in this module rounds. Raw JSON becomes typed values in one place, the reader
+_Json, which carries the dotted path of each value so that every DatasetError
+names its field.
 """
 from __future__ import annotations
 
@@ -60,7 +61,8 @@ def _rational(value: Any, path: str) -> Fraction:
         else:
             # the exponent is bounded before Fraction expands it into digits
             d = decimal.Decimal(s)
-            x = None if abs(d.adjusted()) > MAX_EXPONENT else Fraction(d)
+            # zero is 0/1 whatever its exponent, and Fraction does not expand it
+            x = None if d and abs(d.adjusted()) > MAX_EXPONENT else Fraction(d)
     except (ValueError, ArithmeticError) as e:
         raise DatasetError(path, f"expected a rational, got {value!r}") from e
     if x is None or max(abs(x.numerator), x.denominator) > _LIMIT:
@@ -70,13 +72,18 @@ def _rational(value: Any, path: str) -> Fraction:
 
 class _Json:
     """A JSON value and the dotted path it was read at ("" for the document).
-    Each reader returns a typed value or raises a DatasetError at that path."""
+    Each reader returns a typed value or raises a DatasetError at that path.
+    The nodes of one document share memo, which maps each number text, and
+    each decimal's pair of texts, to the value read at its first occurrence;
+    a text that failed is never stored, so it fails again where it is next
+    read. parse_dataset makes the memo, and nothing keeps it after the parse."""
 
-    __slots__ = ("value", "path")
+    __slots__ = ("value", "path", "memo")
 
-    def __init__(self, value: Any, path: str):
+    def __init__(self, value: Any, path: str, memo: dict):
         self.value = value
         self.path = path
+        self.memo = memo
 
     def fail(self, message: str) -> NoReturn:
         raise DatasetError(self.path, message)
@@ -95,13 +102,14 @@ class _Json:
         path = f"{self.path}.{key}" if self.path else key
         if key not in obj:
             raise DatasetError(path, "missing required field")
-        return _Json(obj[key], path)
+        return _Json(obj[key], path, self.memo)
 
     def get(self, key: str, default: Any) -> _Json:
         """The member key, or default when it is absent; a null member is read
         as null, which no reader accepts."""
         obj = self.value if isinstance(self.value, dict) else self._object()
-        return _Json(obj.get(key, default), f"{self.path}.{key}" if self.path else key)
+        return _Json(obj.get(key, default), f"{self.path}.{key}" if self.path else key,
+                     self.memo)
 
     def optional(self, key: str, default: Any = None) -> _Json | None:
         """The member key; when it is absent or null, None for a None default
@@ -112,18 +120,18 @@ class _Json:
             if default is None:
                 return None
             value = default
-        return _Json(value, f"{self.path}.{key}" if self.path else key)
+        return _Json(value, f"{self.path}.{key}" if self.path else key, self.memo)
 
     def members(self) -> list[tuple[str, _Json]]:
         """The (key, value) pairs of this object, in document order."""
         obj = self.value if isinstance(self.value, dict) else self._object()
         prefix = f"{self.path}." if self.path else ""
-        return [(key, _Json(value, prefix + key)) for key, value in obj.items()]
+        return [(key, _Json(value, prefix + key, self.memo)) for key, value in obj.items()]
 
     def array(self) -> list[_Json]:
         if not isinstance(self.value, list):
             self.fail(f"expected an array, got {self.value!r}")
-        return [_Json(x, f"{self.path}[{i}]") for i, x in enumerate(self.value)]
+        return [_Json(x, f"{self.path}[{i}]", self.memo) for i, x in enumerate(self.value)]
 
     def elements(self, group: DihedralGroup, read: Callable[[_Json], Any]
                  ) -> dict[GroupElement, Any]:
@@ -159,16 +167,29 @@ class _Json:
         return n
 
     def rational(self) -> Fraction:
-        return _rational(self.value, self.path)
+        text = self.value
+        if not isinstance(text, str):
+            return _rational(text, self.path)
+        if (x := self.memo.get(text)) is None:
+            x = self.memo[text] = _rational(text, self.path)
+        return x
 
     def decimal(self) -> DecimalWithError:
         """An object {"value": v, "abs_error": e}, e >= 0 and "0" when absent."""
+        obj = self.value if isinstance(self.value, dict) else self._object()
+        texts = (obj.get("value"), obj.get("abs_error", "0"))
+        keyed = isinstance(texts[0], str) and isinstance(texts[1], str)
+        if keyed and (x := self.memo.get(texts)) is not None:
+            return x
         value = self["value"].rational()
         error = self.get("abs_error", "0")
         bound = error.rational()
         if bound < 0:
             error.fail("negative error bound")
-        return DecimalWithError(value, bound)
+        x = DecimalWithError(value, bound)
+        if keyed:
+            self.memo[texts] = x
+        return x
 
     def flag(self) -> bool:
         """JSON true or false; a quoted or numeric stand-in is rejected."""
@@ -363,7 +384,7 @@ def check_hypotheses(ds: Dataset) -> list[HypothesisResult]:
 def parse_dataset(doc: Any) -> Dataset:
     if not isinstance(doc, dict):
         raise DatasetError("", "dataset document must be a JSON object")
-    root = _Json(doc, "")
+    root = _Json(doc, "", {})
     version = root["spec_version"]
     # a JSON integer alone: true and 1.0 compare equal to 1
     if type(version.value) is not int or version.value != SPEC_VERSION:
@@ -465,8 +486,10 @@ def parse_dataset(doc: Any) -> Dataset:
     heights: HeightBlock | None = None
     if hobj := root.optional("heights"):
         translates = hobj["translates"].elements(group, _Json.decimal)
-        missing_tr = [group.format_element(g) for g in group.elements() if g not in translates]
-        if missing_tr:
+        # the keys name distinct elements, so none is missing when they are as many
+        if len(translates) < group.order:
+            missing_tr = [group.format_element(g) for g in group.elements()
+                          if g not in translates]
             hobj["translates"].fail(f"missing elements {missing_tr}")
         heights = HeightBlock(normalization=hobj["normalization"].text(), translates=translates)
 

@@ -262,6 +262,17 @@ def test_reject_missing_translate():
     assert str(excinfo.value) == "heights.translates: missing elements ['t']"
 
 
+def test_reject_several_missing_translates():
+    # listed in group.elements() order, not in the document's key order
+    doc = bundled_doc("37a1-septic-577")
+    for key in ("t", "s1^5*t", "s1^2", "s1^4"):
+        del doc["heights"]["translates"][key]
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == ("heights.translates: missing elements "
+                                  "['s1^2', 's1^4', 't', 's1^5*t']")
+
+
 def test_reject_element_with_two_exponents():
     # each raised a raw ValueError from unpacking "s1^2^3"
     doc = bundled_doc("37a1-septic-577")
@@ -645,6 +656,9 @@ def test_reject_bad_integer_list_entries(keys, value, path):
     (" 7 ", Fraction(7)), ("1/-3", Fraction(-1, 3)), ("1 / 3", Fraction(1, 3)),
     ("1_000", Fraction(1000)), (".5", Fraction(1, 2)), ("+2", Fraction(2)),
     ("1e1000", Fraction(10 ** 1000)), (7, Fraction(7)), (0.5, Fraction(1, 2)),
+    # zero is 0/1 at any exponent; each of these lay "beyond 10^(+-1000)"
+    ("0e-1001", Fraction(0)), ("-0e2000", Fraction(0)), ("0.0e-5000", Fraction(0)),
+    ("-0e-1001", Fraction(0)), ("+0e99999", Fraction(0)),
 ])
 def test_rational_accepted_forms(value, expected):
     assert _rational(value, "x") == expected
@@ -689,6 +703,72 @@ def test_each_decimal_string_is_read_once(monkeypatch):
         assert decimals and len(built) == len(decimals)
         repeated = [path for path, n in Counter(path for _, path in read).items() if n > 1]
         assert not repeated, (name, repeated)
+
+
+def count_reads(monkeypatch) -> list:
+    """The values _rational reads from here on, in read order."""
+    read = []
+
+    def recorded(value, path, rational=dataset._rational):
+        read.append(value)
+        return rational(value, path)
+
+    monkeypatch.setattr(dataset, "_rational", recorded)
+    return read
+
+
+def test_each_distinct_text_is_read_once_per_parse(monkeypatch):
+    doc = bundled_doc(SEPTIC)
+    # t(g) = t(g^-1), so translates share their texts
+    texts = Counter(t["value"] for t in doc["heights"]["translates"].values())
+    text, n = texts.most_common(1)[0]
+    assert n == 4
+    read = count_reads(monkeypatch)
+    first = parse_dataset(doc)
+    assert read.count(text) == 1
+    assert max(Counter(v for v in read if isinstance(v, str)).values()) == 1
+    # a second parse of the same document reads every text again: nothing
+    # is kept from one call to the next
+    reads = len(read)
+    second = parse_dataset(doc)
+    assert read.count(text) == 2 and len(read) == 2 * reads
+    assert list(second.heights.translates.values()) == list(first.heights.translates.values())
+
+
+def test_a_bad_text_read_twice_is_reported_at_its_first_field(monkeypatch):
+    doc = bundled_doc(SEPTIC)
+    doc["places"]["577"]["pinned"]["eps"]["u"] = "1e-1001"
+    doc["heights"]["translates"]["s1"]["value"] = "1e-1001"
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == "places.577.pinned.eps.u: '1e-1001' lies beyond 10^(+-1000)"
+    # with the first field mended, the second is still read and rejected
+    doc["places"]["577"]["pinned"]["eps"]["u"] = "1"
+    read = count_reads(monkeypatch)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "heights.translates.s1.value"
+    assert read.count("1e-1001") == 1
+
+
+def test_decimals_sharing_a_value_keep_their_own_errors():
+    doc = bundled_doc(SEPTIC)
+    omega = doc["analytic"]["omega_plus"]
+    doc["analytic"]["characters"]["triv"]["leading_term"] = {"value": omega["value"],
+                                                              "abs_error": "1e-30"}
+    ds = parse_dataset(doc)
+    assert ds.analytic.characters["triv"].leading_term.abs_error == Fraction(1, 10 ** 30)
+    assert ds.analytic.omega_plus.abs_error == Fraction(1, 10 ** 33)
+
+
+def test_a_negative_error_pair_read_twice_is_reported_at_its_first_path():
+    doc = bundled_doc(SEPTIC)
+    # the document lists s1 before s1^3
+    for key in ("s1^3", "s1"):
+        doc["heights"]["translates"][key] = {"value": "1", "abs_error": "-1e-36"}
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == "heights.translates.s1.abs_error: negative error bound"
 
 
 def delete_field(doc, keys):
