@@ -72,8 +72,6 @@ def field_regulator(ds: Dataset, fb: FieldBlock) -> DecimalWithError:
     if fb.regulator is not None:
         return fb.regulator
     if fb.regulator_generators is not None:
-        if ds.heights is None:
-            raise DatasetError(f"bsd.{fb.name}", "regulator generators need height translates")
         try:
             return regulator_from_translates(ds.group, ds.heights.translates,
                                              fb.regulator_generators, ds.group.order // fb.degree)

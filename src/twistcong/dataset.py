@@ -22,9 +22,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, NoReturn
 
-from .exact import DecimalWithError, rational_valuation
-from .groups import (Character, DihedralGroup, GroupElement, GroupError, character_orbits,
-                     irreducible_characters)
+from .exact import DEFAULT_DEN_BOUND, DecimalWithError, rational_valuation
+from .groups import Character, DihedralGroup, GroupElement, GroupError, irreducible_characters
 from .heights import HeightDataError, validate_translates
 from .localfactors import (LocalDataError, LocalPlace, check_pinned_corrections,
                            parse_local_place, quadratic_point_count)
@@ -219,6 +218,16 @@ class CurveInfo:
     manin_constant: int = 1
     unit_count_K: int | None = None
 
+    def rho_label(self) -> str:
+        """The linear character carrying the generic (rank) component."""
+        return "triv" if self.rank_base == 0 else "eps"
+
+    def vanishing_orders(self, group: DihedralGroup) -> dict[str, int]:
+        """ord_psi by label from the rank pattern: rank_base at triv,
+        rank_quadratic - rank_base at eps and 1 at every induced psi."""
+        linear = {"triv": self.rank_base, "eps": self.rank_quadratic - self.rank_base}
+        return {label: linear.get(label, 1) for label in group.character_table.by_label}
+
 
 @dataclass
 class TowerInfo:
@@ -277,10 +286,19 @@ ROUTES = ("auto", "direct", "qhat", "gz")
 
 @dataclass
 class Options:
+    """The verification options; each construction checks their ranges, so
+    verify's overrides are checked as the dataset's own options are."""
     p_power_required: int | None = None
-    den_bound: int = 10 ** 6
+    den_bound: int = DEFAULT_DEN_BOUND
     route: str = "auto"
     gz_constant: Fraction | None = None
+
+    def __post_init__(self):
+        for key in ("p_power_required", "den_bound"):
+            if (n := getattr(self, key)) is not None and n < 1:
+                raise DatasetError(f"options.{key}", f"must be at least 1, got {n}")
+        if self.route not in ROUTES:
+            raise DatasetError("options.route", f"unknown route {self.route!r}")
 
 
 @dataclass
@@ -301,19 +319,10 @@ class Dataset:
         return irreducible_characters(self.group)
 
     def rho_label(self) -> str:
-        """The linear character carrying the generic (rank) component."""
-        return "triv" if self.curve.rank_base == 0 else "eps"
+        return self.curve.rho_label()
 
     def expected_vanishing_orders(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for c in self.characters():
-            if c.kind == "triv":
-                out[c.label] = self.curve.rank_base
-            elif c.kind == "eps":
-                out[c.label] = self.curve.rank_quadratic - self.curve.rank_base
-            else:
-                out[c.label] = 1
-        return out
+        return self.curve.vanishing_orders(self.group)
 
     def required_p_power(self) -> int:
         if self.options.p_power_required is not None:
@@ -403,12 +412,12 @@ def parse_dataset(doc: Any) -> Dataset:
         gobj.fail(str(e))
     if group.p_order > MAX_P_ORDER:
         gobj["cyclic_factors"].fail(f"|P| = {group.p_order} exceeds the supported {MAX_P_ORDER}")
-    char_labels = {c.label for c in irreducible_characters(group)}
+    table = group.character_table
 
     def characters(block: _Json) -> Iterator[tuple[str, _Json]]:
         """The members of block, each keyed by the label of a character."""
         for label, node in block.members():
-            if label not in char_labels:
+            if label not in table.by_label:
                 node.fail("unknown character label")
             yield label, node
 
@@ -433,10 +442,19 @@ def parse_dataset(doc: Any) -> Dataset:
         cobj["a_invariants"].fail("expected five Weierstrass coefficients")
     if curve.rank_base not in (0, 1):
         cobj["rank_base"].fail("only ranks 0 and 1 are supported")
+    if curve.rank_quadratic != 1:
+        cobj["rank_quadratic"].fail(
+            "implausible quadratic rank" if curve.rank_quadratic > 2 else
+            "the height normalization needs exactly one generic linear character "
+            "(quadratic-layer rank 1)")
 
     tobj = root["tower"]
     d_k_abs, d_K_abs, K_real = tobj["d_k_abs"].int(1), tobj["d_K_abs"].int(1), tobj["K_real"].flag()
-    conductor_norms = {k: v.int(1) for k, v in characters(tobj["conductor_norms"])}
+    # the quadratic character's discriminant factor is the norm |d_K|/|d_k|^2
+    if d_K_abs % d_k_abs ** 2:
+        tobj["d_K_abs"].fail(f"|d_K| = {d_K_abs} is not divisible by |d_k|^2 = {d_k_abs ** 2}")
+    norms = tobj["conductor_norms"]
+    conductor_norms = {k: v.int(1) for k, v in characters(norms)}
     S_r = tuple(x.text() for x in tobj["S_r"].array())
     # S_r_split enters no computation; its entries must still be places of S_r
     for x in tobj.get("S_r_split", []).array():
@@ -471,28 +489,51 @@ def parse_dataset(doc: Any) -> Dataset:
 
     aobj = root["analytic"]
     omega_plus = aobj["omega_plus"].decimal()
-    omega_minus = m.decimal() if (m := aobj.optional("omega_minus")) else None
+    minus = aobj.get("omega_minus", None)
+    omega_minus = minus.decimal() if minus.value is not None else None
+    if omega_minus is None and not K_real:
+        minus.fail("imaginary quadratic layer needs the minus period")
     cblock = aobj["characters"]
-    analytic_chars = {label: CharacterAnalytic(order=entry["order"].int(0),
-                                               leading_term=entry["leading_term"].decimal(),
-                                               truncated=entry["truncated"].flag())
-                      for label, entry in characters(cblock)}
-    missing_chars = sorted(char_labels - set(analytic_chars))
+    analytic_chars: dict[str, CharacterAnalytic] = {}
+    for label, entry in characters(cblock):
+        if (order := entry["order"].int(0)) > 1:
+            entry["order"].fail("only orders 0 and 1 are supported")
+        analytic_chars[label] = CharacterAnalytic(order, entry["leading_term"].decimal(),
+                                                  entry["truncated"].flag())
+    missing_chars = sorted(set(table.by_label) - set(analytic_chars))
     if missing_chars:
         cblock.fail(f"missing characters {missing_chars}")
     analytic = AnalyticBlock(omega_plus=omega_plus, omega_minus=omega_minus,
                              characters=analytic_chars)
+    # conjugate characters share the truncation flag and the conductor norm,
+    # so the engine computes one discriminant factor per Galois orbit
+    for orbit, _ in table.orbits[2:]:
+        labels = [c.label for c in orbit]
+        for node, what, values in (
+                (cblock, "mixed truncation flags", {analytic_chars[c].truncated for c in labels}),
+                (norms, "mixed conductor norms", {conductor_norms.get(c, 1) for c in labels})):
+            if len(values) > 1:
+                node.fail(f"{what} inside the Galois orbit of {labels[0]}")
 
     heights: HeightBlock | None = None
-    if hobj := root.optional("heights"):
-        translates = hobj["translates"].elements(group, _Json.decimal)
+    hobj = root.get("heights", None)
+    if hobj.value is not None:
+        tnode = hobj["translates"]
+        translates = tnode.elements(group, _Json.decimal)
         # the keys name distinct elements, so none is missing when they are as many
         if len(translates) < group.order:
             missing_tr = [group.format_element(g) for g in group.elements()
                           if g not in translates]
-            hobj["translates"].fail(f"missing elements {missing_tr}")
+            tnode.fail(f"missing elements {missing_tr}")
+        try:
+            validate_translates(group, translates)
+        except HeightDataError as e:
+            tnode.fail(str(e))
         heights = HeightBlock(normalization=hobj["normalization"].text(), translates=translates)
+    elif any(ca.order == 1 and lbl != curve.rho_label() for lbl, ca in analytic_chars.items()):
+        hobj.fail("vanishing characters require height translates")
 
+    expected = curve.vanishing_orders(group)
     bsd: dict[str, FieldBlock] = {}
     for name, fobj in root.optional("bsd", {}).members():
         sig = fobj["signature"]
@@ -504,13 +545,26 @@ def parse_dataset(doc: Any) -> Dataset:
         overrides = {k: v.decimal()
                      for k, v in characters(fobj.optional("leading_overrides", {}))}
         reg = rg.decimal() if (rg := fobj.optional("regulator")) else None
-        gens = ([combo.elements(group, _Json.rational) for combo in gs.array()]
-                if (gs := fobj.optional("regulator_generators")) else None)
+        # the Mordell-Weil rank is sum mult * ord_psi over the L-series
+        # characters, with ord_psi from the rank pattern, so declared orders
+        # that break it stay hypothesis (h); a regulator needs one generator per unit
+        rank = sum(mult * expected[lbl] for lbl, mult in leading.items())
+        gens = None
+        if gs := fobj.optional("regulator_generators"):
+            if heights is None:
+                gs.fail("regulator generators need height translates")
+            gens = [combo.elements(group, _Json.rational) for combo in gs.array()]
+            if len(gens) != rank:
+                gs.fail(f"{len(gens)} generators for Mordell-Weil rank {rank}")
+        elif reg is None and rank > 0:
+            fobj.fail(f"Mordell-Weil rank {rank} needs a regulator or regulator generators")
         degree = fobj["degree"].int(1)
         if group.order % degree != 0:
             fobj["degree"].fail(f"degree {degree} does not divide {group.order}")
         if r1 + 2 * r2 != degree:
             sig.fail("r1 + 2*r2 must equal the degree")
+        if r2 and omega_minus is None:
+            minus.fail(f"bsd.{name} has complex places, which need the minus period")
         bsd[name] = fb = FieldBlock(
             name=name,
             degree=degree,
@@ -530,17 +584,16 @@ def parse_dataset(doc: Any) -> Dataset:
         if fb.omega_quotient <= 0:
             fobj["omega_quotient"].fail(f"must be positive, got {fb.omega_quotient}")
 
+    # Options checks the ranges; here only the types are read
     oobj = root.optional("options", {})
     options = Options(
-        p_power_required=n.int(1) if (n := oobj.optional("p_power_required")) else None,
-        den_bound=oobj.optional("den_bound", 10 ** 6).int(1),
+        p_power_required=n.int() if (n := oobj.optional("p_power_required")) else None,
+        den_bound=oobj.optional("den_bound", DEFAULT_DEN_BOUND).int(),
         route=oobj.get("route", "auto").text(),
         gz_constant=c.rational() if (c := oobj.optional("gz_constant")) else None,
     )
-    if options.route not in ROUTES:
-        oobj["route"].fail(f"unknown route {options.route!r}")
 
-    ds = Dataset(
+    return Dataset(
         label=root.get("label", "unnamed").text(),
         group=group,
         curve=curve,
@@ -552,62 +605,6 @@ def parse_dataset(doc: Any) -> Dataset:
         options=options,
         provenance={k: v.text() for k, v in root.optional("provenance", {}).members()},
     )
-    _cross_validate(ds)
-    return ds
-
-
-def _cross_validate(ds: Dataset) -> None:
-    if ds.curve.rank_quadratic not in (0, 1, 2):
-        raise DatasetError("curve.rank_quadratic", "implausible quadratic rank")
-    if ds.curve.rank_quadratic != 1:
-        raise DatasetError(
-            "curve.rank_quadratic",
-            "the height normalization needs exactly one generic linear character "
-            "(quadratic-layer rank 1)")
-    if not ds.tower.K_real and ds.analytic.omega_minus is None:
-        raise DatasetError("analytic.omega_minus",
-                           "imaginary quadratic layer needs the minus period")
-    # the quadratic character's discriminant factor is the norm |d_K|/|d_k|^2
-    if ds.tower.d_K_abs % ds.tower.d_k_abs ** 2:
-        raise DatasetError("tower.d_K_abs", f"|d_K| = {ds.tower.d_K_abs} is not divisible "
-                                            f"by |d_k|^2 = {ds.tower.d_k_abs ** 2}")
-    # orders must be 0 or 1 and need heights when any is 1
-    needs_heights = False
-    for lbl, ca in ds.analytic.characters.items():
-        if ca.order not in (0, 1):
-            raise DatasetError(f"analytic.characters.{lbl}.order",
-                               "only orders 0 and 1 are supported")
-        if ca.order == 1 and lbl != ds.rho_label():
-            needs_heights = True
-    if needs_heights and ds.heights is None:
-        raise DatasetError("heights", "vanishing characters require height translates")
-    # a regulator needs one generator per unit of Mordell-Weil rank: sum
-    # mult * ord_psi over the block's L-series characters, with ord_psi from
-    # the rank pattern, so declared orders that break it stay hypothesis (h)
-    expected = ds.expected_vanishing_orders()
-    for name, fb in ds.bsd.items():
-        if fb.regulator_generators is None:
-            continue
-        rank = sum(mult * expected[lbl] for lbl, mult in fb.leading_characters.items())
-        if len(fb.regulator_generators) != rank:
-            raise DatasetError(f"bsd.{name}.regulator_generators",
-                               f"{len(fb.regulator_generators)} generators for "
-                               f"Mordell-Weil rank {rank}")
-    if ds.heights is not None:
-        try:
-            validate_translates(ds.group, ds.heights.translates)
-        except HeightDataError as e:
-            raise DatasetError("heights.translates", str(e)) from e
-    # conjugate characters share the truncation flag and the conductor norm,
-    # so the engine computes one discriminant factor per Galois orbit
-    for orbit in character_orbits(ds.group)[2:]:
-        for path, what, values in (
-                ("analytic.characters", "mixed truncation flags",
-                 {ds.analytic.characters[c.label].truncated for c in orbit}),
-                ("tower.conductor_norms", "mixed conductor norms",
-                 {ds.tower.conductor_norms.get(c.label, 1) for c in orbit})):
-            if len(values) > 1:
-                raise DatasetError(path, f"{what} inside the Galois orbit of {orbit[0].label}")
 
 
 def _read_json(source, label: str) -> Any:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from .dataset import ROUTES, Dataset, DatasetError, HypothesisResult, check_hypotheses
+from .dataset import Dataset, DatasetError, HypothesisResult, check_hypotheses
 from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
                     DecimalWithError, RecognitionError, p_valuation, rational_valuation,
                     recognize_orbit, sqrt_rational_approx)
@@ -118,7 +118,7 @@ def assemble_numeric(ds: Dataset, orbit: Sequence[Character],
     orbit, as intervals; a RecognitionError naming psi when the divisor
     interval contains 0. leading and norms are aligned with orbit.
 
-    Conjugate characters have the same kind and, by dataset._cross_validate,
+    Conjugate characters have the same kind and, by parse_dataset,
     the same conductor norm, so sqrt(d_psi) and Omega_psi are computed once
     per orbit."""
     c = orbit[0]
@@ -271,24 +271,18 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
            den_bound: int | None = None) -> VerificationResult:
     """Full verification of one dataset; never raises on a mathematical
     failure, only on malformed or insufficient data."""
-    # the overrides go into one copy of the options; the caller's dataset is untouched
+    # the overrides go into one copy of the options, which checks them; the
+    # caller's dataset is untouched
     overrides = {"route": route, "p_power_required": n_override, "den_bound": den_bound}
     ds = replace(ds, options=replace(ds.options, **{
         key: value for key, value in overrides.items() if value is not None}))
-    chosen_route = ds.options.route
-    if chosen_route not in ROUTES:
-        raise DatasetError("options.route", f"unknown route {chosen_route!r}")
     n_required = ds.required_p_power()
-    if n_required < 1:
-        raise DatasetError("options.p_power_required", "required power must be >= 1")
-    if ds.options.den_bound < 1:
-        raise DatasetError("options.den_bound", "denominator bound must be >= 1")
 
     result = VerificationResult(
         dataset_label=ds.label,
         p=ds.group.p,
         n_required=n_required,
-        route=chosen_route,
+        route=ds.options.route,
         hypotheses=check_hypotheses(ds),
     )
     failed_hyps = [h for h in result.hypotheses if h.status == "fails"]
@@ -302,8 +296,8 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
             f"non-cyclic p-part: testing modulus p^{n_required} from the group-ring bound")
 
     try:
-        results = (gz_q_vector(ds) if chosen_route == "gz"
-                   else recognize_characters(ds, chosen_route))
+        results = (gz_q_vector(ds) if ds.options.route == "gz"
+                   else recognize_characters(ds, ds.options.route))
     except AmbiguousRecognitionError as e:
         result.notes.append(f"recognition ambiguous: {e}")
         return result

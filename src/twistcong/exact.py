@@ -134,6 +134,7 @@ def is_probable_prime(n: int) -> bool:
 
 _EMBEDDING_DPS = 50  # digits of CyclotomicField.cosines; an irrational entry errs by 10^-(dps - 5)
 SQRT_DIGITS = 50     # digits of the sqrt(d) bounds in every normalized leading term
+DEFAULT_DEN_BOUND = 10 ** 6  # the recognizers' denominator bound unless a dataset sets one
 
 
 @dataclass(frozen=True)
@@ -616,7 +617,7 @@ def _farey_neighbors(c: Fraction, bound: int) -> tuple[Fraction, Fraction]:
     return neighbor(1), neighbor(-1)
 
 
-def rational_reconstruct(x: DecimalWithError, den_bound: int = 10 ** 6) -> Fraction:
+def rational_reconstruct(x: DecimalWithError, den_bound: int = DEFAULT_DEN_BOUND) -> Fraction:
     """The unique rational with denominator <= den_bound within twice the
     input's error bound of x.
 
@@ -721,7 +722,7 @@ def _subfield_element(xs: Sequence[DecimalWithError], field: CyclotomicField,
 
 
 def recognize_orbit(xs: Sequence[DecimalWithError], m: int, units: Sequence[int],
-                    den_bound: int = 10 ** 6) -> AlgebraicOrbit:
+                    den_bound: int = DEFAULT_DEN_BOUND) -> AlgebraicOrbit:
     """Recognize xs as the Galois orbit of one real x in Q(zeta_m).
 
     Aligned inputs: xs[i] ~ sigma_a(x) for a = units[i], the units naming

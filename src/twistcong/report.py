@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import isqrt
 
-from .exact import CyclotomicNumber, cyclotomic_field, real_embedding
+from .exact import CyclotomicNumber, cyclotomic_field
 from .engine import VerificationResult
 
 REPORT_VERSION = 1
@@ -30,28 +29,19 @@ def _fmt_rational(x: Fraction) -> str:
 
 
 def _quadratic_split(x: CyclotomicNumber):
-    """(r, c, d) with x = r + c*sqrt(d), when x generates a real quadratic
-    subfield: exactly when sigma_g(x) != x = sigma_g(sigma_g(x)) for the
-    generator g of the cyclic Galois group, and sigma_g(x) is the other
-    conjugate."""
+    """(r, c, p) with x = r + c*sqrt(p), when the irrational x lies in the
+    real quadratic subfield of Q(zeta_m), m = p^n: there is one when p = 1
+    mod 4, and x lies in it exactly when sigma_(g^2) fixes x, g the generator
+    of the cyclic Galois group. By Gauss's sign, sqrt(p) is the sum of
+    (a/p) zeta_p^a with zeta_p = z^q (Washington, GTM 83, ch. 4): -1 at z^0,
+    -2 at z^(nq) for each non-residue n < p - 1, 0 elsewhere. g mod p is
+    such an n."""
     field = cyclotomic_field(x.m)
     g = field.generator
-    other = x.galois_apply(g)
-    if other == x or other.galois_apply(g) != x:
+    if field.p % 4 != 1 or x.galois_apply(g * g) != x:
         return None
-    s = x + other
-    q = x * other
-    r = s.rational_part() / 2
-    t = r * r - q.rational_part()          # (x - r)^2 = r^2 - q
-    if t <= 0:
-        return None
-    # x - r = c*sqrt(d) generates the one quadratic subfield Q(sqrt(+-p)) of
-    # Q(zeta_m); t > 0 makes it the real one, so d = p and t = c^2 * p
-    d = field.p
-    c = Fraction(isqrt(t.numerator * t.denominator // d), t.denominator)
-    if real_embedding(x).value < r:
-        c = -c
-    return r, c, d
+    c = Fraction(-x.num[g % field.p * field.q], 2 * x.den)
+    return Fraction(x.num[0], x.den) + c, c, field.p
 
 
 def format_algebraic(x: CyclotomicNumber) -> str:

@@ -85,6 +85,17 @@ def test_field_regulators():
     assert ds.bsd["F"].regulator is None and f_reg.value > 0
 
 
+def test_rank_zero_block_without_a_regulator_keeps_an_exact_one():
+    # the quintic's base field has rank 0: no regulator is needed, and none is 1
+    doc = bundled_doc("21a1-quintic-19")
+    doc["bsd"]["k"]["regulator"] = None
+    ds = parse_dataset(doc)
+    assert ds.bsd["k"].regulator is None and ds.bsd["k"].regulator_generators is None
+    reg = field_regulator(ds, ds.bsd["k"])
+    assert (reg.value, reg.abs_error) == (1, 0)
+    assert sha_predictions(ds) == sha_predictions(load_bundled_dataset("21a1-quintic-19"))
+
+
 def test_ten_generator_block_ends_quickly():
     # all ten translates of the rank-5 F block: the Laplace recursion behind
     # the Gram determinant took 2.5 s at eight generators; a generator count

@@ -210,6 +210,28 @@ def test_bsd_squares_names_the_field_of_a_vanishing_divisor(tmp_path, capsys, ke
     assert f"twistcong: {path}: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    # a HeightDataError traceback from the field period, with exit 1
+    ("37a1-septic-577",
+     lambda doc: (doc["analytic"].pop("omega_minus"),
+                  doc["bsd"]["K"].update(signature=[0, 1])),
+     "analytic.omega_minus: bsd.K has complex places, which need the minus period"),
+    # predicted Sha(K) = 13/4 from a regulator read as 1, with exit 1
+    ("21a1-quintic-19", lambda doc: doc["bsd"]["K"].pop("regulator"),
+     "bsd.K: Mordell-Weil rank 1 needs a regulator or regulator generators"),
+])
+@pytest.mark.parametrize("command", ["bsd-squares", "verify"])
+def test_field_blocks_short_of_data_are_data_errors(tmp_path, capsys, name, edit, message,
+                                                    command):
+    doc = bundled_doc(name)
+    edit(doc)
+    target = tmp_path / "short.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--dataset", str(target))
+    assert code == 3 and out == ""
+    assert err == f"twistcong: {message}\n"
+
+
 @pytest.mark.parametrize("keys, value", [
     # the two fuzz documents (seed 0, cases 70 and 333) whose predictions exited 3
     (("bsd", "k", "regulator_generators", 0, "1"), -1),

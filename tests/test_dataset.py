@@ -232,6 +232,60 @@ def test_reject_missing_minus_period():
         parse_dataset(doc)
 
 
+def test_reject_complex_field_block_without_minus_period():
+    # bsd-squares once ended in a HeightDataError traceback from the field
+    # period, with exit 1, while verify passed on the same document
+    doc = bundled_doc("37a1-septic-577")
+    del doc["analytic"]["omega_minus"]
+    doc["bsd"]["K"]["signature"] = [0, 1]
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == ("analytic.omega_minus: bsd.K has complex places, "
+                                  "which need the minus period")
+    doc["bsd"]["K"]["signature"] = [2, 0]      # a real layer needs no minus period
+    assert parse_dataset(doc).analytic.omega_minus is None
+
+
+@pytest.mark.parametrize("name, block, rank", [
+    ("21a1-quintic-19", "K", 1), ("21a1-quintic-19", "L", 2), ("37a1-septic-577", "k", 1)])
+def test_reject_positive_rank_block_without_a_regulator(name, block, rank):
+    # the regulator read as an exact 1: Sha(K) of the quintic was predicted as 13/4
+    doc = bundled_doc(name)
+    doc["bsd"][block]["regulator"] = None
+    doc["bsd"][block]["regulator_generators"] = None
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == (f"bsd.{block}: Mordell-Weil rank {rank} needs a regulator "
+                                  "or regulator generators")
+
+
+def test_reject_regulator_generators_without_translates():
+    # once a DatasetError at bsd.F from the Sha prediction, after the parse
+    doc = bundled_doc("21a1-quintic-19")
+    doc["heights"] = None
+    for lbl in ("eps", "ind:1", "ind:2"):
+        doc["analytic"]["characters"][lbl]["order"] = 0
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == ("bsd.F.regulator_generators: regulator generators need "
+                                  "height translates")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"den_bound": 0}, "options.den_bound: must be at least 1, got 0"),
+    ({"den_bound": -5}, "options.den_bound: must be at least 1, got -5"),
+    ({"p_power_required": 0}, "options.p_power_required: must be at least 1, got 0"),
+    ({"route": "sideways"}, "options.route: unknown route 'sideways'"),
+])
+def test_options_check_their_ranges(kwargs, message):
+    # Options raises the reader's messages itself, so verify's overrides,
+    # which replace the dataset's options, meet the same check
+    for build in (lambda: Options(**kwargs), lambda: replace(Options(), **kwargs)):
+        with pytest.raises(DatasetError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+
 def test_reject_missing_heights_when_needed():
     doc = bundled_doc("37a1-septic-577")
     doc["heights"] = None

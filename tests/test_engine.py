@@ -256,6 +256,13 @@ def test_nonpositive_den_bound_override_is_a_data_error(den_bound, route):
     assert excinfo.value.path == "options.den_bound"
 
 
+@pytest.mark.parametrize("n_override", [0, -1])
+def test_nonpositive_modulus_override_is_a_data_error(n_override):
+    with pytest.raises(DatasetError) as excinfo:
+        verify(load_bundled_dataset(QUINTIC), n_override=n_override)
+    assert str(excinfo.value) == f"options.p_power_required: must be at least 1, got {n_override}"
+
+
 def test_wide_interval_inconclusive():
     ds = load_bundled_dataset(QUINTIC)
     ca = ds.analytic.characters["eps"]

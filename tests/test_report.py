@@ -137,6 +137,16 @@ def test_quadratic_split_declines_the_imaginary_subfield(m):
     assert _quadratic_split(one + gauss) is None
 
 
+def test_quadratic_split_declines_larger_real_subfields():
+    # zeta_25^5 + zeta_25^-5 = 2cos(2pi/5) = (sqrt(5) - 1)/2 lies in Q(sqrt(5));
+    # zeta^k + zeta^-k at p not dividing k generates the whole real subfield
+    z = CyclotomicNumber.zeta_power
+    assert _quadratic_split(z(25, 5) + z(25, -5)) == (Fraction(-1, 2), Fraction(1, 2), 5)
+    for m in (13, 25, 29):
+        assert _quadratic_split(z(m, 1) + z(m, -1)) is None
+        assert _quadratic_split(z(m, 2) + z(m, -2) - 3 * (z(m, 1) + z(m, -1))) is None
+
+
 def test_format_algebraic_power_basis():
     z = CyclotomicNumber.zeta_power(7, 1)
     out = format_algebraic(z)

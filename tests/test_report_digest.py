@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = ("3c62b6a207a0af77878fe6feec1a9d4d4f15641ef3ffa59f39fe3836fa2b5023", 2239)
+PINNED = ("0692f255566c0564376db53755ba1619508f79d49a930c67aaedf702d7b6749b", 2239)
 
 
 def load_tool():

@@ -19,9 +19,11 @@ then the outcome of `parse_dataset` on each of the 1500 hostile documents of
 `tests/test_fuzz_dataset.py` (`mutated_docs` at seeds 0, 1 and 2): "ok", or
 the error with its dotted path, and for each document that parses its
 `sha_predictions`. A call that raises is hashed as its exception type and
-message. The last line of output is the digest and the number of outputs
-hashed; two checkouts that print the same line gave byte-identical reports
-and boundary messages.
+message. The output is one line per part, "outputs:" and then
+"fuzz_outcomes:", each with its own digest and count, so a change that moves
+only parse outcomes shows that the reports held. The last line is the
+digest and the number of outputs over both parts; two checkouts that print
+the same line gave byte-identical reports and boundary messages.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import hashlib
 import importlib.util
 import sys
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,20 +152,34 @@ def fuzz_outcomes():
             yield f"{label} sha_predictions", text
 
 
+def digests() -> list[tuple[str, str, int]]:
+    """(name, SHA-256 hex digest, number of outputs) for outputs(), for
+    fuzz_outcomes(), and last for both in that order ("total"), in one pass."""
+    total, out, count = hashlib.sha256(), [], 0
+    for name, pairs in (("outputs", outputs()), ("fuzz_outcomes", fuzz_outcomes())):
+        section, n = hashlib.sha256(), 0
+        for label, text in pairs:
+            for part in (label, text):
+                data = part.encode("utf-8")
+                framed = len(data).to_bytes(8, "big") + data
+                section.update(framed)
+                total.update(framed)
+            n += 1
+        out.append((name, section.hexdigest(), n))
+        count += n
+    return out + [("total", total.hexdigest(), count)]
+
+
 def report_digest() -> tuple[str, int]:
     """The SHA-256 hex digest over every output, and the number of outputs."""
-    digest = hashlib.sha256()
-    count = 0
-    for label, text in chain(outputs(), fuzz_outcomes()):
-        for part in (label, text):
-            data = part.encode("utf-8")
-            digest.update(len(data).to_bytes(8, "big") + data)
-        count += 1
-    return digest.hexdigest(), count
+    _, hexdigest, count = digests()[-1]
+    return hexdigest, count
 
 
 def main() -> None:
-    hexdigest, count = report_digest()
+    *sections, (_, hexdigest, count) = digests()
+    for name, section_digest, n in sections:
+        print(f"{name}: {section_digest} {n}")
     print(f"{hexdigest} {count}")
 
 
