@@ -13,14 +13,18 @@ The pipeline per dataset:
 3. the exact values are tested for p-unitness and Galois equivariance, and
    the congruence sums S(pi) = Q(triv)Q(eps) + sum over nontrivial chi of
    chi(pi)^-1 Q(Ind chi) are tested for divisibility by p^n at every pi;
-4. S(pi) is evaluated once (groups.character_sums) by integer shift-and-add,
-   one reduction mod Phi_e per pi. The Z_p[P] membership formulation reads
-   the same sums, runs its own P-level Galois equivariance test and tests
+4. S(pi) is evaluated once (groups.character_sums): for a Galois-equivariant
+   Q-vector, the one verify can pass, as one trace to Q per Galois orbit of
+   characters, the orbit's terms being conjugate; otherwise by integer
+   shift-and-add, one reduction mod Phi_e per pi. The Z_p[P] membership
+   formulation reads the same sums, so it does not recompute S(pi)
+   independently; it runs its own P-level Galois equivariance test and tests
    S(pi)/|P| for p-integrality, and must agree with the line verdicts
    whenever the modulus is p^v_p(|P|), however it was set; so must the n = 1
-   shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi). Both Galois equivariance tests
-   are groups.first_equivariance_failure: one generator of the cyclic
-   (Z/p^n)^*, every unit only to name the first failure.
+   shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi). Every Galois equivariance
+   test, character_sums' choice of path included, is
+   groups.first_equivariance_failure: one generator of the cyclic (Z/p^n)^*,
+   every unit only to name the first failure.
 
 The outcome is PASS / FAIL / INCONCLUSIVE: FAIL only when an exactly
 computed quantity falsifies the congruence, INCONCLUSIVE when recognition or

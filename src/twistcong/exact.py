@@ -207,12 +207,17 @@ class CyclotomicField:
         return (c, tuple(values[min(k, m - k)] for k in range(m)),
                 tuple(errors[min(k, m - k)] for k in range(m)))
 
+    def zeta_trace(self, j: int) -> int:
+        """Tr(zeta_m^j) from Q(zeta_m) to Q: phi when m | j, -q = -m/p when
+        q | j but m does not, and 0 otherwise (Washington, GTM 83, ch. 2)."""
+        return self.phi if j % self.m == 0 else -self.q if j % self.q == 0 else 0
+
     def trace(self, x: "CyclotomicNumber") -> Fraction:
-        """Tr(x) from Q(zeta_m) to Q. Tr(zeta^i), i < phi, is phi at i = 0,
-        -q at the other multiples of q and 0 elsewhere (Washington, GTM 83,
-        ch. 2)."""
+        """Tr(x) from Q(zeta_m) to Q, one zeta_trace per multiple of q below
+        phi: the other powers of the basis have trace 0."""
         x = x.promote(self.m)
-        return Fraction(self.phi * x.num[0] - self.q * sum(x.num[self.q::self.q]), x.den)
+        return Fraction(sum(x.num[i] * self.zeta_trace(i) for i in range(0, self.phi, self.q)),
+                        x.den)
 
     def valuation(self, x: "CyclotomicNumber") -> Fraction:
         """v(x) at the one prime above p, normalized v(p) = 1.

@@ -21,8 +21,8 @@ from math import lcm, prod
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from .exact import (CyclotomicNumber, InvalidAutomorphismError, cyclotomic_field,
-                    is_probable_prime, p_valuation, rational_valuation)
+from .exact import (CyclotomicNumber, InvalidAutomorphismError, UnsupportedConductorError,
+                    cyclotomic_field, is_probable_prime, p_valuation, rational_valuation)
 
 
 class GroupError(ValueError):
@@ -385,35 +385,92 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     """S(pi) = sum_chi chi(pi)^-1 E_chi for every pi in P, keyed by pi.rot: for
     E = res_map(Q) the congruence sum at pi, and |P| times the Fourier
     coefficient of (E_chi) at pi, which the Z_p[P] membership test reads.
+    Every E_chi has conductor 1 or e; any other raises
+    UnsupportedConductorError. The path is chosen from the input alone.
 
-    Each nonzero E_chi_a, integers over its own denominator, is put over one
-    common denominator D as a sparse integer vector in the power basis of
-    Q(zeta_e); chi_a(pi)^-1 = zeta_e^k with k = -sum_i a_i r_i e/f_i shifts
-    its indices by k, so S(pi) costs O(|P| nnz) integer additions and one
-    reduction modulo Phi_e, and no cyclotomic product. The sum is symmetric
-    in a and r, so chi_exponents(pi.rot) gives k for every chi at once, in
-    chi_vectors() order, one row of |P| integers per pi."""
+    When E is Galois-equivariant, sigma_a(E_chi) = E_(a chi) for every a in
+    (Z/e)^*, decided by first_equivariance_failure on the values as given,
+    the chi of one orbit O under (Z/e)^* give conjugate terms:
+    (a chi)(pi)^-1 E_(a chi) = sigma_a(chi(pi)^-1 E_chi), and each member of O
+    is reached by phi(e)/|O| units, so
+
+        sum_(chi in O) chi(pi)^-1 E_chi = (|O|/phi(e)) Tr(chi_0(pi)^-1 E_chi_0)
+
+    for any chi_0 in O, Tr from Q(zeta_e) to Q. The orbits are read from the
+    character table: the trivial chi alone, and per induced orbit of k
+    characters the 2k chi they are induced from, chi and chi-bar each.
+    With E_chi_0 = sum_i c_i zeta^i / d and chi_0(pi) = zeta^k, the trace is
+    sum_i c_i Tr(zeta^(i-k)) / d, and Tr(zeta^j) is phi(e) when e | j, -e/p
+    when e/p | j but e does not, and 0 otherwise (CyclotomicField.zeta_trace;
+    Washington, GTM 83, ch. 2). So S(pi) is returned as a rational, one
+    integer over D phi(e), D the common denominator of the orbit
+    representatives: one table of e integers per representative and one
+    addition per orbit and pi, with no reduction modulo Phi_e.
+
+    Without equivariance the orbit terms are not conjugate and S(pi) need not
+    be rational. Only such a vector (center_integrality's with an irrational
+    A(triv), or any vector with an entry off its orbit) takes the dense
+    transform, whose S(pi) are elements of Q(zeta_e):
+    each nonzero E_chi, over the common denominator D, is a sparse integer
+    vector in the power basis of Q(zeta_e), and chi(pi)^-1 = zeta_e^-k
+    shifts its indices by -k, so S(pi) costs O(|P| nnz) integer additions
+    and one reduction modulo Phi_e. The exponent sum is symmetric in chi and
+    pi, so chi_exponents(pi.rot) gives k for every chi at once."""
     vectors = list(group.chi_vectors())
     missing = [v for v in vectors if v not in evals]
     if missing:
         raise GroupError(f"missing {len(missing)} chi components, e.g. {missing[0]}")
     e = group.exponent
+    values = {avec: evals[avec] for avec in vectors}
+    foreign = next((v.m for v in values.values() if v.m not in (1, e)), None)
+    if foreign is not None:
+        raise UnsupportedConductorError(f"mixed conductors {e} and {foreign}")
+    # num of a conductor-1 value is its one coordinate at zeta^0, so no value is promoted
+    if first_equivariance_failure(values, group.galois_on_chi, e) is None:
+        return _orbit_trace_sums(values, group)
+    return _shifted_sums(values, group)
+
+
+def _orbit_trace_sums(values: dict[tuple[int, ...], CyclotomicNumber],
+                      group: DihedralGroup) -> dict[tuple[int, ...], CyclotomicNumber]:
+    """character_sums of an equivariant vector: one trace per Galois orbit."""
+    e, field = group.exponent, cyclotomic_field(group.exponent)
+    orbits = [((0,) * len(group.cyclic_factors), 1)]
+    orbits += [(orbit[0].chi, 2 * len(orbit)) for orbit, _ in group.character_table.orbits[2:]]
+    den = lcm(*(values[avec].den for avec, _ in orbits))
+    acc = [0] * group.p_order
+    for avec, size in orbits:
+        v = values[avec]
+        weight = size * (den // v.den)
+        # traces[k] = weight d Tr(zeta^-k E_chi_0), nonzero only at k = i mod e/p
+        traces = [0] * e
+        for i, c in enumerate(v.num):
+            if c:
+                for k in range(i % field.q, e, field.q):
+                    traces[k] += weight * c * field.zeta_trace(i - k)
+        acc = [s + traces[k] for s, k in zip(acc, group.chi_exponents(avec))]
+    # one rational per distinct sum: a constant vector's S(pi) vanish at every pi but 1
+    rationals = {s: CyclotomicNumber(1, [s], den * field.phi) for s in set(acc)}
+    return {rot: rationals[s] for rot, s in zip(values, acc)}
+
+
+def _shifted_sums(values: dict[tuple[int, ...], CyclotomicNumber],
+                  group: DihedralGroup) -> dict[tuple[int, ...], CyclotomicNumber]:
+    """character_sums of any vector: one shifted copy of every E_chi per pi."""
+    e = group.exponent
     field = cyclotomic_field(e)
-    # coerce as the product zeta_e^k * E_chi would: E_chi of conductor 1 or e
-    one = CyclotomicNumber.zeta_power(e, 0)
-    values = [one._pair(evals[avec])[1] for avec in vectors]
-    den = lcm(*(v.den for v in values))
+    den = lcm(*(v.den for v in values.values()))
     terms = [(j, [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c])
-             for j, v in enumerate(values) if not v.is_zero()]
+             for j, v in enumerate(values.values()) if not v.is_zero()]
     sums: dict[tuple[int, ...], CyclotomicNumber] = {}
-    for pi in group.p_elements():
-        ks = group.chi_exponents(pi.rot)
+    for rot in values:
+        ks = group.chi_exponents(rot)
         acc = [0] * e
         for j, nonzero in terms:
             k = -ks[j]
             for i, c in nonzero:
                 acc[(i + k) % e] += c
-        sums[pi.rot] = CyclotomicNumber(e, field.reduce(acc), den)
+        sums[rot] = CyclotomicNumber(e, field.reduce(acc), den)
     return sums
 
 
@@ -434,6 +491,9 @@ def zp_P_membership(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     sums = character_sums(evals, group) holds S(pi) = |P| c_pi, and
     c_pi = |P|^-1 sum_chi chi(pi)^-1 E_chi must be rational and p-integral
     for every pi. Returns the coefficients and a list of failure notes.
+    These are the sums the congruence lines read, so where this test agrees
+    with them it confirms their reading at the group-ring bound, not S(pi)
+    itself, which nothing recomputes independently.
 
     Galois equivariance, sigma_a(E_chi) = E_(a chi) for every a in (Z/e)^*,
     is decided by first_equivariance_failure (E_chi of conductor 1 or e, as

@@ -439,7 +439,33 @@ def test_character_sums_reject_a_foreign_conductor():
             sums(evals, G5)
 
 
-@pytest.mark.parametrize("p, factors", [(11, [121]), (5, [125]), (11, [11, 11])])
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+@pytest.mark.parametrize("rational", [True, False])
+def test_character_sums_match_the_direct_loop_on_equivariant_vectors(p, factors, rational):
+    """The orbit traces against the plain double loop, then the same vector
+    with one entry moved (the dense transform) and with one entry at a
+    foreign conductor (rejected)."""
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"equivariant:{factors}:{rational}")
+    evals = res_map(random_equivariant_q(group, rng, rational=rational), group)
+    got = character_sums(evals, group)
+    assert got == direct_character_sums(evals, group)
+    assert {v.m for v in got.values()} == {1}    # rationals: the orbit traces ran
+    avec = rng.choice(list(group.chi_vectors())[1:])
+    moved = dict(evals)
+    moved[avec] = moved[avec] + CyclotomicNumber.zeta_power(group.exponent, 1)
+    got, want = character_sums(moved, group), direct_character_sums(moved, group)
+    assert {k: (v.m, v.coeffs) for k, v in got.items()} == \
+        {k: (v.m, v.coeffs) for k, v in want.items()}
+    assert any(not v.is_rational() for v in got.values())
+    foreign = dict(evals)
+    foreign[avec] = CyclotomicNumber.zeta_power(7 if p == 5 else 5, 1)
+    with pytest.raises(UnsupportedConductorError):
+        character_sums(foreign, group)
+
+
+@pytest.mark.parametrize("p, factors", [(11, [121]), (5, [125]), (11, [11, 11]), (3, [729]),
+                                        (997, [997]), (7, [49, 7])])
 def test_constant_q_vector_on_large_groups(p, factors):
     """Q(triv) = Q(ind) = C and Q(eps) = 1 give S(1) = |P| C and S(pi) = 0
     otherwise; shapes beyond the benchmark's towers."""
@@ -453,6 +479,21 @@ def test_constant_q_vector_on_large_groups(p, factors):
     assert [line.value for line in lines] == [group.p_order * C] + [0] * (group.p_order - 1)
     assert all(line.ok for line in lines)
     assert zp_P_membership(evals, group, sums).ok
+
+
+def test_character_sums_at_order_997_are_fast():
+    """The constant gz vector at |P| = 997: two orbit traces, not 997 shifted
+    copies of 997 values."""
+    group = DihedralGroup(997, [997])
+    q = {c.label: CyclotomicNumber.rational(1 if c.kind == "eps" else Fraction(3, 5))
+         for c in irreducible_characters(group)}
+    evals = res_map(q, group)
+    start = time.perf_counter()
+    sums = character_sums(evals, group)
+    elapsed = time.perf_counter() - start
+    assert sums[(0,)] == CyclotomicNumber.rational(Fraction(3 * 997, 5))
+    assert all(v.is_zero() for rot, v in sums.items() if rot != (0,))
+    assert elapsed < 0.1, f"character_sums took {elapsed:.2f} s at |P| = 997"
 
 
 # ---------------------------------------------------------------------------

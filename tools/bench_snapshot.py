@@ -1,0 +1,125 @@
+"""Write one BENCH_<n>.json: the benchmark, a |P| sweep and the suite time of
+one checkout, measured on this host.
+
+    python3 tools/bench_snapshot.py --root . --out BENCH_26.json
+    python3 tools/bench_snapshot.py --root <checkout of the parent> --out BENCH_25.json
+
+Everything runs in fresh interpreters from the checkout at --root, importing
+its `src`, so one command measures any checkout, this one or an older one:
+
+- `perfbench/run.py`, unchanged and at its defaults, on each workload with
+  `--trace 0` (the end-to-end metrics) and `--trace 1` (the per-module ones);
+- parse and `verify` of the gz tower `perfbench/gen.py` builds at |P| = 343,
+  729 and 997 (seed 1), each in its own interpreter so that no cache is warm,
+  repeated SWEEP_RUNS times; the medians are kept;
+- the tier-1 suite with its wall time, its counts and its five slowest tests.
+
+Compare two files only when both were written on the same host.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from math import prod
+from pathlib import Path
+
+WORKLOADS = ("bundled", "towers-gz", "towers-auto")
+SWEEP_SHAPES = ((7, [343]), (3, [729]), (997, [997]))
+SWEEP_RUNS = 3
+# one sweep point: gen.py loaded by path, as tools/report_digest.py reads it
+SWEEP_SCRIPT = """
+import importlib.util, json, random, sys, time
+spec = importlib.util.spec_from_file_location("gen", "perfbench/gen.py")
+gen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gen)
+from twistcong.dataset import parse_dataset
+from twistcong.engine import verify
+doc = gen.gz_input(json.loads(sys.argv[1]), random.Random(1))["doc"]
+start = time.perf_counter()
+ds = parse_dataset(doc)
+parsed = time.perf_counter()
+result = verify(ds)
+done = time.perf_counter()
+print(json.dumps({"parse_s": parsed - start, "verify_s": done - parsed,
+                  "verdict": result.verdict}))
+"""
+
+
+def _run(root: Path, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True,
+                          text=True)
+
+
+def _last_json(proc: subprocess.CompletedProcess, what: str) -> dict:
+    if proc.returncode != 0:
+        raise RuntimeError(f"{what} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def benchmark(root: Path) -> dict:
+    out = {}
+    for workload in WORKLOADS:
+        out[workload] = {
+            f"trace_{trace}": _last_json(
+                _run(root, ["perfbench/run.py", "--workload", workload, "--trace", str(trace)]),
+                f"run.py --workload {workload} --trace {trace}")
+            for trace in (0, 1)}
+    return out
+
+
+def sweep(root: Path) -> list[dict]:
+    points = []
+    for shape in SWEEP_SHAPES:
+        runs = [_last_json(_run(root, ["-c", SWEEP_SCRIPT, json.dumps(shape)]),
+                           f"sweep at {shape}") for _ in range(SWEEP_RUNS)]
+        points.append({"p": shape[0], "factors": shape[1], "p_order": prod(shape[1]),
+                       "verdict": runs[0]["verdict"],
+                       "parse_s": statistics.median(r["parse_s"] for r in runs),
+                       "verify_s": statistics.median(r["verify_s"] for r in runs)})
+    return points
+
+
+def suite(root: Path) -> dict:
+    start = time.perf_counter()
+    proc = _run(root, ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=5",
+                       "--continue-on-collection-errors"])
+    wall = time.perf_counter() - start
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|failed|errors?|skipped)", proc.stdout.splitlines()[-1])}
+    slowest = [{"seconds": float(s), "phase": phase, "test": test} for s, phase, test in
+               re.findall(r"^(\d+\.\d+)s (call|setup|teardown)\s+(\S+)$", proc.stdout, re.M)]
+    return {"wall_s": wall, "exit_code": proc.returncode, "counts": counts,
+            "slowest": slowest}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", required=True, type=Path, help="the checkout to measure")
+    ap.add_argument("--out", required=True, type=Path, help="the JSON file to write")
+    args = ap.parse_args()
+    root = args.root.resolve()
+    # "-dirty" marks a working tree measured with changes not yet committed
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
+                            capture_output=True, text=True).stdout.strip()
+    snapshot = {
+        "commit": commit or None,
+        "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
+                 "python": platform.python_version()},
+        "benchmark": benchmark(root),
+        "gz_sweep": sweep(root),
+        "suite": suite(root),
+    }
+    args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
