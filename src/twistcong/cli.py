@@ -149,12 +149,12 @@ def _selftest_checks():
     # character transform of 3*[1] + 2*[s] + 2*[s^2]: (7, 1, 1)
     sample = {(0,): Fraction(7), (1,): Fraction(1), (2,): Fraction(1)}
     evals = {v: CyclotomicNumber.rational(c) for v, c in sample.items()}
-    good = zp_P_membership(evals, group3, character_sums(evals, group3)).ok
+    good = zp_P_membership(character_sums(evals, group3), group3).ok
     broken = dict(evals)
     broken[(0,)] = CyclotomicNumber.rational(Fraction(1, 3))
     yield ("group-ring membership accepts an integral vector and rejects a "
            "non-integral one",
-           good and not zp_P_membership(broken, group3, character_sums(broken, group3)).ok)
+           good and not zp_P_membership(character_sums(broken, group3), group3).ok)
 
     targets = [Fraction(24, 19), Fraction(-578, 577), Fraction(0), Fraction(100003, 7)]
     xs = [DecimalWithError(t + Fraction(1, 10 ** 25), Fraction(1, 10 ** 20))

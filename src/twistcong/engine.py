@@ -13,18 +13,19 @@ The pipeline per dataset:
 3. the exact values are tested for p-unitness and Galois equivariance, and
    the congruence sums S(pi) = Q(triv)Q(eps) + sum over nontrivial chi of
    chi(pi)^-1 Q(Ind chi) are tested for divisibility by p^n at every pi;
-4. S(pi) is evaluated once (groups.character_sums): for a Galois-equivariant
-   Q-vector, the one verify can pass, as one trace to Q per Galois orbit of
-   characters, the orbit's terms being conjugate; otherwise by integer
-   shift-and-add, one reduction mod Phi_e per pi. The Z_p[P] membership
-   formulation reads the same sums, so it does not recompute S(pi)
-   independently; it runs its own P-level Galois equivariance test and tests
-   S(pi)/|P| for p-integrality, and must agree with the line verdicts
-   whenever the modulus is p^v_p(|P|), however it was set; so must the n = 1
-   shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi). Every Galois equivariance
-   test, character_sums' choice of path included, is
-   groups.first_equivariance_failure: one generator of the cyclic (Z/p^n)^*,
-   every unit only to name the first failure.
+4. S(pi) is evaluated once (groups.character_sums), as one trace to Q per
+   Galois orbit of characters, the orbit's terms being conjugate. By Fourier
+   inversion every S(pi) is rational exactly when res_map's P-vector is
+   Galois-equivariant; character_sums decides that once and otherwise raises
+   NotEquivariantError, which leaves the verdict INCONCLUSIVE. The Z_p[P]
+   membership formulation reads the same sums, so it does not recompute S(pi)
+   independently; it tests S(pi)/|P| for p-integrality, and must agree with
+   the line verdicts whenever the modulus is p^v_p(|P|), however it was set;
+   so must the n = 1 shortcut Q(triv)Q(eps) + 2 sum Q(Ind chi). Every Galois
+   equivariance test is groups.first_equivariance_failure: one generator of
+   the cyclic (Z/p^n)^*, every unit only to name the first failure. verify
+   runs it twice: on the Q-vector in unit_and_equivariance, and on its
+   P-vector in character_sums.
 
 The outcome is PASS / FAIL / INCONCLUSIVE: FAIL only when an exactly
 computed quantity falsifies the congruence, INCONCLUSIVE when recognition or
@@ -41,9 +42,9 @@ from .dataset import Dataset, DatasetError, HypothesisResult, check_hypotheses
 from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
                     DecimalWithError, RecognitionError, p_valuation, rational_valuation,
                     recognize_orbit, sqrt_rational_approx)
-from .groups import (Character, DihedralGroup, GroupElement, character_orbits, character_sums,
-                     first_equivariance_failure, irreducible_characters, orbit_units,
-                     res_map, zp_P_membership)
+from .groups import (Character, DihedralGroup, GroupElement, NotEquivariantError,
+                     character_orbits, character_sums, first_equivariance_failure,
+                     irreducible_characters, orbit_units, res_map, zp_P_membership)
 from .heights import HeightDataError, character_heights, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
 
@@ -220,18 +221,13 @@ def gz_q_vector(ds: Dataset, constant: Fraction | None = None
 # the congruence checks proper
 # ---------------------------------------------------------------------------
 
-def congruence_lines(group: DihedralGroup, sums: dict[tuple[int, ...], CyclotomicNumber],
+def congruence_lines(group: DihedralGroup, sums: Mapping[tuple[int, ...], Fraction],
                      n_required: int) -> list[CongruenceLine]:
     """The divisibility verdict of S(pi) by p^n_required for every pi in P, read
     from sums = character_sums(res_map(Q, group), group)."""
     lines: list[CongruenceLine] = []
     for pi in group.p_elements():
-        acc = sums[pi.rot]
-        if not acc.is_rational():
-            raise RecognitionError(
-                f"congruence sum at {group.format_element(pi)} is not rational; "
-                "the Q-vector is not Galois-equivariant")
-        s = acc.rational_part()
+        s = sums[pi.rot]
         v = None if s == 0 else p_valuation(s, group.p)
         lines.append(CongruenceLine(group.format_element(pi), s, v,
                                     v is None or v >= n_required))
@@ -317,23 +313,23 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
 
     q_values = {label: r.q_value for label, r in results.items()}
     evals = res_map(q_values, ds.group)
-    sums = character_sums(evals, ds.group)
     try:
-        result.congruences = congruence_lines(ds.group, sums, n_required)
-    except RecognitionError as e:
-        result.notes.append(str(e))
+        sums = character_sums(evals, ds.group)
+    except NotEquivariantError as e:
+        result.notes.append(f"congruence sums not rational: the P-vector is {e}")
         return result
+    result.congruences = congruence_lines(ds.group, sums, n_required)
 
     # internal identity: sum over P of S(pi) equals |P| * Q(triv) * Q(eps)
     total = sum((line.value for line in result.congruences), Fraction(0))
     base = q_values["triv"] * q_values["eps"]
-    if not (base.is_rational() and total == ds.group.p_order * base.rational_part()):
+    if total != ds.group.p_order * base:
         result.notes.append("internal identity sum_pi S(pi) = |P| Q(triv)Q(eps) violated")
         return result
 
     # the Z_p[P] reading of the same sums must agree at the group-ring bound v_p(|P|)
     if n_required == bound:
-        membership = zp_P_membership(evals, ds.group, sums)
+        membership = zp_P_membership(sums, ds.group)
         scaled_ok = result.congruences_ok and eq_ok
         result.membership_agrees = (membership.ok == scaled_ok)
         if not result.membership_agrees:
@@ -341,19 +337,18 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
                 "group-ring membership check disagrees with the congruence sums")
             return result
 
-    # one-line shortcut at modulus p: S(1) = Q(triv)Q(eps) + 2 sum Q(Ind chi)
+    # one-line shortcut at modulus p: S(1) = Q(triv)Q(eps) + 2 sum Q(Ind chi),
+    # rational as a sum over whole orbits of the equivariant P-vector
     if n_required == 1:
         induced = sum((q for label, q in q_values.items() if label.startswith("ind:")),
                       CyclotomicNumber.rational(0))
-        acc = base + 2 * induced
-        if acc.is_rational():
-            s = acc.rational_part()
-            shortcut_ok = s == 0 or p_valuation(s, ds.group.p) >= 1
-            line_one = next(l for l in result.congruences if l.element == "1")
-            result.shortcut_agrees = (shortcut_ok == line_one.ok)
-            if not result.shortcut_agrees:
-                result.notes.append("shortcut congruence disagrees with S(1)")
-                return result
+        s = (base + 2 * induced).rational_part()
+        shortcut_ok = s == 0 or p_valuation(s, ds.group.p) >= 1
+        line_one = next(l for l in result.congruences if l.element == "1")
+        result.shortcut_agrees = (shortcut_ok == line_one.ok)
+        if not result.shortcut_agrees:
+            result.notes.append("shortcut congruence disagrees with S(1)")
+            return result
 
     if unit_ok and eq_ok and result.congruences_ok:
         result.verdict = "PASS"

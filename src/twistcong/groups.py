@@ -29,6 +29,16 @@ class GroupError(ValueError):
     """Malformed group data or element strings."""
 
 
+class NotEquivariantError(GroupError):
+    """A P-character vector with sigma_a(E_chi) != E_(a chi), the first such
+    (a, chi) in first_equivariance_failure's order: some of its sums S(pi)
+    are irrational, so character_sums computes none."""
+
+    def __init__(self, a: int, chi: tuple[int, ...]):
+        super().__init__(f"not Galois-equivariant at chi={chi}, a={a}")
+        self.a, self.chi = a, chi
+
+
 class GroupElement:
     """An element rot * tau^flip with rot a vector of exponents in P."""
 
@@ -381,18 +391,24 @@ def res_map(values: Mapping[str, CyclotomicNumber], group: DihedralGroup
 
 
 def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
-                   group: DihedralGroup) -> dict[tuple[int, ...], CyclotomicNumber]:
+                   group: DihedralGroup) -> dict[tuple[int, ...], Fraction]:
     """S(pi) = sum_chi chi(pi)^-1 E_chi for every pi in P, keyed by pi.rot: for
     E = res_map(Q) the congruence sum at pi, and |P| times the Fourier
     coefficient of (E_chi) at pi, which the Z_p[P] membership test reads.
     Every E_chi has conductor 1 or e; any other raises
-    UnsupportedConductorError. The path is chosen from the input alone.
+    UnsupportedConductorError.
 
-    When E is Galois-equivariant, sigma_a(E_chi) = E_(a chi) for every a in
-    (Z/e)^*, decided by first_equivariance_failure on the values as given,
-    the chi of one orbit O under (Z/e)^* give conjugate terms:
-    (a chi)(pi)^-1 E_(a chi) = sigma_a(chi(pi)^-1 E_chi), and each member of O
-    is reached by phi(e)/|O| units, so
+    By Fourier inversion E_chi = |P|^-1 sum_pi chi(pi) S(pi). So if every
+    S(pi) is rational, sigma_a(E_chi) = |P|^-1 sum_pi chi(pi)^a S(pi) = E_(a chi)
+    for every a in (Z/e)^*: the vector is Galois-equivariant. The converse is
+    shown below. first_equivariance_failure decides equivariance on the values
+    as given, and at its first failing (a, chi) NotEquivariantError is raised:
+    no S(pi) of a non-equivariant vector is computed, for some of them are
+    irrational.
+
+    For an equivariant vector the chi of one orbit O under (Z/e)^* give
+    conjugate terms: (a chi)(pi)^-1 E_(a chi) = sigma_a(chi(pi)^-1 E_chi), and
+    each member of O is reached by phi(e)/|O| units, so
 
         sum_(chi in O) chi(pi)^-1 E_chi = (|O|/phi(e)) Tr(chi_0(pi)^-1 E_chi_0)
 
@@ -402,40 +418,25 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     With E_chi_0 = sum_i c_i zeta^i / d and chi_0(pi) = zeta^k, the trace is
     sum_i c_i Tr(zeta^(i-k)) / d, and Tr(zeta^j) is phi(e) when e | j, -e/p
     when e/p | j but e does not, and 0 otherwise (CyclotomicField.zeta_trace;
-    Washington, GTM 83, ch. 2). So S(pi) is returned as a rational, one
-    integer over D phi(e), D the common denominator of the orbit
-    representatives: one table of e integers per representative and one
-    addition per orbit and pi, with no reduction modulo Phi_e.
-
-    Without equivariance the orbit terms are not conjugate and S(pi) need not
-    be rational. Only such a vector (center_integrality's with an irrational
-    A(triv), or any vector with an entry off its orbit) takes the dense
-    transform, whose S(pi) are elements of Q(zeta_e):
-    each nonzero E_chi, over the common denominator D, is a sparse integer
-    vector in the power basis of Q(zeta_e), and chi(pi)^-1 = zeta_e^-k
-    shifts its indices by -k, so S(pi) costs O(|P| nnz) integer additions
-    and one reduction modulo Phi_e. The exponent sum is symmetric in chi and
-    pi, so chi_exponents(pi.rot) gives k for every chi at once."""
+    Washington, GTM 83, ch. 2). So S(pi) is a Fraction, one integer over
+    D phi(e), D the common denominator of the orbit representatives: one
+    table of e integers per representative and one addition per orbit and
+    pi, with no reduction modulo Phi_e. The exponent sum is symmetric in chi
+    and pi, so chi_exponents(chi_0) gives k at every pi at once."""
     vectors = list(group.chi_vectors())
     missing = [v for v in vectors if v not in evals]
     if missing:
         raise GroupError(f"missing {len(missing)} chi components, e.g. {missing[0]}")
-    e = group.exponent
+    e, field = group.exponent, cyclotomic_field(group.exponent)
     values = {avec: evals[avec] for avec in vectors}
     foreign = next((v.m for v in values.values() if v.m not in (1, e)), None)
     if foreign is not None:
         raise UnsupportedConductorError(f"mixed conductors {e} and {foreign}")
     # num of a conductor-1 value is its one coordinate at zeta^0, so no value is promoted
-    if first_equivariance_failure(values, group.galois_on_chi, e) is None:
-        return _orbit_trace_sums(values, group)
-    return _shifted_sums(values, group)
-
-
-def _orbit_trace_sums(values: dict[tuple[int, ...], CyclotomicNumber],
-                      group: DihedralGroup) -> dict[tuple[int, ...], CyclotomicNumber]:
-    """character_sums of an equivariant vector: one trace per Galois orbit."""
-    e, field = group.exponent, cyclotomic_field(group.exponent)
-    orbits = [((0,) * len(group.cyclic_factors), 1)]
+    failure = first_equivariance_failure(values, group.galois_on_chi, e)
+    if failure is not None:
+        raise NotEquivariantError(*failure)
+    orbits = [(vectors[0], 1)]
     orbits += [(orbit[0].chi, 2 * len(orbit)) for orbit, _ in group.character_table.orbits[2:]]
     den = lcm(*(values[avec].den for avec, _ in orbits))
     acc = [0] * group.p_order
@@ -449,29 +450,9 @@ def _orbit_trace_sums(values: dict[tuple[int, ...], CyclotomicNumber],
                 for k in range(i % field.q, e, field.q):
                     traces[k] += weight * c * field.zeta_trace(i - k)
         acc = [s + traces[k] for s, k in zip(acc, group.chi_exponents(avec))]
-    # one rational per distinct sum: a constant vector's S(pi) vanish at every pi but 1
-    rationals = {s: CyclotomicNumber(1, [s], den * field.phi) for s in set(acc)}
-    return {rot: rationals[s] for rot, s in zip(values, acc)}
-
-
-def _shifted_sums(values: dict[tuple[int, ...], CyclotomicNumber],
-                  group: DihedralGroup) -> dict[tuple[int, ...], CyclotomicNumber]:
-    """character_sums of any vector: one shifted copy of every E_chi per pi."""
-    e = group.exponent
-    field = cyclotomic_field(e)
-    den = lcm(*(v.den for v in values.values()))
-    terms = [(j, [(i, c * (den // v.den)) for i, c in enumerate(v.num) if c])
-             for j, v in enumerate(values.values()) if not v.is_zero()]
-    sums: dict[tuple[int, ...], CyclotomicNumber] = {}
-    for rot in values:
-        ks = group.chi_exponents(rot)
-        acc = [0] * e
-        for j, nonzero in terms:
-            k = -ks[j]
-            for i, c in nonzero:
-                acc[(i + k) % e] += c
-        sums[rot] = CyclotomicNumber(e, field.reduce(acc), den)
-    return sums
+    # one Fraction per distinct sum: a constant vector's S(pi) vanish at every pi but 1
+    fractions = {s: Fraction(s, den * field.phi) for s in set(acc)}
+    return {rot: fractions[s] for rot, s in zip(vectors, acc)}
 
 
 @dataclass
@@ -481,39 +462,25 @@ class MembershipReport:
     failures: list[str]
 
 
-def zp_P_membership(evals: Mapping[tuple[int, ...], CyclotomicNumber],
-                    group: DihedralGroup,
-                    sums: Mapping[tuple[int, ...], CyclotomicNumber]) -> MembershipReport:
-    """Decide whether the P-character vector (E_chi) is the character vector
-    of an element of Z_p[P]: all E_chi p-units is NOT required here, only
-    Galois equivariance and p-integral Fourier coefficients.
+def zp_P_membership(sums: Mapping[tuple[int, ...], Fraction],
+                    group: DihedralGroup) -> MembershipReport:
+    """Decide whether the P-character vector (E_chi) with sums =
+    character_sums(evals, group) is the character vector of an element of
+    Z_p[P]: all E_chi p-units is NOT required here, only p-integral Fourier
+    coefficients.
 
-    sums = character_sums(evals, group) holds S(pi) = |P| c_pi, and
-    c_pi = |P|^-1 sum_chi chi(pi)^-1 E_chi must be rational and p-integral
-    for every pi. Returns the coefficients and a list of failure notes.
-    These are the sums the congruence lines read, so where this test agrees
-    with them it confirms their reading at the group-ring bound, not S(pi)
-    itself, which nothing recomputes independently.
-
-    Galois equivariance, sigma_a(E_chi) = E_(a chi) for every a in (Z/e)^*,
-    is decided by first_equivariance_failure (E_chi of conductor 1 or e, as
-    character_sums requires), which names the first failing chi and a.
+    The sums exist only for a Galois-equivariant vector (character_sums raises
+    NotEquivariantError otherwise), and hold the rationals S(pi) = |P| c_pi,
+    c_pi = |P|^-1 sum_chi chi(pi)^-1 E_chi. So membership is p-integrality of
+    every c_pi. Returns the coefficients and a list of failure notes. These
+    are the sums the congruence lines read, so where this test agrees with
+    them it confirms their reading at the group-ring bound, not S(pi) itself,
+    which nothing recomputes independently.
     """
     failures: list[str] = []
-    failure = first_equivariance_failure(
-        {avec: evals[avec] for avec in group.chi_vectors()}, group.galois_on_chi,
-        group.exponent)
-    if failure is not None:
-        a, avec = failure
-        failures.append(f"not Galois-equivariant at chi={avec}, a={a}")
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for pi in group.p_elements():
-        acc = sums[pi.rot]
-        if not acc.is_rational():
-            failures.append(f"Fourier coefficient at {group.format_element(pi)} not rational")
-            continue
-        c = acc.rational_part() / group.p_order
-        coeffs[pi.rot] = c
+        coeffs[pi.rot] = c = sums[pi.rot] / group.p_order
         if c != 0 and p_valuation(c, group.p) < 0:
             failures.append(
                 f"coefficient {c} at {group.format_element(pi)} not p-integral")
@@ -535,9 +502,12 @@ def center_integrality(values: Mapping[str, CyclotomicNumber], group: DihedralGr
     Checks: each A(psi) lies in Z_p[zeta] and is fixed by the stabilizer of
     psi; the vector is Galois-equivariant (first_equivariance_failure); and
     for every g in G the combination |G|^-1 sum_psi psi(1) psi(g^-1) A(psi)
-    is rational and p-integral: S(pi)/|P| at a rotation pi, S = character_sums
-    of res_map's P-vector with (A(triv) + A(eps))/2 at the trivial chi, and
-    (A(triv) - A(eps))/|G| at every reflection, where only triv and eps survive.
+    is rational and p-integral. At a rotation pi it is S(pi)/|P|, S =
+    character_sums of res_map's P-vector with (A(triv) + A(eps))/2 at the
+    trivial chi; when that vector is not Galois-equivariant, some of these
+    are irrational, and its first failing (a, chi) is the one note for every
+    rotation, which then has no coefficient. At every reflection it is
+    (A(triv) - A(eps))/|G|, where only triv and eps survive.
     """
     p = group.p
     chars = irreducible_characters(group)
@@ -559,15 +529,23 @@ def center_integrality(values: Mapping[str, CyclotomicNumber], group: DihedralGr
         failures.append(f"eigenvalues not Galois-equivariant at {label}, a={a}")
     evals = res_map(values, group)
     evals[(0,) * len(group.cyclic_factors)] = (values["triv"] + values["eps"]) * Fraction(1, 2)
-    sums = character_sums(evals, group)
+    try:
+        sums = character_sums(evals, group)
+    except NotEquivariantError as e:
+        failures.append(str(e))
+        sums = None
     reflection = values["triv"] - values["eps"]
     central: dict[str, Fraction] = {}
     for g in group.elements():
-        acc, size = (reflection, group.order) if g.flip else (sums[g.rot], group.p_order)
-        if not acc.is_rational():
+        if not g.flip:
+            if sums is None:
+                continue
+            coeff = sums[g.rot] / group.p_order
+        elif reflection.is_rational():
+            coeff = reflection.rational_part() / group.order
+        else:
             failures.append(f"central coefficient at {group.format_element(g)} not rational")
             continue
-        coeff = acc.rational_part() / size
         central[group.format_element(g)] = coeff
         if coeff != 0 and p_valuation(coeff, p) < 0:
             failures.append(

@@ -142,7 +142,7 @@ def test_criterion_5_membership_oracle():
                 for pi, c in zip(g3.p_elements(), cs):
                     acc = acc + c * g3.chi_value(avec, pi)
                 evals[avec] = acc
-            report = zp_P_membership(evals, g3, character_sums(evals, g3))
+            report = zp_P_membership(character_sums(evals, g3), g3)
             expected = all(c.denominator % 3 != 0 for c in cs)
             if report.ok != expected:
                 mismatches += 1

@@ -207,6 +207,28 @@ def test_equivariance_notes_name_the_first_failure():
                       "sigma_2(Q(ind:1)) != Q(ind:2)"])
 
 
+def test_non_equivariant_q_vector_is_inconclusive(monkeypatch, capsys):
+    """A Q-value moved off its Galois orbit makes some S(pi) irrational:
+    verify names the first failure of the P-vector and tests no congruence."""
+    from twistcong.cli import main
+
+    def moved_q_vector(ds, constant=None):
+        results = gz_q_vector(ds, constant)
+        q = results["ind:1"].q_value + CyclotomicNumber.zeta_power(ds.group.exponent, 1)
+        results["ind:1"] = replace(results["ind:1"], q_value=q)
+        return results
+
+    monkeypatch.setattr(engine, "gz_q_vector", moved_q_vector)
+    r = verify(load_bundled_dataset(QUINTIC), route="gz")
+    assert r.verdict == "INCONCLUSIVE" and r.unit_ok and not r.equivariance_ok
+    assert r.congruences == [] and r.membership_agrees is None and r.shortcut_agrees is None
+    note = "congruence sums not rational: the P-vector is not Galois-equivariant at chi=(1,), a=2"
+    assert r.notes[-1] == note
+    assert main(["verify", "--dataset", QUINTIC, "--route", "gz"]) == 2
+    out, err = capsys.readouterr()
+    assert note in out and err == ""
+
+
 # ---------------------------------------------------------------------------
 # failure and inconclusive paths
 # ---------------------------------------------------------------------------

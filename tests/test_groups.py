@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from twistcong.engine import CharacterResult, congruence_lines, unit_and_equivariance
 from twistcong.exact import CyclotomicNumber, UnsupportedConductorError, euler_phi, p_valuation
 from twistcong.groups import (
-    Character, DihedralGroup, GroupError, IntegralityReport, center_integrality, character_orbits,
-    character_sums, irreducible_characters, kolyvagin_identity, orbit_units, res_map,
-    zp_P_membership,
+    Character, DihedralGroup, GroupError, IntegralityReport, NotEquivariantError,
+    center_integrality, character_orbits, character_sums, irreducible_characters,
+    kolyvagin_identity, orbit_units, res_map, zp_P_membership,
 )
 
 G7 = DihedralGroup(7, [7])
@@ -270,7 +270,7 @@ def brute_force_member(coeffs, group):
 @settings(max_examples=120)
 def test_membership_matches_denominators(cs):
     evals = brute_force_member(cs, G7)
-    report = zp_P_membership(evals, G7, character_sums(evals, G7))
+    report = zp_P_membership(character_sums(evals, G7), G7)
     expect = all(c.denominator % 7 != 0 for c in cs)
     assert report.ok == expect
     if report.ok:
@@ -286,7 +286,7 @@ def test_membership_oracle_random_sampling():
               for _ in range(3)]
         group = DihedralGroup(3, [3])
         evals = brute_force_member(cs, group)
-        report = zp_P_membership(evals, group, character_sums(evals, group))
+        report = zp_P_membership(character_sums(evals, group), group)
         expect = all(c.denominator % 3 != 0 for c in cs)
         assert report.ok == expect
         agree += 1
@@ -297,18 +297,20 @@ def test_membership_rejects_non_equivariant():
     z = CyclotomicNumber.zeta_power(7, 1)
     evals = brute_force_member([Fraction(1)] * 7, G7)
     evals[(1,)] = evals[(1,)] + z          # break equivariance at one chi
-    report = zp_P_membership(evals, G7, character_sums(evals, G7))
-    assert not report.ok
-    assert any("equivariant" in f for f in report.failures)
+    with pytest.raises(NotEquivariantError) as raised:
+        character_sums(evals, G7)
+    a, chi = scan_membership_equivariance(evals, G7)
+    assert (raised.value.a, raised.value.chi) == (a, chi)
+    assert str(raised.value) == f"not Galois-equivariant at chi={chi}, a={a}"
 
 
 def test_membership_non_cyclic():
     cs = [Fraction(k % 4 - 1) for k in range(9)]
     evals = brute_force_member(cs, G33)
-    assert zp_P_membership(evals, G33, character_sums(evals, G33)).ok
+    assert zp_P_membership(character_sums(evals, G33), G33).ok
     bad = [Fraction(1, 3)] + cs[1:]
     bad_evals = brute_force_member(bad, G33)
-    assert not zp_P_membership(bad_evals, G33, character_sums(bad_evals, G33)).ok
+    assert not zp_P_membership(character_sums(bad_evals, G33), G33).ok
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,7 @@ def test_congruence_lines_match_membership_coefficients(p, factors):
     evals = res_map(q, group)
     sums = character_sums(evals, group)
     lines = congruence_lines(group, sums, 1)
-    report = zp_P_membership(evals, group, sums)
+    report = zp_P_membership(sums, group)
     base = (q["triv"] * q["eps"]).rational_part()
     assert sum(line.value for line in lines) == group.p_order * base
     for pi, line in zip(group.p_elements(), lines):
@@ -385,7 +387,7 @@ def test_irrational_equivariant_q_gives_rational_sums(p, factors):
     evals = res_map(q, group)
     sums = character_sums(evals, group)
     lines = congruence_lines(group, sums, 1)
-    report = zp_P_membership(evals, group, sums)
+    report = zp_P_membership(sums, group)
     assert not any("equivariant" in f for f in report.failures)
     for pi, line in zip(group.p_elements(), lines):
         assert line.value == group.p_order * report.coefficients[pi.rot]
@@ -402,6 +404,22 @@ def direct_character_sums(evals, group):
             acc = acc + group.chi_value(avec, pi_inv) * evals[avec]
         sums[pi.rot] = acc
     return sums
+
+
+def sums_match_the_direct_loop(evals, group):
+    """character_sums raises exactly when the direct loop has an irrational
+    S(pi), at the scan oracle's first failure; otherwise the two agree, the
+    sums as Fractions. Returns whether it raised."""
+    want = direct_character_sums(evals, group)
+    if all(v.is_rational() for v in want.values()):
+        got = character_sums(evals, group)
+        assert all(type(v) is Fraction for v in got.values())
+        assert got == {rot: v.rational_part() for rot, v in want.items()}
+        return False
+    with pytest.raises(NotEquivariantError) as raised:
+        character_sums(evals, group)
+    assert (raised.value.a, raised.value.chi) == scan_membership_equivariance(evals, group)
+    return True
 
 
 def random_entry(group, rng, kind):
@@ -425,10 +443,7 @@ def test_character_sums_match_the_direct_loop_on_arbitrary_vectors(p, factors):
         rng.shuffle(kinds)
         evals = {avec: random_entry(group, rng, kind)
                  for avec, kind in zip(group.chi_vectors(), kinds)}
-        got = character_sums(evals, group)
-        want = direct_character_sums(evals, group)
-        assert {k: (v.m, v.coeffs) for k, v in got.items()} == \
-            {k: (v.m, v.coeffs) for k, v in want.items()}
+        sums_match_the_direct_loop(evals, group)
 
 
 def test_character_sums_reject_a_foreign_conductor():
@@ -443,21 +458,16 @@ def test_character_sums_reject_a_foreign_conductor():
 @pytest.mark.parametrize("rational", [True, False])
 def test_character_sums_match_the_direct_loop_on_equivariant_vectors(p, factors, rational):
     """The orbit traces against the plain double loop, then the same vector
-    with one entry moved (the dense transform) and with one entry at a
-    foreign conductor (rejected)."""
+    with one entry moved (not equivariant: rejected at its first failure) and
+    with one entry at a foreign conductor (rejected)."""
     group = DihedralGroup(p, factors)
     rng = random.Random(f"equivariant:{factors}:{rational}")
     evals = res_map(random_equivariant_q(group, rng, rational=rational), group)
-    got = character_sums(evals, group)
-    assert got == direct_character_sums(evals, group)
-    assert {v.m for v in got.values()} == {1}    # rationals: the orbit traces ran
+    assert not sums_match_the_direct_loop(evals, group)
     avec = rng.choice(list(group.chi_vectors())[1:])
     moved = dict(evals)
     moved[avec] = moved[avec] + CyclotomicNumber.zeta_power(group.exponent, 1)
-    got, want = character_sums(moved, group), direct_character_sums(moved, group)
-    assert {k: (v.m, v.coeffs) for k, v in got.items()} == \
-        {k: (v.m, v.coeffs) for k, v in want.items()}
-    assert any(not v.is_rational() for v in got.values())
+    assert sums_match_the_direct_loop(moved, group)
     foreign = dict(evals)
     foreign[avec] = CyclotomicNumber.zeta_power(7 if p == 5 else 5, 1)
     with pytest.raises(UnsupportedConductorError):
@@ -478,7 +488,7 @@ def test_constant_q_vector_on_large_groups(p, factors):
     lines = congruence_lines(group, sums, group.n)
     assert [line.value for line in lines] == [group.p_order * C] + [0] * (group.p_order - 1)
     assert all(line.ok for line in lines)
-    assert zp_P_membership(evals, group, sums).ok
+    assert zp_P_membership(sums, group).ok
 
 
 def test_character_sums_at_order_997_are_fast():
@@ -491,8 +501,8 @@ def test_character_sums_at_order_997_are_fast():
     start = time.perf_counter()
     sums = character_sums(evals, group)
     elapsed = time.perf_counter() - start
-    assert sums[(0,)] == CyclotomicNumber.rational(Fraction(3 * 997, 5))
-    assert all(v.is_zero() for rot, v in sums.items() if rot != (0,))
+    assert sums[(0,)] == Fraction(3 * 997, 5)
+    assert all(v == 0 for rot, v in sums.items() if rot != (0,))
     assert elapsed < 0.1, f"character_sums took {elapsed:.2f} s at |P| = 997"
 
 
@@ -501,19 +511,15 @@ def test_character_sums_at_order_997_are_fast():
 # ---------------------------------------------------------------------------
 
 def scan_membership_equivariance(evals, group):
-    """The equivariance notes of zp_P_membership as the scan over every unit
-    a of (Z/e)^* finds them."""
-    failures = []
+    """The first (a, chi) with sigma_a(E_chi) != E_(a chi), as the scan over
+    every unit a of (Z/e)^* finds it, or None."""
     for a in group.galois_unit_reps():
         for avec in group.chi_vectors():
             img = group.galois_on_chi(avec, a)
             lhs = evals[avec].galois_apply(a) if evals[avec].m != 1 else evals[avec]
             if lhs != evals[img]:
-                failures.append(f"not Galois-equivariant at chi={avec}, a={a}")
-                break
-        if failures:
-            break
-    return failures
+                return a, avec
+    return None
 
 
 def scan_unit_and_equivariance(group, results):
@@ -607,11 +613,18 @@ def squares_equivariant_q(group, rng):
 
 
 def membership_equivariance_matches_the_scan(group, evals):
-    """Compare zp_P_membership with the scan oracle; its equivariance notes."""
-    report = zp_P_membership(evals, group, character_sums(evals, group))
+    """character_sums raises at the scan oracle's first failure, and only when
+    it finds one; otherwise zp_P_membership notes only p-integrality. Returns
+    the oracle's failure."""
     want = scan_membership_equivariance(evals, group)
-    rest = [f for f in report.failures if not f.startswith("not Galois-equivariant")]
-    assert report.failures == want + rest and report.ok == (not (want + rest))
+    if want is not None:
+        with pytest.raises(NotEquivariantError) as raised:
+            character_sums(evals, group)
+        assert (raised.value.a, raised.value.chi) == want
+        return want
+    report = zp_P_membership(character_sums(evals, group), group)
+    assert all(f.endswith("not p-integral") for f in report.failures)
+    assert report.ok == (not report.failures)
     return want
 
 
@@ -639,12 +652,12 @@ def test_equivariance_by_one_generator_matches_the_unit_scan(p, factors):
                       CyclotomicNumber.zeta_power(group.exponent, 1)):
             moved = dict(evals)
             moved[avec] = moved[avec] + shift
-            assert membership_equivariance_matches_the_scan(group, moved) != []
+            assert membership_equivariance_matches_the_scan(group, moved) is not None
     assert verdicts == {True, False} and stabilizer_notes > 0
     # a unit that is a square does not decide: only the generator does
     q = squares_equivariant_q(group, rng)
     assert unit_and_equivariance_matches_the_scan(group, q)[1] == (p % 4 == 1)
-    assert (membership_equivariance_matches_the_scan(group, res_map(q, group)) == []) == \
+    assert (membership_equivariance_matches_the_scan(group, res_map(q, group)) is None) == \
         (p % 4 == 1)
 
 
@@ -674,6 +687,16 @@ def scan_center_integrality(values, group):
     return failures
 
 
+def center_rotation_notes(values, group):
+    """The one note center_integrality gives for every rotation when their
+    P-vector, res_map's with (A(triv) + A(eps))/2 at the trivial chi, is not
+    Galois-equivariant: the scan oracle's first failure. Empty otherwise."""
+    evals = res_map(values, group)
+    evals[(0,) * len(group.cyclic_factors)] = (values["triv"] + values["eps"]) * Fraction(1, 2)
+    failure = scan_membership_equivariance(evals, group)
+    return [] if failure is None else ["not Galois-equivariant at chi={1}, a={0}".format(*failure)]
+
+
 @pytest.mark.parametrize("p, factors", [(3, [3]), (5, [5]), (7, [7]), (3, [9]), (3, [3, 3])])
 def test_center_integrality_by_one_generator_matches_the_unit_scan(p, factors):
     group = DihedralGroup(p, factors)
@@ -681,7 +704,7 @@ def test_center_integrality_by_one_generator_matches_the_unit_scan(p, factors):
     verdicts = set()
     for q in list(equivariance_cases(group, rng)) + [squares_equivariant_q(group, rng)]:
         report = center_integrality(q, group)
-        want = scan_center_integrality(q, group)
+        want = scan_center_integrality(q, group) + center_rotation_notes(q, group)
         rest = [f for f in report.failures if f.startswith("central coefficient")]
         assert report.failures == want + rest and report.ok == (not (want + rest))
         verdicts.add(any(f.startswith("eigenvalues not Galois") for f in want))
@@ -704,20 +727,30 @@ def class_sum_row(group, h):
 
 def dense_center_integrality(values, group):
     """center_integrality with every central coefficient summed over the
-    character table, |G|^-1 sum_psi psi(1) psi(g^-1) A(psi) at every g in G."""
-    failures = scan_center_integrality(values, group)
+    character table, |G|^-1 sum_psi psi(1) psi(g^-1) A(psi) at every g in G.
+    When the rotations' P-vector is not Galois-equivariant, its one note
+    stands for every rotation, and the table sums show some rotation
+    irrational (Fourier inversion)."""
+    rotation_notes = center_rotation_notes(values, group)
+    failures = scan_center_integrality(values, group) + rotation_notes
     central = {}
+    irrational_rotation = False
     for g in group.elements():
         acc = CyclotomicNumber.rational(0)
         for c in irreducible_characters(group):
             acc = acc + c.degree * (c.value(g.inverse()) * values[c.label])
         name = group.format_element(g)
+        if not g.flip:
+            irrational_rotation |= not acc.is_rational()
+            if rotation_notes:
+                continue
         if not acc.is_rational():
             failures.append(f"central coefficient at {name} not rational")
             continue
         central[name] = coeff = acc.rational_part() / group.order
         if coeff != 0 and p_valuation(coeff, group.p) < 0:
             failures.append(f"central coefficient {coeff} at {name} not p-integral")
+    assert irrational_rotation == bool(rotation_notes)
     return IntegralityReport(ok=not failures, central_values=central, failures=failures)
 
 
@@ -799,7 +832,7 @@ def test_res_map_structure():
     for avec in G7.chi_vectors():
         if avec != (0,):
             assert evals[avec] == CyclotomicNumber.rational(Fraction(-2312, 577))
-    report = zp_P_membership(evals, G7, character_sums(evals, G7))
+    report = zp_P_membership(character_sums(evals, G7), G7)
     assert report.ok
     # the Fourier coefficient at the identity recovers S(1)/|P|
     assert report.coefficients[(0,)] == Fraction(-2312, 577)
