@@ -119,8 +119,15 @@ def _cmd_bsd_squares(args) -> int:
         broken_ok, _parts = s3_consistency(plant_violation(inst, rng))
         if broken_ok:
             missed_violations += 1
-    _emit(f"synthetic towers: {args.random} instances, {bad} inconsistent, "
-          f"{missed_violations} planted violations missed\n", args.out)
+    if args.format == "structured":
+        body = json.dumps(
+            {"report_version": REPORT_VERSION, "instances": args.random, "inconsistent": bad,
+             "planted_violations_missed": missed_violations},
+            indent=2, sort_keys=True) + "\n"
+    else:
+        body = (f"synthetic towers: {args.random} instances, {bad} inconsistent, "
+                f"{missed_violations} planted violations missed\n")
+    _emit(body, args.out)
     return EXIT_PASS if bad == 0 and missed_violations == 0 else EXIT_FAIL
 
 

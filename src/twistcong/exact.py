@@ -5,7 +5,8 @@ cyclotomic_field(m), m = p^n with p an odd prime, is the one field core: it
 holds p, p^(n-1), phi, the units (Z/m)^* and a generator of that cyclic
 group, the reduction modulo Phi_m, the valuation at the prime 1 - zeta_m
 above p and the cached cosine table: 2cos(2*pi*k/m) for every k, integers
-over one denominator, the only real numbers the canonical embedding needs.
+over one denominator, the only real numbers the canonical embedding needs,
+built in integer fixed point, with no floating point.
 real_embedding decides realness exactly (x is fixed by complex conjugation)
 and then reads the table in one integer dot product. An element is phi
 integers in the power basis 1, z, ..., z^(phi-1) (m = 1 for Q) over one
@@ -133,8 +134,40 @@ def is_probable_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _EMBEDDING_DPS = 50  # digits of CyclotomicField.cosines; an irrational entry errs by 10^-(dps - 5)
+_COSINE_GUARD_DIGITS = 10  # working digits of CyclotomicField.cosines beyond _EMBEDDING_DPS
 SQRT_DIGITS = 50     # digits of the sqrt(d) bounds in every normalized leading term
 DEFAULT_DEN_BOUND = 10 ** 6  # the recognizers' denominator bound unless a dataset sets one
+
+
+def _fixed_pi(one: int) -> int:
+    """pi * one, for one = 10^d, by Machin's pi = 16 arccot 5 - 4 arccot 239.
+    The k-th term of arccot x is floor(one / x^(2k+1)) exactly (nested
+    floors), and its division by 2k + 1 errs by under 1; each series has
+    fewer than d nonzero terms and a tail under 1, so the result errs by
+    under 20(d + 1)."""
+    def arccot(x: int) -> int:
+        total = term = one // x
+        n, sign = 3, -1
+        while term:
+            term //= x * x
+            total += sign * (term // n)
+            n, sign = n + 2, -sign
+        return total
+    return 16 * arccot(5) - 4 * arccot(239)
+
+
+def _fixed_cis(t: int, one: int) -> tuple[int, int]:
+    """(cos, sin) of theta = t / one, times one, for 0 < theta < 2.1, by the
+    Taylor series of exp(i theta). Term n is term n-1 times theta/n, floored,
+    so its error stays under 2; for one = 10^d, d >= 60, fewer than d terms
+    are nonzero and the rest sum to under 3, so the two errors sum to under
+    2d + 4."""
+    cs, term, n = [one, 0, 0, 0], one, 0    # the coefficients of 1, i, -1, -i
+    while term:
+        n += 1
+        term = term * t // (n * one)
+        cs[n % 4] += term
+    return cs[0] - cs[2], cs[1] - cs[3]
 
 
 @dataclass(frozen=True)
@@ -186,24 +219,41 @@ class CyclotomicField:
 
     @cached_property
     def cosines(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(C, values, errors), integers over the one denominator C: entry k,
-        for k in [0, m), is the interval values[k]/C +- errors[k]/C around
-        2cos(2*pi*k/m), the image of zeta^k + zeta^-k under the canonical
-        embedding zeta_m -> exp(2*pi*i/m). Entries k and m - k are equal. An
-        entry is exact when 3k = 0 mod m (2 at k = 0, -1 at k = m/3 when
-        m = 3^n), the only rational ones for odd m; every other is one
-        mpmath.cospi call at _EMBEDDING_DPS digits."""
-        import mpmath    # only irrational embeddings need it; the gz route never gets here
+        """(C, values, errors), integers over the one denominator C =
+        10^_EMBEDDING_DPS: entry k, for k in [0, m), is the interval
+        values[k]/C +- errors[k]/C around 2cos(2*pi*k/m), the image of
+        zeta^k + zeta^-k under the canonical embedding zeta_m -> exp(2*pi*i/m).
+        Entries k and m - k are equal. An entry is exact when 3k = 0 mod m
+        (2 at k = 0, -1 at k = m/3 when m = 3^n), the only rational ones for
+        odd m; every other is an integer rounded to the nearest unit of C.
+
+        The table is built in integers at d = dps + G digits (G =
+        _COSINE_GUARD_DIGITS), in units u = 10^-d. theta = 2pi/m comes from
+        _fixed_pi and one floor, erring by under 40(d + 1)/m + 1 u; z_1 =
+        exp(i theta) from _fixed_cis errs by under 2d + 4 u. The rotation
+        z_(k+1) = z_k z_1 floors each component once, so after k steps z_k
+        errs from exp(i k theta) by under k(2d + 6) u plus the angle error
+        k(40(d + 1)/m + 1) u. At k <= m/2 <= MAX_P_ORDER/2 = 500 and d = 60
+        that is under 2 * (500 * 126 + 1220 + 500) u < 1.3 * 10^5 u for
+        2cos(k theta): under 10^-4 of a unit of C when G = 10, so each
+        rounded entry lies within 1/2 + 10^-4 of a unit of the true value
+        (and is the correctly rounded one unless that value falls within
+        10^-4 of a rounding boundary), far inside the declared 10^5 units."""
         c, m = 10 ** _EMBEDDING_DPS, self.m
+        guard = 10 ** _COSINE_GUARD_DIGITS
+        one = c * guard
+        cos_1, sin_1 = _fixed_cis(2 * _fixed_pi(one) // m, one) if m > 1 else (one, 0)
         values, errors = [2 * c], [0]
-        with mpmath.workdps(_EMBEDDING_DPS):
-            for k in range(1, m // 2 + 1):
-                if 3 * k % m == 0:
-                    values.append(-c)
-                    errors.append(0)
-                else:
-                    values.append(int(mpmath.nint(2 * c * mpmath.cospi(mpmath.mpf(2 * k) / m))))
-                    errors.append(10 ** 5)    # 10^-(dps - 5) over C = 10^dps
+        cos_k, sin_k = one, 0
+        for k in range(1, m // 2 + 1):
+            cos_k, sin_k = ((cos_k * cos_1 - sin_k * sin_1) // one,
+                            (sin_k * cos_1 + cos_k * sin_1) // one)
+            if 3 * k % m == 0:
+                values.append(-c)
+                errors.append(0)
+            else:
+                values.append((2 * cos_k + guard // 2) // guard)
+                errors.append(10 ** 5)    # 10^-(dps - 5) over C = 10^dps
         return (c, tuple(values[min(k, m - k)] for k in range(m)),
                 tuple(errors[min(k, m - k)] for k in range(m)))
 

@@ -10,6 +10,7 @@ import pytest
 from test_dataset import bundled_doc
 
 from twistcong.cli import main
+from twistcong.report import REPORT_VERSION
 
 
 def run(capsys, *argv):
@@ -264,6 +265,15 @@ def test_bsd_squares_random(capsys):
     assert "50 instances, 0 inconsistent, 0 planted violations missed" in out
 
 
+def test_bsd_squares_random_structured(capsys):
+    # --format was ignored here, and the text line printed
+    code, out, _ = run(capsys, "bsd-squares", "--random", "3", "--format", "structured")
+    assert code == 0
+    assert json.loads(out) == {"report_version": REPORT_VERSION, "instances": 3,
+                               "inconsistent": 0, "planted_violations_missed": 0}
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_bsd_squares_needs_a_mode(capsys):
     code, _, err = run(capsys, "bsd-squares")
     assert code == 3
@@ -299,9 +309,20 @@ def modules_after(code: str) -> set[str]:
     return set(done.stdout.split())
 
 
+def cli_code(*argv):
+    return f"from twistcong import cli\nassert cli.main({list(argv)!r}) == 0"
+
+
 def verify_code(*route):
-    argv = ["verify", "--dataset", "21a1-quintic-19", *route, "--out", os.devnull]
-    return f"from twistcong import cli\nassert cli.main({argv!r}) == 0"
+    return cli_code("verify", "--dataset", "21a1-quintic-19", *route, "--out", os.devnull)
+
+
+def built_a_cosine_table(code):
+    """code, then a check that it built the cosine table of Q(zeta_5), the
+    quintic dataset's field: the cases that read the table show mpmath
+    absent because the table needs none, not because nothing read it."""
+    return (f"{code}\nfrom twistcong.exact import cyclotomic_field\n"
+            "assert 'cosines' in cyclotomic_field(5).__dict__")
 
 
 @pytest.mark.parametrize("code, absent, present", [
@@ -309,10 +330,15 @@ def verify_code(*route):
     ("import twistcong.dataset",
      {"twistcong.engine", "twistcong.report", "twistcong.bsdsquares"}, {"twistcong.exact"}),
     (verify_code("--route", "gz"), {"mpmath", "twistcong.bsdsquares"}, {"twistcong.report"}),
-    # the auto route embeds irrational leading terms: the gz case above does
-    # not pass merely because nothing ever loads mpmath
-    (verify_code(), {"twistcong.bsdsquares"}, {"mpmath"}),
-], ids=["import-cli", "import-dataset", "verify-gz", "verify-auto"])
+    # the auto route embeds irrational leading terms through the cosine
+    # table, which is built in integers
+    (built_a_cosine_table(verify_code()), {"mpmath", "twistcong.bsdsquares"}, set()),
+    # the Sha predictions are rational: no cosine table is read here
+    (cli_code("bsd-squares", "--dataset", "21a1-quintic-19", "--out", os.devnull),
+     {"mpmath"}, {"twistcong.bsdsquares"}),
+    (built_a_cosine_table(cli_code("selftest")), {"mpmath", "twistcong.bsdsquares"}, set()),
+], ids=["import-cli", "import-dataset", "verify-gz", "verify-auto", "bsd-squares-dataset",
+        "selftest"])
 def test_each_command_imports_only_what_it_runs(code, absent, present):
     loaded = modules_after(code)
     assert not absent & loaded

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from twistcong.exact import (
     AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, ExactArithmeticError,
     IntervalError, NotRealError, RecognitionError, UnsupportedConductorError,
-    _farey_neighbors, _simplest_in_interval, as_fraction,
+    _farey_neighbors, _fixed_pi, _simplest_in_interval, as_fraction,
     cyclotomic_field, euler_phi, is_probable_prime, is_square_rational, p_valuation,
     rational_reconstruct, rational_valuation, real_embedding, recognize_orbit,
     scientific, sqrt_rational_approx,
@@ -508,6 +508,32 @@ def test_trace_embeddings_match_real_embedding(m):
     assert Fraction(values[0], c) == 2
     if m % 3 == 0:
         assert Fraction(values[m // 3], c) == -1 and errors[m // 3] == 0
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 25, 27, 49, 121, 343, 997])
+def test_cosine_table_is_correctly_rounded(m):
+    """Every irrational entry is nint(2 * 10^50 cos(2 pi k/m)), taken from
+    110-digit mpmath, and errs by 10^5 units; the entries at 3k = 0 mod m
+    are exact."""
+    c, values, errors = cyclotomic_field.__wrapped__(m).cosines
+    assert c == 10 ** 50 and len(values) == len(errors) == m
+    with mpmath.workdps(110):
+        for k in range(m):
+            if 3 * k % m == 0:
+                assert errors[k] == 0
+                assert values[k] == (2 * c if k == 0 else -c)
+            else:
+                assert errors[k] == 10 ** 5
+                assert values[k] == int(mpmath.nint(2 * c * mpmath.cospi(mpmath.mpf(2 * k) / m)))
+
+
+@pytest.mark.parametrize("digits", [60, 100])
+def test_fixed_point_pi_is_within_its_bound(digits):
+    """_fixed_pi(10^d) errs from 10^d pi by under 20(d + 1), as its
+    docstring states."""
+    with mpmath.workdps(digits + 20):
+        error = abs(_fixed_pi(10 ** digits) - mpmath.pi * 10 ** digits)
+    assert error < 20 * (digits + 1)
 
 
 def test_a_fresh_cosine_table_builds_quickly():

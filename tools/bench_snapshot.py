@@ -12,6 +12,11 @@ its `src`, so one command measures any checkout, this one or an older one:
 - parse and `verify` of the gz tower `perfbench/gen.py` builds at |P| = 343,
   729 and 997 (seed 1), each in its own interpreter so that no cache is warm,
   repeated SWEEP_RUNS times; the medians are kept;
+- `python -m twistcong.cli verify --dataset ... --format structured` on each
+  workload's CLI input (the one `gen.cli_input_name` names, at seed 1, the
+  default of `perfbench/run.py`), CLI_RUNS fresh processes under
+  `-X importtime`: the median wall time, each exit code, and whether each
+  run imported mpmath;
 - the tier-1 suite with its wall time, its counts and its five slowest tests.
 
 Compare two files only when both were written on the same host.
@@ -26,6 +31,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from math import prod
 from pathlib import Path
@@ -50,6 +56,28 @@ done = time.perf_counter()
 print(json.dumps({"parse_s": parsed - start, "verify_s": done - parsed,
                   "verdict": result.verdict}))
 """
+
+CLI_RUNS = 5
+# the dataset argument of a workload's CLI run: a bundled name, or the seed-1
+# tower written to <name>.json in the directory sys.argv[2]
+CLI_INPUT_SCRIPT = """
+import importlib.util, json, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("gen", "perfbench/gen.py")
+gen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gen)
+workload = sys.argv[1]
+name = gen.cli_input_name(workload)
+if workload == "bundled":
+    print(name)
+else:
+    doc = next(i for i in gen.make_inputs(workload, 1, Path("src")) if i["name"] == name)["doc"]
+    path = Path(sys.argv[2]) / f"{name}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\\n", encoding="utf-8")
+    print(path)
+"""
+# a line of -X importtime's log, "import time: self | cumulative | name"
+MPMATH_IMPORT = re.compile(r"^import time:.*\|\s*mpmath$", re.M)
 
 
 def _run(root: Path, args: list[str]) -> subprocess.CompletedProcess:
@@ -87,6 +115,28 @@ def sweep(root: Path) -> list[dict]:
     return points
 
 
+def cli(root: Path) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for workload in WORKLOADS:
+            made = _run(root, ["-c", CLI_INPUT_SCRIPT, workload, scratch])
+            if made.returncode != 0:
+                raise RuntimeError(f"CLI input of {workload} exited {made.returncode}: "
+                                   f"{made.stderr[-2000:]}")
+            dataset = made.stdout.strip()
+            runs = []
+            for _ in range(CLI_RUNS):
+                start = time.perf_counter()
+                proc = _run(root, ["-X", "importtime", "-m", "twistcong.cli", "verify",
+                                   "--dataset", dataset, "--format", "structured"])
+                wall = time.perf_counter() - start
+                runs.append({"wall_s": wall, "exit_code": proc.returncode,
+                             "mpmath": bool(MPMATH_IMPORT.search(proc.stderr))})
+            out[workload] = {"input": Path(dataset).stem, "runs": runs,
+                             "wall_s": statistics.median(r["wall_s"] for r in runs)}
+    return out
+
+
 def suite(root: Path) -> dict:
     start = time.perf_counter()
     proc = _run(root, ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=5",
@@ -115,6 +165,7 @@ def main() -> int:
                  "python": platform.python_version()},
         "benchmark": benchmark(root),
         "gz_sweep": sweep(root),
+        "cli": cli(root),
         "suite": suite(root),
     }
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
