@@ -53,6 +53,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _document(**fields) -> str:
+    """A bsd-squares report in the structured format: sorted JSON keys,
+    report_version among them."""
+    return json.dumps({"report_version": REPORT_VERSION, **fields},
+                      indent=2, sort_keys=True) + "\n"
+
+
 def _cmd_verify(args) -> int:
     ds = _load(args.dataset)
     result = verify(ds, route=args.route, n_override=args.n_override,
@@ -85,6 +92,8 @@ def _cmd_bsd_squares(args) -> int:
         except RecognitionError as e:
             # the data are well formed, but too coarse to fix a prediction
             print(f"twistcong: inconclusive: {e}", file=sys.stderr)
+            if args.format == "structured":
+                _emit(_document(dataset=ds.label, inconclusive=str(e)), args.out)
             return EXIT_INCONCLUSIVE
         rows = []
         all_ok = True
@@ -96,9 +105,7 @@ def _cmd_bsd_squares(args) -> int:
             rows.append({"field": name, "sha": str(sha), "integral": ok,
                          "square": square})
         if args.format == "structured":
-            body = json.dumps(
-                {"report_version": REPORT_VERSION, "dataset": ds.label, "sha_predictions": rows},
-                indent=2, sort_keys=True) + "\n"
+            body = _document(dataset=ds.label, sha_predictions=rows)
         else:
             lines = [f"dataset: {ds.label}"]
             for row in rows:
@@ -120,10 +127,8 @@ def _cmd_bsd_squares(args) -> int:
         if broken_ok:
             missed_violations += 1
     if args.format == "structured":
-        body = json.dumps(
-            {"report_version": REPORT_VERSION, "instances": args.random, "inconsistent": bad,
-             "planted_violations_missed": missed_violations},
-            indent=2, sort_keys=True) + "\n"
+        body = _document(instances=args.random, inconsistent=bad,
+                         planted_violations_missed=missed_violations)
     else:
         body = (f"synthetic towers: {args.random} instances, {bad} inconsistent, "
                 f"{missed_violations} planted violations missed\n")
@@ -239,10 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ExactArithmeticError) as e:
-        print(f"twistcong: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as e:
+    except (DatasetError, ExactArithmeticError, OSError) as e:
         print(f"twistcong: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, NoReturn
 
 from .exact import DEFAULT_DEN_BOUND, DecimalWithError, rational_valuation
-from .groups import Character, DihedralGroup, GroupElement, GroupError, irreducible_characters
+from .groups import DihedralGroup, GroupElement, GroupError
 from .heights import HeightDataError, validate_translates
 from .localfactors import (LocalDataError, LocalPlace, check_pinned_corrections,
                            parse_local_place, quadratic_point_count)
@@ -281,7 +281,7 @@ class FieldBlock:
         return prod
 
 
-ROUTES = ("auto", "direct", "qhat", "gz")
+ROUTES = ("auto", "gz")
 
 
 @dataclass
@@ -315,15 +315,6 @@ class Dataset:
     provenance: dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def characters(self) -> list[Character]:
-        return irreducible_characters(self.group)
-
-    def rho_label(self) -> str:
-        return self.curve.rho_label()
-
-    def expected_vanishing_orders(self) -> dict[str, int]:
-        return self.curve.vanishing_orders(self.group)
-
     def required_p_power(self) -> int:
         if self.options.p_power_required is not None:
             return self.options.p_power_required
@@ -379,7 +370,7 @@ def check_hypotheses(ds: Dataset) -> list[HypothesisResult]:
         not bad_counts, ", ".join(bad_counts))
     add("g", "the Tate-Shafarevich group over the tower is finite", None, "assumed")
     declared = {lbl: ca.order for lbl, ca in ds.analytic.characters.items()}
-    expected = ds.expected_vanishing_orders()
+    expected = ds.curve.vanishing_orders(ds.group)
     order_ok = declared == expected
     add("h", "declared vanishing orders match the rank pattern", order_ok,
         f"declared {declared}, expected {expected}" if not order_ok else "")

@@ -50,7 +50,7 @@ from .localfactors import LocalCorrection, discriminant_factor, global_correctio
 
 
 class RouteDataError(DatasetError):
-    """The requested verification route needs data the dataset does not carry."""
+    """The gz route needs a curve constant the dataset does not give."""
 
     def __init__(self, message: str):
         super().__init__("options.route", message)
@@ -106,10 +106,10 @@ class VerificationResult:
 
 def height_norm(ds: Dataset, label: str,
                 heights: Mapping[str, DecimalWithError] | None) -> DecimalWithError:
-    """H_psi: 1 at the character carrying the Mordell-Weil rank (ds.rho_label():
+    """H_psi: 1 at the character carrying the Mordell-Weil rank (curve.rho_label():
     "triv" for rank 0 and "eps" for rank 1 over the base), and h_psi from the
     table of heights.character_heights otherwise."""
-    if label == ds.rho_label():
+    if label == ds.curve.rho_label():
         return DecimalWithError.exact(1)
     if heights is None:
         raise HeightDataError("height translates required for this character")
@@ -143,24 +143,14 @@ def assemble_numeric(ds: Dataset, orbit: Sequence[Character],
     return out
 
 
-def _char_route(ds: Dataset, char: Character, route: str) -> str:
-    ca = ds.analytic.characters[char.label]
-    if route == "auto":
-        return "direct" if ca.truncated else "qhat"
-    if route == "direct" and not ca.truncated:
-        raise RouteDataError(
-            f"direct route requested but {char.label} carries an untruncated leading term")
-    if route == "qhat" and ca.truncated:
-        raise RouteDataError(
-            f"qhat route requested but {char.label} carries a truncated leading term")
-    return route
-
-
-def _character_result(ds: Dataset, c: Character, route: str,
-                      recognized: CyclotomicNumber,
-                      min_poly: tuple[Fraction, ...] | None = None) -> CharacterResult:
-    """The result for c on the given route: Q = recognized * u * t, or
-    recognized * u alone on the direct route, whose leading term was truncated."""
+def _character_result(ds: Dataset, c: Character, recognized: CyclotomicNumber,
+                      min_poly: tuple[Fraction, ...] | None = None,
+                      route: str | None = None) -> CharacterResult:
+    """The result for c: Q = recognized * u * t on the qhat route, or
+    recognized * u alone on the direct route, the one of a truncated leading
+    term. Unless a route is given, c's truncation flag chooses between them."""
+    if route is None:
+        route = "direct" if ds.analytic.characters[c.label].truncated else "qhat"
     corr = global_correction(c, [ds.places[s] for s in ds.tower.S_r])
     q = recognized * corr.u * (1 if route == "direct" else corr.t)
     return CharacterResult(
@@ -169,7 +159,7 @@ def _character_result(ds: Dataset, c: Character, route: str,
         p_valuation=p_valuation(q, ds.group.p) if not q.is_zero() else Fraction(0))
 
 
-def recognize_characters(ds: Dataset, route: str) -> dict[str, CharacterResult]:
+def recognize_characters(ds: Dataset) -> dict[str, CharacterResult]:
     """Recognize all normalized leading terms, one Galois orbit at a time."""
     group = ds.group
     heights = character_heights(group, ds.heights.translates) if ds.heights else None
@@ -180,7 +170,7 @@ def recognize_characters(ds: Dataset, route: str) -> dict[str, CharacterResult]:
             [height_norm(ds, c.label, heights) for c in orbit])
         orb = recognize_orbit(numerics, group.exponent, units, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
-            out[c.label] = _character_result(ds, c, _char_route(ds, c, route), recognized,
+            out[c.label] = _character_result(ds, c, recognized,
                                              orb.min_poly if len(orbit) > 1 else None)
     return out
 
@@ -213,7 +203,8 @@ def gz_q_vector(ds: Dataset, constant: Fraction | None = None
     only its local correction."""
     C = constant if constant is not None else gz_constant(ds)
     return {c.label: _character_result(
-                ds, c, "gz", CyclotomicNumber.rational(Fraction(1) if c.kind == "eps" else C))
+                ds, c, CyclotomicNumber.rational(Fraction(1) if c.kind == "eps" else C),
+                route="gz")
             for c in irreducible_characters(ds.group)}
 
 
@@ -296,8 +287,7 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
             f"non-cyclic p-part: testing modulus p^{n_required} from the group-ring bound")
 
     try:
-        results = (gz_q_vector(ds) if ds.options.route == "gz"
-                   else recognize_characters(ds, ds.options.route))
+        results = gz_q_vector(ds) if ds.options.route == "gz" else recognize_characters(ds)
     except AmbiguousRecognitionError as e:
         result.notes.append(f"recognition ambiguous: {e}")
         return result

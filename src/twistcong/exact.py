@@ -106,7 +106,8 @@ def scientific(x: Fraction, digits: int) -> str:
 
 
 def is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24
+    # Miller-Rabin with the first 12 primes as bases: a proof for n < 3.18e23
+    # (Sorenson and Webster 2015)
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -127,6 +128,25 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_power_base(n: int) -> int | None:
+    """The prime l with n = l^f for some f >= 1; None unless n is such a
+    power of a prime l < 2^78, below which is_probable_prime is a proof.
+    isqrt takes out even exponents; for odd f, x -> x^f permutes the odd
+    residues mod 2^78, so l can only be the f-th root of n mod 2^78: one
+    small pow per f, fast at thousands of digits. The largest f comes first,
+    and its root is l itself."""
+    if n < 3 or n % 2 == 0:
+        return 2 if n >= 2 and n & (n - 1) == 0 else None
+    while (r := isqrt(n)) * r == n:
+        n = r
+    bits, low = n.bit_length(), n % (1 << 78)
+    for f in range(bits | 1, 0, -2):
+        r = pow(low, pow(f, -1, 1 << 76), 1 << 78)
+        if (r.bit_length() - 1) * f < bits <= r.bit_length() * f and r ** f == n:
+            return r if is_probable_prime(r) else None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +311,10 @@ class CyclotomicField:
 def cyclotomic_field(m: int) -> CyclotomicField:
     """Q(zeta_m) for m = p^n with p an odd prime; cached, and a rejected m
     raises anew on every call."""
-    if m < 3:
+    p = prime_power_base(m)
+    if p is None or p == 2:
         raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
-    p = next((d for d in range(3, isqrt(m) + 1, 2) if m % d == 0), m)
-    if p % 2 == 0 or not is_probable_prime(p):
-        raise UnsupportedConductorError(f"conductor {m} is not an odd prime power")
-    q = 1
-    while q * p < m:
-        q *= p
-    if q * p != m:
-        raise UnsupportedConductorError(f"conductor {m} is not a prime power")
+    q = m // p
     return CyclotomicField(m=m, p=p, q=q, phi=q * (p - 1),
                            units=tuple(a for a in range(1, m) if a % p))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import CyclotomicNumber, ExactArithmeticError
+from .exact import CyclotomicNumber, ExactArithmeticError, prime_power_base
 from .groups import Character, DihedralGroup, GroupElement, GroupError
 
 
@@ -34,7 +34,7 @@ class LocalDataError(ValueError):
 class LocalPlace:
     """Ramification data at a finite place of the base field.
 
-    q         -- residue field size
+    q         -- residue field size, l^f for a prime l < 2^78
     a         -- Frobenius trace of the curve at the place (|a| <= 2*sqrt(q))
     inertia   -- generators of the inertia subgroup in G
     frobenius -- a Frobenius lift in G (well defined modulo inertia)
@@ -49,8 +49,8 @@ class LocalPlace:
     pinned: tuple[tuple[str, Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.q < 2:
-            raise LocalDataError(f"residue size {self.q} is not a prime power")
+        if prime_power_base(self.q) is None:
+            raise LocalDataError(f"residue size {self.q} is not a power of a prime below 2^78")
         if self.a * self.a > 4 * self.q:
             raise LocalDataError(f"trace {self.a} violates the Hasse bound for q = {self.q}")
 

@@ -270,7 +270,7 @@ def test_height_and_regulator_normalizations_agree_mod_squares():
 
     ds7 = load_bundled_dataset("37a1-septic-577")
     q7 = character_bsd_quotients(ds7)
-    rec = recognize_characters(ds7, "auto")
+    rec = recognize_characters(ds7)
     for label, ratio in (("triv", Fraction(2)), ("eps", Fraction(1, 2))):
         assert q7[label] == ratio * rec[label].recognized
         assert mod_square_equivalent(ratio, Fraction(2))

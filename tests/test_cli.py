@@ -111,11 +111,12 @@ def test_verify_missing_dataset(capsys):
     assert "no such file" in err
 
 
-def test_verify_route_without_data(capsys):
-    code, _, err = run(capsys, "verify", "--dataset", "37a1-septic-577",
-                       "--route", "direct")
-    assert code == 3
-    assert "untruncated" in err
+@pytest.mark.parametrize("route", ["direct", "qhat"])
+def test_verify_per_character_route_is_a_usage_error(capsys, route):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--dataset", "37a1-septic-577", "--route", route])
+    assert e.value.code == 3
+    assert f"argument --route: invalid choice: '{route}'" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_3(capsys):
@@ -249,6 +250,26 @@ def test_bsd_squares_undetermined_prediction_is_inconclusive(tmp_path, capsys, k
     code, out, err = run(capsys, "bsd-squares", "--dataset", str(target))
     assert code == 2 and out == ""
     assert err.startswith("twistcong: inconclusive: no rational with denominator <= 1000000")
+
+
+def test_bsd_squares_undetermined_prediction_structured(tmp_path, capsys):
+    # a K regulator near pi has no rational within its bound: no document was written
+    doc = bundled_doc("21a1-quintic-19")
+    doc["bsd"]["K"]["regulator"] = {"value": "3.14159265358979323846264338327950288",
+                                    "abs_error": "1e-30"}
+    source, target = tmp_path / "coarse.json", tmp_path / "report.json"
+    source.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bsd-squares", "--dataset", str(source),
+                         "--format", "structured", "--out", str(target))
+    assert code == 2 and out == ""
+    text = target.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert sorted(report) == ["dataset", "inconclusive", "report_version"]
+    assert report["report_version"] == REPORT_VERSION
+    assert report["dataset"] == "21a1-quintic-19"
+    assert report["inconclusive"].startswith("no rational with denominator <= 1000000")
+    assert err == f"twistcong: inconclusive: {report['inconclusive']}\n"
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])

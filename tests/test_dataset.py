@@ -38,11 +38,11 @@ def test_load_bundled():
     assert ds.curve.label == "37a1" and ds.curve.conductor == 37
     assert ds.tower.d_K_abs == 577 and ds.tower.K_real
     assert set(ds.places) == {"577"}
-    assert ds.rho_label() == "eps"
+    assert ds.curve.rho_label() == "eps"
     ds2 = load_bundled_dataset("21a1-quintic-19")
     assert ds2.group.p == 5
     assert not ds2.tower.K_real
-    assert ds2.rho_label() == "triv"
+    assert ds2.curve.rho_label() == "triv"
     assert ds2.analytic.characters["eps"].truncated
     assert sorted(ds2.bsd) == ["F", "K", "L", "k"]
 
@@ -61,7 +61,7 @@ def test_load_from_path(tmp_path):
 
 def test_vanishing_orders_and_power():
     ds = load_bundled_dataset("37a1-septic-577")
-    assert ds.expected_vanishing_orders() == {
+    assert ds.curve.vanishing_orders(ds.group) == {
         "triv": 1, "eps": 0, "ind:1": 1, "ind:2": 1, "ind:3": 1}
     assert ds.required_p_power() == 1
     ds.options.p_power_required = 3
@@ -150,6 +150,25 @@ def test_reject_bad_local_data():
     doc["places"]["577"]["a"] = 100            # Hasse violation
     with pytest.raises(DatasetError, match="places.577"):
         parse_dataset(doc)
+
+
+@pytest.mark.parametrize("q, ok", [
+    (2, True), (9, True), (577, True), (3 ** 40, True), (6, False), (200000, False),
+    pytest.param(7 * (10 ** 3999 + 3), False, id="7*(10^3999+3)-False")])
+def test_residue_size_must_be_a_prime_power(q, ok):
+    # only q < 2 was rejected: with q = 200000 and no pins verify printed PASS
+    doc = bundled_doc("37a1-septic-577")
+    del doc["places"]["577"]["pinned"]
+    doc["places"]["577"]["q"] = q
+    if ok:
+        assert parse_dataset(doc).places["577"].q == q
+        return
+    start = time.perf_counter()
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert time.perf_counter() - start < 1.0
+    assert str(excinfo.value) == (
+        f"places.577: residue size {q} is not a power of a prime below 2^78")
 
 
 def test_pinned_corrections_kept():

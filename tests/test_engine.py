@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_dataset import bundled_doc
 
 import twistcong.engine as engine
 from twistcong.bsdsquares import field_regulator
@@ -26,12 +27,17 @@ QUINTIC = "21a1-quintic-19"
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def benchmark_doc(workload, seed, name):
-    """The dataset document of one seeded benchmark input (perfbench/gen.py)."""
+def gen_module():
+    """perfbench/gen.py, the generator of the seeded benchmark inputs."""
     spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return next(i["doc"] for i in gen.make_inputs(workload, seed, ROOT / "src")
+    return gen
+
+
+def benchmark_doc(workload, seed, name):
+    """The dataset document of one seeded benchmark input."""
+    return next(i["doc"] for i in gen_module().make_inputs(workload, seed, ROOT / "src")
                 if i["name"] == name)
 
 
@@ -137,11 +143,32 @@ def test_internal_identity(name):
 # route selection
 # ---------------------------------------------------------------------------
 
-def test_forced_route_needs_matching_data():
-    with pytest.raises(RouteDataError, match="truncated"):
-        verify(load_bundled_dataset(QUINTIC), route="qhat")
-    with pytest.raises(RouteDataError, match="untruncated"):
-        verify(load_bundled_dataset(SEPTIC), route="direct")
+@pytest.mark.parametrize("route", ["direct", "qhat"])
+def test_per_character_routes_cannot_be_forced(route):
+    # each character's truncation flag chooses its route; a forced one could
+    # only repeat auto's choice or stop
+    with pytest.raises(DatasetError) as excinfo:
+        verify(load_bundled_dataset(SEPTIC), route=route)
+    assert str(excinfo.value) == f"options.route: unknown route {route!r}"
+    doc = bundled_doc(SEPTIC)
+    doc["options"]["route"] = route
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == f"options.route: unknown route {route!r}"
+
+
+@pytest.mark.parametrize("doc", [bundled_doc(SEPTIC), bundled_doc(QUINTIC)] + [
+    i["doc"] for i in gen_module().make_inputs("towers-auto", 1, ROOT / "src")],
+    ids=lambda doc: doc["label"])
+def test_each_route_follows_its_truncation_flag(doc):
+    ds = parse_dataset(doc)
+    r = verify(ds)
+    assert r.characters
+    for label, cr in r.characters.items():
+        truncated = ds.analytic.characters[label].truncated
+        assert cr.route == ("direct" if truncated else "qhat")
+        u, t = cr.correction.u, cr.correction.t
+        assert cr.q_value == cr.recognized * u * (1 if truncated else t)
 
 
 def test_unknown_route_rejected():

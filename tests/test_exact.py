@@ -14,8 +14,8 @@ from twistcong.exact import (
     IntervalError, NotRealError, RecognitionError, UnsupportedConductorError,
     _farey_neighbors, _fixed_pi, _simplest_in_interval, as_fraction,
     cyclotomic_field, euler_phi, is_probable_prime, is_square_rational, p_valuation,
-    rational_reconstruct, rational_valuation, real_embedding, recognize_orbit,
-    scientific, sqrt_rational_approx,
+    prime_power_base, rational_reconstruct, rational_valuation, real_embedding,
+    recognize_orbit, scientific, sqrt_rational_approx,
 )
 from twistcong.groups import DihedralGroup, character_orbits, orbit_units
 
@@ -164,6 +164,31 @@ def test_prime_power_conductor():
         for _ in range(2):
             with pytest.raises(UnsupportedConductorError):
                 cyclotomic_field(m)
+
+
+def test_prime_power_base():
+    for n, l in ((2, 2), (9, 3), (577, 577), (3 ** 40, 3), (2 ** 13288, 2), (41 ** 9, 41),
+                 ((2 ** 61 - 1) ** 7, 2 ** 61 - 1)):
+        assert prime_power_base(n) == l, n
+    for n in (-9, 0, 1, 6, 200000, 41 ** 9 * 43, (2 ** 61 - 1) ** 6 * 7 ** 6):
+        assert prime_power_base(n) is None, n
+    # a prime above 2^78 is not certified, nor are its powers
+    assert prime_power_base(2 ** 89 - 1) is None
+    assert prime_power_base((2 ** 89 - 1) ** 3) is None
+    # every n below 5000, against a sieve
+    primes = [n for n in range(2, 5000) if all(n % d for d in range(2, isqrt(n) + 1))]
+    bases = {l ** k: l for l in primes for k in range(1, 13) if l ** k < 5000}
+    assert {n: prime_power_base(n) for n in range(5000)} == {
+        n: bases.get(n) for n in range(5000)}
+
+
+def test_a_composite_of_4000_digits_is_decided_quickly():
+    # the first has the factor 7, the second only Mersenne prime factors
+    for n in (7 * (10 ** 3999 + 3),
+              (2 ** 4423 - 1) * (2 ** 4253 - 1) * (2 ** 3217 - 1) * (2 ** 1279 - 1)):
+        start = time.perf_counter()
+        assert prime_power_base(n) is None
+        assert time.perf_counter() - start < 1.0
 
 
 def gcd_units(m):

@@ -137,7 +137,7 @@ def test_height_factor_pins_generic_character():
     ds = load_bundled_dataset("21a1-quintic-19")
     triv, eps = (Character.from_label(ds.group, label) for label in ("triv", "eps"))
     heights = character_heights(ds.group, ds.heights.translates)
-    assert ds.rho_label() == "triv"
+    assert ds.curve.rho_label() == "triv"
 
     def assemble(char, table):
         lead = ds.analytic.characters[char.label].leading_term
