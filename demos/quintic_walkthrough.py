@@ -7,7 +7,7 @@ the fifth cyclotomic field. The run shows the conjugate-pair recognition,
 the invariance of the verdict under renaming the rotation generator, the
 independent height-point route, and the Tate-Shafarevich predictions.
 """
-from twistcong.bsdsquares import character_bsd_quotients, sha_predictions
+from twistcong.bsdsquares import sha_predictions
 from twistcong.dataset import load_bundled_dataset
 from twistcong.engine import gz_constant, relabel_dataset, verify
 from twistcong.report import format_algebraic, format_polynomial
@@ -47,13 +47,6 @@ alt = verify(ds, route="gz")
 print("height-point verdict:", alt.verdict)
 for line in alt.congruences:
     print(f"  S({line.element}) = {line.value}   v_5 = {line.valuation_str()}")
-print()
-
-# the same leading terms can be normalized by field regulators instead of
-# the equivariant height pairing; the values change but stay recognizable
-print("regulator-normalized quotients:")
-for label, value in character_bsd_quotients(ds).items():
-    print(f"  {label}: {format_algebraic(value)}")
 print()
 
 # solving the leading-term formula for each field in the tower predicts the

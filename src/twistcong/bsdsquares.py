@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dataset import Dataset, DatasetError, FieldBlock
-from .engine import assemble_numeric
-from .exact import (SQRT_DIGITS, CyclotomicNumber, DecimalWithError, IntervalError,
-                    is_square_rational, rational_reconstruct, recognize_orbit,
-                    sqrt_rational_approx)
-from .groups import Character, character_orbits, orbit_units
+from .exact import (SQRT_DIGITS, DecimalWithError, IntervalError, is_square_rational,
+                    rational_reconstruct, sqrt_rational_approx)
+from .groups import Character
 from .heights import field_period, regulator_from_translates
 from .localfactors import global_correction
 
@@ -104,61 +102,6 @@ def sha_prediction(ds: Dataset, field_name: str) -> Fraction:
 
 def sha_predictions(ds: Dataset) -> dict[str, Fraction]:
     return {name: sha_prediction(ds, name) for name in ds.bsd}
-
-
-def _smallest_block_with(ds: Dataset, label: str) -> FieldBlock | None:
-    """The field block of least degree whose L-series factorization contains
-    the given character; that is the field the character cuts out."""
-    best: FieldBlock | None = None
-    for fb in ds.bsd.values():
-        if label in fb.leading_characters and (best is None or fb.degree < best.degree):
-            best = fb
-    return best
-
-
-def regulator_normalization(ds: Dataset, label: str) -> DecimalWithError:
-    """The height normalization built from field regulators: the trivial
-    character carries Reg(base) itself, any other character the quotient
-    Reg(E)/Reg(base) with E the smallest field block whose L-factorization
-    contains it.  Rank-0 blocks have regulator 1, so their characters get 1.
-    Raises DatasetError when a needed block is absent."""
-    base: FieldBlock | None = None
-    for fb in ds.bsd.values():
-        if fb.degree == 1:
-            base = fb
-    if base is None:
-        raise DatasetError("bsd", "regulator normalization needs a base-field block")
-    reg_base = field_regulator(ds, base)
-    if label == "triv":
-        return reg_base
-    fb = _smallest_block_with(ds, label)
-    if fb is None:
-        raise DatasetError("bsd", f"no field block carries character {label}")
-    return field_regulator(ds, fb) / reg_base
-
-
-def character_bsd_quotients(ds: Dataset) -> dict[str, CyclotomicNumber]:
-    """Per-character analogue of bsd_quotient: sqrt(d) * L* / (Omega * R)
-    where the normalization R comes from field regulators instead of the
-    equivariant height pairing, via regulator_normalization, and the quotient
-    is assembled by engine.assemble_numeric, as verify assembles its own.
-
-    Characters whose field has no block in the dataset are left out, so a
-    dataset with only base and quadratic blocks yields the two degree-one
-    quotients.  Recognition runs one Galois orbit at a time, exactly as in
-    the congruence engine, and its failures propagate."""
-    group = ds.group
-    out: dict[str, CyclotomicNumber] = {}
-    for orbit, units in zip(character_orbits(group), orbit_units(group)):
-        if orbit[0].label != "triv" and _smallest_block_with(ds, orbit[0].label) is None:
-            continue
-        reg = regulator_normalization(ds, orbit[0].label)
-        numerics = assemble_numeric(ds, orbit, [_detruncated_leading(ds, c.label) for c in orbit],
-                                    [reg] * len(orbit))
-        orb = recognize_orbit(numerics, group.exponent, units, ds.options.den_bound)
-        for c, recognized in zip(orbit, orb.values):
-            out[c.label] = recognized
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,10 @@ def _cmd_bsd_squares(args) -> int:
 
     if args.dataset is not None:
         ds = _load(args.dataset)
+        if not ds.bsd:
+            # no prediction would read as "consistent", as a screen of no
+            # instances would; see _positive_int
+            raise DatasetError("bsd", "no field blocks to predict")
         try:
             preds = sha_predictions(ds)
         except RecognitionError as e:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, NoReturn
 
-from .exact import DEFAULT_DEN_BOUND, DecimalWithError, rational_valuation
+from .exact import DEFAULT_DEN_BOUND, DecimalWithError
 from .groups import DihedralGroup, GroupElement, GroupError
 from .heights import HeightDataError, validate_translates
 from .localfactors import (LocalDataError, LocalPlace, check_pinned_corrections,
@@ -31,7 +31,7 @@ from .localfactors import (LocalDataError, LocalPlace, check_pinned_corrections,
 SPEC_VERSION = 1
 
 # largest |P| a dataset may declare: every character of P is enumerated, and
-# the congruence sums cost O(|P|^2) shifts
+# CyclotomicField.cosines proves its error bound only for conductors m <= 1000
 MAX_P_ORDER = 1000
 
 # a rational in a dataset has |numerator| and denominator at most 10^MAX_EXPONENT:
@@ -313,13 +313,6 @@ class Dataset:
     bsd: dict[str, FieldBlock]
     options: Options
     provenance: dict[str, str] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def required_p_power(self) -> int:
-        if self.options.p_power_required is not None:
-            return self.options.p_power_required
-        # v_p(|P|); equals n for cyclic P, the group-ring bound otherwise
-        return rational_valuation(self.group.p_order, self.group.p)
 
 
 # ---------------------------------------------------------------------------

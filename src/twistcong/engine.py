@@ -267,7 +267,9 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
     overrides = {"route": route, "p_power_required": n_override, "den_bound": den_bound}
     ds = replace(ds, options=replace(ds.options, **{
         key: value for key, value in overrides.items() if value is not None}))
-    n_required = ds.required_p_power()
+    # v_p(|P|): the exponent n of a cyclic P, the group-ring bound otherwise
+    bound = rational_valuation(ds.group.p_order, ds.group.p)
+    n_required = ds.options.p_power_required or bound
 
     result = VerificationResult(
         dataset_label=ds.label,
@@ -281,7 +283,6 @@ def verify(ds: Dataset, route: str | None = None, n_override: int | None = None,
         result.notes.extend(f"hypothesis ({h.key}) fails: {h.description}"
                             for h in failed_hyps)
         return result
-    bound = rational_valuation(ds.group.p_order, ds.group.p)
     if not ds.group.is_cyclic() and n_required == bound:
         result.notes.append(
             f"non-cyclic p-part: testing modulus p^{n_required} from the group-ring bound")

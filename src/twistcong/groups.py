@@ -64,18 +64,6 @@ class GroupElement:
             return self  # reflections are involutions
         return GroupElement(self.group, tuple(-r for r in self.rot), 0)
 
-    def __pow__(self, k: int) -> "GroupElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        acc = self.group.identity
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     def __eq__(self, other):
         return (isinstance(other, GroupElement) and self.group is other.group
                 and self.rot == other.rot and self.flip == other.flip)

@@ -30,6 +30,14 @@ class LocalDataError(ValueError):
     """Inconsistent inertia/Frobenius data at a place."""
 
 
+def _brief(n: int) -> str:
+    """n in full up to 40 digits; a longer n as its leading digits and its
+    length, so that a message stays one readable line."""
+    text = str(n)
+    digits = len(text) - (n < 0)
+    return text if digits <= 40 else f"{text[:20 + (n < 0)]}... ({digits} digits)"
+
+
 @dataclass(frozen=True)
 class LocalPlace:
     """Ramification data at a finite place of the base field.
@@ -50,9 +58,11 @@ class LocalPlace:
 
     def __post_init__(self):
         if prime_power_base(self.q) is None:
-            raise LocalDataError(f"residue size {self.q} is not a power of a prime below 2^78")
+            raise LocalDataError(
+                f"residue size {_brief(self.q)} is not a power of a prime below 2^78")
         if self.a * self.a > 4 * self.q:
-            raise LocalDataError(f"trace {self.a} violates the Hasse bound for q = {self.q}")
+            raise LocalDataError(
+                f"trace {_brief(self.a)} violates the Hasse bound for q = {_brief(self.q)}")
 
 
 def frobenius_eigenvalues(char: Character, place: LocalPlace

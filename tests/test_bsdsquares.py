@@ -6,21 +6,16 @@ from fractions import Fraction
 import pytest
 from test_dataset import bundled_doc
 
-import twistcong.bsdsquares as bsdsquares
 from twistcong.bsdsquares import (
-    NeronRow, S3Instance, TamagawaRow, _detruncated_leading, _smallest_block_with,
-    bsd_quotient, character_bsd_quotients,
-    field_leading_term, field_regulator, mod_square_equivalent,
-    neron_quotient_check, plant_violation, random_s3_instance,
-    regulator_normalization, s3_consistency, sha_prediction, sha_predictions,
-    tamagawa_congruence,
+    NeronRow, S3Instance, TamagawaRow, bsd_quotient, field_leading_term, field_regulator,
+    mod_square_equivalent, neron_quotient_check, plant_violation, random_s3_instance,
+    s3_consistency, sha_prediction, sha_predictions, tamagawa_congruence,
 )
 from twistcong.dataset import DatasetError, load_bundled_dataset, parse_dataset
-from twistcong.engine import recognize_characters
-from twistcong.exact import SQRT_DIGITS, CyclotomicNumber, recognize_orbit, sqrt_rational_approx
-from twistcong.groups import character_orbits, orbit_units
-from twistcong.heights import character_heights, omega_factor
-from twistcong.localfactors import discriminant_factor
+from twistcong.exact import DecimalWithError
+from twistcong.groups import Character
+from twistcong.heights import character_heights, field_period, omega_factor
+from twistcong.localfactors import discriminant_factor, global_correction
 
 
 def test_mod_square_equivalent():
@@ -140,140 +135,93 @@ def test_bsd_quotients_are_recognizable():
 
 
 # ---------------------------------------------------------------------------
-# per-character quotients with regulator normalization
+# field blocks against the per-character factors
 # ---------------------------------------------------------------------------
 
-def test_regulator_normalization_values():
+def test_field_regulator_ratios():
+    # the regulator of each layer over the base field's
     ds = load_bundled_dataset("21a1-quintic-19")
-    assert regulator_normalization(ds, "triv").value == 1
-    assert regulator_normalization(ds, "eps").value == Fraction(13, 4)
-    assert regulator_normalization(ds, "ind:1").value == Fraction(99, 64)
-    assert regulator_normalization(ds, "ind:2").value == Fraction(99, 64)
-
-
-def test_regulator_normalization_is_a_ratio():
+    base = field_regulator(ds, ds.bsd["k"])
+    assert (field_regulator(ds, ds.bsd["K"]) / base).value == Fraction(13, 4)
+    assert (field_regulator(ds, ds.bsd["L"]) / base).value == Fraction(99, 64)
     # the septic blocks both compute their regulators from the same height
     # translates; the quadratic one comes out exactly twice the base one
-    ds = load_bundled_dataset("37a1-septic-577")
-    r = regulator_normalization(ds, "eps")
-    assert r.value == 2
+    ds7 = load_bundled_dataset("37a1-septic-577")
+    assert (field_regulator(ds7, ds7.bsd["K"]) / field_regulator(ds7, ds7.bsd["k"])).value == 2
 
 
-def test_regulator_normalization_needs_blocks():
-    ds = load_bundled_dataset("37a1-septic-577")
-    with pytest.raises(DatasetError, match="no field block carries"):
-        regulator_normalization(ds, "ind:1")
-    doc = bundled_doc("37a1-septic-577")
-    doc["bsd"].pop("k")
-    with pytest.raises(DatasetError, match="base-field block"):
-        regulator_normalization(parse_dataset(doc), "eps")
-
-
-def test_character_quotients_septic():
-    # only base and quadratic blocks are bundled, so the vector restricts to
-    # the two degree-one characters
-    ds = load_bundled_dataset("37a1-septic-577")
-    q = character_bsd_quotients(ds)
-    assert q == {"triv": CyclotomicNumber.rational(2),
-                 "eps": CyclotomicNumber.rational(2)}
-    # with a real quadratic layer the two quotients multiply to the
-    # quadratic block's field-level quotient
-    prod = (q["triv"] * q["eps"]).rational_part()
-    assert bsd_quotient(ds, ds.bsd["K"]).contains(prod)
-
-
-def test_character_quotients_quintic():
+def test_induced_heights_multiply_to_a_rational():
     ds = load_bundled_dataset("21a1-quintic-19")
-    q = character_bsd_quotients(ds)
-    assert q["triv"] == CyclotomicNumber.rational(Fraction(1, 4))
-    assert q["eps"] == CyclotomicNumber.rational(1)
-    assert q["ind:1"] + q["ind:2"] == CyclotomicNumber.rational(Fraction(3328, 33))
-    assert q["ind:1"] * q["ind:2"] == CyclotomicNumber.rational(Fraction(65536, 99))
-    # imaginary quadratic layer: the degree-one product picks up the
-    # component count of the real place that becomes complex
-    prod = (q["triv"] * q["eps"]).rational_part()
-    layer = bsd_quotient(ds, ds.bsd["K"]) * ds.curve.c_infinity
-    assert layer.contains(prod)
+    heights = character_heights(ds.group, ds.heights.translates)
+    assert (heights["ind:1"] * heights["ind:2"]).contains(Fraction(99, 16))
 
 
-def test_character_quotients_with_trivial_regulators():
-    # forcing all explicit regulators to 1 reduces the vector to
-    # sqrt(d) * L / Omega, which lands on clean rationals here
-    doc = bundled_doc("21a1-quintic-19")
-    doc["bsd"]["K"]["regulator"] = {"value": "1", "abs_error": "0"}
-    doc["bsd"]["L"]["regulator"] = {"value": "1", "abs_error": "0"}
-    q = character_bsd_quotients(parse_dataset(doc))
-    assert q["triv"] == CyclotomicNumber.rational(Fraction(1, 4))
-    assert q["eps"] == CyclotomicNumber.rational(Fraction(13, 4))
-    assert q["ind:1"] + q["ind:2"] == CyclotomicNumber.rational(156)
-    assert q["ind:1"] * q["ind:2"] == CyclotomicNumber.rational(1584)
+def detruncated(ds, label):
+    """L_psi with the local factor at S_r divided out when it is truncated."""
+    ca = ds.analytic.characters[label]
+    if not ca.truncated:
+        return ca.leading_term
+    places = [ds.places[s] for s in ds.tower.S_r]
+    return ca.leading_term / global_correction(Character.from_label(ds.group, label), places).t
 
 
-def direct_bsd_quotients(ds):
-    """The per-character loop: sqrt(d_psi) and Omega_psi computed afresh for
-    every character. Returns the assembled intervals and the recognized
-    values, by label."""
-    intervals, values = {}, {}
-    for orbit, units in zip(character_orbits(ds.group), orbit_units(ds.group)):
-        if orbit[0].label != "triv" and _smallest_block_with(ds, orbit[0].label) is None:
-            continue
-        reg = regulator_normalization(ds, orbit[0].label)
-        numerics = []
-        for c in orbit:
-            d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs,
-                                    ds.tower.conductor_norms.get(c.label, 1))
-            sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
-            omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus,
-                                 ds.tower.K_real)
-            numerics.append(sqrt_d * _detruncated_leading(ds, c.label) / (omega * reg))
-        orb = recognize_orbit(numerics, ds.group.exponent, units, ds.options.den_bound)
-        for c, x, value in zip(orbit, numerics, orb.values):
-            intervals[c.label], values[c.label] = x, value
-    return intervals, values
+def block_factors(ds, fb, disc=discriminant_factor, period=omega_factor):
+    """(prod d_psi^m, prod Omega_psi^m, prod L_psi^m) over the characters
+    psi with multiplicity m in the L-series factorization of the block."""
+    d, omega, lead = 1, DecimalWithError.exact(1), DecimalWithError.exact(1)
+    for label, mult in fb.leading_characters.items():
+        char = Character.from_label(ds.group, label)
+        d_psi = disc(char, ds.tower.d_k_abs, ds.tower.d_K_abs,
+                     ds.tower.conductor_norms.get(label, 1))
+        omega_psi = period(char, ds.analytic.omega_plus, ds.analytic.omega_minus,
+                           ds.tower.K_real)
+        lead_psi = detruncated(ds, label)
+        for _ in range(mult):
+            d, omega, lead = d * d_psi, omega * omega_psi, lead * lead_psi
+    return d, omega, lead
+
+
+def block_identity_failures(ds, **factors):
+    """The field blocks whose discriminant, period or leading term is not
+    the product of its characters' factors, the period up to the component
+    count c_inf of each complex place. A block with leading_overrides
+    replaces some L_psi on purpose, so its leading term is not compared."""
+    failures = []
+    for name, fb in ds.bsd.items():
+        d, omega, lead = block_factors(ds, fb, **factors)
+        period = field_period(fb.signature, ds.analytic.omega_plus, ds.analytic.omega_minus,
+                              ds.curve.c_infinity)
+        if d != fb.d_abs:
+            failures.append(f"{name}: discriminant")
+        if not (period - omega * ds.curve.c_infinity ** fb.signature[1]).contains(0):
+            failures.append(f"{name}: period")
+        if not fb.leading_overrides and not field_leading_term(ds, fb).overlaps(lead):
+            failures.append(f"{name}: leading term")
+    return failures
 
 
 @pytest.mark.parametrize("name", ["21a1-quintic-19", "37a1-septic-577"])
-def test_character_quotients_match_the_per_character_loop(name, monkeypatch):
-    # the shared per-orbit assembly gives Fraction-identical intervals
-    ds = load_bundled_dataset(name)
-    want_intervals, want_values = direct_bsd_quotients(ds)
-    seen = []
-
-    def recording(xs, *args):
-        seen.extend(xs)
-        return recognize_orbit(xs, *args)
-
-    monkeypatch.setattr(bsdsquares, "recognize_orbit", recording)
-    got = character_bsd_quotients(ds)
-    assert got == want_values and list(got) == list(want_values)
-    for x, want in zip(seen, want_intervals.values(), strict=True):
-        assert (x.value, x.abs_error) == (want.value, want.abs_error)
+def test_field_blocks_are_products_of_their_characters(name):
+    # the Artin formalism that ties the field-level quotients of the Sha
+    # predictions to the per-character factors that verify divides out
+    assert block_identity_failures(load_bundled_dataset(name)) == []
 
 
-def test_character_quotients_restrict_to_available_blocks():
-    doc = bundled_doc("37a1-septic-577")
-    doc["bsd"].pop("K")
-    q = character_bsd_quotients(parse_dataset(doc))
-    assert set(q) == {"triv"}
-
-
-def test_height_and_regulator_normalizations_agree_mod_squares():
-    # the same leading terms normalized by the equivariant height pairing
-    # and by field regulators differ only by rational squares and the
-    # component-count factor 2; frozen for both bundled datasets
+def test_field_block_identity_catches_a_wrong_factor():
     ds = load_bundled_dataset("21a1-quintic-19")
-    heights = character_heights(ds.group, ds.heights.translates)
-    h1, h2 = heights["ind:1"], heights["ind:2"]
-    assert (h1 * h2).contains(Fraction(99, 16))
-    assert mod_square_equivalent(Fraction(99, 16),
-                                 regulator_normalization(ds, "ind:1").value)
 
-    ds7 = load_bundled_dataset("37a1-septic-577")
-    q7 = character_bsd_quotients(ds7)
-    rec = recognize_characters(ds7)
-    for label, ratio in (("triv", Fraction(2)), ("eps", Fraction(1, 2))):
-        assert q7[label] == ratio * rec[label].recognized
-        assert mod_square_equivalent(ratio, Fraction(2))
+    def plus_for_minus(char, omega_plus, omega_minus, K_real):
+        return omega_factor(char, omega_plus, omega_plus, K_real)
+
+    def no_conductor(char, d_k_abs, d_K_abs, conductor_norm=1):
+        return discriminant_factor(char, d_k_abs, d_K_abs)
+
+    # every block above the base has a complex place, where Omega- enters;
+    # the induced characters' conductors enter only the blocks that carry them
+    assert sorted(block_identity_failures(ds, period=plus_for_minus)) == [
+        "F: period", "K: period", "L: period"]
+    assert sorted(block_identity_failures(ds, disc=no_conductor)) == [
+        "F: discriminant", "L: discriminant"]
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,20 @@ def test_bsd_squares_undetermined_prediction_structured(tmp_path, capsys):
     assert err == f"twistcong: inconclusive: {report['inconclusive']}\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("edit", [lambda doc: doc.pop("bsd"), lambda doc: doc.update(bsd={})],
+                         ids=["dropped", "empty"])
+def test_bsd_squares_without_field_blocks_is_a_data_error(tmp_path, capsys, edit, fmt):
+    # printed the dataset line alone, or no predictions, and exited 0
+    doc = bundled_doc("37a1-septic-577")
+    edit(doc)
+    source = tmp_path / "no-bsd.json"
+    source.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bsd-squares", "--dataset", str(source), "--format", fmt)
+    assert code == 3 and out == ""
+    assert err == "twistcong: bsd: no field blocks to predict\n"
+
+
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_bsd_squares_empty_screen_is_a_usage_error(capsys, count):
     with pytest.raises(SystemExit) as e:

@@ -63,9 +63,8 @@ def test_vanishing_orders_and_power():
     ds = load_bundled_dataset("37a1-septic-577")
     assert ds.curve.vanishing_orders(ds.group) == {
         "triv": 1, "eps": 0, "ind:1": 1, "ind:2": 1, "ind:3": 1}
-    assert ds.required_p_power() == 1
-    ds.options.p_power_required = 3
-    assert ds.required_p_power() == 3
+    assert verify(ds).n_required == 1
+    assert verify(ds, n_override=3).n_required == 3
 
 
 def test_hypotheses_all_hold_on_bundled():
@@ -167,8 +166,34 @@ def test_residue_size_must_be_a_prime_power(q, ok):
     with pytest.raises(DatasetError) as excinfo:
         parse_dataset(doc)
     assert time.perf_counter() - start < 1.0
+    # a number of more than 40 digits prints as its leading digits and its length
+    shown = str(q) if q < 10 ** 40 else "70000000000000000000... (4000 digits)"
     assert str(excinfo.value) == (
-        f"places.577: residue size {q} is not a power of a prime below 2^78")
+        f"places.577: residue size {shown} is not a power of a prime below 2^78")
+    assert len(str(excinfo.value)) < 200
+
+
+@pytest.mark.parametrize("q, a, shown", [
+    (577, 49, "trace 49 violates the Hasse bound for q = 577"),
+    (3 ** 83, 2 * 3 ** 42,
+     "trace 218837978263024718418 violates the Hasse bound for "
+     "q = 3990838394187339929534246675572349035227"),
+    (3 ** 84, 2 * 3 ** 42 + 1,
+     "trace 218837978263024718419 violates the Hasse bound for "
+     "q = 11972515182562019788... (41 digits)"),
+    (3 ** 8000, 2 * 3 ** 4000 + 1,
+     "trace 61101078251970178950... (1909 digits) violates the Hasse bound for "
+     "q = 93333544088834579475... (3817 digits)")],
+    ids=["577", "3^83", "3^84", "3^8000"])
+def test_hasse_bound_message_stays_short(q, a, shown):
+    # with q = 3^8000 the message printed both numbers whole, 7858 characters
+    doc = bundled_doc("37a1-septic-577")
+    del doc["places"]["577"]["pinned"]
+    doc["places"]["577"].update(q=q, a=a)
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == f"places.577: {shown}"
+    assert len(str(excinfo.value)) < 200
 
 
 def test_pinned_corrections_kept():

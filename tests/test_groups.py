@@ -54,8 +54,6 @@ def test_element_algebra():
     assert t * t == G7.identity
     assert (s * t) * (s * t) == G7.identity       # reflections are involutions
     assert t * s == s.inverse() * t
-    assert s ** 7 == G7.identity
-    assert (s ** 3).inverse() == s ** 4
 
 
 def test_format_parse_roundtrip():
