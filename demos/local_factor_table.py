@@ -10,13 +10,11 @@ and the whole table is a function of the residue size q and the trace a.
 """
 from fractions import Fraction
 
-from twistcong.groups import Character, DihedralGroup
-from twistcong.localfactors import (
-    local_correction, parse_local_place, quadratic_point_count,
-)
+from twistcong.groups import DihedralGroup
+from twistcong.localfactors import parse_local_place, quadratic_point_count
 
 s3 = DihedralGroup(3, [3])
-chars = [Character.from_label(s3, lbl) for lbl in ("triv", "eps", "ind:1")]
+LABELS = ("triv", "eps", "ind:1")
 
 SHAPES = [
     ("reflection inertia, trivial Frobenius  (e=2, f=1)", ["t"], "1"),
@@ -29,11 +27,12 @@ def show(q, a):
     n = q + 1 - a
     print(f"q = {q}, a = {a}   (point count N = {n}, N/q = {Fraction(n, q)})")
     for title, inertia, frob in SHAPES:
+        # the place carries the pair of every character, computed when it is built
         place = parse_local_place(s3, q, a, inertia, frob)
         cells = []
-        for ch in chars:
-            corr = local_correction(ch, place)
-            cells.append(f"{ch.label}: ({corr.u.rational_part()}, {corr.t})")
+        for label in LABELS:
+            corr = place.corrections[label]
+            cells.append(f"{label}: ({corr.u.rational_part()}, {corr.t})")
         print(f"  {title}:  " + "   ".join(cells))
     print()
 
@@ -59,6 +58,5 @@ print()
 # carries Frobenius eigenvalue -1 an odd number of times; over a full tower
 # the per-place u's multiply into the global sign of the functional equation
 place = parse_local_place(s3, 19, 4, ["s1"], "t")
-for ch in chars:
-    corr = local_correction(ch, place)
-    print(f"u({ch.label}) = {corr.u.rational_part()}")
+for label in LABELS:
+    print(f"u({label}) = {place.corrections[label].u.rational_part()}")

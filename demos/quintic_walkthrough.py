@@ -55,5 +55,8 @@ print("predicted Tate-Shafarevich orders:")
 for name, sha in sorted(sha_predictions(ds).items()):
     print(f"  field {name}: {sha}")
 print()
-print("note the non-square order over the top field: only the product over")
-print("the tower is constrained to be a square, not each factor on its own")
+# the Cassels-Tate pairing on Sha of an elliptic curve is alternating, so a
+# finite Sha has square order (Cassels, J. reine angew. Math. 211, 1962)
+print("note the non-square order over the top field: a finite Tate-Shafarevich")
+print("group of an elliptic curve has square order, so Sha(F) = 32 flags the")
+print("dataset's F block as inconsistent")

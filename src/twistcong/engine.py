@@ -45,7 +45,7 @@ from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
 from .groups import (Character, DihedralGroup, GroupElement, NotEquivariantError,
                      character_orbits, character_sums, first_equivariance_failure,
                      irreducible_characters, orbit_units, res_map, zp_P_membership)
-from .heights import HeightDataError, character_heights, omega_factor
+from .heights import character_heights, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
 
 
@@ -108,11 +108,10 @@ def height_norm(ds: Dataset, label: str,
                 heights: Mapping[str, DecimalWithError] | None) -> DecimalWithError:
     """H_psi: 1 at the character carrying the Mordell-Weil rank (curve.rho_label():
     "triv" for rank 0 and "eps" for rank 1 over the base), and h_psi from the
-    table of heights.character_heights otherwise."""
+    table of heights.character_heights otherwise. Once hypothesis (h) holds,
+    every other character vanishes, and parse_dataset then requires translates."""
     if label == ds.curve.rho_label():
         return DecimalWithError.exact(1)
-    if heights is None:
-        raise HeightDataError("height translates required for this character")
     return heights[label]
 
 

@@ -149,6 +149,14 @@ def prime_power_base(n: int) -> int | None:
     return None
 
 
+def brief(n: int) -> str:
+    """n in full up to 40 digits; a longer n as its leading digits and its
+    length, so that a message stays one readable line."""
+    text = str(n)
+    digits = len(text) - (n < 0)
+    return text if digits <= 40 else f"{text[:20 + (n < 0)]}... ({digits} digits)"
+
+
 # ---------------------------------------------------------------------------
 # the field Q(zeta_m)
 # ---------------------------------------------------------------------------

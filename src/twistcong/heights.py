@@ -32,23 +32,6 @@ from .exact import DecimalWithError, IntervalError, common_denominator, cyclotom
 from .groups import Character, DihedralGroup, GroupElement, irreducible_characters
 
 
-class HeightDataError(ValueError):
-    """Missing or inconsistent translate data."""
-
-
-def validate_translates(group: DihedralGroup,
-                        translates: Mapping[GroupElement, DecimalWithError]) -> None:
-    """t(g) must agree with t(g^-1) within the stated error bounds (the
-    pairing is symmetric): once per pair of rotations, at its first member; a
-    reflection is its own inverse. The translates cover the group:
-    `parse_dataset` names every missing element."""
-    for g in group.p_elements():
-        inverse = g.inverse()
-        if g.rot < inverse.rot and not translates[g].overlaps(translates[inverse]):
-            raise HeightDataError(
-                f"translates at {group.format_element(g)} and its inverse disagree")
-
-
 def character_heights(group: DihedralGroup,
                       translates: Mapping[GroupElement, DecimalWithError]
                       ) -> dict[str, DecimalWithError]:
@@ -163,12 +146,11 @@ def regulator_from_translates(group: DihedralGroup,
     """Regulator of the span of the given Z[G]-combinations of the point,
     with the pairing rescaled from the top field: <,>_E = <,>_F / [F:E].
 
-    field_degree_over_base is [F:E]; the determinant of the r x r Gram matrix
-    is divided by it once per row. The interval determinant is homogeneous of
-    degree r, so this equals scaling every entry.
+    field_degree_over_base is [F:E], a positive integer since parse_dataset
+    holds each field degree to a divisor of |G|; the determinant of the r x r
+    Gram matrix is divided by it once per row. The interval determinant is
+    homogeneous of degree r, so this equals scaling every entry.
     """
-    if field_degree_over_base < 1:
-        raise HeightDataError("field degree ratio must be a positive integer")
     r = len(generators)
     gram = _interval_det([[pairing_of_combinations(group, translates, ga, gb)
                            for gb in generators] for ga in generators])
@@ -187,7 +169,8 @@ def omega_factor(char: Character, omega_plus: DecimalWithError,
     Counting fixed vectors of complex conjugation on V_psi: over a real
     quadratic K (totally real tower) the quadratic character keeps Omega+ and
     the induced ones square it; over an imaginary K the quadratic character
-    picks up Omega- and the induced ones Omega+ * Omega-.
+    picks up Omega- and the induced ones Omega+ * Omega-; parse_dataset
+    requires Omega- there.
     """
     if char.kind == "triv":
         return omega_plus
@@ -195,8 +178,6 @@ def omega_factor(char: Character, omega_plus: DecimalWithError,
         if char.kind == "eps":
             return omega_plus
         return omega_plus * omega_plus
-    if omega_minus is None:
-        raise HeightDataError("imaginary quadratic layer needs the minus period")
     if char.kind == "eps":
         return omega_minus
     return omega_plus * omega_minus
@@ -206,14 +187,12 @@ def field_period(signature: tuple[int, int], omega_plus: DecimalWithError,
                  omega_minus: DecimalWithError | None,
                  c_infinity: int) -> DecimalWithError:
     """Omega(A/E) for a field E with r1 real and r2 complex embeddings:
-    Omega+^r1 * (c_inf * Omega+ * Omega-)^r2."""
+    Omega+^r1 * (c_inf * Omega+ * Omega-)^r2; parse_dataset requires Omega-
+    when r2 > 0."""
     r1, r2 = signature
     acc = DecimalWithError.exact(1)
     for _ in range(r1):
         acc = acc * omega_plus
-    if r2:
-        if omega_minus is None:
-            raise HeightDataError("complex embeddings need the minus period")
-        for _ in range(r2):
-            acc = acc * (omega_plus * omega_minus * c_infinity)
+    for _ in range(r2):
+        acc = acc * (omega_plus * omega_minus * c_infinity)
     return acc

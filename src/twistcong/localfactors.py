@@ -14,15 +14,17 @@ and a rational factor
 products over those eigenvalues (empty products are 1). Here q_v is the
 residue size and a_v the trace of Frobenius of the curve at v. The
 eigenvalues are read exactly from the exponents of the P-character chi that
-psi is induced from.
+psi is induced from. parse_local_place computes the pair of every
+character once, when it builds the place; global_correction multiplies the
+stored pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .exact import CyclotomicNumber, ExactArithmeticError, prime_power_base
+from .exact import CyclotomicNumber, brief, prime_power_base
 from .groups import Character, DihedralGroup, GroupElement, GroupError
 
 
@@ -30,12 +32,13 @@ class LocalDataError(ValueError):
     """Inconsistent inertia/Frobenius data at a place."""
 
 
-def _brief(n: int) -> str:
-    """n in full up to 40 digits; a longer n as its leading digits and its
-    length, so that a message stays one readable line."""
-    text = str(n)
-    digits = len(text) - (n < 0)
-    return text if digits <= 40 else f"{text[:20 + (n < 0)]}... ({digits} digits)"
+@dataclass(frozen=True)
+class LocalCorrection:
+    """u is a root of unity (rational +-1 whenever the character is real-valued
+    at the relevant classes); t is rational."""
+
+    u: CyclotomicNumber
+    t: Fraction
 
 
 @dataclass(frozen=True)
@@ -46,23 +49,23 @@ class LocalPlace:
     a         -- Frobenius trace of the curve at the place (|a| <= 2*sqrt(q))
     inertia   -- generators of the inertia subgroup in G
     frobenius -- a Frobenius lift in G (well defined modulo inertia)
-    pinned    -- optional declared (character label, u, t) triples; a guard
-                 against mis-specified Galois data, checked at load time
+    corrections -- the pair (u, t) of every character, by label; filled by
+                   parse_local_place
     """
 
     q: int
     a: int
     inertia: tuple[GroupElement, ...]
     frobenius: GroupElement
-    pinned: tuple[tuple[str, Fraction, Fraction], ...] = ()
+    corrections: Mapping[str, LocalCorrection] = field(default_factory=dict)
 
     def __post_init__(self):
         if prime_power_base(self.q) is None:
             raise LocalDataError(
-                f"residue size {_brief(self.q)} is not a power of a prime below 2^78")
+                f"residue size {brief(self.q)} is not a power of a prime below 2^78")
         if self.a * self.a > 4 * self.q:
             raise LocalDataError(
-                f"trace {_brief(self.a)} violates the Hasse bound for q = {_brief(self.q)}")
+                f"trace {brief(self.a)} violates the Hasse bound for q = {brief(self.q)}")
 
 
 def frobenius_eigenvalues(char: Character, place: LocalPlace
@@ -106,15 +109,6 @@ def frobenius_eigenvalues(char: Character, place: LocalPlace
     return [CyclotomicNumber.zeta_power(group.exponent, 0)]
 
 
-@dataclass(frozen=True)
-class LocalCorrection:
-    """u is a root of unity (rational +-1 whenever the character is real-valued
-    at the relevant classes); t is rational."""
-
-    u: CyclotomicNumber
-    t: Fraction
-
-
 def local_correction(char: Character, place: LocalPlace) -> LocalCorrection:
     """The factors u_v(psi), t_v(psi) at one place."""
     eigs = frobenius_eigenvalues(char, place)
@@ -126,16 +120,16 @@ def local_correction(char: Character, place: LocalPlace) -> LocalCorrection:
         u = u * (-lam_inv)
         t = t * (1 + (-place.a * qinv) * lam_inv + qinv * (lam_inv * lam_inv))
     if not t.is_rational():
-        raise ExactArithmeticError("local t-factor failed to be rational")
+        raise LocalDataError(f"local t-factor of {char.label} failed to be rational")
     return LocalCorrection(u=u, t=t.rational_part())
 
 
 def global_correction(char: Character, places: Sequence[LocalPlace]) -> LocalCorrection:
-    """Product of the local corrections over the given (ramified) places."""
+    """Product of the stored local corrections over the given (ramified) places."""
     u = CyclotomicNumber.rational(1)
     t = Fraction(1)
     for place in places:
-        loc = local_correction(char, place)
+        loc = place.corrections[char.label]
         u = u * loc.u
         t = t * loc.t
     return LocalCorrection(u=u, t=t)
@@ -147,11 +141,8 @@ def global_correction(char: Character, places: Sequence[LocalPlace]) -> LocalCor
 
 def quadratic_point_count(n_v: int, q_v: int) -> int:
     """Point count over the quadratic extension of the residue field:
-    N_w = N_v * (2*q_v + 2 - N_v)."""
-    a = q_v + 1 - n_v
-    if a * a > 4 * q_v:
-        raise LocalDataError(
-            f"point count {n_v} violates the Hasse bound for q = {q_v}")
+    N_w = N_v * (2*q_v + 2 - N_v). LocalPlace holds q_v + 1 - N_v to the
+    Hasse bound."""
     return n_v * (2 * q_v + 2 - n_v)
 
 
@@ -159,15 +150,12 @@ def discriminant_factor(char: Character, d_k_abs: int, d_K_abs: int,
                         conductor_norm: int = 1) -> int:
     """The positive integer under the square root in the normalized leading
     term: |d_k| for the trivial character, the relative discriminant norm
-    |d_K|/|d_k|^2 for the quadratic one, |d_K| * Nf(chi) for an induced one."""
+    |d_K|/|d_k|^2 for the quadratic one (parse_dataset checks that it is an
+    integer), |d_K| * Nf(chi) for an induced one."""
     if char.kind == "triv":
         return d_k_abs
     if char.kind == "eps":
-        rel, rem = divmod(d_K_abs, d_k_abs * d_k_abs)
-        if rem:
-            raise LocalDataError(
-                f"|d_K| = {d_K_abs} is not divisible by |d_k|^2 = {d_k_abs ** 2}")
-        return rel
+        return d_K_abs // (d_k_abs * d_k_abs)
     return d_K_abs * conductor_norm
 
 
@@ -175,9 +163,11 @@ def parse_local_place(group: DihedralGroup, q: int, a: int,
                       inertia: Sequence[str], frobenius: str,
                       pinned: Sequence[tuple[str, Fraction, Fraction]] = ()
                       ) -> LocalPlace:
-    """Build a LocalPlace from serialized group elements and (label, u, t)
-    pins, with sanity checks: inertia generators nontrivial, Frobenius
-    normalizes the inertia subgroup."""
+    """Build a LocalPlace from serialized group elements, with sanity checks:
+    inertia generators nontrivial, Frobenius normalizes the inertia subgroup,
+    every character's (u, t) exists, and each declared (label, u, t) pin
+    matches it. Each pinned label names a character of group (parse_dataset
+    checks it)."""
     try:
         gens = tuple(group.parse_element(s) for s in inertia)
         frob = group.parse_element(frobenius)
@@ -201,18 +191,14 @@ def parse_local_place(group: DihedralGroup, q: int, a: int,
     # Frobenius normalizes <gens> iff it conjugates each spanning generator into it
     if any(frob * g * frob.inverse() not in subgroup for g in spanning):
         raise LocalDataError("Frobenius does not normalize the inertia subgroup")
-    return LocalPlace(q=q, a=a, inertia=gens, frobenius=frob, pinned=tuple(pinned))
-
-
-def check_pinned_corrections(group: DihedralGroup, place: LocalPlace) -> None:
-    """Compare declared (u, t) pins with the values computed from the Galois
-    data; any mismatch is a hard data error. Each pinned label names a
-    character of group (parse_dataset checks it)."""
-    for label, pu, pt in place.pinned:
-        char = Character.from_label(group, label)
-        corr = local_correction(char, place)
+    place = LocalPlace(q=q, a=a, inertia=gens, frobenius=frob)
+    table = {label: local_correction(char, place)
+             for label, char in group.character_table.by_label.items()}
+    for label, pu, pt in pinned:
+        corr = table[label]
         if corr.u != CyclotomicNumber.rational(pu) or corr.t != pt:
             got_u = corr.u.rational_part() if corr.u.is_rational() else corr.u
             raise LocalDataError(
                 f"pinned correction for {label} declares (u, t) = ({pu}, {pt}) "
                 f"but the Galois data gives ({got_u}, {corr.t})")
+    return replace(place, corrections=table)

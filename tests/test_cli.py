@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_dataset import bundled_doc
+from test_dataset import bundled_doc, z25_doc
 
 from twistcong.cli import main
 from twistcong.report import REPORT_VERSION
@@ -53,6 +53,16 @@ def test_verify_d_k_squared_not_dividing_d_K_is_a_data_error(tmp_path, capsys, n
     code, _, err = run(capsys, "verify", "--dataset", str(path))
     assert code == 3
     assert "tower.d_K_abs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "bsd-squares"])
+def test_irrational_t_factor_is_a_data_error_at_its_place(tmp_path, capsys, command):
+    # verify once exited 3 with "local t-factor failed to be rational" and no path
+    path = tmp_path / "z25.json"
+    path.write_text(json.dumps(z25_doc()))
+    code, out, err = run(capsys, command, "--dataset", str(path))
+    assert code == 3 and out == ""
+    assert err == "twistcong: places.11: local t-factor of ind:5 failed to be rational\n"
 
 
 @pytest.mark.parametrize("data", [

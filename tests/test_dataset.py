@@ -1,11 +1,13 @@
 """Dataset schema: parsing, validation, hypotheses."""
 import decimal
+import importlib.util
 import json
 import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +21,26 @@ from twistcong.report import structured_report
 
 
 QUINTIC, SEPTIC = "21a1-quintic-19", "37a1-septic-577"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def bundled_doc(name):
     text = (resources.files("twistcong") / "datasets" / f"{name}.json").read_text()
     return json.loads(text)
+
+
+def gen_module():
+    """perfbench/gen.py, the generator of the seeded benchmark inputs."""
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def benchmark_doc(workload, seed, name):
+    """The dataset document of one seeded benchmark input."""
+    return next(i["doc"] for i in gen_module().make_inputs(workload, seed, ROOT / "src")
+                if i["name"] == name)
 
 
 def test_bundled_names():
@@ -197,18 +214,45 @@ def test_hasse_bound_message_stays_short(q, a, shown):
 
 
 def test_pinned_corrections_kept():
+    # the place keeps the (u, t) of every character, the pinned ones included
     ds = load_bundled_dataset("37a1-septic-577")
-    pins = dict((label, (u, t)) for label, u, t in ds.places["577"].pinned)
-    assert pins["triv"] == (Fraction(-1), Fraction(578, 577))
-    assert pins["eps"] == (Fraction(1), Fraction(1))
-    assert pins["ind:1"] == (Fraction(-1), Fraction(578, 577))
+    table = {label: (corr.u.rational_part(), corr.t)
+             for label, corr in ds.places["577"].corrections.items()}
+    assert table["triv"] == (Fraction(-1), Fraction(578, 577))
+    assert table["eps"] == (Fraction(1), Fraction(1))
+    assert table["ind:1"] == (Fraction(-1), Fraction(578, 577))
+    assert set(table) == set(ds.group.character_table.by_label)
 
 
 def test_reject_wrong_pin():
     doc = bundled_doc("37a1-septic-577")
     doc["places"]["577"]["pinned"]["eps"]["t"] = "2"
-    with pytest.raises(DatasetError, match="pinned"):
+    with pytest.raises(DatasetError, match="pinned") as excinfo:
         parse_dataset(doc)
+    assert excinfo.value.path == "places.577"
+    assert str(excinfo.value) == (
+        "places.577: pinned correction for eps declares (u, t) = (1, 2) "
+        "but the Galois data gives (1, 1)")
+
+
+def z25_doc():
+    """A Z/25 benchmark tower with one ramified place 11 whose inertia is the
+    subgroup of order 5 and whose Frobenius is the generator s1: a character
+    of order 5 keeps both eigenvalues chi(s1), chi-bar(s1), and its t-factor
+    lies in the real subfield of Q(zeta_5) but not in Q."""
+    doc = benchmark_doc("towers-gz", 1, "gz-25")
+    doc["tower"]["S_r"] = ["11"]
+    doc["places"] = {"11": {"q": 11, "a": 0, "inertia": ["s1^5"], "frobenius": "s1"}}
+    return doc
+
+
+def test_irrational_t_factor_is_a_data_error_at_its_place():
+    # the parse once accepted this place, and verify then ended with an
+    # ExactArithmeticError that named no field
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(z25_doc())
+    assert excinfo.value.path == "places.11"
+    assert str(excinfo.value) == "places.11: local t-factor of ind:5 failed to be rational"
 
 
 def test_reject_pin_for_unknown_character():
@@ -603,6 +647,18 @@ def test_reject_large_prime_quickly(p, factors):
     assert time.perf_counter() - start < 0.5
     assert excinfo.value.path == "group.p"
     assert len(str(excinfo.value)) < 100
+
+
+def test_oversized_group_message_stays_short():
+    # |P| = 7^4000 was printed in full, a message of 3436 characters
+    doc = bundled_doc("37a1-septic-577")
+    doc["group"]["cyclic_factors"] = [7 ** 4000]
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == (
+        f"group.cyclic_factors: |P| = {str(7 ** 4000)[:20]}... (3381 digits) "
+        "exceeds the supported 1000")
+    assert len(str(excinfo.value)) < 200
 
 
 def test_group_within_the_size_cap_is_parsed_further():

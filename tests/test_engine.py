@@ -1,12 +1,10 @@
 """End-to-end verification on the bundled datasets, all routes and verdicts."""
 import copy
-import importlib.util
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from test_dataset import bundled_doc
+from test_dataset import ROOT, benchmark_doc, bundled_doc, gen_module
 
 import twistcong.engine as engine
 from twistcong.bsdsquares import field_regulator
@@ -19,26 +17,11 @@ from twistcong.exact import (
     CyclotomicNumber, DecimalWithError, real_embedding, sqrt_rational_approx,
 )
 from twistcong.heights import character_heights
-from twistcong.localfactors import LocalPlace, check_pinned_corrections
+from twistcong.localfactors import LocalPlace, parse_local_place
 from twistcong.report import render, structured_report
 
 SEPTIC = "37a1-septic-577"
 QUINTIC = "21a1-quintic-19"
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def gen_module():
-    """perfbench/gen.py, the generator of the seeded benchmark inputs."""
-    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
-def benchmark_doc(workload, seed, name):
-    """The dataset document of one seeded benchmark input."""
-    return next(i["doc"] for i in gen_module().make_inputs(workload, seed, ROOT / "src")
-                if i["name"] == name)
 
 
 def lines_by_element(result):
@@ -442,9 +425,15 @@ def test_relabel_preserves_verdict(name, units):
         r = verify(moved)
         assert r.verdict == base.verdict == "PASS"
         assert s_multiset(r) == s_multiset(base)
-        # pinned local factors moved consistently with the generators
-        for pl in moved.places.values():
-            check_pinned_corrections(moved.group, pl)
+        # each place's (u, t) table moved with the labels, and it is the table
+        # that the moved Galois data give
+        fmt = moved.group.format_element
+        for label, pl in moved.places.items():
+            assert pl.corrections == {ds.group.galois_label(lbl, a): corr
+                                      for lbl, corr in ds.places[label].corrections.items()}
+            rebuilt = parse_local_place(moved.group, pl.q, pl.a, [fmt(g) for g in pl.inertia],
+                                        fmt(pl.frobenius))
+            assert rebuilt.corrections == pl.corrections
     assert ds.group.format_element(ds.group.generator(0)) == "s1"
 
 
@@ -481,8 +470,8 @@ def hand_relabel(ds, a):
     new.places = {
         label: LocalPlace(q=pl.q, a=pl.a, inertia=tuple(move(g) for g in pl.inertia),
                           frobenius=move(pl.frobenius),
-                          pinned=tuple((group.galois_label(lbl, a), u, t)
-                                       for lbl, u, t in pl.pinned))
+                          corrections={group.galois_label(lbl, a): corr
+                                       for lbl, corr in pl.corrections.items()})
         for label, pl in ds.places.items()}
     new.analytic.characters = {group.galois_label(lbl, a): ca
                                for lbl, ca in ds.analytic.characters.items()}

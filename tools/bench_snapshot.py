@@ -15,8 +15,13 @@ its `src`, so one command measures any checkout, this one or an older one:
 - `python -m twistcong.cli verify --dataset ... --format structured` on each
   workload's CLI input (the one `gen.cli_input_name` names, at seed 1, the
   default of `perfbench/run.py`), CLI_RUNS fresh processes under
-  `-X importtime`: the median wall time, each exit code, and whether each
-  run imported mpmath;
+  `-X importtime`: the quartiles of the wall time (the median also alone),
+  each exit code, and whether each run imported mpmath;
+- the bytecode state the processes saw: `PYTHONDONTWRITEBYTECODE`, and
+  whether `src/twistcong/__pycache__` existed when the snapshot started and
+  when the CLI runs started. A clean checkout compiles `src/` in every
+  process unless the cache exists, so two snapshots compare only in the
+  same state;
 - the tier-1 suite with its wall time, its counts and its five slowest tests.
 
 Compare two files only when both were written on the same host.
@@ -57,7 +62,7 @@ print(json.dumps({"parse_s": parsed - start, "verify_s": done - parsed,
                   "verdict": result.verdict}))
 """
 
-CLI_RUNS = 5
+CLI_RUNS = 11
 # the dataset argument of a workload's CLI run: a bundled name, or the seed-1
 # tower written to <name>.json in the directory sys.argv[2]
 CLI_INPUT_SCRIPT = """
@@ -115,6 +120,10 @@ def sweep(root: Path) -> list[dict]:
     return points
 
 
+def _pycache(root: Path) -> bool:
+    return (root / "src" / "twistcong" / "__pycache__").is_dir()
+
+
 def cli(root: Path) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as scratch:
@@ -132,8 +141,9 @@ def cli(root: Path) -> dict:
                 wall = time.perf_counter() - start
                 runs.append({"wall_s": wall, "exit_code": proc.returncode,
                              "mpmath": bool(MPMATH_IMPORT.search(proc.stderr))})
+            quartiles = statistics.quantiles([r["wall_s"] for r in runs], n=4)
             out[workload] = {"input": Path(dataset).stem, "runs": runs,
-                             "wall_s": statistics.median(r["wall_s"] for r in runs)}
+                             "wall_s": quartiles[1], "wall_quartiles_s": quartiles}
     return out
 
 
@@ -159,15 +169,17 @@ def main() -> int:
     # "-dirty" marks a working tree measured with changes not yet committed
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                             capture_output=True, text=True).stdout.strip()
+    bytecode = {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                "pycache_at_start": _pycache(root)}
     snapshot = {
         "commit": commit or None,
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "benchmark": benchmark(root),
         "gz_sweep": sweep(root),
-        "cli": cli(root),
-        "suite": suite(root),
     }
+    bytecode["pycache_before_cli"] = _pycache(root)
+    snapshot.update(bytecode=bytecode, cli=cli(root), suite=suite(root))
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     return 0
 
