@@ -3,8 +3,9 @@
 Subcommands:
 
     verify       run the congruence verification on one dataset
-    bsd-squares  leading-term quotients: Sha predictions for the field blocks
-                 of a dataset, or a randomized screen of synthetic towers
+    bsd-squares  Sha predictions for the field blocks of a dataset, each
+                 checked to be the square of an integer, as the order of a
+                 finite Sha is (Cassels)
     selftest     quick internal consistency checks, including both bundled
                  datasets
 
@@ -69,75 +70,51 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    # a count or bound below 1 is a usage error before any data are read: a
-    # screen of no instances would report success without testing anything,
-    # and verify would name a dataset field the user never wrote
+    # a bound below 1 is a usage error before any data are read: verify
+    # would otherwise name a dataset field the user never wrote
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _cmd_bsd_squares(args) -> int:
-    import random
+    from .bsdsquares import sha_predictions
 
-    from .bsdsquares import plant_violation, random_s3_instance, s3_consistency, sha_predictions
-
-    if args.dataset is None and args.random is None:
-        raise DatasetError("", "bsd-squares needs --dataset or --random")
-
-    if args.dataset is not None:
-        ds = _load(args.dataset)
-        if not ds.bsd:
-            # no prediction would read as "consistent", as a screen of no
-            # instances would; see _positive_int
-            raise DatasetError("bsd", "no field blocks to predict")
-        try:
-            preds = sha_predictions(ds)
-        except RecognitionError as e:
-            # the data are well formed, but too coarse to fix a prediction
-            print(f"twistcong: inconclusive: {e}", file=sys.stderr)
-            if args.format == "structured":
-                _emit(_document(dataset=ds.label, inconclusive=str(e)), args.out)
-            return EXIT_INCONCLUSIVE
-        rows = []
-        all_ok = True
-        for name in sorted(preds):
-            sha = preds[name]
-            ok = sha > 0 and sha.denominator == 1
-            all_ok = all_ok and ok
-            square = is_square_rational(sha)
-            rows.append({"field": name, "sha": str(sha), "integral": ok,
-                         "square": square})
+    ds = _load(args.dataset)
+    if not ds.bsd:
+        # no prediction would read as "consistent"
+        raise DatasetError("bsd", "no field blocks to predict")
+    try:
+        preds = sha_predictions(ds)
+    except RecognitionError as e:
+        # the data are well formed, but too coarse to fix a prediction
+        print(f"twistcong: inconclusive: {e}", file=sys.stderr)
         if args.format == "structured":
-            body = _document(dataset=ds.label, sha_predictions=rows)
-        else:
-            lines = [f"dataset: {ds.label}"]
-            for row in rows:
-                tag = "" if row["square"] else "   (not a square)"
-                lines.append(f"  Sha({row['field']}) = {row['sha']}{tag}")
-            body = "\n".join(lines) + "\n"
-        _emit(body, args.out)
-        return EXIT_PASS if all_ok else EXIT_FAIL
-
-    rng = random.Random(args.seed)
-    bad = 0
-    missed_violations = 0
-    for _ in range(args.random):
-        inst = random_s3_instance(rng)
-        ok, _parts = s3_consistency(inst)
-        if not ok:
-            bad += 1
-        broken_ok, _parts = s3_consistency(plant_violation(inst, rng))
-        if broken_ok:
-            missed_violations += 1
+            _emit(_document(dataset=ds.label, inconclusive=str(e)), args.out)
+        return EXIT_INCONCLUSIVE
+    rows = []
+    bad = []
+    for name in sorted(preds):
+        sha = preds[name]
+        integral = sha > 0 and sha.denominator == 1
+        square = is_square_rational(sha)
+        # a finite Sha has the square of an integer as its order
+        if not (integral and square):
+            bad.append(name)
+        rows.append({"field": name, "sha": str(sha), "integral": integral,
+                     "square": square})
     if args.format == "structured":
-        body = _document(instances=args.random, inconsistent=bad,
-                         planted_violations_missed=missed_violations)
+        body = _document(dataset=ds.label, sha_predictions=rows)
     else:
-        body = (f"synthetic towers: {args.random} instances, {bad} inconsistent, "
-                f"{missed_violations} planted violations missed\n")
+        lines = [f"dataset: {ds.label}"]
+        for row in rows:
+            tag = "" if row["square"] else "   (not a square)"
+            lines.append(f"  Sha({row['field']}) = {row['sha']}{tag}")
+        if bad:
+            lines.append(f"falsified: Sha is not the square of an integer at {', '.join(bad)}")
+        body = "\n".join(lines) + "\n"
     _emit(body, args.out)
-    return EXIT_PASS if bad == 0 and missed_violations == 0 else EXIT_FAIL
+    return EXIT_FAIL if bad else EXIT_PASS
 
 
 def _selftest_checks():
@@ -227,13 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bsd-squares",
                         help="leading-term quotients and Sha predictions")
-    mode = pb.add_mutually_exclusive_group()
-    mode.add_argument("--dataset", default=None,
-                      help="dataset whose field blocks to evaluate")
-    mode.add_argument("--random", type=_positive_int, default=None, metavar="N",
-                      help="screen N synthetic sextic-tower instances instead")
+    pb.add_argument("--dataset", required=True,
+                    help="path to a dataset file, or the name of a bundled one")
     pb.add_argument("--format", choices=("text", "structured"), default="text")
-    pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", default=None, metavar="PATH",
                     help="write the report to this file instead of standard output")
     pb.set_defaults(func=_cmd_bsd_squares)

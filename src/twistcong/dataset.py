@@ -526,9 +526,14 @@ def parse_dataset(doc: Any) -> Dataset:
         r1, r2 = (r.int(0) for r in sig.array())
         # the multiplicity of psi in the L-series of a field is at most psi(1) <= 2
         leading = {k: v.int(1, 2) for k, v in characters(fobj["leading_characters"])}
-        overrides = {k: v.decimal()
-                     for k, v in characters(fobj.optional("leading_overrides", {}))}
+        overrides = {}
+        for k, v in characters(fobj.optional("leading_overrides", {})):
+            if k not in leading:
+                v.fail(f"{k} is not among the block's leading_characters")
+            overrides[k] = v.decimal()
         reg = rg.decimal() if (rg := fobj.optional("regulator")) else None
+        if reg is not None and not reg.is_positive():
+            rg.fail("regulator is not certifiably positive")
         # the Mordell-Weil rank is sum mult * ord_psi over the L-series
         # characters, with ord_psi from the rank pattern, so declared orders
         # that break it stay hypothesis (h); a regulator needs one generator per unit
@@ -538,6 +543,8 @@ def parse_dataset(doc: Any) -> Dataset:
             if heights is None:
                 gs.fail("regulator generators need height translates")
             gens = [combo.elements(group, _Json.rational) for combo in gs.array()]
+            if reg is not None:
+                fobj.fail("give a regulator or regulator generators, not both")
             if len(gens) != rank:
                 gs.fail(f"{len(gens)} generators for Mordell-Weil rank {rank}")
         elif reg is None and rank > 0:
@@ -563,8 +570,6 @@ def parse_dataset(doc: Any) -> Dataset:
             leading_overrides=overrides,
             omega_quotient=fobj.get("omega_quotient", "1").rational(),
         )
-        if fb.regulator is not None and not fb.regulator.is_positive():
-            fobj["regulator"].fail("regulator is not certifiably positive")
         if fb.omega_quotient <= 0:
             fobj["omega_quotient"].fail(f"must be positive, got {fb.omega_quotient}")
 

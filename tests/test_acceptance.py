@@ -4,17 +4,18 @@ Every expected value here was computed away from the implementation (by hand
 or with an independent throwaway script) and is asserted exactly; tolerances
 appear only where a check is inherently numeric, and are stated inline.
 """
+import json
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import CRITERION_LINES
+from test_dataset import bundled_doc
 from test_exact import legendre_symbol, sqrt_in_cyclotomic
 
-from twistcong.bsdsquares import (
-    plant_violation, random_s3_instance, s3_consistency, sha_predictions,
-)
+from twistcong.bsdsquares import sha_predictions
+from twistcong.cli import main
 from twistcong.dataset import load_bundled_dataset
 from twistcong.engine import (
     CharacterResult, congruence_lines, relabel_dataset, unit_and_equivariance,
@@ -172,15 +173,30 @@ def test_criterion_5_membership_oracle():
         assert not center_integrality(naive, g3).ok
 
 
-def test_criterion_6_synthetic_towers():
-    with criterion(6, "500 consistent synthetic towers, planted breaks caught"):
-        rng = random.Random(60577)
-        for _ in range(500):
-            inst = random_s3_instance(rng)
-            ok, parts = s3_consistency(inst)
-            assert ok, parts
-            broken_ok, _ = s3_consistency(plant_violation(inst, rng))
-            assert not broken_ok
+def test_criterion_6_square_sha_orders(tmp_path, capsys):
+    with criterion(6, "square Sha orders on the bundled field blocks, planted breaks caught"):
+        # a finite Sha has square order (Cassels), so bsd-squares exits 1 and
+        # names every block whose predicted order is not the square of an integer
+        def bsd_squares(name, edit=None):
+            source = name
+            if edit is not None:
+                doc = bundled_doc(name)
+                edit(doc["bsd"])
+                source = tmp_path / f"{name}.json"
+                source.write_text(json.dumps(doc))
+            code = main(["bsd-squares", "--dataset", str(source)])
+            return code, capsys.readouterr().out.splitlines()[-1]
+
+        assert bsd_squares("37a1-septic-577") == (0, "  Sha(k) = 1")
+        falsified = "falsified: Sha is not the square of an integer at "
+        assert bsd_squares("21a1-quintic-19") == (1, falsified + "F")
+        # one Tamagawa number off by 2: Sha(K) = 2 and Sha(L) = 8
+        assert bsd_squares("37a1-septic-577",
+                           lambda bsd: bsd["K"]["tamagawa"].update(inf=[1, 2])) == (
+            1, falsified + "K")
+        assert bsd_squares("21a1-quintic-19",
+                           lambda bsd: bsd["L"]["tamagawa"].update({"3": [4, 4, 2]})) == (
+            1, falsified + "F, L")
 
 
 def _constant_q_vector(group, C):

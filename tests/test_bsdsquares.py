@@ -1,5 +1,4 @@
-"""Sha predictions from field blocks and the sextic-tower consistency checks."""
-import random
+"""Sha predictions from field blocks, and the Artin formalism behind them."""
 import time
 from fractions import Fraction
 
@@ -7,33 +6,13 @@ import pytest
 from test_dataset import bundled_doc
 
 from twistcong.bsdsquares import (
-    NeronRow, S3Instance, TamagawaRow, bsd_quotient, field_leading_term, field_regulator,
-    mod_square_equivalent, neron_quotient_check, plant_violation, random_s3_instance,
-    s3_consistency, sha_prediction, sha_predictions, tamagawa_congruence,
+    bsd_quotient, field_leading_term, field_regulator, sha_prediction, sha_predictions,
 )
 from twistcong.dataset import DatasetError, load_bundled_dataset, parse_dataset
 from twistcong.exact import DecimalWithError
 from twistcong.groups import Character
 from twistcong.heights import character_heights, field_period, omega_factor
 from twistcong.localfactors import discriminant_factor, global_correction
-
-
-def test_mod_square_equivalent():
-    assert mod_square_equivalent(Fraction(2), Fraction(8))
-    assert mod_square_equivalent(Fraction(-3), Fraction(-27, 4))
-    assert not mod_square_equivalent(Fraction(2), Fraction(3))
-    assert not mod_square_equivalent(Fraction(2), Fraction(-2))
-    with pytest.raises(ValueError):
-        mod_square_equivalent(Fraction(0), Fraction(1))
-
-
-def test_mod_square_is_an_equivalence():
-    rng = random.Random(5)
-    for _ in range(200):
-        x = Fraction(rng.randrange(1, 50), rng.randrange(1, 50))
-        s = Fraction(rng.randrange(1, 12), rng.randrange(1, 12)) ** 2
-        assert mod_square_equivalent(x, x * s)
-        assert mod_square_equivalent(x * s, x)
 
 
 # ---------------------------------------------------------------------------
@@ -226,85 +205,3 @@ def test_field_block_identity_catches_a_wrong_factor():
         "F: period", "K: period", "L: period"]
     assert sorted(block_identity_failures(ds, disc=no_conductor)) == [
         "F: discriminant", "L: discriminant"]
-
-
-# ---------------------------------------------------------------------------
-# per-place bookkeeping rows
-# ---------------------------------------------------------------------------
-
-def test_tamagawa_rows():
-    grow = TamagawaRow("3", 1, (1,), (4,), "I0*")
-    assert grow.square_consistent()
-    assert "1 -> 4" in grow.case_note()
-
-    split = TamagawaRow("7", 2, (2, 2), (2, 2, 2), "I2")
-    assert split.square_consistent()
-    assert "splits" in split.case_note()
-
-    broken = TamagawaRow("5", 1, (1,), (2,), "I1")
-    assert not broken.square_consistent()
-
-    ok, verdicts = tamagawa_congruence([grow, split, broken])
-    assert not ok
-    assert [v for _, v, _ in verdicts] == [True, True, False]
-
-
-def test_neron_rows():
-    assert NeronRow("3", 1, (1, 1), (2, 1)).consistent()
-    assert NeronRow("2", 0, (0,), (0, 0)).consistent()
-    assert not NeronRow("3", 1, (1,), (3, 0)).consistent()
-    ok, verdicts = neron_quotient_check([NeronRow("3", 2, (2, 2), (3, 3))])
-    assert ok and verdicts == [("3", True)]
-
-
-def test_q_products_normalization():
-    inst = S3Instance(b_base=Fraction(3), b_quadratic=Fraction(5),
-                      b_cubic=Fraction(7), c_infinity=2)
-    q1, qe, qp = inst.q_products()
-    assert q1 == 6
-    assert qe == Fraction(10, 6)
-    assert qp == Fraction(28, 6)
-    # the congruence reduces to b_base*b_quad/b_cubic being a square
-    assert mod_square_equivalent(q1 * qe, qp) == mod_square_equivalent(
-        Fraction(3) * 5, Fraction(7))
-
-
-def test_square_congruence_tracks_field_quotients():
-    base = S3Instance(b_base=Fraction(2), b_quadratic=Fraction(1),
-                      b_cubic=Fraction(2), c_infinity=1)
-    assert base.square_congruence_holds()
-    off = S3Instance(b_base=Fraction(2), b_quadratic=Fraction(1),
-                     b_cubic=Fraction(3), c_infinity=1)
-    assert not off.square_congruence_holds()
-
-
-# ---------------------------------------------------------------------------
-# synthetic instances
-# ---------------------------------------------------------------------------
-
-def test_random_instances_are_consistent():
-    rng = random.Random(20260823)
-    for _ in range(500):
-        inst = random_s3_instance(rng)
-        ok, parts = s3_consistency(inst)
-        assert ok, parts
-
-
-def test_planted_violations_are_caught():
-    rng = random.Random(97)
-    for _ in range(200):
-        broken = plant_violation(random_s3_instance(rng), rng)
-        ok, parts = s3_consistency(broken)
-        assert not ok
-        # the row-level check and the cross-field congruence both notice
-        assert not parts["tamagawa"]
-        assert not parts["square_congruence"]
-        assert parts["neron"]
-
-
-def test_instances_with_more_places():
-    rng = random.Random(7)
-    for places in (1, 2, 5):
-        inst = random_s3_instance(rng, places=places)
-        assert len(inst.tam_rows) == places
-        assert s3_consistency(inst)[0]

@@ -173,18 +173,21 @@ def test_out_path_unwritable(tmp_path, capsys):
 
 
 def test_bsd_squares_dataset(capsys):
+    # a finite Sha has square order, so the quintic's Sha(F) = 32 falsifies
+    # its F block; this exited 0
     code, out, _ = run(capsys, "bsd-squares", "--dataset", "21a1-quintic-19")
-    assert code == 0
+    assert code == 1
     assert "Sha(K) = 1" in out
     assert "Sha(L) = 4" in out
     assert "Sha(F) = 32   (not a square)" in out
+    assert out.endswith("\nfalsified: Sha is not the square of an integer at F\n")
 
 
 def test_bsd_squares_out_file(tmp_path, capsys):
     target = tmp_path / "sha.txt"
     code, out, _ = run(capsys, "bsd-squares", "--dataset", "21a1-quintic-19",
                        "--out", str(target))
-    assert code == 0 and out == ""
+    assert code == 1 and out == ""
     assert "Sha(F) = 32   (not a square)" in target.read_text()
 
 
@@ -296,41 +299,30 @@ def test_bsd_squares_without_field_blocks_is_a_data_error(tmp_path, capsys, edit
     assert err == "twistcong: bsd: no field blocks to predict\n"
 
 
-@pytest.mark.parametrize("count", ["0", "-5"])
-def test_bsd_squares_empty_screen_is_a_usage_error(capsys, count):
-    with pytest.raises(SystemExit) as e:
-        main(["bsd-squares", f"--random={count}"])
-    assert e.value.code == 3
-    assert f"expected a positive integer, got '{count}'" in capsys.readouterr().err
-
-
-def test_bsd_squares_random(capsys):
-    code, out, _ = run(capsys, "bsd-squares", "--random", "50", "--seed", "3")
-    assert code == 0
-    assert "50 instances, 0 inconsistent, 0 planted violations missed" in out
-
-
-def test_bsd_squares_random_structured(capsys):
-    # --format was ignored here, and the text line printed
-    code, out, _ = run(capsys, "bsd-squares", "--random", "3", "--format", "structured")
-    assert code == 0
-    assert json.loads(out) == {"report_version": REPORT_VERSION, "instances": 3,
-                               "inconsistent": 0, "planted_violations_missed": 0}
-    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-
-
 def test_bsd_squares_needs_a_mode(capsys):
-    code, _, err = run(capsys, "bsd-squares")
-    assert code == 3
-    assert "--dataset or --random" in err
-
-
-def test_bsd_squares_takes_one_mode(capsys):
-    # --random was silently dropped when --dataset was given
     with pytest.raises(SystemExit) as e:
-        main(["bsd-squares", "--dataset", "21a1-quintic-19", "--random", "5"])
+        main(["bsd-squares"])
     assert e.value.code == 3
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "the following arguments are required: --dataset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--random", "5"], ["--seed", "1"]])
+def test_bsd_squares_has_no_synthetic_screen(capsys, option):
+    with pytest.raises(SystemExit) as e:
+        main(["bsd-squares", "--dataset", "37a1-septic-577", *option])
+    assert e.value.code == 3
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_bsd_squares_structured_keeps_its_keys_when_falsified(capsys):
+    code, out, _ = run(capsys, "bsd-squares", "--dataset", "21a1-quintic-19",
+                       "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert sorted(doc) == ["dataset", "report_version", "sha_predictions"]
+    rows = {r["field"]: (r["sha"], r["integral"], r["square"]) for r in doc["sha_predictions"]}
+    assert rows == {"F": ("32", True, False), "K": ("1", True, True),
+                    "L": ("4", True, True), "k": ("1", True, True)}
 
 
 def test_selftest(capsys):
@@ -379,7 +371,7 @@ def built_a_cosine_table(code):
     # table, which is built in integers
     (built_a_cosine_table(verify_code()), {"mpmath", "twistcong.bsdsquares"}, set()),
     # the Sha predictions are rational: no cosine table is read here
-    (cli_code("bsd-squares", "--dataset", "21a1-quintic-19", "--out", os.devnull),
+    (cli_code("bsd-squares", "--dataset", "37a1-septic-577", "--out", os.devnull),
      {"mpmath"}, {"twistcong.bsdsquares"}),
     (built_a_cosine_table(cli_code("selftest")), {"mpmath", "twistcong.bsdsquares"}, set()),
 ], ids=["import-cli", "import-dataset", "verify-gz", "verify-auto", "bsd-squares-dataset",

@@ -359,6 +359,30 @@ def test_reject_regulator_generators_without_translates():
                                   "height translates")
 
 
+def test_reject_leading_override_outside_the_blocks_l_series():
+    # the override was accepted and never read: every Sha prediction held, exit 0
+    doc = bundled_doc("21a1-quintic-19")
+    doc["bsd"]["K"]["leading_overrides"] = {"ind:1": {"value": "12345.6", "abs_error": "0"}}
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert excinfo.value.path == "bsd.K.leading_overrides.ind:1"
+    assert str(excinfo.value) == ("bsd.K.leading_overrides.ind:1: ind:1 is not among the "
+                                  "block's leading_characters")
+
+
+@pytest.mark.parametrize("name, block, regulator", [
+    ("37a1-septic-577", "K", "3"), ("37a1-septic-577", "k", "1"),
+    ("21a1-quintic-19", "F", "1")])
+def test_reject_a_regulator_beside_its_generators(name, block, regulator):
+    # the declared regulator won, and the generators were checked and never read
+    doc = bundled_doc(name)
+    doc["bsd"][block]["regulator"] = {"value": regulator, "abs_error": "0"}
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == (f"bsd.{block}: give a regulator or regulator "
+                                  "generators, not both")
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"den_bound": 0}, "options.den_bound: must be at least 1, got 0"),
     ({"den_bound": -5}, "options.den_bound: must be at least 1, got -5"),

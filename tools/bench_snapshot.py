@@ -16,7 +16,10 @@ its `src`, so one command measures any checkout, this one or an older one:
   workload's CLI input (the one `gen.cli_input_name` names, at seed 1, the
   default of `perfbench/run.py`), CLI_RUNS fresh processes under
   `-X importtime`: the quartiles of the wall time (the median also alone),
-  each exit code, and whether each run imported mpmath;
+  each exit code, whether each run imported mpmath, and from the import log
+  the median self time in microseconds of every `twistcong` module and of
+  the IMPORT_OTHERS slowest other modules (`twistcong.cli` runs as
+  `__main__`, which the log does not list);
 - the bytecode state the processes saw: `PYTHONDONTWRITEBYTECODE`, and
   whether `src/twistcong/__pycache__` existed when the snapshot started and
   when the CLI runs started. A clean checkout compiles `src/` in every
@@ -81,8 +84,10 @@ else:
     path.write_text(json.dumps(doc, indent=1) + "\\n", encoding="utf-8")
     print(path)
 """
-# a line of -X importtime's log, "import time: self | cumulative | name"
-MPMATH_IMPORT = re.compile(r"^import time:.*\|\s*mpmath$", re.M)
+# a line of -X importtime's log, "import time: self | cumulative | name", the
+# name indented by its nesting
+IMPORT_LINE = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \|\s*(\S+)$", re.M)
+IMPORT_OTHERS = 10
 
 
 def _run(root: Path, args: list[str]) -> subprocess.CompletedProcess:
@@ -133,17 +138,25 @@ def cli(root: Path) -> dict:
                 raise RuntimeError(f"CLI input of {workload} exited {made.returncode}: "
                                    f"{made.stderr[-2000:]}")
             dataset = made.stdout.strip()
-            runs = []
+            runs, self_us = [], {}
             for _ in range(CLI_RUNS):
                 start = time.perf_counter()
                 proc = _run(root, ["-X", "importtime", "-m", "twistcong.cli", "verify",
                                    "--dataset", dataset, "--format", "structured"])
                 wall = time.perf_counter() - start
+                imported = {name: int(us) for us, name in IMPORT_LINE.findall(proc.stderr)}
+                for name, us in imported.items():
+                    self_us.setdefault(name, []).append(us)
                 runs.append({"wall_s": wall, "exit_code": proc.returncode,
-                             "mpmath": bool(MPMATH_IMPORT.search(proc.stderr))})
+                             "mpmath": "mpmath" in imported})
             quartiles = statistics.quantiles([r["wall_s"] for r in runs], n=4)
+            medians = {name: statistics.median(us) for name, us in self_us.items()}
+            others = sorted((name for name in medians if not name.startswith("twistcong")),
+                            key=medians.get, reverse=True)[:IMPORT_OTHERS]
+            kept = sorted(name for name in medians if name.startswith("twistcong"))
             out[workload] = {"input": Path(dataset).stem, "runs": runs,
-                             "wall_s": quartiles[1], "wall_quartiles_s": quartiles}
+                             "wall_s": quartiles[1], "wall_quartiles_s": quartiles,
+                             "import_self_us": {name: medians[name] for name in kept + others}}
     return out
 
 
