@@ -17,7 +17,6 @@ from __future__ import annotations
 import decimal
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, NoReturn
@@ -25,6 +24,7 @@ from typing import Any, Callable, Iterator, NoReturn
 from .exact import DEFAULT_DEN_BOUND, DecimalWithError, brief
 from .groups import DihedralGroup, GroupElement, GroupError
 from .localfactors import LocalDataError, LocalPlace, parse_local_place, quadratic_point_count
+from .record import Record
 
 SPEC_VERSION = 1
 
@@ -202,19 +202,16 @@ class _Json:
         return self.value
 
 
-@dataclass
-class CurveInfo:
-    label: str
-    conductor: int
-    a_invariants: tuple[int, ...]
-    rank_base: int
-    rank_quadratic: int
-    torsion: dict[str, int]
-    tamagawa_base: dict[str, int]
-    tamagawa_quadratic: dict[str, int]
-    c_infinity: int
-    manin_constant: int = 1
-    unit_count_K: int | None = None
+class CurveInfo(Record):
+    def __init__(self, label: str, conductor: int, a_invariants: tuple[int, ...],
+                 rank_base: int, rank_quadratic: int, torsion: dict[str, int],
+                 tamagawa_base: dict[str, int], tamagawa_quadratic: dict[str, int],
+                 c_infinity: int, manin_constant: int = 1, unit_count_K: int | None = None):
+        self.label, self.conductor, self.a_invariants = label, conductor, a_invariants
+        self.rank_base, self.rank_quadratic, self.torsion = rank_base, rank_quadratic, torsion
+        self.tamagawa_base, self.tamagawa_quadratic = tamagawa_base, tamagawa_quadratic
+        self.c_infinity, self.manin_constant = c_infinity, manin_constant
+        self.unit_count_K = unit_count_K
 
     def rho_label(self) -> str:
         """The linear character carrying the generic (rank) component."""
@@ -227,49 +224,44 @@ class CurveInfo:
         return {label: linear.get(label, 1) for label in group.character_table.by_label}
 
 
-@dataclass
-class TowerInfo:
-    d_k_abs: int
-    d_K_abs: int
-    K_real: bool
-    conductor_norms: dict[str, int]
-    S_r: tuple[str, ...]
-    S_bad: tuple[str, ...]
+class TowerInfo(Record):
+    def __init__(self, d_k_abs: int, d_K_abs: int, K_real: bool,
+                 conductor_norms: dict[str, int], S_r: tuple[str, ...],
+                 S_bad: tuple[str, ...]):
+        self.d_k_abs, self.d_K_abs, self.K_real = d_k_abs, d_K_abs, K_real
+        self.conductor_norms, self.S_r, self.S_bad = conductor_norms, S_r, S_bad
 
 
-@dataclass
-class CharacterAnalytic:
-    order: int
-    leading_term: DecimalWithError
-    truncated: bool
+class CharacterAnalytic(Record):
+    def __init__(self, order: int, leading_term: DecimalWithError, truncated: bool):
+        self.order, self.leading_term, self.truncated = order, leading_term, truncated
 
 
-@dataclass
-class AnalyticBlock:
-    omega_plus: DecimalWithError
-    omega_minus: DecimalWithError | None
-    characters: dict[str, CharacterAnalytic]
+class AnalyticBlock(Record):
+    def __init__(self, omega_plus: DecimalWithError, omega_minus: DecimalWithError | None,
+                 characters: dict[str, CharacterAnalytic]):
+        self.omega_plus, self.omega_minus = omega_plus, omega_minus
+        self.characters = characters
 
 
-@dataclass
-class HeightBlock:
-    normalization: str
-    translates: dict[GroupElement, DecimalWithError]
+class HeightBlock(Record):
+    def __init__(self, normalization: str, translates: dict[GroupElement, DecimalWithError]):
+        self.normalization, self.translates = normalization, translates
 
 
-@dataclass
-class FieldBlock:
-    name: str
-    degree: int
-    signature: tuple[int, int]
-    d_abs: int
-    torsion: int
-    tamagawa: dict[str, tuple[int, ...]]
-    leading_characters: dict[str, int]
-    regulator: DecimalWithError | None = None
-    regulator_generators: list[dict[GroupElement, Fraction]] | None = None
-    leading_overrides: dict[str, DecimalWithError] = field(default_factory=dict)
-    omega_quotient: Fraction = Fraction(1)
+class FieldBlock(Record):
+    def __init__(self, name: str, degree: int, signature: tuple[int, int], d_abs: int,
+                 torsion: int, tamagawa: dict[str, tuple[int, ...]],
+                 leading_characters: dict[str, int], regulator: DecimalWithError | None = None,
+                 regulator_generators: list[dict[GroupElement, Fraction]] | None = None,
+                 leading_overrides: dict[str, DecimalWithError] | None = None,
+                 omega_quotient: Fraction = Fraction(1)):
+        self.name, self.degree, self.signature, self.d_abs = name, degree, signature, d_abs
+        self.torsion, self.tamagawa, self.regulator = torsion, tamagawa, regulator
+        self.leading_characters = leading_characters
+        self.regulator_generators = regulator_generators
+        self.leading_overrides = {} if leading_overrides is None else leading_overrides
+        self.omega_quotient = omega_quotient
 
     def tamagawa_product(self) -> int:
         prod = 1
@@ -282,16 +274,15 @@ class FieldBlock:
 ROUTES = ("auto", "gz")
 
 
-@dataclass
-class Options:
+class Options(Record):
     """The verification options; each construction checks their ranges, so
     verify's overrides are checked as the dataset's own options are."""
-    p_power_required: int | None = None
-    den_bound: int = DEFAULT_DEN_BOUND
-    route: str = "auto"
-    gz_constant: Fraction | None = None
 
-    def __post_init__(self):
+    def __init__(self, p_power_required: int | None = None,
+                 den_bound: int = DEFAULT_DEN_BOUND, route: str = "auto",
+                 gz_constant: Fraction | None = None):
+        self.p_power_required, self.den_bound = p_power_required, den_bound
+        self.route, self.gz_constant = route, gz_constant
         for key in ("p_power_required", "den_bound"):
             if (n := getattr(self, key)) is not None and n < 1:
                 raise DatasetError(f"options.{key}", f"must be at least 1, got {n}")
@@ -299,30 +290,25 @@ class Options:
             raise DatasetError("options.route", f"unknown route {self.route!r}")
 
 
-@dataclass
-class Dataset:
-    label: str
-    group: DihedralGroup
-    curve: CurveInfo
-    tower: TowerInfo
-    places: dict[str, LocalPlace]
-    analytic: AnalyticBlock
-    heights: HeightBlock | None
-    bsd: dict[str, FieldBlock]
-    options: Options
-    provenance: dict[str, str] = field(default_factory=dict)
+class Dataset(Record):
+    def __init__(self, label: str, group: DihedralGroup, curve: CurveInfo, tower: TowerInfo,
+                 places: dict[str, LocalPlace], analytic: AnalyticBlock,
+                 heights: HeightBlock | None, bsd: dict[str, FieldBlock], options: Options,
+                 provenance: dict[str, str] | None = None):
+        self.label, self.group, self.curve, self.tower = label, group, curve, tower
+        self.places, self.analytic, self.heights = places, analytic, heights
+        self.bsd, self.options = bsd, options
+        self.provenance = {} if provenance is None else provenance
 
 
 # ---------------------------------------------------------------------------
 # hypotheses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisResult:
-    key: str
-    description: str
-    status: str       # "holds" | "fails" | "undetermined"
-    detail: str = ""
+class HypothesisResult(Record, hashable=True):
+    def __init__(self, key: str, description: str, status: str, detail: str = ""):
+        # status is "holds", "fails" or "undetermined"
+        self.key, self.description, self.status, self.detail = key, description, status, detail
 
 
 def check_hypotheses(ds: Dataset) -> list[HypothesisResult]:

@@ -33,7 +33,6 @@ a hypothesis leaves the question open.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
@@ -47,6 +46,7 @@ from .groups import (Character, DihedralGroup, GroupElement, NotEquivariantError
                      irreducible_characters, orbit_units, res_map, zp_P_membership)
 from .heights import character_heights, omega_factor
 from .localfactors import LocalCorrection, discriminant_factor, global_correction
+from .record import Record, replace
 
 
 class RouteDataError(DatasetError):
@@ -56,44 +56,41 @@ class RouteDataError(DatasetError):
         super().__init__("options.route", message)
 
 
-@dataclass
-class CharacterResult:
-    label: str
-    route: str
-    declared_order: int
-    q_value: CyclotomicNumber
-    correction: LocalCorrection
-    recognized: CyclotomicNumber
-    min_poly: tuple[Fraction, ...] | None
-    p_valuation: Fraction
+class CharacterResult(Record):
+    def __init__(self, label: str, route: str, declared_order: int,
+                 q_value: CyclotomicNumber, correction: LocalCorrection,
+                 recognized: CyclotomicNumber, min_poly: tuple[Fraction, ...] | None,
+                 p_valuation: Fraction):
+        self.label, self.route, self.declared_order = label, route, declared_order
+        self.q_value, self.correction, self.recognized = q_value, correction, recognized
+        self.min_poly, self.p_valuation = min_poly, p_valuation
 
 
-@dataclass
-class CongruenceLine:
-    element: str
-    value: Fraction
-    valuation: Fraction | None    # None encodes S(pi) = 0 (infinite valuation)
-    ok: bool
+class CongruenceLine(Record):
+    def __init__(self, element: str, value: Fraction, valuation: Fraction | None, ok: bool):
+        # a valuation of None encodes S(pi) = 0 (infinite valuation)
+        self.element, self.value, self.valuation, self.ok = element, value, valuation, ok
 
     def valuation_str(self) -> str:
         return "inf" if self.valuation is None else str(self.valuation)
 
 
-@dataclass
-class VerificationResult:
-    dataset_label: str
-    p: int
-    n_required: int
-    route: str
-    hypotheses: list[HypothesisResult]
-    characters: dict[str, CharacterResult] = field(default_factory=dict)
-    congruences: list[CongruenceLine] = field(default_factory=list)
-    unit_ok: bool = True
-    equivariance_ok: bool = True
-    membership_agrees: bool | None = None
-    shortcut_agrees: bool | None = None
-    verdict: str = "INCONCLUSIVE"    # what every early return of verify leaves
-    notes: list[str] = field(default_factory=list)
+class VerificationResult(Record):
+    def __init__(self, dataset_label: str, p: int, n_required: int, route: str,
+                 hypotheses: list[HypothesisResult],
+                 characters: dict[str, CharacterResult] | None = None,
+                 congruences: list[CongruenceLine] | None = None, unit_ok: bool = True,
+                 equivariance_ok: bool = True, membership_agrees: bool | None = None,
+                 shortcut_agrees: bool | None = None, verdict: str = "INCONCLUSIVE",
+                 notes: list[str] | None = None):
+        self.dataset_label, self.p, self.n_required = dataset_label, p, n_required
+        self.route, self.hypotheses = route, hypotheses
+        self.characters = {} if characters is None else characters
+        self.congruences = [] if congruences is None else congruences
+        self.unit_ok, self.equivariance_ok = unit_ok, equivariance_ok
+        self.membership_agrees, self.shortcut_agrees = membership_agrees, shortcut_agrees
+        self.verdict = verdict    # INCONCLUSIVE is what every early return of verify leaves
+        self.notes = [] if notes is None else notes
 
     @property
     def congruences_ok(self) -> bool:
@@ -143,19 +140,32 @@ def assemble_numeric(ds: Dataset, orbit: Sequence[Character],
 
 
 def _character_result(ds: Dataset, c: Character, recognized: CyclotomicNumber,
-                      min_poly: tuple[Fraction, ...] | None = None,
+                      products: dict, min_poly: tuple[Fraction, ...] | None = None,
                       route: str | None = None) -> CharacterResult:
     """The result for c: Q = recognized * u * t on the qhat route, or
     recognized * u alone on the direct route, the one of a truncated leading
-    term. Unless a route is given, c's truncation flag chooses between them."""
+    term. Unless a route is given, c's truncation flag chooses between them.
+
+    products maps the stored form (m, num, den) of recognized and of u, with
+    t, to Q and v_p(Q), for the calls of one pass over the characters: on the
+    gz route every induced character has the value C and, without ramified
+    places, the correction (1, 1). A rational equals its copy in another
+    conductor, but Q's report prints the conductor, so the key is the stored
+    form."""
     if route is None:
         route = "direct" if ds.analytic.characters[c.label].truncated else "qhat"
     corr = global_correction(c, [ds.places[s] for s in ds.tower.S_r])
-    q = recognized * corr.u * (1 if route == "direct" else corr.t)
+    t = 1 if route == "direct" else corr.t
+    u = corr.u
+    key = (recognized.m, recognized.num, recognized.den, u.m, u.num, u.den, t)
+    if (found := products.get(key)) is None:
+        q = recognized * u * t
+        v = p_valuation(q, ds.group.p) if not q.is_zero() else Fraction(0)
+        found = products[key] = q, v
+    q, v = found
     return CharacterResult(
         label=c.label, route=route, declared_order=ds.analytic.characters[c.label].order,
-        q_value=q, correction=corr, recognized=recognized, min_poly=min_poly,
-        p_valuation=p_valuation(q, ds.group.p) if not q.is_zero() else Fraction(0))
+        q_value=q, correction=corr, recognized=recognized, min_poly=min_poly, p_valuation=v)
 
 
 def recognize_characters(ds: Dataset) -> dict[str, CharacterResult]:
@@ -163,13 +173,14 @@ def recognize_characters(ds: Dataset) -> dict[str, CharacterResult]:
     group = ds.group
     heights = character_heights(group, ds.heights.translates) if ds.heights else None
     out: dict[str, CharacterResult] = {}
+    products: dict = {}
     for orbit, units in zip(character_orbits(group), orbit_units(group)):
         numerics = assemble_numeric(
             ds, orbit, [ds.analytic.characters[c.label].leading_term for c in orbit],
             [height_norm(ds, c.label, heights) for c in orbit])
         orb = recognize_orbit(numerics, group.exponent, units, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
-            out[c.label] = _character_result(ds, c, recognized,
+            out[c.label] = _character_result(ds, c, recognized, products,
                                              orb.min_poly if len(orbit) > 1 else None)
     return out
 
@@ -201,9 +212,10 @@ def gz_q_vector(ds: Dataset, constant: Fraction | None = None
     sits at the rank-growing characters and the quadratic character keeps
     only its local correction."""
     C = constant if constant is not None else gz_constant(ds)
-    return {c.label: _character_result(
-                ds, c, CyclotomicNumber.rational(Fraction(1) if c.kind == "eps" else C),
-                route="gz")
+    one, c_value = CyclotomicNumber.rational(Fraction(1)), CyclotomicNumber.rational(C)
+    products: dict = {}
+    return {c.label: _character_result(ds, c, one if c.kind == "eps" else c_value, products,
+                                       route="gz")
             for c in irreducible_characters(ds.group)}
 
 
@@ -358,7 +370,7 @@ def relabel_dataset(ds: Dataset, a: int) -> Dataset:
 
     The typed values are walked, not named: a GroupElement with rot r moves to
     a^-1 * r (the new generator is s^a); a string that is a character label
-    moves to the label of psi^sigma_a; dicts, lists, tuples and dataclasses are
+    moves to the label of psi^sigma_a; dicts, lists, tuples and records are
     rebuilt from their moved parts; everything else, the shared group object
     and the numbers included, is kept. So a place name or a dataset label that
     equals a character label moves too, with every other occurrence of it.
@@ -378,8 +390,8 @@ def relabel_dataset(ds: Dataset, a: int) -> Dataset:
             return {move(k): move(v) for k, v in x.items()}
         if isinstance(x, (list, tuple)):
             return type(x)(move(v) for v in x)
-        if is_dataclass(x) and not isinstance(x, type):
-            return replace(x, **{f.name: move(getattr(x, f.name)) for f in fields(x) if f.init})
+        if isinstance(x, Record):
+            return type(x)(*map(move, x._values()))
         return x
 
     return move(ds)

@@ -24,13 +24,14 @@ or else each coordinate of x in the power basis 1, z, ..., z^(phi-1).
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
+
+from .record import Record
 
 
 class ExactArithmeticError(ValueError):
@@ -198,8 +199,7 @@ def _fixed_cis(t: int, one: int) -> tuple[int, int]:
     return cs[0] - cs[2], cs[1] - cs[3]
 
 
-@dataclass(frozen=True)
-class CyclotomicField:
+class CyclotomicField(Record, hashable=True):
     """Q(zeta_m) for m = p^n, p an odd prime, in the power basis
     1, z, ..., z^(phi-1).
 
@@ -209,11 +209,8 @@ class CyclotomicField:
     generator. Build it with cyclotomic_field(m).
     """
 
-    m: int
-    p: int
-    q: int
-    phi: int
-    units: tuple[int, ...]
+    def __init__(self, m: int, p: int, q: int, phi: int, units: tuple[int, ...]):
+        self.m, self.p, self.q, self.phi, self.units = m, p, q, phi, units
 
     def reduce(self, poly: Sequence) -> list:
         """The integer polynomial poly in zeta_m, of any length, reduced
@@ -517,16 +514,12 @@ def p_valuation(x, p: int) -> Fraction:
 # decimals with error bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecimalWithError:
+class DecimalWithError(Record, hashable=True):
     """A real number known to lie in [value - abs_error, value + abs_error]."""
 
-    value: Fraction
-    abs_error: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
-        object.__setattr__(self, "abs_error", as_fraction(self.abs_error))
+    def __init__(self, value: Fraction, abs_error: Fraction):
+        self.value = as_fraction(value)
+        self.abs_error = as_fraction(abs_error)
         if self.abs_error < 0:
             raise IntervalError("negative error bound")
 
@@ -717,8 +710,7 @@ def rational_reconstruct(x: DecimalWithError, den_bound: int = DEFAULT_DEN_BOUND
     return c
 
 
-@dataclass(frozen=True)
-class AlgebraicOrbit:
+class AlgebraicOrbit(Record, hashable=True):
     """Result of recognizing a family of real algebraic numbers in Q(zeta_m).
 
     values    -- exact elements, aligned with the input order
@@ -726,8 +718,8 @@ class AlgebraicOrbit:
                  rational coefficients [c0, c1, ..., 1]
     """
 
-    values: tuple[CyclotomicNumber, ...]
-    min_poly: tuple[Fraction, ...]
+    def __init__(self, values: tuple[CyclotomicNumber, ...], min_poly: tuple[Fraction, ...]):
+        self.values, self.min_poly = values, min_poly
 
 
 def _min_poly_of(values: Sequence[CyclotomicNumber]) -> tuple[Fraction, ...]:

@@ -13,7 +13,6 @@ parsed back into a chi vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product as iter_product
@@ -23,6 +22,7 @@ from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence, 
 
 from .exact import (CyclotomicNumber, InvalidAutomorphismError, UnsupportedConductorError,
                     cyclotomic_field, is_probable_prime, p_valuation, rational_valuation)
+from .record import Record
 
 
 class GroupError(ValueError):
@@ -234,18 +234,18 @@ class DihedralGroup:
 # irreducible characters of G
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Character:
+class Character(Record):
     """An irreducible character of a generalized dihedral group.
 
     kind is "triv", "eps" (quadratic, kernel P) or "ind" (dimension 2, induced
     from the pair {chi, chi-bar}, chi the lexicographically smaller). Only
     DihedralGroup.character_table builds them, so they compare by identity."""
 
-    group: DihedralGroup
-    kind: str
-    label: str
-    chi: tuple[int, ...] | None = None
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, group: DihedralGroup, kind: str, label: str,
+                 chi: tuple[int, ...] | None = None):
+        self.group, self.kind, self.label, self.chi = group, kind, label, chi
 
     @property
     def degree(self) -> int:
@@ -443,11 +443,10 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     return {rot: fractions[s] for rot, s in zip(vectors, acc)}
 
 
-@dataclass
-class MembershipReport:
-    ok: bool
-    coefficients: dict[tuple[int, ...], Fraction]
-    failures: list[str]
+class MembershipReport(Record):
+    def __init__(self, ok: bool, coefficients: dict[tuple[int, ...], Fraction],
+                 failures: list[str]):
+        self.ok, self.coefficients, self.failures = ok, coefficients, failures
 
 
 def zp_P_membership(sums: Mapping[tuple[int, ...], Fraction],
@@ -475,11 +474,9 @@ def zp_P_membership(sums: Mapping[tuple[int, ...], Fraction],
     return MembershipReport(ok=not failures, coefficients=coeffs, failures=failures)
 
 
-@dataclass
-class IntegralityReport:
-    ok: bool
-    central_values: dict[str, Fraction]
-    failures: list[str]
+class IntegralityReport(Record):
+    def __init__(self, ok: bool, central_values: dict[str, Fraction], failures: list[str]):
+        self.ok, self.central_values, self.failures = ok, central_values, failures
 
 
 def center_integrality(values: Mapping[str, CyclotomicNumber], group: DihedralGroup

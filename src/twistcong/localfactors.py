@@ -20,29 +20,27 @@ stored pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact import CyclotomicNumber, brief, prime_power_base
 from .groups import Character, DihedralGroup, GroupElement, GroupError
+from .record import Record, replace
 
 
 class LocalDataError(ValueError):
     """Inconsistent inertia/Frobenius data at a place."""
 
 
-@dataclass(frozen=True)
-class LocalCorrection:
+class LocalCorrection(Record, hashable=True):
     """u is a root of unity (rational +-1 whenever the character is real-valued
     at the relevant classes); t is rational."""
 
-    u: CyclotomicNumber
-    t: Fraction
+    def __init__(self, u: CyclotomicNumber, t: Fraction):
+        self.u, self.t = u, t
 
 
-@dataclass(frozen=True)
-class LocalPlace:
+class LocalPlace(Record):
     """Ramification data at a finite place of the base field.
 
     q         -- residue field size, l^f for a prime l < 2^78
@@ -53,13 +51,11 @@ class LocalPlace:
                    parse_local_place
     """
 
-    q: int
-    a: int
-    inertia: tuple[GroupElement, ...]
-    frobenius: GroupElement
-    corrections: Mapping[str, LocalCorrection] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, q: int, a: int, inertia: tuple[GroupElement, ...],
+                 frobenius: GroupElement,
+                 corrections: Mapping[str, LocalCorrection] | None = None):
+        self.q, self.a, self.inertia, self.frobenius = q, a, inertia, frobenius
+        self.corrections = {} if corrections is None else corrections
         if prime_power_base(self.q) is None:
             raise LocalDataError(
                 f"residue size {brief(self.q)} is not a power of a prime below 2^78")

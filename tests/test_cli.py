@@ -362,6 +362,11 @@ def built_a_cosine_table(code):
             "assert 'cosines' in cyclotomic_field(5).__dict__")
 
 
+# no record class generates code: dataclasses, and the inspect it imports,
+# stay out of every process
+GENERATED = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("code, absent, present", [
     ("import twistcong.cli", {"mpmath", "twistcong.bsdsquares"}, {"twistcong.engine"}),
     ("import twistcong.dataset",
@@ -378,5 +383,5 @@ def built_a_cosine_table(code):
         "selftest"])
 def test_each_command_imports_only_what_it_runs(code, absent, present):
     loaded = modules_after(code)
-    assert not absent & loaded
+    assert not (absent | GENERATED) & loaded
     assert present <= loaded

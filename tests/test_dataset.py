@@ -4,7 +4,6 @@ import importlib.util
 import json
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -17,6 +16,7 @@ from twistcong.dataset import (
     load_bundled_dataset, load_dataset, parse_dataset,
 )
 from twistcong.engine import verify
+from twistcong.record import replace
 from twistcong.report import structured_report
 
 

@@ -1,6 +1,5 @@
 """End-to-end verification on the bundled datasets, all routes and verdicts."""
 import copy
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from twistcong.exact import (
 )
 from twistcong.heights import character_heights
 from twistcong.localfactors import LocalPlace, parse_local_place
+from twistcong.record import replace
 from twistcong.report import render, structured_report
 
 SEPTIC = "37a1-septic-577"
@@ -501,3 +501,12 @@ def test_relabel_walk_matches_the_field_by_field_oracle(name):
         # no container is shared with the input
         moved.curve.torsion["base"] = 0
         assert ds.curve.torsion != moved.curve.torsion
+
+
+@pytest.mark.parametrize("name", [SEPTIC, QUINTIC])
+def test_relabel_and_back_gives_the_same_repr(name):
+    # the repr names every field of every record, each in its order
+    ds = load_bundled_dataset(name)
+    for a in ds.group.galois_unit_reps():
+        back = relabel_dataset(relabel_dataset(ds, a), pow(a, -1, ds.group.exponent))
+        assert repr(back) == repr(ds)

@@ -58,6 +58,7 @@ UNENTERED = {
     "groups.center_integrality":
         "the G-level reading of the congruence; criterion 5 and the digest",
     "groups.Character.stabilizer_units": "called by center_integrality alone",
+    "groups.IntegralityReport.__init__": "built by center_integrality alone",
     "engine.relabel_dataset": "the metamorphic relabeling; criterion 2, the digest and a demo",
     "engine.relabel_dataset.<locals>.move": "relabel_dataset's element map",
     # constructors the tests build group elements with
@@ -75,6 +76,12 @@ UNENTERED = {
     "exact.DecimalWithError.__rtruediv__": "operator",
     "exact.DecimalWithError.__repr__": "display",
     "groups.GroupElement.__repr__": "display",
+    # the record base: its methods that no command calls
+    "record.Record.__init_subclass__":
+        "runs once per record class as its module is imported, before any command",
+    "record.Record.__eq__": "record equality; the tests compare results and datasets by it",
+    "record.Record.__repr__": "display; tools/report_digest.py hashes an IntegralityReport's",
+    "record.Record._hash": "value hashing of the hashable records, which no command hashes",
     # error paths that the bundled data cannot reach
     "engine.RouteDataError.__init__":
         "the gz route on a dataset without its curve constants; both bundled ones have them",

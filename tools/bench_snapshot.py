@@ -15,16 +15,18 @@ its `src`, so one command measures any checkout, this one or an older one:
 - `python -m twistcong.cli verify --dataset ... --format structured` on each
   workload's CLI input (the one `gen.cli_input_name` names, at seed 1, the
   default of `perfbench/run.py`), CLI_RUNS fresh processes under
-  `-X importtime`: the quartiles of the wall time (the median also alone),
-  each exit code, whether each run imported mpmath, and from the import log
-  the median self time in microseconds of every `twistcong` module and of
-  the IMPORT_OTHERS slowest other modules (`twistcong.cli` runs as
-  `__main__`, which the log does not list);
-- the bytecode state the processes saw: `PYTHONDONTWRITEBYTECODE`, and
-  whether `src/twistcong/__pycache__` existed when the snapshot started and
-  when the CLI runs started. A clean checkout compiles `src/` in every
-  process unless the cache exists, so two snapshots compare only in the
-  same state;
+  `-X importtime` in each bytecode state of CLI_STATES, taken round-robin
+  over the workloads and states: the quartiles of the wall time (the median
+  also alone), each exit code, whether each run imported mpmath, and from
+  the import log the median self time in microseconds of every `twistcong`
+  module and of the IMPORT_OTHERS slowest other modules (`twistcong.cli`
+  runs as `__main__`, which the log does not list). Each state runs under its own fresh `PYTHONPYCACHEPREFIX`
+  directory, where the interpreter reads and writes bytecode in place of
+  every `__pycache__`, so a cache in the checkout decides nothing;
+- the bytecode state the other processes saw: `PYTHONDONTWRITEBYTECODE`,
+  and whether `src/twistcong/__pycache__` existed when the snapshot
+  started. A clean checkout compiles `src/` in every process unless the
+  cache exists, so two snapshots compare only in the same state;
 - the tier-1 suite with its wall time, its counts and its five slowest tests.
 
 Compare two files only when both were written on the same host.
@@ -65,7 +67,12 @@ print(json.dumps({"parse_s": parsed - start, "verify_s": done - parsed,
                   "verdict": result.verdict}))
 """
 
-CLI_RUNS = 11
+CLI_RUNS = 21
+# the bytecode states of the CLI runs, by the PYTHONDONTWRITEBYTECODE each
+# runs with. "cold": the prefix directory stays empty, so every module not
+# frozen into the interpreter, the standard library's included, is compiled
+# in every run. "warm": one unmeasured run fills the directory first.
+CLI_STATES = {"cold": "1", "warm": None}
 # the dataset argument of a workload's CLI run: a bundled name, or the seed-1
 # tower written to <name>.json in the directory sys.argv[2]
 CLI_INPUT_SCRIPT = """
@@ -90,8 +97,16 @@ IMPORT_LINE = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \|\s*(\S+)$", re.M)
 IMPORT_OTHERS = 10
 
 
-def _run(root: Path, args: list[str]) -> subprocess.CompletedProcess:
+def _run(root: Path, args: list[str], **env_changes: str | None
+         ) -> subprocess.CompletedProcess:
+    """args in a fresh interpreter importing root's src; an environment
+    variable given as None is unset."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True,
                           text=True)
 
@@ -129,8 +144,23 @@ def _pycache(root: Path) -> bool:
     return (root / "src" / "twistcong" / "__pycache__").is_dir()
 
 
+def _summary(dataset: str, runs: list[dict], self_us: dict[str, list[int]]) -> dict:
+    quartiles = statistics.quantiles([r["wall_s"] for r in runs], n=4)
+    medians = {name: statistics.median(us) for name, us in self_us.items()}
+    others = sorted((name for name in medians if not name.startswith("twistcong")),
+                    key=medians.get, reverse=True)[:IMPORT_OTHERS]
+    kept = sorted(name for name in medians if name.startswith("twistcong"))
+    return {"input": Path(dataset).stem, "runs": runs,
+            "wall_s": quartiles[1], "wall_quartiles_s": quartiles,
+            "import_self_us": {name: medians[name] for name in kept + others}}
+
+
 def cli(root: Path) -> dict:
-    out = {}
+    """The CLI runs of every workload and state, taken round-robin, so that
+    each set of runs samples the host over the whole phase; each state has a
+    fresh prefix directory per workload, and a warm one is filled by one
+    unmeasured run first."""
+    cells = {}
     with tempfile.TemporaryDirectory() as scratch:
         for workload in WORKLOADS:
             made = _run(root, ["-c", CLI_INPUT_SCRIPT, workload, scratch])
@@ -138,25 +168,29 @@ def cli(root: Path) -> dict:
                 raise RuntimeError(f"CLI input of {workload} exited {made.returncode}: "
                                    f"{made.stderr[-2000:]}")
             dataset = made.stdout.strip()
-            runs, self_us = [], {}
-            for _ in range(CLI_RUNS):
+            argv = ["-X", "importtime", "-m", "twistcong.cli", "verify", "--dataset", dataset,
+                    "--format", "structured"]
+            for state, dont_write in CLI_STATES.items():
+                prefix = Path(scratch) / f"pycache-{state}-{workload}"
+                prefix.mkdir()
+                env = {"PYTHONPYCACHEPREFIX": str(prefix),
+                       "PYTHONDONTWRITEBYTECODE": dont_write}
+                if dont_write is None:
+                    _run(root, argv, **env)
+                cells[state, workload] = (dataset, argv, env, [], {})
+        for _ in range(CLI_RUNS):
+            for dataset, argv, env, runs, self_us in cells.values():
                 start = time.perf_counter()
-                proc = _run(root, ["-X", "importtime", "-m", "twistcong.cli", "verify",
-                                   "--dataset", dataset, "--format", "structured"])
+                proc = _run(root, argv, **env)
                 wall = time.perf_counter() - start
                 imported = {name: int(us) for us, name in IMPORT_LINE.findall(proc.stderr)}
                 for name, us in imported.items():
                     self_us.setdefault(name, []).append(us)
                 runs.append({"wall_s": wall, "exit_code": proc.returncode,
                              "mpmath": "mpmath" in imported})
-            quartiles = statistics.quantiles([r["wall_s"] for r in runs], n=4)
-            medians = {name: statistics.median(us) for name, us in self_us.items()}
-            others = sorted((name for name in medians if not name.startswith("twistcong")),
-                            key=medians.get, reverse=True)[:IMPORT_OTHERS]
-            kept = sorted(name for name in medians if name.startswith("twistcong"))
-            out[workload] = {"input": Path(dataset).stem, "runs": runs,
-                             "wall_s": quartiles[1], "wall_quartiles_s": quartiles,
-                             "import_self_us": {name: medians[name] for name in kept + others}}
+    out = {state: {} for state in CLI_STATES}
+    for (state, workload), (dataset, _, _, runs, self_us) in cells.items():
+        out[state][workload] = _summary(dataset, runs, self_us)
     return out
 
 
@@ -191,7 +225,6 @@ def main() -> int:
         "benchmark": benchmark(root),
         "gz_sweep": sweep(root),
     }
-    bytecode["pycache_before_cli"] = _pycache(root)
     snapshot.update(bytecode=bytecode, cli=cli(root), suite=suite(root))
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     return 0
