@@ -39,13 +39,13 @@ from typing import Mapping, Sequence
 
 from .dataset import Dataset, DatasetError, HypothesisResult, check_hypotheses
 from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
-                    DecimalWithError, RecognitionError, p_valuation, rational_valuation,
-                    recognize_orbit, sqrt_rational_approx)
+                    DecimalWithError, RecognitionError, integer_form, p_valuation,
+                    rational_valuation, recognize_orbit, sqrt_rational_approx)
 from .groups import (Character, DihedralGroup, GroupElement, NotEquivariantError,
                      character_orbits, character_sums, first_equivariance_failure,
                      irreducible_characters, orbit_units, res_map, zp_P_membership)
 from .heights import character_heights, omega_factor
-from .localfactors import LocalCorrection, discriminant_factor, global_correction
+from .localfactors import LocalCorrection, LocalPlace, discriminant_factor, global_correction
 from .record import Record, replace
 
 
@@ -114,37 +114,62 @@ def height_norm(ds: Dataset, label: str,
 
 def assemble_numeric(ds: Dataset, orbit: Sequence[Character],
                      leading: Sequence[DecimalWithError],
-                     norms: Sequence[DecimalWithError]) -> list[DecimalWithError]:
+                     norms: Sequence[DecimalWithError],
+                     factors: dict | None = None) -> list[DecimalWithError]:
     """sqrt(d_psi) * L_psi / (Omega_psi * N_psi) for each psi of one Galois
     orbit, as intervals; a RecognitionError naming psi when the divisor
     interval contains 0. leading and norms are aligned with orbit.
 
-    Conjugate characters have the same kind and, by parse_dataset,
-    the same conductor norm, so sqrt(d_psi) and Omega_psi are computed once
-    per orbit."""
+    The interval is the one DecimalWithError's operators give, in one closed
+    formula over integers: with A +- Ae = sqrt_d * L and B +- Be = Omega * N
+    over the denominators DA and DB, the value is A DB / (DA B) and the error
+    (Ae |B| + |A| Be) DB / (DA |B| (|B| - Be)), the monotone bound of
+    DecimalWithError.__truediv__.
+
+    factors maps (kind, conductor norm) to the integer forms of sqrt(d_psi)
+    and Omega_psi, for the orbits of one recognize_characters call. Conjugate
+    characters have the same kind and, by parse_dataset, the same conductor
+    norm, so both are computed at most once per orbit."""
     c = orbit[0]
-    d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs,
-                            ds.tower.conductor_norms.get(c.label, 1))
-    sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
-    omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus,
-                         ds.tower.K_real)
+    conductor_norm = ds.tower.conductor_norms.get(c.label, 1)
+    factors = {} if factors is None else factors
+    if (found := factors.get((c.kind, conductor_norm))) is None:
+        d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs, conductor_norm)
+        omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus,
+                             ds.tower.K_real)
+        found = factors[c.kind, conductor_norm] = (
+            integer_form(sqrt_rational_approx(d, SQRT_DIGITS)), integer_form(omega))
+    (sv, se, sd), (ov, oe, od) = found
     out = []
     for c, lead, norm in zip(orbit, leading, norms):
-        divisor = omega * norm
-        if divisor.contains(0):
+        lv, le, ld = integer_form(lead)
+        nv, ne, nd = integer_form(norm)
+        a, ae = sv * lv, abs(sv) * le + abs(lv) * se + se * le
+        b, be = ov * nv, abs(ov) * ne + abs(nv) * oe + oe * ne
+        if abs(b) <= be:
             # declared error bounds that swallow Omega_psi * N_psi leave no value
             raise RecognitionError(
                 f"the period-height divisor of {c.label} is an interval containing 0")
-        out.append(sqrt_d * lead / divisor)
+        da, db = sd * ld, od * nd
+        out.append(DecimalWithError(
+            Fraction(a * db, da * b),
+            Fraction((ae * abs(b) + abs(a) * be) * db, da * abs(b) * (abs(b) - be))))
     return out
 
 
+# the correction over no ramified places, which global_correction(c, []) equals
+UNRAMIFIED = LocalCorrection(u=CyclotomicNumber.rational(1), t=Fraction(1))
+
+
 def _character_result(ds: Dataset, c: Character, recognized: CyclotomicNumber,
-                      products: dict, min_poly: tuple[Fraction, ...] | None = None,
+                      places: Sequence[LocalPlace], products: dict,
+                      min_poly: tuple[Fraction, ...] | None = None,
                       route: str | None = None) -> CharacterResult:
     """The result for c: Q = recognized * u * t on the qhat route, or
     recognized * u alone on the direct route, the one of a truncated leading
     term. Unless a route is given, c's truncation flag chooses between them.
+    places are the ramified places S_r, listed once per pass; without them the
+    correction is UNRAMIFIED and Q is recognized itself.
 
     products maps the stored form (m, num, den) of recognized and of u, with
     t, to Q and v_p(Q), for the calls of one pass over the characters: on the
@@ -154,12 +179,12 @@ def _character_result(ds: Dataset, c: Character, recognized: CyclotomicNumber,
     form."""
     if route is None:
         route = "direct" if ds.analytic.characters[c.label].truncated else "qhat"
-    corr = global_correction(c, [ds.places[s] for s in ds.tower.S_r])
+    corr = global_correction(c, places) if places else UNRAMIFIED
     t = 1 if route == "direct" else corr.t
     u = corr.u
     key = (recognized.m, recognized.num, recognized.den, u.m, u.num, u.den, t)
     if (found := products.get(key)) is None:
-        q = recognized * u * t
+        q = recognized * u * t if places else recognized
         v = p_valuation(q, ds.group.p) if not q.is_zero() else Fraction(0)
         found = products[key] = q, v
     q, v = found
@@ -173,14 +198,16 @@ def recognize_characters(ds: Dataset) -> dict[str, CharacterResult]:
     group = ds.group
     heights = character_heights(group, ds.heights.translates) if ds.heights else None
     out: dict[str, CharacterResult] = {}
+    places = [ds.places[s] for s in ds.tower.S_r]
     products: dict = {}
+    factors: dict = {}
     for orbit, units in zip(character_orbits(group), orbit_units(group)):
         numerics = assemble_numeric(
             ds, orbit, [ds.analytic.characters[c.label].leading_term for c in orbit],
-            [height_norm(ds, c.label, heights) for c in orbit])
+            [height_norm(ds, c.label, heights) for c in orbit], factors)
         orb = recognize_orbit(numerics, group.exponent, units, ds.options.den_bound)
         for c, recognized in zip(orbit, orb.values):
-            out[c.label] = _character_result(ds, c, recognized, products,
+            out[c.label] = _character_result(ds, c, recognized, places, products,
                                              orb.min_poly if len(orbit) > 1 else None)
     return out
 
@@ -213,9 +240,10 @@ def gz_q_vector(ds: Dataset, constant: Fraction | None = None
     only its local correction."""
     C = constant if constant is not None else gz_constant(ds)
     one, c_value = CyclotomicNumber.rational(Fraction(1)), CyclotomicNumber.rational(C)
+    places = [ds.places[s] for s in ds.tower.S_r]
     products: dict = {}
-    return {c.label: _character_result(ds, c, one if c.kind == "eps" else c_value, products,
-                                       route="gz")
+    return {c.label: _character_result(ds, c, one if c.kind == "eps" else c_value, places,
+                                       products, route="gz")
             for c in irreducible_characters(ds.group)}
 
 

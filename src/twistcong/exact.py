@@ -608,6 +608,12 @@ def scaled(x: DecimalWithError, d: int) -> tuple[int, int]:
             x.abs_error.numerator * (d // x.abs_error.denominator))
 
 
+def integer_form(x: DecimalWithError) -> tuple[int, int, int]:
+    """(D*value, D*abs_error, D) over the least common denominator D of x."""
+    d = lcm(x.value.denominator, x.abs_error.denominator)
+    return *scaled(x, d), d
+
+
 def sqrt_rational_approx(n: int, digits: int = 40) -> DecimalWithError:
     """Rational approximation of sqrt(n) for n >= 0; exact for perfect squares."""
     if n < 0:
@@ -643,27 +649,35 @@ def real_embedding(x: CyclotomicNumber) -> DecimalWithError:
 # recognition
 # ---------------------------------------------------------------------------
 
-def _simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction with the smallest denominator in [lo, hi] (ties: closest to 0).
+def _simplest_between(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
+    """(num, den) in lowest terms of the fraction with the smallest denominator
+    in [ln/ld, hn/hd], ld, hd > 0 (ties: closest to 0).
 
     For 0 < lo, an integer walk down the continued fractions: while no integer
     lies in [lo, hi], a = floor(lo) is a shared term and [lo, hi] becomes
-    [1/(hi - a), 1/(lo - a)]; the last term is lo or floor(lo) + 1."""
-    if lo > hi:
+    [1/(hi - a), 1/(lo - a)]; the last term is lo or floor(lo) + 1. The walk
+    reads only the values of the endpoints, so they need not be reduced."""
+    if ln * hd > hn * ld:
         raise IntervalError("empty interval")
-    if hi < 0:
-        return -_simplest_in_interval(-hi, -lo)
-    if lo <= 0:
-        return Fraction(0)
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if hn < 0:
+        num, den = _simplest_between(-hn, hd, -ln, ld)
+        return -num, den
+    if ln <= 0:
+        return 0, 1
     h0, k0, h1, k1 = 0, 1, 1, 0    # the two convergents before the current term
     while True:
         a, rest = divmod(ln, ld)
         if rest == 0 or (a + 1) * hd <= hn:
             a += rest > 0    # the last term: lo itself, or the integer above it
-            return Fraction(a * h1 + h0, a * k1 + k0)
+            return a * h1 + h0, a * k1 + k0
         h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
         ln, ld, hn, hd = hd, hn - a * hd, ld, rest
+
+
+def _simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
+    """_simplest_between over Fraction endpoints."""
+    return Fraction(*_simplest_between(lo.numerator, lo.denominator,
+                                       hi.numerator, hi.denominator))
 
 
 def _farey_neighbors(c: Fraction, bound: int) -> tuple[Fraction, Fraction]:
@@ -695,16 +709,17 @@ def rational_reconstruct(x: DecimalWithError, den_bound: int = DEFAULT_DEN_BOUND
     AmbiguousRecognitionError when the interval admits a second candidate of
     admissible denominator.
     """
-    tol = 2 * x.abs_error
-    lo, hi = x.value - tol, x.value + tol
-    c = _simplest_in_interval(lo, hi)
+    v, e, d = integer_form(x)
+    lo, hi = v - 2 * e, v + 2 * e    # the bracket [lo/d, hi/d]
+    c = Fraction(*_simplest_between(lo, d, hi, d))
     if c.denominator > den_bound:
         raise RecognitionError(
-            f"no rational with denominator <= {den_bound} within {scientific(tol, 3)} "
-            f"of {scientific(x.value, 12)}")
-    n1, n2 = _farey_neighbors(c, den_bound)
-    for other in (n1, n2):
-        if other != c and lo <= other <= hi:
+            f"no rational with denominator <= {den_bound} within "
+            f"{scientific(Fraction(2 * e, d), 3)} of {scientific(x.value, 12)}")
+    # a Farey neighbor differs from c; one of them lies in the bracket exactly
+    # when a second candidate does
+    for other in _farey_neighbors(c, den_bound):
+        if lo * other.denominator <= other.numerator * d <= hi * other.denominator:
             raise AmbiguousRecognitionError(
                 f"both {c} and {other} fit the interval at denominator bound {den_bound}")
     return c
@@ -815,10 +830,11 @@ def recognize_orbit(xs: Sequence[DecimalWithError], m: int, units: Sequence[int]
     poly = _min_poly_of(values)
 
     # verification: every exact value must sit inside (a slight widening of)
-    # its input interval
+    # its input interval, |x - emb| <= (2 x_err + emb_err) + emb_err, compared
+    # over the two denominators
     for x, v in zip(xs, values):
-        emb = real_embedding(v)
-        widened = DecimalWithError(x.value, 2 * x.abs_error + emb.abs_error)
-        if not widened.overlaps(emb):
+        xv, xe, xd = integer_form(x)
+        ev, ee, ed = integer_form(real_embedding(v))
+        if abs(xv * ed - ev * xd) > 2 * (xe * ed + ee * xd):
             raise RecognitionError("recognized value does not match its input interval")
     return AlgebraicOrbit(values=values, min_poly=poly)

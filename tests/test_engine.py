@@ -9,14 +9,16 @@ import twistcong.engine as engine
 from twistcong.bsdsquares import field_regulator
 from twistcong.dataset import DatasetError, load_bundled_dataset, parse_dataset
 from twistcong.engine import (
-    RouteDataError, gz_constant, gz_q_vector, relabel_dataset, unit_and_equivariance,
-    verify,
+    RouteDataError, assemble_numeric, gz_constant, gz_q_vector, height_norm, relabel_dataset,
+    unit_and_equivariance, verify,
 )
 from twistcong.exact import (
-    CyclotomicNumber, DecimalWithError, real_embedding, sqrt_rational_approx,
+    SQRT_DIGITS, CyclotomicNumber, DecimalWithError, RecognitionError, real_embedding,
+    sqrt_rational_approx,
 )
-from twistcong.heights import character_heights
-from twistcong.localfactors import LocalPlace, parse_local_place
+from twistcong.groups import character_orbits
+from twistcong.heights import character_heights, omega_factor
+from twistcong.localfactors import LocalPlace, discriminant_factor, parse_local_place
 from twistcong.record import replace
 from twistcong.report import render, structured_report
 
@@ -326,6 +328,53 @@ def test_height_error_swallowing_the_height_is_inconclusive():
         "recognition failed: the period-height divisor of eps is an interval containing 0"]
 
 
+def assembled_by_operators(ds, orbit, leading, norms):
+    """assemble_numeric as first written: DecimalWithError's operators, term by term."""
+    c = orbit[0]
+    d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs,
+                            ds.tower.conductor_norms.get(c.label, 1))
+    sqrt_d = sqrt_rational_approx(d, SQRT_DIGITS)
+    omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus, ds.tower.K_real)
+    return [sqrt_d * lead / (omega * norm) for lead, norm in zip(leading, norms)]
+
+
+@pytest.mark.parametrize("workload, seed", [("bundled", 1), ("towers-auto", 1),
+                                            ("towers-auto", 2)])
+def test_assemble_numeric_matches_the_operator_composition(workload, seed):
+    for inp in gen_module().make_inputs(workload, seed, ROOT / "src"):
+        ds = parse_dataset(inp["doc"])
+        heights = character_heights(ds.group, ds.heights.translates) if ds.heights else None
+        factors = {}    # shared by the orbits, as in one recognize_characters call
+        for orbit in character_orbits(ds.group):
+            leading = [ds.analytic.characters[c.label].leading_term for c in orbit]
+            norms = [height_norm(ds, c.label, heights) for c in orbit]
+            expected = assembled_by_operators(ds, orbit, leading, norms)
+            assert assemble_numeric(ds, orbit, leading, norms, factors) == expected
+            assert assemble_numeric(ds, orbit, leading, norms) == expected
+
+
+def test_a_divisor_touching_zero_at_an_endpoint_is_inconclusive():
+    # |Omega * N| equal to its error bound: the closed interval holds 0
+    ds = load_bundled_dataset(QUINTIC)
+    omega = ds.analytic.omega_plus.value
+    ds.analytic.omega_plus = DecimalWithError(omega, omega)
+    r = verify(ds)
+    assert r.verdict == "INCONCLUSIVE"
+    assert r.notes == [
+        "recognition failed: the period-height divisor of triv is an interval containing 0"]
+    # the same at assemble_numeric, with the height's interval touching 0 and
+    # then stopping just short of it
+    ds.analytic.omega_plus = DecimalWithError.exact(omega)
+    triv = next(orbit for orbit in character_orbits(ds.group) if orbit[0].label == "triv")
+    lead = [ds.analytic.characters["triv"].leading_term]
+    h = Fraction(3, 7)
+    with pytest.raises(RecognitionError, match="divisor of triv is an interval containing 0"):
+        assemble_numeric(ds, triv, lead, [DecimalWithError(h, h)])
+    short = [DecimalWithError(h, h - Fraction(1, 10 ** 40))]
+    assert assemble_numeric(ds, triv, lead, short) == assembled_by_operators(
+        ds, triv, lead, short)
+
+
 @pytest.mark.parametrize("name", [SEPTIC, QUINTIC])
 def test_one_height_table_per_verify(name, monkeypatch):
     # every character's height comes from one pass over the translates
@@ -342,8 +391,8 @@ def test_one_height_table_per_verify(name, monkeypatch):
 
 @pytest.mark.parametrize("name", [SEPTIC, QUINTIC])
 def test_one_square_root_and_period_per_orbit(name, monkeypatch):
-    # conjugate characters share d_psi and Omega_psi: one call per Galois
-    # orbit (triv, eps and one induced orbit on both datasets)
+    # conjugate characters share d_psi and Omega_psi: at most one call per
+    # Galois orbit (triv, eps and one induced orbit on both datasets)
     calls = {"sqrt_rational_approx": 0, "omega_factor": 0}
 
     def counted(fn_name):
@@ -358,6 +407,22 @@ def test_one_square_root_and_period_per_orbit(name, monkeypatch):
         monkeypatch.setattr(engine, fn_name, counted(fn_name))
     assert verify(load_bundled_dataset(name)).verdict == "PASS"
     assert calls == {"sqrt_rational_approx": 3, "omega_factor": 3}
+
+
+def test_one_square_root_and_period_per_kind_and_conductor_norm(monkeypatch):
+    # the unramified seeded towers have several induced orbits, all of
+    # conductor norm 1: one sqrt(d_psi) and one Omega_psi per kind
+    calls = []
+    monkeypatch.setattr(engine, "omega_factor",
+                        lambda c, *args: calls.append(c.kind) or omega_factor(c, *args))
+    orbit_counts = []
+    for inp in gen_module().make_inputs("towers-auto", 1, ROOT / "src"):
+        ds = parse_dataset(inp["doc"])
+        orbit_counts.append(len(character_orbits(ds.group)))
+        calls.clear()
+        assert verify(ds).verdict == inp["expect"]["verdict"]
+        assert sorted(calls) == ["eps", "ind", "triv"]
+    assert max(orbit_counts) > 3
 
 
 def test_hypothesis_violation_inconclusive():

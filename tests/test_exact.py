@@ -9,10 +9,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twistcong.exact as exact
 from twistcong.exact import (
     AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, ExactArithmeticError,
     IntervalError, NotRealError, RecognitionError, UnsupportedConductorError,
-    _farey_neighbors, _fixed_pi, _simplest_in_interval, as_fraction,
+    _farey_neighbors, _fixed_pi, _simplest_between, _simplest_in_interval, as_fraction,
     cyclotomic_field, euler_phi, is_probable_prime, is_square_rational, p_valuation,
     prime_power_base, rational_reconstruct, rational_valuation, real_embedding,
     recognize_orbit, scientific, sqrt_rational_approx,
@@ -614,7 +615,12 @@ def test_simplest_in_interval_matches_the_recursion():
         hi = lo + Fraction(rng.randrange(1, 10 ** 30), rng.randrange(1, 10 ** 30)) ** 3
         intervals += [(lo, hi), (lo, lo)]
     for lo, hi in intervals:
-        assert _simplest_in_interval(lo, hi) == simplest_in_interval_by_recursion(lo, hi)
+        expected = simplest_in_interval_by_recursion(lo, hi)
+        assert _simplest_in_interval(lo, hi) == expected
+        # as rational_reconstruct calls it: both ends over one unreduced denominator
+        d = lo.denominator * hi.denominator
+        assert Fraction(*_simplest_between(lo.numerator * hi.denominator, d,
+                                           hi.numerator * lo.denominator, d)) == expected
     with pytest.raises(IntervalError):
         _simplest_in_interval(Fraction(1), Fraction(0))
 
@@ -649,6 +655,26 @@ def test_rational_reconstruct_rejects_and_ambiguous():
     wide = DecimalWithError(Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(AmbiguousRecognitionError):
         rational_reconstruct(wide, 100)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_a_farey_neighbor_on_the_bracket_is_ambiguous(sign):
+    # at order 10 the neighbors of 1/3 are 3/10 and 3/8; the bracket
+    # [v - 2e, v + 2e] is closed, so a neighbor on either end is a second fit
+    third, eps = Fraction(1, 3), Fraction(1, 10 ** 30)
+
+    def bracket(lo, hi):
+        return DecimalWithError(sign * (lo + hi) / 2, (hi - lo) / 4)
+
+    for lo, hi, other in ((third, Fraction(3, 8), Fraction(3, 8)),
+                          (Fraction(3, 10), third, Fraction(3, 10))):
+        with pytest.raises(AmbiguousRecognitionError) as excinfo:
+            rational_reconstruct(bracket(lo, hi), 10)
+        assert str(excinfo.value) == (
+            f"both {sign * third} and {sign * other} fit the interval at denominator bound 10")
+    # just inside the neighbors, 1/3 is the one fit
+    assert rational_reconstruct(bracket(third, Fraction(3, 8) - eps), 10) == sign * third
+    assert rational_reconstruct(bracket(Fraction(3, 10) + eps, third), 10) == sign * third
 
 
 def test_a_value_below_the_float_range_keeps_its_magnitude_in_messages():
@@ -695,6 +721,31 @@ def test_recognize_orbit_all_rational():
     orb = recognize_orbit(xs, 7, (1, 2, 3), 10 ** 6)
     assert all(v == Fraction(-2312, 577) for v in orb.values)
     assert orb.min_poly == (Fraction(2312, 577), Fraction(1))
+
+
+def test_recognize_orbit_rejects_values_outside_their_widened_inputs():
+    # wide inputs at a small denominator bound: the coordinates are recognized,
+    # but the element they give is not within reach of its inputs
+    xs = [DecimalWithError(Fraction(-48, 11), Fraction(27, 1000)),
+          DecimalWithError(Fraction(-71, 9), Fraction(1, 1000))]
+    with pytest.raises(RecognitionError, match="^recognized value does not match its input"):
+        recognize_orbit(xs, 5, (1, 2), 3)
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+def test_recognize_orbit_accepts_an_embedding_at_the_widened_edge(side, monkeypatch):
+    # the check is |x - emb| <= (2 x_err + emb_err) + emb_err, closed at the edge
+    x = DecimalWithError(Fraction(7, 3), Fraction(1, 10 ** 20))
+    emb_err = Fraction(1, 10 ** 25)
+    edge = 2 * x.abs_error + 2 * emb_err
+    for gap in (edge, edge + Fraction(1, 10 ** 40)):
+        monkeypatch.setattr(exact, "real_embedding",
+                            lambda v, gap=gap: DecimalWithError(x.value + side * gap, emb_err))
+        if gap == edge:
+            assert recognize_orbit([x], 1, (1,)).values == (Fraction(7, 3),)
+        else:
+            with pytest.raises(RecognitionError, match="does not match its input interval"):
+                recognize_orbit([x], 1, (1,))
 
 
 def test_recognize_orbit_rejects_singleton_irrational():

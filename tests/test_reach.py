@@ -75,6 +75,9 @@ UNENTERED = {
     "exact.DecimalWithError.__rsub__": "operator",
     "exact.DecimalWithError.__rtruediv__": "operator",
     "exact.DecimalWithError.__repr__": "display",
+    "exact.DecimalWithError.contains": "predicate; the tests check intervals by it",
+    "exact._simplest_in_interval":
+        "the Fraction form of _simplest_between; tests/test_exact.py checks the walk by it",
     "groups.GroupElement.__repr__": "display",
     # the record base: its methods that no command calls
     "record.Record.__init_subclass__":

@@ -11,7 +11,8 @@ its `src`, so one command measures any checkout, this one or an older one:
   `--trace 0` (the end-to-end metrics) and `--trace 1` (the per-module ones);
 - parse and `verify` of the gz tower `perfbench/gen.py` builds at |P| = 343,
   729 and 997 (seed 1), each in its own interpreter so that no cache is warm,
-  repeated SWEEP_RUNS times; the medians are kept;
+  SWEEP_RUNS times per shape, taken round-robin over the shapes: the medians
+  and the quartiles are kept;
 - `python -m twistcong.cli verify --dataset ... --format structured` on each
   workload's CLI input (the one `gen.cli_input_name` names, at seed 1, the
   default of `perfbench/run.py`), CLI_RUNS fresh processes under
@@ -48,7 +49,7 @@ from pathlib import Path
 
 WORKLOADS = ("bundled", "towers-gz", "towers-auto")
 SWEEP_SHAPES = ((7, [343]), (3, [729]), (997, [997]))
-SWEEP_RUNS = 3
+SWEEP_RUNS = 9
 # one sweep point: gen.py loaded by path, as tools/report_digest.py reads it
 SWEEP_SCRIPT = """
 import importlib.util, json, random, sys, time
@@ -129,14 +130,21 @@ def benchmark(root: Path) -> dict:
 
 
 def sweep(root: Path) -> list[dict]:
+    """The sweep runs, taken round-robin over the shapes, so that a slow spell
+    of the host reaches every shape alike."""
+    runs: list[list[dict]] = [[] for _ in SWEEP_SHAPES]
+    for _ in range(SWEEP_RUNS):
+        for shape, done in zip(SWEEP_SHAPES, runs):
+            done.append(_last_json(_run(root, ["-c", SWEEP_SCRIPT, json.dumps(shape)]),
+                                   f"sweep at {shape}"))
     points = []
-    for shape in SWEEP_SHAPES:
-        runs = [_last_json(_run(root, ["-c", SWEEP_SCRIPT, json.dumps(shape)]),
-                           f"sweep at {shape}") for _ in range(SWEEP_RUNS)]
-        points.append({"p": shape[0], "factors": shape[1], "p_order": prod(shape[1]),
-                       "verdict": runs[0]["verdict"],
-                       "parse_s": statistics.median(r["parse_s"] for r in runs),
-                       "verify_s": statistics.median(r["verify_s"] for r in runs)})
+    for shape, done in zip(SWEEP_SHAPES, runs):
+        point = {"p": shape[0], "factors": shape[1], "p_order": prod(shape[1]),
+                 "verdict": done[0]["verdict"]}
+        for key in ("parse_s", "verify_s"):
+            quartiles = statistics.quantiles([r[key] for r in done], n=4)
+            point[key], point[key[:-2] + "_quartiles_s"] = quartiles[1], quartiles
+        points.append(point)
     return points
 
 
