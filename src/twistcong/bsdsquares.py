@@ -61,7 +61,7 @@ def bsd_quotient(ds: Dataset, fb: FieldBlock) -> DecimalWithError:
     omega = field_period(fb.signature, ds.analytic.omega_plus,
                          ds.analytic.omega_minus, ds.curve.c_infinity)
     divisor = omega * field_regulator(ds, fb)
-    if abs(divisor.value) <= divisor.abs_error:
+    if abs(divisor.num) <= divisor.err:
         raise DatasetError(f"bsd.{fb.name}", "the period times the regulator may be 0")
     return num / divisor
 

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 from .dataset import Dataset, DatasetError, HypothesisResult, check_hypotheses
 from .exact import (SQRT_DIGITS, AmbiguousRecognitionError, CyclotomicNumber,
-                    DecimalWithError, RecognitionError, integer_form, p_valuation,
+                    DecimalWithError, IntervalError, RecognitionError, p_valuation,
                     rational_valuation, recognize_orbit, sqrt_rational_approx)
 from .groups import (Character, DihedralGroup, GroupElement, NotEquivariantError,
                      character_orbits, character_sums, first_equivariance_failure,
@@ -120,40 +120,27 @@ def assemble_numeric(ds: Dataset, orbit: Sequence[Character],
     orbit, as intervals; a RecognitionError naming psi when the divisor
     interval contains 0. leading and norms are aligned with orbit.
 
-    The interval is the one DecimalWithError's operators give, in one closed
-    formula over integers: with A +- Ae = sqrt_d * L and B +- Be = Omega * N
-    over the denominators DA and DB, the value is A DB / (DA B) and the error
-    (Ae |B| + |A| Be) DB / (DA |B| (|B| - Be)), the monotone bound of
-    DecimalWithError.__truediv__.
-
-    factors maps (kind, conductor norm) to the integer forms of sqrt(d_psi)
-    and Omega_psi, for the orbits of one recognize_characters call. Conjugate
-    characters have the same kind and, by parse_dataset, the same conductor
-    norm, so both are computed at most once per orbit."""
+    factors maps (kind, conductor norm) to sqrt(d_psi) and Omega_psi, for
+    the orbits of one recognize_characters call. Conjugate characters have
+    the same kind and, by parse_dataset, the same conductor norm, so both are
+    computed at most once per orbit."""
     c = orbit[0]
     conductor_norm = ds.tower.conductor_norms.get(c.label, 1)
     factors = {} if factors is None else factors
     if (found := factors.get((c.kind, conductor_norm))) is None:
         d = discriminant_factor(c, ds.tower.d_k_abs, ds.tower.d_K_abs, conductor_norm)
-        omega = omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus,
-                             ds.tower.K_real)
         found = factors[c.kind, conductor_norm] = (
-            integer_form(sqrt_rational_approx(d, SQRT_DIGITS)), integer_form(omega))
-    (sv, se, sd), (ov, oe, od) = found
+            sqrt_rational_approx(d, SQRT_DIGITS),
+            omega_factor(c, ds.analytic.omega_plus, ds.analytic.omega_minus, ds.tower.K_real))
+    sqrt_d, omega = found
     out = []
     for c, lead, norm in zip(orbit, leading, norms):
-        lv, le, ld = integer_form(lead)
-        nv, ne, nd = integer_form(norm)
-        a, ae = sv * lv, abs(sv) * le + abs(lv) * se + se * le
-        b, be = ov * nv, abs(ov) * ne + abs(nv) * oe + oe * ne
-        if abs(b) <= be:
+        try:
+            out.append(sqrt_d * lead / (omega * norm))
+        except IntervalError:
             # declared error bounds that swallow Omega_psi * N_psi leave no value
             raise RecognitionError(
-                f"the period-height divisor of {c.label} is an interval containing 0")
-        da, db = sd * ld, od * nd
-        out.append(DecimalWithError(
-            Fraction(a * db, da * b),
-            Fraction((ae * abs(b) + abs(a) * be) * db, da * abs(b) * (abs(b) - be))))
+                f"the period-height divisor of {c.label} is an interval containing 0") from None
     return out
 
 

@@ -515,17 +515,43 @@ def p_valuation(x, p: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class DecimalWithError(Record, hashable=True):
-    """A real number known to lie in [value - abs_error, value + abs_error]."""
+    """A real number known to lie in [value - abs_error, value + abs_error].
+
+    It is stored as integers, value = num/den and abs_error = err/den over
+    the least common denominator den > 0 of the two, so each interval has one
+    form; every operator computes on those integers and _of reduces its result
+    by one gcd. value and abs_error, the record's fields, are read back as
+    Fractions."""
 
     def __init__(self, value: Fraction, abs_error: Fraction):
-        self.value = as_fraction(value)
-        self.abs_error = as_fraction(abs_error)
-        if self.abs_error < 0:
+        value, abs_error = as_fraction(value), as_fraction(abs_error)
+        if abs_error < 0:
             raise IntervalError("negative error bound")
+        vd, ed = value.denominator, abs_error.denominator
+        self.den = lcm(vd, ed)
+        self.num = value.numerator * (self.den // vd)
+        self.err = abs_error.numerator * (self.den // ed)
+
+    @classmethod
+    def _of(cls, num: int, err: int, den: int) -> "DecimalWithError":
+        """num/den +- err/den for integers err >= 0 and den > 0."""
+        g = gcd(num, err, den)
+        x = cls.__new__(cls)
+        x.num, x.err, x.den = num // g, err // g, den // g
+        return x
 
     @classmethod
     def exact(cls, value) -> "DecimalWithError":
-        return cls(as_fraction(value), Fraction(0))
+        value = as_fraction(value)
+        return cls._of(value.numerator, 0, value.denominator)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def abs_error(self) -> Fraction:
+        return Fraction(self.err, self.den)
 
     # interval arithmetic ------------------------------------------------------
 
@@ -536,61 +562,59 @@ class DecimalWithError(Record, hashable=True):
 
     def __add__(self, other):
         o = self._coerce(other)
-        return DecimalWithError(self.value + o.value, self.abs_error + o.abs_error)
+        return DecimalWithError._of(self.num * o.den + o.num * self.den,
+                                    self.err * o.den + o.err * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DecimalWithError(-self.value, self.abs_error)
+        return DecimalWithError._of(-self.num, self.err, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
-        err = (abs(self.value) * o.abs_error + abs(o.value) * self.abs_error
-               + self.abs_error * o.abs_error)
-        return DecimalWithError(self.value * o.value, err)
+        a, ae, b, be = self.num, self.err, o.num, o.err
+        return DecimalWithError._of(a * b, abs(a) * be + abs(b) * ae + ae * be,
+                                    self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if abs(o.value) <= o.abs_error:
+        a, ae, b, be = self.num, self.err, abs(o.num), o.err
+        if b <= be:
             raise IntervalError("division by an interval containing zero")
         # |a/b - a0/b0| <= (|a0|*eb + |b0|*ea) / (|b0| * (|b0| - eb)) is the
-        # tight bound; use the slightly looser monotone one below
-        err = (self.abs_error + abs(self.value / o.value) * o.abs_error) / (abs(o.value) - o.abs_error)
-        return DecimalWithError(self.value / o.value, err)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        # tight bound; use the slightly looser monotone one,
+        # (ea + |a0/b0| * eb) / (|b0| - eb)
+        value = a * o.den * (b - be)
+        return DecimalWithError._of(value if o.num > 0 else -value,
+                                    (ae * b + abs(a) * be) * o.den, self.den * b * (b - be))
 
     def sqrt(self, digits: int = 40) -> "DecimalWithError":
         """Interval square root via integer isqrt at the given precision."""
-        lo = self.value - self.abs_error
-        hi = self.value + self.abs_error
-        if lo < 0:
+        if self.num < self.err:
             raise IntervalError("square root of an interval reaching below zero")
-        scale = 10 ** digits
-        rlo = Fraction(isqrt((lo.numerator * scale * scale) // lo.denominator), scale)
-        rhi = Fraction(isqrt((hi.numerator * scale * scale) // hi.denominator) + 1, scale)
-        mid = (rlo + rhi) / 2
-        return DecimalWithError(mid, rhi - mid)
+        square = 10 ** (2 * digits)
+        lo = isqrt((self.num - self.err) * square // self.den)
+        hi = isqrt((self.num + self.err) * square // self.den) + 1
+        return DecimalWithError._of(lo + hi, hi - lo, 2 * 10 ** digits)
 
     # predicates ---------------------------------------------------------------
 
     def contains(self, x) -> bool:
-        return abs(self.value - as_fraction(x)) <= self.abs_error
+        x = as_fraction(x)
+        return (abs(self.num * x.denominator - x.numerator * self.den)
+                <= self.err * x.denominator)
 
     def overlaps(self, other: "DecimalWithError") -> bool:
-        return abs(self.value - other.value) <= self.abs_error + other.abs_error
+        return (abs(self.num * other.den - other.num * self.den)
+                <= self.err * other.den + other.err * self.den)
 
     def is_positive(self) -> bool:
-        return self.value - self.abs_error > 0
+        return self.num > self.err
 
     def __repr__(self):
         return (f"DecimalWithError({scientific(self.value, 12)} "
@@ -599,19 +623,12 @@ class DecimalWithError(Record, hashable=True):
 
 def common_denominator(intervals: Iterable[DecimalWithError]) -> int:
     """The least D with D*x.value and D*x.abs_error integers for every x."""
-    return lcm(1, *(q.denominator for x in intervals for q in (x.value, x.abs_error)))
+    return lcm(1, *(x.den for x in intervals))
 
 
 def scaled(x: DecimalWithError, d: int) -> tuple[int, int]:
     """(D*value, D*abs_error) for a common denominator D of x."""
-    return (x.value.numerator * (d // x.value.denominator),
-            x.abs_error.numerator * (d // x.abs_error.denominator))
-
-
-def integer_form(x: DecimalWithError) -> tuple[int, int, int]:
-    """(D*value, D*abs_error, D) over the least common denominator D of x."""
-    d = lcm(x.value.denominator, x.abs_error.denominator)
-    return *scaled(x, d), d
+    return x.num * (d // x.den), x.err * (d // x.den)
 
 
 def sqrt_rational_approx(n: int, digits: int = 40) -> DecimalWithError:
@@ -641,8 +658,8 @@ def real_embedding(x: CyclotomicNumber) -> DecimalWithError:
         raise NotRealError(f"complex conjugation moves this element of Q(zeta_{x.m})")
     c, values, errors = cyclotomic_field(x.m).cosines
     ns, d = x.num, x.den    # c_i = ns[i] / d
-    return DecimalWithError(Fraction(sum(map(mul, ns, values)), 2 * c * d),
-                            Fraction(sum(abs(n) * e for n, e in zip(ns, errors)), 2 * c * d))
+    return DecimalWithError._of(sum(map(mul, ns, values)),
+                                sum(abs(n) * e for n, e in zip(ns, errors)), 2 * c * d)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +691,6 @@ def _simplest_between(ln: int, ld: int, hn: int, hd: int) -> tuple[int, int]:
         ln, ld, hn, hd = hd, hn - a * hd, ld, rest
 
 
-def _simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
-    """_simplest_between over Fraction endpoints."""
-    return Fraction(*_simplest_between(lo.numerator, lo.denominator,
-                                       hi.numerator, hi.denominator))
-
-
 def _farey_neighbors(c: Fraction, bound: int) -> tuple[Fraction, Fraction]:
     """The Farey-sequence neighbors of c at order `bound` (c's own denominator <= bound)."""
     p, q = c.numerator, c.denominator
@@ -709,7 +720,7 @@ def rational_reconstruct(x: DecimalWithError, den_bound: int = DEFAULT_DEN_BOUND
     AmbiguousRecognitionError when the interval admits a second candidate of
     admissible denominator.
     """
-    v, e, d = integer_form(x)
+    v, e, d = x.num, x.err, x.den
     lo, hi = v - 2 * e, v + 2 * e    # the bracket [lo/d, hi/d]
     c = Fraction(*_simplest_between(lo, d, hi, d))
     if c.denominator > den_bound:
@@ -796,9 +807,8 @@ def _subfield_element(xs: Sequence[DecimalWithError], field: CyclotomicField,
         te.append(error)
     class_v, class_e = [sum(tv[r::q]) for r in range(q)], [sum(te[r::q]) for r in range(q)]
     den = 2 * d * c * m
-    x = CyclotomicNumber(m, [rational_reconstruct(DecimalWithError(
-        Fraction(tv[j] + class_v[j % q], den), Fraction(te[j] + class_e[j % q], den)), den_bound)
-        for j in range(phi)])
+    x = CyclotomicNumber(m, [rational_reconstruct(DecimalWithError._of(
+        tv[j] + class_v[j % q], te[j] + class_e[j % q], den), den_bound) for j in range(phi)])
     # the conjugates are the sigma_a(x), a in units, only when H fixes x
     if x.galois_apply(h) != x:
         raise RecognitionError(f"the recognized element is not in the subfield of degree {k}")
@@ -833,8 +843,7 @@ def recognize_orbit(xs: Sequence[DecimalWithError], m: int, units: Sequence[int]
     # its input interval, |x - emb| <= (2 x_err + emb_err) + emb_err, compared
     # over the two denominators
     for x, v in zip(xs, values):
-        xv, xe, xd = integer_form(x)
-        ev, ee, ed = integer_form(real_embedding(v))
-        if abs(xv * ed - ev * xd) > 2 * (xe * ed + ee * xd):
+        emb = real_embedding(v)
+        if abs(x.num * emb.den - emb.num * x.den) > 2 * (x.err * emb.den + emb.err * x.den):
             raise RecognitionError("recognized value does not match its input interval")
     return AlgebraicOrbit(values=values, min_poly=poly)

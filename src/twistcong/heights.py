@@ -13,7 +13,7 @@ pass. It brings the translates to one common denominator D and reads the
 field's cosine table (CyclotomicField.cosines: every value 2cos(2 pi k/e) an
 induced psi takes on P, integers over one denominator C) as it is. It then
 pools each character's translates by coefficient in plain integers, and
-builds two Fractions per character at the end. An induced psi vanishes on
+builds each height from its integers at the end. An induced psi vanishes on
 the reflections.
 
 Regulators of subfields divide the Gram determinant of [F:E]-scaled
@@ -43,7 +43,7 @@ def character_heights(group: DihedralGroup,
     |c| * sum(err) + c.err * sum(|v|) + c.err * sum(err), which is exactly
     the sum of the per-term errors of c * t(g). (|sum(v)| in place of
     sum(|v|) would be tighter, but would change the interval.) Each height
-    is then two Fractions over 2*D (linear psi) or 2*D*C (induced psi).
+    is then a value and an error over 2*D (linear psi) or 2*D*C (induced psi).
     """
     d = common_denominator(translates.values())
     rotations = []    # (v, |v|, err) over D, in group.p_elements() order
@@ -58,8 +58,8 @@ def character_heights(group: DihedralGroup,
     rot_v = sum(v for v, _, _ in rotations)
     all_e = flip_e + sum(err for _, _, err in rotations)
     heights = {
-        "triv": DecimalWithError(Fraction(rot_v + flip_v, 2 * d), Fraction(all_e, 2 * d)),
-        "eps": DecimalWithError(Fraction(rot_v - flip_v, 2 * d), Fraction(all_e, 2 * d)),
+        "triv": DecimalWithError._of(rot_v + flip_v, all_e, 2 * d),
+        "eps": DecimalWithError._of(rot_v - flip_v, all_e, 2 * d),
     }
     # an induced psi vanishes on the reflections; at g in P it is
     # 2cos(2 pi k/e) with k = chi_exponent(chi, g), read at min(k, e - k)
@@ -77,8 +77,7 @@ def character_heights(group: DihedralGroup,
         for cv, ce, v, a, err in zip(cos_v, cos_e, pool_v, pool_a, pool_e):
             value += cv * v
             error += abs(cv) * err + ce * a + ce * err
-        heights[char.label] = DecimalWithError(Fraction(value, 2 * d * c),
-                                               Fraction(error, 2 * d * c))
+        heights[char.label] = DecimalWithError._of(value, error, 2 * d * c)
     return heights
 
 
@@ -136,7 +135,7 @@ def _interval_det(rows: list[list[DecimalWithError]]) -> DecimalWithError:
         prev = m[k][k]
     norms = [sum(abs(v) for v, _ in row) for row in entries]
     error = prod(a + sum(e for _, e in row) for a, row in zip(norms, entries)) - prod(norms)
-    return DecimalWithError(Fraction(sign * prev, d ** n), Fraction(error, d ** n))
+    return DecimalWithError._of(sign * prev, error, d ** n)
 
 
 def regulator_from_translates(group: DihedralGroup,
@@ -154,8 +153,7 @@ def regulator_from_translates(group: DihedralGroup,
     r = len(generators)
     gram = _interval_det([[pairing_of_combinations(group, translates, ga, gb)
                            for gb in generators] for ga in generators])
-    scale = field_degree_over_base ** r
-    det = DecimalWithError(gram.value / scale, gram.abs_error / scale)
+    det = gram / field_degree_over_base ** r
     if r and not det.is_positive():
         raise IntervalError("regulator Gram determinant is not certifiably positive")
     return det

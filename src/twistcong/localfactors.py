@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .exact import CyclotomicNumber, brief, prime_power_base
 from .groups import Character, DihedralGroup, GroupElement, GroupError
-from .record import Record, replace
+from .record import Record
 
 
 class LocalDataError(ValueError):
@@ -188,13 +188,13 @@ def parse_local_place(group: DihedralGroup, q: int, a: int,
     if any(frob * g * frob.inverse() not in subgroup for g in spanning):
         raise LocalDataError("Frobenius does not normalize the inertia subgroup")
     place = LocalPlace(q=q, a=a, inertia=gens, frobenius=frob)
-    table = {label: local_correction(char, place)
-             for label, char in group.character_table.by_label.items()}
+    place.corrections = {label: local_correction(char, place)
+                         for label, char in group.character_table.by_label.items()}
     for label, pu, pt in pinned:
-        corr = table[label]
+        corr = place.corrections[label]
         if corr.u != CyclotomicNumber.rational(pu) or corr.t != pt:
             got_u = corr.u.rational_part() if corr.u.is_rational() else corr.u
             raise LocalDataError(
                 f"pinned correction for {label} declares (u, t) = ({pu}, {pt}) "
                 f"but the Galois data gives ({got_u}, {corr.t})")
-    return replace(place, corrections=table)
+    return place

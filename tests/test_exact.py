@@ -13,7 +13,7 @@ import twistcong.exact as exact
 from twistcong.exact import (
     AmbiguousRecognitionError, CyclotomicNumber, DecimalWithError, ExactArithmeticError,
     IntervalError, NotRealError, RecognitionError, UnsupportedConductorError,
-    _farey_neighbors, _fixed_pi, _simplest_between, _simplest_in_interval, as_fraction,
+    _farey_neighbors, _fixed_pi, _simplest_between, as_fraction,
     cyclotomic_field, euler_phi, is_probable_prime, is_square_rational, p_valuation,
     prime_power_base, rational_reconstruct, rational_valuation, real_embedding,
     recognize_orbit, scientific, sqrt_rational_approx,
@@ -436,6 +436,55 @@ def test_interval_arithmetic_contains(x, y, dx, dy):
         assert (x / y).contains(tx / ty)
 
 
+def fraction_formulas(x, y):
+    """(value, abs_error) of x + y, x - y, x * y and, unless y may be 0, x / y,
+    by the interval formulas over Fraction that DecimalWithError's operators
+    were first written in."""
+    (a, ea), (b, eb) = (x.value, x.abs_error), (y.value, y.abs_error)
+    out = {"+": (a + b, ea + eb), "-": (a - b, ea + eb),
+           "*": (a * b, abs(a) * eb + abs(b) * ea + ea * eb)}
+    if abs(b) > eb:
+        out["/"] = (a / b, (ea + abs(a / b) * eb) / (abs(b) - eb))
+    return out
+
+
+def sqrt_fraction_formula(x, digits):
+    lo, hi = x.value - x.abs_error, x.value + x.abs_error
+    scale = 10 ** digits
+    rlo = Fraction(isqrt((lo.numerator * scale * scale) // lo.denominator), scale)
+    rhi = Fraction(isqrt((hi.numerator * scale * scale) // hi.denominator) + 1, scale)
+    mid = (rlo + rhi) / 2
+    return mid, rhi - mid
+
+
+@given(interval, interval, st.integers(min_value=-30, max_value=30).filter(bool),
+       st.integers(min_value=0, max_value=45))
+@settings(max_examples=150)
+def test_interval_operators_match_the_fraction_formulas(x, y, k, digits):
+    # the integer form computes the same rationals, and its one form per
+    # interval makes an interval built from Fractions equal, and hash equal,
+    # to the same interval an operator gives
+    got = {"+": x + y, "-": x - y, "*": x * y}
+    if abs(y.value) > y.abs_error:
+        got["/"] = x / y
+    cases = [(got, fraction_formulas(x, y)),
+             ({"+": k + x, "-": x - k, "*": k * x, "/": x / k},
+              fraction_formulas(x, DecimalWithError.exact(k)))]
+    z = x if x.value >= 0 else -x
+    if z.value >= z.abs_error:
+        cases.append(({"sqrt": z.sqrt(digits)}, {"sqrt": sqrt_fraction_formula(z, digits)}))
+    else:
+        with pytest.raises(IntervalError):
+            z.sqrt(digits)
+    for results, expected in cases:
+        assert results.keys() == expected.keys()
+        for op, result in results.items():
+            assert (result.value, result.abs_error) == expected[op]
+            built = DecimalWithError(*expected[op])
+            assert built == result and hash(built) == hash(result)
+            assert (built.num, built.err, built.den) == (result.num, result.err, result.den)
+
+
 def test_interval_division_by_zero():
     with pytest.raises(IntervalError):
         DecimalWithError.exact(1) / DecimalWithError(Fraction(0), Fraction(1, 10))
@@ -576,15 +625,21 @@ def test_a_fresh_cosine_table_builds_quickly():
 @given(st.fractions(max_denominator=997, min_value=-10 ** 4, max_value=10 ** 4))
 @settings(max_examples=200)
 def test_simplest_in_interval_idempotent(x):
-    got = _simplest_in_interval(x, x)
+    got = simplest_between(x, x)
     assert got == x
-    wide = _simplest_in_interval(x - Fraction(1, 10 ** 12), x + Fraction(1, 10 ** 12))
+    wide = simplest_between(x - Fraction(1, 10 ** 12), x + Fraction(1, 10 ** 12))
     assert wide.denominator <= x.denominator
     assert abs(wide - x) <= Fraction(1, 10 ** 12)
 
 
+def simplest_between(lo, hi):
+    """_simplest_between on the numerators and denominators of lo and hi."""
+    return Fraction(*_simplest_between(lo.numerator, lo.denominator,
+                                       hi.numerator, hi.denominator))
+
+
 def simplest_in_interval_by_recursion(lo, hi):
-    """_simplest_in_interval as first written: recursive over Fraction."""
+    """The walk of _simplest_between as first written: recursive over Fraction."""
     if lo > hi:
         raise IntervalError("empty interval")
     if hi < 0:
@@ -616,13 +671,13 @@ def test_simplest_in_interval_matches_the_recursion():
         intervals += [(lo, hi), (lo, lo)]
     for lo, hi in intervals:
         expected = simplest_in_interval_by_recursion(lo, hi)
-        assert _simplest_in_interval(lo, hi) == expected
+        assert simplest_between(lo, hi) == expected
         # as rational_reconstruct calls it: both ends over one unreduced denominator
         d = lo.denominator * hi.denominator
         assert Fraction(*_simplest_between(lo.numerator * hi.denominator, d,
                                            hi.numerator * lo.denominator, d)) == expected
     with pytest.raises(IntervalError):
-        _simplest_in_interval(Fraction(1), Fraction(0))
+        simplest_between(Fraction(1), Fraction(0))
 
 
 @given(st.fractions(max_denominator=10 ** 5).filter(lambda f: f.denominator > 1),
