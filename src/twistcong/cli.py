@@ -15,7 +15,6 @@ Exit codes: 0 verified / consistent, 1 falsified, 2 inconclusive,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from .dataset import (ROUTES, Dataset, DatasetError, bundled_dataset_names,
                       load_bundled_dataset, load_dataset)
 from .engine import verify
 from .exact import ExactArithmeticError, RecognitionError, is_square_rational
-from .report import REPORT_VERSION, render
+from .report import REPORT_VERSION, render, write_json
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 3
 
@@ -57,8 +56,7 @@ def _emit(text: str, out: str | None) -> None:
 def _document(**fields) -> str:
     """A bsd-squares report in the structured format: sorted JSON keys,
     report_version among them."""
-    return json.dumps({"report_version": REPORT_VERSION, **fields},
-                      indent=2, sort_keys=True) + "\n"
+    return write_json({"report_version": REPORT_VERSION, **fields}) + "\n"
 
 
 def _cmd_verify(args) -> int:
@@ -133,7 +131,7 @@ def _selftest_checks():
             for j, cj in enumerate(chars):
                 acc = CyclotomicNumber.rational(0)
                 for g in group.elements():
-                    acc = acc + ci.value(g) * cj.value(g.inverse())
+                    acc = acc + ci.value(g) * cj.value(group.inverse(g))
                 want = group.order if i == j else 0
                 ortho = ortho and acc == CyclotomicNumber.rational(want)
     yield ("character orthogonality (two dihedral groups and one non-cyclic)", ortho)

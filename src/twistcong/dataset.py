@@ -133,15 +133,17 @@ class _Json:
     def elements(self, group: DihedralGroup, read: Callable[[_Json], Any]
                  ) -> dict[GroupElement, Any]:
         """The members of this object keyed by the group elements their keys
-        name, each value read by read; a key naming the same element as an
-        earlier one ("s1^6" is "s1" at |P| = 5) is rejected."""
+        name (looked up in the group's label table, or else parsed), each value
+        read by read; a key naming the same element as an earlier one ("s1^6"
+        is "s1" at |P| = 5) is rejected."""
         out: dict[GroupElement, Any] = {}
         keys: dict[GroupElement, str] = {}
         for key, node in self.members():
-            try:
-                g = group.parse_element(key)
-            except GroupError as e:
-                node.fail(str(e))
+            if (g := group.element_labels.get(key)) is None:
+                try:
+                    g = group.parse_element(key)
+                except GroupError as e:
+                    node.fail(str(e))
             if g in keys:
                 node.fail(f"names the same group element as {keys[g]!r}")
             keys[g] = key
@@ -490,14 +492,12 @@ def parse_dataset(doc: Any) -> Dataset:
         translates = tnode.elements(group, _Json.decimal)
         # the keys name distinct elements, so none is missing when they are as many
         if len(translates) < group.order:
-            missing_tr = [group.format_element(g) for g in group.elements()
-                          if g not in translates]
+            missing_tr = [k for k, g in group.element_labels.items() if g not in translates]
             tnode.fail(f"missing elements {missing_tr}")
-        # the pairing is symmetric: t(g) agrees with t(g^-1) within the error
-        # bounds, checked once per pair of rotations; a reflection is its own inverse
-        for g in group.p_elements():
-            inverse = g.inverse()
-            if g.rot < inverse.rot and not translates[g].overlaps(translates[inverse]):
+        # the pairing is symmetric: t(g) agrees with t(g^-1) within the error bounds, once
+        # per pair of rotations (a reflection is its own inverse); a key (rot, 0) finds g^-1
+        for g, inverse in zip(group.p_elements(), group.inverse_rots()):
+            if g.rot < inverse and not translates[g].overlaps(translates[inverse, 0]):
                 tnode.fail(f"translates at {group.format_element(g)} and its inverse disagree")
         heights = HeightBlock(normalization=hobj["normalization"].text(), translates=translates)
     elif any(ca.order == 1 and lbl != curve.rho_label() for lbl, ca in analytic_chars.items()):

@@ -243,11 +243,10 @@ def congruence_lines(group: DihedralGroup, sums: Mapping[tuple[int, ...], Fracti
     """The divisibility verdict of S(pi) by p^n_required for every pi in P, read
     from sums = character_sums(res_map(Q, group), group)."""
     lines: list[CongruenceLine] = []
-    for pi in group.p_elements():
+    for label, pi in zip(group.element_labels, group.p_elements()):
         s = sums[pi.rot]
         v = None if s == 0 else p_valuation(s, group.p)
-        lines.append(CongruenceLine(group.format_element(pi), s, v,
-                                    v is None or v >= n_required))
+        lines.append(CongruenceLine(label, s, v, v is None or v >= n_required))
     return lines
 
 

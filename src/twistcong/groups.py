@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from math import lcm, prod
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -39,40 +39,13 @@ class NotEquivariantError(GroupError):
         self.a, self.chi = a, chi
 
 
-class GroupElement:
-    """An element rot * tau^flip with rot a vector of exponents in P."""
+class GroupElement(NamedTuple):
+    """An element rot * tau^flip, rot a vector of exponents in P reduced modulo
+    the cyclic factors and flip 0 or 1, as the group's methods build it; so
+    equality and hashing are the tuple's. Products and inverses are the group's."""
 
-    __slots__ = ("group", "rot", "flip")
-
-    def __init__(self, group: "DihedralGroup", rot: Sequence[int], flip: int):
-        self.group = group
-        self.rot = tuple(r % f for r, f in zip(rot, group.cyclic_factors))
-        self.flip = flip % 2
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.group is not other.group:
-            raise GroupError("elements of different groups")
-        if self.flip:
-            # tau * rot = rot^-1 * tau
-            rot = tuple(a - b for a, b in zip(self.rot, other.rot))
-        else:
-            rot = tuple(a + b for a, b in zip(self.rot, other.rot))
-        return GroupElement(self.group, rot, self.flip ^ other.flip)
-
-    def inverse(self) -> "GroupElement":
-        if self.flip:
-            return self  # reflections are involutions
-        return GroupElement(self.group, tuple(-r for r in self.rot), 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupElement) and self.group is other.group
-                and self.rot == other.rot and self.flip == other.flip)
-
-    def __hash__(self):
-        return hash((self.rot, self.flip))
-
-    def __repr__(self):
-        return f"<{self.group.format_element(self)}>"
+    rot: tuple[int, ...]
+    flip: int
 
 
 class DihedralGroup:
@@ -100,70 +73,77 @@ class DihedralGroup:
 
     @property
     def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * len(self.cyclic_factors), 0)
-
-    @property
-    def tau(self) -> GroupElement:
-        return GroupElement(self, (0,) * len(self.cyclic_factors), 1)
-
-    def generator(self, i: int) -> GroupElement:
-        rot = [0] * len(self.cyclic_factors)
-        rot[i] = 1
-        return GroupElement(self, rot, 0)
+        return GroupElement((0,) * len(self.cyclic_factors), 0)
 
     def element(self, rot: Sequence[int], flip: int = 0) -> GroupElement:
+        """rot * tau^flip, rot any integer vector of the right length."""
         if len(rot) != len(self.cyclic_factors):
             raise GroupError("wrong number of rotation exponents")
-        return GroupElement(self, rot, flip)
+        return GroupElement(tuple(r % f for r, f in zip(rot, self.cyclic_factors)), flip % 2)
+
+    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
+        # tau * rot = rot^-1 * tau
+        sign = -1 if g.flip else 1
+        return self.element([a + sign * b for a, b in zip(g.rot, h.rot)], g.flip ^ h.flip)
+
+    def inverse(self, g: GroupElement) -> GroupElement:
+        # reflections are involutions
+        return g if g.flip else self.element([-r for r in g.rot])
+
+    def inverse_rots(self) -> Iterator[tuple[int, ...]]:
+        """The rot of the inverse of each rotation, in p_elements() order; as
+        chi vectors, the chi-bar of each chi of chi_vectors()."""
+        return iter_product(*([-r % f for r in range(f)] for f in self.cyclic_factors))
 
     def p_elements(self) -> Iterator[GroupElement]:
-        for rot in iter_product(*(range(f) for f in self.cyclic_factors)):
-            yield GroupElement(self, rot, 0)
+        return islice(self.element_labels.values(), self.p_order)
 
     def elements(self) -> Iterator[GroupElement]:
-        for flip in (0, 1):
-            for rot in iter_product(*(range(f) for f in self.cyclic_factors)):
-                yield GroupElement(self, rot, flip)
+        return iter(self.element_labels.values())
 
     def is_cyclic(self) -> bool:
         return len(self.cyclic_factors) == 1
 
     # serialization ------------------------------------------------------------
 
+    @cached_property
+    def element_labels(self) -> Mapping[str, GroupElement]:
+        """Every element by its format_element label, the rotations and then the
+        reflections, each in lexicographic rot order, as elements() lists them:
+        the one table a serialized element is looked up in."""
+        labels = [""]
+        for i, f in enumerate(self.cyclic_factors):
+            names = ["", f"s{i + 1}"] + [f"s{i + 1}^{r}" for r in range(2, f)]
+            labels = [f"{a}*{b}" if a and b else a or b for a in labels for b in names]
+        labels = [a or "1" for a in labels] + [f"{a}*t" if a else "t" for a in labels]
+        rots = list(iter_product(*map(range, self.cyclic_factors)))
+        return MappingProxyType(dict(zip(labels, (GroupElement(rot, flip) for flip in (0, 1)
+                                                  for rot in rots))))
+
     def format_element(self, g: GroupElement) -> str:
-        parts = []
-        for i, r in enumerate(g.rot):
-            if r == 1:
-                parts.append(f"s{i + 1}")
-            elif r > 1:
-                parts.append(f"s{i + 1}^{r}")
-        if g.flip:
-            parts.append("t")
-        return "*".join(parts) if parts else "1"
+        parts = [f"s{i + 1}" if r == 1 else f"s{i + 1}^{r}" for i, r in enumerate(g.rot) if r]
+        return "*".join(parts + ["t"] * g.flip) or "1"
 
     def parse_element(self, s: str) -> GroupElement:
+        """The element s names, in format_element's spelling or another ("e", "s1^6*t")."""
         s = s.strip()
-        if s in ("1", "e"):
-            return self.identity
-        rot = [0] * len(self.cyclic_factors)
-        flip = 0
-        for part in s.split("*"):
+        rot, flip = [0] * len(self.cyclic_factors), 0
+        for part in () if s in ("1", "e") else s.split("*"):
             part = part.strip()
             if part == "t":
                 flip ^= 1
                 continue
-            if not part.startswith("s"):
-                raise GroupError(f"bad element factor {part!r} in {s!r}")
-            body = part[1:]
+            idx_s, hat, exp_s = part[1:].partition("^")
             try:
-                idx_s, exp_s = body.split("^") if "^" in body else (body, "1")
-                idx, exp = int(idx_s), int(exp_s)
+                if part[:1] != "s":
+                    raise ValueError(part)
+                idx, exp = int(idx_s), int(exp_s) if hat else 1
             except ValueError as e:
                 raise GroupError(f"bad element factor {part!r} in {s!r}") from e
             if not 1 <= idx <= len(self.cyclic_factors):
                 raise GroupError(f"generator index {idx} out of range in {s!r}")
             rot[idx - 1] += exp
-        return GroupElement(self, rot, flip)
+        return self.element(rot, flip)
 
     # characters of P ----------------------------------------------------------
 
@@ -208,11 +188,12 @@ class DihedralGroup:
     @cached_property
     def character_table(self) -> CharacterTable:
         """The irreducible characters and their Galois orbits, from one pass over chi_vectors()."""
+        factors = self.cyclic_factors
         by_label = {kind: Character(self, kind, kind) for kind in ("triv", "eps")}
         induced: dict[tuple[int, ...], Character] = {}
         # after the trivial chi, in lexicographic order: chi-bar is met first or not yet
-        for avec in list(self.chi_vectors())[1:]:
-            char = induced.get(self.galois_on_chi(avec, -1))
+        for avec, bar in islice(zip(self.chi_vectors(), self.inverse_rots()), 1, None):
+            char = induced.get(bar)
             if char is None:
                 char = Character(self, "ind", "ind:" + ",".join(map(str, avec)), avec)
                 by_label[char.label] = char
@@ -221,10 +202,14 @@ class DihedralGroup:
         for char in by_label.values():
             if char in seen:
                 continue
-            reached: dict[Character, int] = {}
-            for a in units:
-                reached.setdefault(char if char.chi is None else
-                                   induced[self.galois_on_chi(char.chi, a)], a)
+            if char.chi is None:
+                reached = {char: units[0]}
+            else:
+                # a * chi for every unit a, one column of images per factor
+                images = zip(*([a * c % f for a in units] for c, f in zip(char.chi, factors)))
+                reached = {}
+                for a, image in zip(units, images):
+                    reached.setdefault(induced[image], a)
             seen.update(reached)
             orbits.append((tuple(reached), tuple(reached.values())))
         return CharacterTable(MappingProxyType(by_label), MappingProxyType(induced), tuple(orbits))

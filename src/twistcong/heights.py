@@ -94,11 +94,11 @@ def pairing_of_combinations(group: DihedralGroup,
     for g, ca in a.items():
         if ca == 0:
             continue
-        g_inv = g.inverse()
+        g_inv = group.inverse(g)
         for h, cb in b.items():
             if cb == 0:
                 continue
-            pool = pools.setdefault(g_inv * h, [0, 0])
+            pool = pools.setdefault(group.multiply(g_inv, h), [0, 0])
             pool[0] += ca * cb
             pool[1] += abs(ca * cb)
     value = error = Fraction(0)

@@ -182,10 +182,11 @@ def parse_local_place(group: DihedralGroup, q: int, a: int,
         spanning.append(g)
         frontier = set(subgroup)
         while frontier:
-            frontier = {h * k for h in frontier for k in spanning} - subgroup
+            frontier = {group.multiply(h, k) for h in frontier for k in spanning} - subgroup
             subgroup |= frontier
     # Frobenius normalizes <gens> iff it conjugates each spanning generator into it
-    if any(frob * g * frob.inverse() not in subgroup for g in spanning):
+    frob_inv = group.inverse(frob)
+    if any(group.multiply(group.multiply(frob, g), frob_inv) not in subgroup for g in spanning):
         raise LocalDataError("Frobenius does not normalize the inertia subgroup")
     place = LocalPlace(q=q, a=a, inertia=gens, frobenius=frob)
     place.corrections = {label: local_correction(char, place)

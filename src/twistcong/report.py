@@ -11,8 +11,8 @@ so downstream greps never have to parse free prose.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .exact import CyclotomicNumber, cyclotomic_field
 from .engine import VerificationResult
@@ -23,10 +23,6 @@ REPORT_VERSION = 1
 # ---------------------------------------------------------------------------
 # algebraic-number display
 # ---------------------------------------------------------------------------
-
-def _fmt_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
 
 def _quadratic_split(x: CyclotomicNumber):
     """(r, c, p) with x = r + c*sqrt(p), when the irrational x lies in the
@@ -47,24 +43,24 @@ def _quadratic_split(x: CyclotomicNumber):
 def format_algebraic(x: CyclotomicNumber) -> str:
     """Readable exact form: '24/19', '-48 - 16*sqrt(5)', or the power basis."""
     if x.is_rational():
-        return _fmt_rational(x.rational_part())
+        # num[0] and den are coprime with den > 0, as a Fraction's terms are
+        return str(x.num[0]) if x.den == 1 else f"{x.num[0]}/{x.den}"
     split = _quadratic_split(x)
     if split is not None:
         r, c, d = split
-        root = f"sqrt({d})" if abs(c) == 1 else f"{_fmt_rational(abs(c))}*sqrt({d})"
+        root = f"sqrt({d})" if abs(c) == 1 else f"{abs(c)}*sqrt({d})"
         if r == 0:
             return root if c > 0 else f"-{root}"
-        sign = "+" if c > 0 else "-"
-        return f"{_fmt_rational(r)} {sign} {root}"
+        return f"{r} {'+' if c > 0 else '-'} {root}"
     terms = []
     for i, c in enumerate(x.coeffs):
         z = "z" if i == 1 else f"z^{i}"
         if c and i == 0:
-            terms.append(_fmt_rational(c))
+            terms.append(str(c))
         elif c in (1, -1):
             terms.append(f"-{z}" if c < 0 else z)
         elif c:
-            terms.append(f"{_fmt_rational(c)}*{z}")
+            terms.append(f"{c}*{z}")
     return " + ".join(terms).replace("+ -", "- ") + f"  [z = zeta_{x.m}]"
 
 
@@ -76,10 +72,10 @@ def format_polynomial(coeffs: tuple[Fraction, ...], var: str = "x") -> str:
         if c == 0:
             continue
         if deg == 0:
-            body = _fmt_rational(abs(c))
+            body = str(abs(c))
         else:
             xq = var if deg == 1 else f"{var}^{deg}"
-            body = xq if abs(c) == 1 else f"{_fmt_rational(abs(c))}*{xq}"
+            body = xq if abs(c) == 1 else f"{abs(c)}*{xq}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -96,21 +92,18 @@ _STATUS_TEXT = {"holds": "holds", "fails": "FAILS", "undetermined": "assumed"}
 
 def render_text(result: VerificationResult) -> str:
     p = result.p
-    lines: list[str] = []
-    lines.append(f"dataset: {result.dataset_label}")
-    lines.append(f"p = {p}   modulus: {p}^{result.n_required}   route: {result.route}")
-    lines.append("")
-    lines.append("hypotheses:")
+    lines = [f"dataset: {result.dataset_label}",
+             f"p = {p}   modulus: {p}^{result.n_required}   route: {result.route}",
+             "", "hypotheses:"]
     for h in result.hypotheses:
         status = _STATUS_TEXT.get(h.status, h.status)
         detail = f"   [{h.detail}]" if h.detail and h.status == "fails" else ""
         lines.append(f"  ({h.key}) {status:<8} {h.description}{detail}")
     if result.characters:
-        lines.append("")
-        lines.append("normalized leading terms:")
+        lines += ["", "normalized leading terms:"]
         seen_polys = []
         for label, cr in result.characters.items():
-            corr = f"u = {format_algebraic(cr.correction.u)}, t = {_fmt_rational(cr.correction.t)}"
+            corr = f"u = {format_algebraic(cr.correction.u)}, t = {cr.correction.t}"
             lines.append(
                 f"  Q({label}) = {format_algebraic(cr.q_value)}   "
                 f"[route {cr.route}; order {cr.declared_order}; {corr}; "
@@ -120,25 +113,21 @@ def render_text(result: VerificationResult) -> str:
         for poly in seen_polys:
             lines.append(f"  induced orbit minimal polynomial: {format_polynomial(poly)}")
     if result.congruences:
-        lines.append("")
-        lines.append(f"congruence sums over the rotation subgroup (target v_{p} >= "
-                     f"{result.n_required}):")
+        lines += ["", f"congruence sums over the rotation subgroup (target v_{p} >= "
+                      f"{result.n_required}):"]
         for line in result.congruences:
-            lines.append(f"  S({line.element}) = {_fmt_rational(line.value)}, "
+            lines.append(f"  S({line.element}) = {line.value}, "
                          f"v_{p} = {line.valuation_str()}")
-        lines.append("")
-        lines.append(f"p-unit condition: {'ok' if result.unit_ok else 'VIOLATED'};  "
-                     f"Galois equivariance: {'ok' if result.equivariance_ok else 'VIOLATED'}")
+        lines += ["", f"p-unit condition: {'ok' if result.unit_ok else 'VIOLATED'};  "
+                      f"Galois equivariance: {'ok' if result.equivariance_ok else 'VIOLATED'}"]
         agree = {True: "agrees", False: "DISAGREES", None: "not applicable"}
         lines.append(f"group-ring membership: {agree[result.membership_agrees]};  "
                      f"order-p shortcut: {agree[result.shortcut_agrees]}")
     if result.notes:
-        lines.append("")
-        lines.append("notes:")
+        lines += ["", "notes:"]
         for note in result.notes:
             lines.append(f"  - {note}")
-    lines.append("")
-    lines.append(f"verdict: {result.verdict}")
+    lines += ["", f"verdict: {result.verdict}"]
     return "\n".join(lines) + "\n"
 
 
@@ -147,7 +136,7 @@ def render_text(result: VerificationResult) -> str:
 # ---------------------------------------------------------------------------
 
 def structured_report(result: VerificationResult) -> dict:
-    doc = {
+    return {
         "report_version": REPORT_VERSION,
         "dataset": result.dataset_label,
         "p": result.p,
@@ -176,7 +165,7 @@ def structured_report(result: VerificationResult) -> dict:
             for label, cr in result.characters.items()
         },
         "congruences": [
-            {"element": line.element, "value": _fmt_rational(line.value),
+            {"element": line.element, "value": str(line.value),
              "valuation": line.valuation_str(), "ok": line.ok}
             for line in result.congruences
         ],
@@ -188,11 +177,39 @@ def structured_report(result: VerificationResult) -> dict:
         },
         "notes": list(result.notes),
     }
-    return doc
+
+
+def write_json(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte, for a tree of
+    dicts with str keys, lists and tuples, and str, int, bool and None leaves,
+    each of exactly that type: one str.join per container, where the standard
+    encoder runs a Python generator per container once indent is set."""
+    quote = encode_basestring_ascii
+
+    def write(x, newline: str) -> str:
+        # x sits at the indent newline ends with; its members break one deeper
+        kind, inner = type(x), newline + "  "
+        if kind is str:
+            return quote(x)
+        if kind is dict:
+            return "{" + inner + ("," + inner).join([
+                quote(k) + ": " + (quote(v) if type(v) is str else write(v, inner))
+                for k, v in sorted(x.items())]) + newline + "}" if x else "{}"
+        if kind is list or kind is tuple:
+            return "[" + inner + ("," + inner).join([
+                quote(v) if type(v) is str else write(v, inner)
+                for v in x]) + newline + "]" if x else "[]"
+        if kind is int:
+            return str(x)
+        if x is None or kind is bool:
+            return "null" if x is None else "true" if x else "false"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    return write(doc, "\n")
 
 
 def render_structured(result: VerificationResult) -> str:
-    return json.dumps(structured_report(result), indent=2, sort_keys=True) + "\n"
+    return write_json(structured_report(result)) + "\n"
 
 
 def render(result: VerificationResult, fmt: str = "text") -> str:

@@ -498,6 +498,46 @@ def test_reject_two_generator_keys_naming_one_element():
     assert "'s1'" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("first, second", [("s1", "s1^6"), ("s1^6", "s1"), ("1", "e"),
+                                           ("s1^4*t", "s1^-1*t")])
+def test_two_spellings_of_one_translate_key(first, second):
+    """A key in format_element's spelling is read from the group's label
+    table and any other is parsed; either way the later of two keys naming
+    one element is rejected, and the message names the earlier."""
+    group = load_bundled_dataset(QUINTIC).group
+    doc = bundled_doc(QUINTIC)
+    translates = doc["heights"]["translates"]
+    value = translates.pop(group.format_element(group.parse_element(first)))
+    translates.update({first: value, second: value})
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == (f"heights.translates.{second}: names the same group "
+                                  f"element as {first!r}")
+
+
+@pytest.mark.parametrize("first, second", [("s1", "s1^8"), ("s1^8", "s1")])
+def test_two_spellings_of_one_generator_key(first, second):
+    doc = bundled_doc(SEPTIC)
+    doc["bsd"]["K"]["regulator_generators"][0] = {first: "1", second: "2"}
+    with pytest.raises(DatasetError) as excinfo:
+        parse_dataset(doc)
+    assert str(excinfo.value) == (f"bsd.K.regulator_generators[0].{second}: names the same "
+                                  f"group element as {first!r}")
+
+
+@pytest.mark.parametrize("canonical, other", [("1", "e"), ("s1", "s1^1"), ("s1", " s1 "),
+                                              ("s1^2*t", "s1^7*t"), ("t", " t")])
+def test_other_spellings_of_a_translate_key(canonical, other):
+    """The fallback spellings name the element their canonical label does."""
+    doc = bundled_doc(QUINTIC)
+    want = parse_dataset(doc).heights.translates
+    translates = doc["heights"]["translates"]
+    translates[other] = translates.pop(canonical)
+    assert parse_dataset(doc).heights.translates == want
+    group = load_bundled_dataset(QUINTIC).group
+    assert group.parse_element(other) == group.element_labels[canonical]
+
+
 def test_reject_a_generator_key_naming_no_element():
     # reported at the generator, not at its key, while a translate key was
     # reported at the key

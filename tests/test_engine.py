@@ -499,7 +499,7 @@ def test_relabel_preserves_verdict(name, units):
             rebuilt = parse_local_place(moved.group, pl.q, pl.a, [fmt(g) for g in pl.inertia],
                                         fmt(pl.frobenius))
             assert rebuilt.corrections == pl.corrections
-    assert ds.group.format_element(ds.group.generator(0)) == "s1"
+    assert ds.group.format_element(ds.group.element((1,))) == "s1"
 
 
 @pytest.mark.parametrize("a", [2, 3, 4])

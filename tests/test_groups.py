@@ -1,5 +1,6 @@
 """Dihedral groups, characters, the group ring, and the two lattice-membership
 decisions."""
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -49,11 +50,12 @@ def test_accept_large_prime_p():
 
 
 def test_element_algebra():
-    s = G7.generator(0)
-    t = G7.tau
-    assert t * t == G7.identity
-    assert (s * t) * (s * t) == G7.identity       # reflections are involutions
-    assert t * s == s.inverse() * t
+    s = G7.element((1,))
+    t = G7.element((0,), 1)
+    st = G7.multiply(s, t)
+    assert G7.multiply(t, t) == G7.identity
+    assert G7.multiply(st, st) == G7.identity       # reflections are involutions
+    assert G7.multiply(t, s) == G7.multiply(G7.inverse(s), t)
 
 
 def test_format_parse_roundtrip():
@@ -65,6 +67,29 @@ def test_format_parse_roundtrip():
     assert G7.parse_element("e") == G7.identity
     with pytest.raises(GroupError):
         G7.parse_element("s2")  # only one rotation generator here
+
+
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+def test_label_table_is_every_element_by_its_label(p, factors):
+    """The table lists the rotations, then the reflections, each in
+    lexicographic rot order, keyed by format_element; each key parses back to
+    its element, and inverse_rots follows the rotations."""
+    group = DihedralGroup(p, factors)
+    rots = list(itertools.product(*(range(f) for f in factors)))
+    want = [group.element(rot, flip) for flip in (0, 1) for rot in rots]
+    assert list(group.element_labels.values()) == want == list(group.elements())
+    assert list(group.p_elements()) == want[:group.p_order]
+    for label, g in group.element_labels.items():
+        assert label == group.format_element(g)
+        assert group.parse_element(label) == g
+    assert list(group.inverse_rots()) == [group.inverse(g).rot for g in group.p_elements()]
+
+
+def test_element_reduces_its_rotation():
+    assert G7.element((9,), 3) == G7.element((2,), 1) == G7.parse_element("s1^9*t*t*t")
+    assert G33.element((-1, 4)) == G33.element_labels["s1^2*s2"]
+    assert G7.inverse(G7.element((3,))) == G7.element((4,))
+    assert G33.multiply(G33.element((1, 2), 1), G33.element((2, 2))) == G33.element((2, 0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +112,16 @@ def test_orthogonality(group):
         for j, cj in enumerate(chars):
             acc = CyclotomicNumber.rational(0)
             for g in group.elements():
-                acc = acc + ci.value(g) * cj.value(g.inverse())
+                acc = acc + ci.value(g) * cj.value(group.inverse(g))
             assert acc == CyclotomicNumber.rational(group.order if i == j else 0)
 
 
 def test_induced_character_values():
     psi = Character.from_label(G5, "ind:1")
     assert psi.degree == 2
-    s = G5.generator(0)
+    s = G5.element((1,))
     assert psi.value(s) == CyclotomicNumber.zeta_power(5, 1) + CyclotomicNumber.zeta_power(5, 4)
-    assert psi.value(G5.tau).is_zero()
+    assert psi.value(G5.element((0,), 1)).is_zero()
     assert psi.value(G5.identity) == CyclotomicNumber.rational(2)
 
 
@@ -325,7 +350,8 @@ def per_formulation_sum(group, q_values, pi):
     acc = q_values["triv"] * q_values["eps"]
     for avec in group.chi_vectors():
         if any(avec):
-            acc = acc + group.chi_value(avec, pi.inverse()) * q_values[reference_label(group, avec)]
+            chi = group.chi_value(avec, group.inverse(pi))
+            acc = acc + chi * q_values[reference_label(group, avec)]
     return acc
 
 
@@ -396,7 +422,7 @@ def direct_character_sums(evals, group):
     """S(pi) as the plain double loop of cyclotomic products chi(pi^-1) E_chi."""
     sums = {}
     for pi in group.p_elements():
-        pi_inv = pi.inverse()
+        pi_inv = group.inverse(pi)
         acc = CyclotomicNumber.rational(0)
         for avec in group.chi_vectors():
             acc = acc + group.chi_value(avec, pi_inv) * evals[avec]
@@ -715,7 +741,7 @@ def test_center_integrality_by_one_generator_matches_the_unit_scan(p, factors):
 
 def class_sum_row(group, h):
     """Eigenvalues of the class sum of h: |class(h)| * psi(h) / psi(1)."""
-    cls = {g * h * g.inverse() for g in group.elements()}
+    cls = {group.multiply(group.multiply(g, h), group.inverse(g)) for g in group.elements()}
     out = {}
     for c in irreducible_characters(group):
         val = c.value(h)
@@ -736,7 +762,7 @@ def dense_center_integrality(values, group):
     for g in group.elements():
         acc = CyclotomicNumber.rational(0)
         for c in irreducible_characters(group):
-            acc = acc + c.degree * (c.value(g.inverse()) * values[c.label])
+            acc = acc + c.degree * (c.value(group.inverse(g)) * values[c.label])
         name = group.format_element(g)
         if not g.flip:
             irrational_rotation |= not acc.is_rational()
@@ -775,7 +801,7 @@ def test_center_integrality_matches_the_dense_table_sum(p, factors):
 
 def test_center_integrality_at_order_121_is_fast():
     group = DihedralGroup(11, [121])
-    s = group.generator(0)
+    s = group.element((1,))
     row = class_sum_row(group, s)
     start = time.perf_counter()
     report = center_integrality(row, group)
@@ -789,13 +815,13 @@ def test_center_integrality_at_order_121_is_fast():
 
 def test_center_integrality_class_sum():
     s3 = DihedralGroup(3, [3])
-    s = s3.generator(0)
+    s = s3.element((1,))
     row = class_sum_row(s3, s)
     # (2, 2, -1): eigenvalues of the rotation class sum
     assert row["triv"] == CyclotomicNumber.rational(2)
     assert row["ind:1"] == CyclotomicNumber.rational(-1)
     assert center_integrality(row, s3).ok
-    row_tau = class_sum_row(s3, s3.tau)
+    row_tau = class_sum_row(s3, s3.element((0,), 1))
     assert center_integrality(row_tau, s3).ok
 
 
@@ -810,7 +836,7 @@ def test_center_integrality_rejects_naive_row():
 
 def test_center_integrality_rejects_non_integral():
     s3 = DihedralGroup(3, [3])
-    row = class_sum_row(s3, s3.generator(0))
+    row = class_sum_row(s3, s3.element((1,)))
     row["triv"] = CyclotomicNumber.rational(Fraction(2, 3))
     assert not center_integrality(row, s3).ok
 

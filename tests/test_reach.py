@@ -61,9 +61,6 @@ UNENTERED = {
     "groups.IntegralityReport.__init__": "built by center_integrality alone",
     "engine.relabel_dataset": "the metamorphic relabeling; criterion 2, the digest and a demo",
     "engine.relabel_dataset.<locals>.move": "relabel_dataset's element map",
-    # constructors the tests build group elements with
-    "groups.DihedralGroup.tau": "the reflection",
-    "groups.DihedralGroup.generator": "a rotation generator",
     # operators and displays that complete the value types
     "exact.CyclotomicNumber.__pow__": "tests/test_exact.py checks it against a reference",
     "exact.CyclotomicNumber.__sub__": "operator",
@@ -74,7 +71,6 @@ UNENTERED = {
     "exact.DecimalWithError.__sub__": "operator",
     "exact.DecimalWithError.__repr__": "display",
     "exact.DecimalWithError.contains": "predicate; the tests check intervals by it",
-    "groups.GroupElement.__repr__": "display",
     # the record base: its methods that no command calls
     "record.Record.__init_subclass__":
         "runs once per record class as its module is imported, before any command",

@@ -5,14 +5,16 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from test_exact import sqrt_in_cyclotomic
 
+from twistcong import cli
 from twistcong.dataset import load_bundled_dataset
 from twistcong.engine import verify
 from twistcong.exact import CyclotomicNumber, cyclotomic_field
 from twistcong.report import (
     REPORT_VERSION, _quadratic_split, format_algebraic, format_polynomial, render, render_text,
-    render_structured, structured_report,
+    render_structured, structured_report, write_json,
 )
 
 
@@ -87,6 +89,73 @@ def test_structured_report_is_json():
     assert doc["dataset"] == "37a1-septic-577"
     # sorted keys make the serialization canonical
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# text that the encoder escapes: quotes, backslashes, control characters,
+# non-ASCII inside and outside the basic plane, a lone surrogate
+JSON_TEXT = st.text(
+    st.sampled_from('"\\/\n\t\x00\x1f\x7f é€\u2028\ud800😀') | st.characters(), max_size=8)
+JSON_LEAF = (st.none() | st.booleans() | JSON_TEXT
+             | st.integers(min_value=-10 ** 40, max_value=10 ** 40))
+JSON_TREE = st.recursive(
+    JSON_LEAF, lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                              | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+@given(JSON_TREE)
+@settings(max_examples=200)
+@example({})
+@example([])
+@example({"": {}, "a": [[], {}, [[]]], "b": ()})
+@example({"ok": True, "none": None, "n": -10 ** 60, "\u00e9\"\\": "\x00\ud83d"})
+def test_write_json_is_the_indented_standard_encoder(doc):
+    assert write_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("leaf", [1.5, Fraction(1, 2), {1: "a"}, {"a": {2}}])
+def test_write_json_rejects_what_reports_never_hold(leaf):
+    with pytest.raises(TypeError):
+        write_json(leaf)
+
+
+def test_bsd_squares_structured_bytes(capsys):
+    """A bsd-squares document, byte for byte as
+    json.dumps(indent=2, sort_keys=True) writes it."""
+    assert cli.main(["bsd-squares", "--dataset", "21a1-quintic-19", "--format",
+                     "structured"]) == cli.EXIT_FAIL
+    assert capsys.readouterr().out == """\
+{
+  "dataset": "21a1-quintic-19",
+  "report_version": 1,
+  "sha_predictions": [
+    {
+      "field": "F",
+      "integral": true,
+      "sha": "32",
+      "square": false
+    },
+    {
+      "field": "K",
+      "integral": true,
+      "sha": "1",
+      "square": true
+    },
+    {
+      "field": "L",
+      "integral": true,
+      "sha": "4",
+      "square": true
+    },
+    {
+      "field": "k",
+      "integral": true,
+      "sha": "1",
+      "square": true
+    }
+  ]
+}
+"""
 
 
 def test_render_rejects_unknown_format():
