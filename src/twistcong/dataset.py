@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, NoReturn
 
 from .exact import DEFAULT_DEN_BOUND, DecimalWithError, brief
-from .groups import DihedralGroup, GroupElement, GroupError
+from .groups import DihedralGroup, GroupElement, GroupError, dihedral_group
 from .localfactors import LocalDataError, LocalPlace, parse_local_place, quadratic_point_count
 from .record import Record
 
@@ -377,7 +377,7 @@ def parse_dataset(doc: Any) -> Dataset:
     if p > MAX_P_ORDER:
         gobj["p"].fail(f"p exceeds the supported |P| <= {MAX_P_ORDER}")
     try:
-        group = DihedralGroup(p, factors)
+        group = dihedral_group(p, tuple(factors))
     except GroupError as e:
         gobj.fail(str(e))
     if group.p_order > MAX_P_ORDER:

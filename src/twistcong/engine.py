@@ -268,7 +268,7 @@ def unit_and_equivariance(group: DihedralGroup, results: dict[str, CharacterResu
     unit_ok = not notes
     failure = first_equivariance_failure(
         {label: res.q_value for label, res in results.items()}, group.galois_label,
-        group.exponent)
+        group.exponent, group.label_images)
     if failure is None:
         return unit_ok, True, notes
     units = group.galois_unit_reps()

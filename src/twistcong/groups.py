@@ -9,13 +9,13 @@ nontrivial characters of P, one per conjugate pair {chi, chi-bar}.
 
 Each group builds one character table (DihedralGroup.character_table); every
 lookup by label, Galois image or restriction to P reads it, and no label is
-parsed back into a chi vector.
+parsed back into a chi vector; dihedral_group builds each shape once.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import islice, product as iter_product
+from itertools import islice, product as iter_product, repeat
 from math import lcm, prod
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
@@ -214,6 +214,34 @@ class DihedralGroup:
             orbits.append((tuple(reached), tuple(reached.values())))
         return CharacterTable(MappingProxyType(by_label), MappingProxyType(induced), tuple(orbits))
 
+    @cached_property
+    def orbit_exponents(self) -> tuple[tuple[int, ...], ...]:
+        """chi_exponents of the first member of each character_table.orbits[2:]:
+        one row per orbit, not per character, for (a chi)(pi) = chi(pi)^a."""
+        return tuple(tuple(self.chi_exponents(orbit[0].chi))
+                     for orbit, _ in self.character_table.orbits[2:])
+
+    @cached_property
+    def chi_images(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+        """galois_on_chi(chi, g) at every chi, g = cyclotomic_field(exponent).generator:
+        in chi_vectors() order, the product of the images g*c of each factor's range."""
+        g = cyclotomic_field(self.exponent).generator
+        images = iter_product(*([g * c % f for c in range(f)] for f in self.cyclic_factors))
+        return MappingProxyType(dict(zip(self.chi_vectors(), images)))
+
+    @cached_property
+    def label_images(self) -> Mapping[str, str]:
+        """galois_label(label, g) at every character label, g as in chi_images."""
+        g = cyclotomic_field(self.exponent).generator
+        return MappingProxyType({x: self.galois_label(x, g) for x in self.character_table.by_label})
+
+
+@lru_cache(maxsize=64)
+def dihedral_group(p: int, cyclic_factors: tuple[int, ...]) -> DihedralGroup:
+    """DihedralGroup(p, cyclic_factors) built once per shape in a process, which
+    holds only tables of its shape; a rejected shape raises anew on every call."""
+    return DihedralGroup(p, cyclic_factors)
+
 
 # ---------------------------------------------------------------------------
 # irreducible characters of G
@@ -321,24 +349,25 @@ Key = TypeVar("Key", bound=Hashable)
 
 
 def first_equivariance_failure(values: Mapping[Key, CyclotomicNumber],
-                               image: Callable[[Key, int], Key], e: int
-                               ) -> tuple[int, Key] | None:
+                               image: Callable[[Key, int], Key], e: int,
+                               at_generator: Mapping[Key, Key]) -> tuple[int, Key] | None:
     """The first (a, key), units a of (Z/e)^* in increasing order and keys in
     the order of values, with sigma_a(values[key]) != values[image(key, a)],
-    or None. The values have conductors dividing e, and image is an action:
-    image(image(k, a), b) = image(k, ab).
+    or None. The values have conductors dividing e, image is an action:
+    image(image(k, a), b) = image(k, ab), and at_generator[k] = image(k, g).
 
-    Only the generator g of cyclotomic_field(e) is checked unless that check
-    fails. (Z/e)^* is cyclic for odd prime powers e, sigma_ab = sigma_a sigma_b,
-    and == on CyclotomicNumber (equal (m, num, den), rationals equal across
-    conductors) is an equivalence every sigma_a preserves. So if
-    sigma_g(values[k]) = values[image(k, g)] for every key k, induction on j
-    gives sigma_(g^j)(values[k]) = sigma_g(values[image(k, g^(j-1))]) =
-    values[image(k, g^j)], and the g^j are all the units. After a failure at
-    g every unit is scanned, so that the result is the first failure."""
+    Only the generator g of cyclotomic_field(e) is checked, through
+    at_generator, unless that check fails. (Z/e)^* is cyclic for odd prime
+    powers e, sigma_ab = sigma_a sigma_b, and == on CyclotomicNumber (equal
+    (m, num, den), rationals equal across conductors) is an equivalence every
+    sigma_a preserves. So if sigma_g(values[k]) = values[image(k, g)] for
+    every key k, induction on j gives sigma_(g^j)(values[k]) =
+    sigma_g(values[image(k, g^(j-1))]) = values[image(k, g^j)], and the g^j
+    are all the units. After a failure at g every unit is scanned, so that
+    the result is the first failure."""
     field = cyclotomic_field(e)
     g = field.generator
-    if all(v.galois_apply(g) == values[image(k, g)] for k, v in values.items()):
+    if all(v.galois_apply(g) == values[at_generator[k]] for k, v in values.items()):
         return None
     return next((a, k) for a in field.units for k, v in values.items()
                 if v.galois_apply(a) != values[image(k, a)])
@@ -395,7 +424,7 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     D phi(e), D the common denominator of the orbit representatives: one
     table of e integers per representative and one addition per orbit and
     pi, with no reduction modulo Phi_e. The exponent sum is symmetric in chi
-    and pi, so chi_exponents(chi_0) gives k at every pi at once."""
+    and pi, so the orbit's row of group.orbit_exponents gives k at every pi at once."""
     vectors = list(group.chi_vectors())
     missing = [v for v in vectors if v not in evals]
     if missing:
@@ -406,14 +435,14 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
     if foreign is not None:
         raise UnsupportedConductorError(f"mixed conductors {e} and {foreign}")
     # num of a conductor-1 value is its one coordinate at zeta^0, so no value is promoted
-    failure = first_equivariance_failure(values, group.galois_on_chi, e)
+    failure = first_equivariance_failure(values, group.galois_on_chi, e, group.chi_images)
     if failure is not None:
         raise NotEquivariantError(*failure)
-    orbits = [(vectors[0], 1)]
-    orbits += [(orbit[0].chi, 2 * len(orbit)) for orbit, _ in group.character_table.orbits[2:]]
-    den = lcm(*(values[avec].den for avec, _ in orbits))
+    rows = zip(group.character_table.orbits[2:], group.orbit_exponents)
+    orbits = [(vectors[0], 1, repeat(0))] + [(o[0].chi, 2 * len(o), row) for (o, _), row in rows]
+    den = lcm(*(values[avec].den for avec, _, _ in orbits))
     acc = [0] * group.p_order
-    for avec, size in orbits:
+    for avec, size, row in orbits:
         v = values[avec]
         weight = size * (den // v.den)
         # traces[k] = weight d Tr(zeta^-k E_chi_0), nonzero only at k = i mod e/p
@@ -422,7 +451,7 @@ def character_sums(evals: Mapping[tuple[int, ...], CyclotomicNumber],
             if c:
                 for k in range(i % field.q, e, field.q):
                     traces[k] += weight * c * field.zeta_trace(i - k)
-        acc = [s + traces[k] for s, k in zip(acc, group.chi_exponents(avec))]
+        acc = [s + traces[k] for s, k in zip(acc, row)]
     # one Fraction per distinct sum: a constant vector's S(pi) vanish at every pi but 1
     fractions = {s: Fraction(s, den * field.phi) for s in set(acc)}
     return {rot: fractions[s] for rot, s in zip(vectors, acc)}
@@ -493,7 +522,7 @@ def center_integrality(values: Mapping[str, CyclotomicNumber], group: DihedralGr
                 failures.append(f"A({c.label}) not fixed by its stabilizer (a={a})")
                 break
     failure = first_equivariance_failure({c.label: values[c.label] for c in chars},
-                                         group.galois_label, group.exponent)
+                                         group.galois_label, group.exponent, group.label_images)
     if failure is not None:
         a, label = failure
         failures.append(f"eigenvalues not Galois-equivariant at {label}, a={a}")

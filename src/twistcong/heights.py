@@ -12,24 +12,24 @@ character_heights computes every h_psi of one translate table in a single
 pass. It brings the translates to one common denominator D and reads the
 field's cosine table (CyclotomicField.cosines: every value 2cos(2 pi k/e) an
 induced psi takes on P, integers over one denominator C) as it is. It then
-pools each character's translates by coefficient in plain integers, and
-builds each height from its integers at the end. An induced psi vanishes on
-the reflections.
+pools the translates by coefficient in plain integers, once per Galois orbit
+of characters, and builds each height from its integers at the end. An
+induced psi vanishes on the reflections.
 
 Regulators of subfields divide the Gram determinant of [F:E]-scaled
 pairings. pairing_of_combinations pools the coefficient products by
-translate and gives the term-by-term interval. The determinant is exact on
-the midpoints; its Hadamard error bound contains the interval of
+translate in integers and gives the term-by-term interval. The determinant
+is exact on the midpoints; its Hadamard error bound contains the interval of
 the term-by-term Laplace expansion.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .exact import DecimalWithError, IntervalError, common_denominator, cyclotomic_field, scaled
-from .groups import Character, DihedralGroup, GroupElement, irreducible_characters
+from .groups import Character, DihedralGroup, GroupElement
 
 
 def character_heights(group: DihedralGroup,
@@ -61,24 +61,29 @@ def character_heights(group: DihedralGroup,
         "triv": DecimalWithError._of(rot_v + flip_v, all_e, 2 * d),
         "eps": DecimalWithError._of(rot_v - flip_v, all_e, 2 * d),
     }
-    # an induced psi vanishes on the reflections; at g in P it is
-    # 2cos(2 pi k/e) with k = chi_exponent(chi, g), read at min(k, e - k)
+    # an induced psi vanishes on the reflections; at g in P it is 2cos(2 pi k/e),
+    # k = chi_exponent(chi, g), read at min(k, e - k). Pools are made once per orbit:
+    # the member the unit u reaches has u*k, and k -> u*k is one-to-one on pools
     e = group.exponent
     half = e // 2 + 1
     c, cos_v, cos_e = cyclotomic_field(e).cosines
-    for char in irreducible_characters(group)[2:]:
+    for (orbit, units), row in zip(group.character_table.orbits[2:], group.orbit_exponents):
         pool_v, pool_a, pool_e = [0] * half, [0] * half, [0] * half
-        for k, (v, a, err) in zip(group.chi_exponents(char.chi), rotations):
+        for k, (v, a, err) in zip(row, rotations):
             k = min(k, e - k)
             pool_v[k] += v
             pool_a[k] += a
             pool_e[k] += err
-        value = error = 0
-        for cv, ce, v, a, err in zip(cos_v, cos_e, pool_v, pool_a, pool_e):
-            value += cv * v
-            error += abs(cv) * err + ce * a + ce * err
-        heights[char.label] = DecimalWithError._of(value, error, 2 * d * c)
-    return heights
+        pools = range(0, half, gcd(e, *row))  # the k of a row are multiples of their gcd
+        for char, u in zip(orbit, units):
+            value = error = 0
+            for k in pools:
+                j = u * k % e
+                cv, ce = cos_v[j], cos_e[j]
+                value += cv * pool_v[k]
+                error += abs(cv) * pool_e[k] + ce * pool_a[k] + ce * pool_e[k]
+            heights[char.label] = DecimalWithError._of(value, error, 2 * d * c)
+    return {label: heights[label] for label in group.character_table.by_label}
 
 
 def pairing_of_combinations(group: DihedralGroup,
@@ -87,26 +92,31 @@ def pairing_of_combinations(group: DihedralGroup,
                             b: Mapping[GroupElement, Fraction]) -> DecimalWithError:
     """<sum a_g gQ, sum b_h hQ>_F = sum a_g b_h t(g^-1 h).
 
-    The products c = a_g b_h are pooled by g^-1 h into sum(c) and sum(|c|),
-    so each distinct translate makes one product: value t.value * sum(c),
-    error t.err * sum(|c|), exactly the sum of the per-term intervals."""
+    With the coefficients as integers over denominators A and B, the products
+    c = A a_g B b_h are pooled by g^-1 h into sum(c) and sum(|c|): each distinct
+    translate t makes one product, value t.value * sum(c), error t.err * sum(|c|)
+    over A B, exactly the sum of the per-term intervals."""
+    (da, ia), (db, ib) = map(_integer_coefficients, (a, b))
     pools: dict[GroupElement, list] = {}
-    for g, ca in a.items():
-        if ca == 0:
-            continue
+    for g, ca in ia:
         g_inv = group.inverse(g)
-        for h, cb in b.items():
-            if cb == 0:
-                continue
+        for h, cb in ib:
             pool = pools.setdefault(group.multiply(g_inv, h), [0, 0])
             pool[0] += ca * cb
             pool[1] += abs(ca * cb)
-    value = error = Fraction(0)
+    d = common_denominator(map(translates.__getitem__, pools))
+    value = error = 0
     for x, (c, c_abs) in pools.items():
-        t = translates[x]
-        value += t.value * c
-        error += t.abs_error * c_abs
-    return DecimalWithError(value, error)
+        v, err = scaled(translates[x], d)
+        value += v * c
+        error += err * c_abs
+    return DecimalWithError._of(value, error, d * da * db)
+
+
+def _integer_coefficients(combination: Mapping[GroupElement, Fraction]) -> tuple[int, list]:
+    """The least common denominator A of the coefficients, and each nonzero one times A."""
+    den = lcm(1, *(c.denominator for c in combination.values()))
+    return den, [(g, c.numerator * (den // c.denominator)) for g, c in combination.items() if c]
 
 
 def _interval_det(rows: list[list[DecimalWithError]]) -> DecimalWithError:

@@ -2,6 +2,7 @@
 import decimal
 import importlib.util
 import json
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,7 @@ from twistcong.dataset import (
 )
 from twistcong.engine import verify
 from twistcong.record import replace
-from twistcong.report import structured_report
+from twistcong.report import render, structured_report
 
 
 QUINTIC, SEPTIC = "21a1-quintic-19", "37a1-septic-577"
@@ -733,6 +734,45 @@ def test_group_within_the_size_cap_is_parsed_further():
     with pytest.raises(DatasetError) as excinfo:
         parse_dataset(doc)
     assert excinfo.value.path == "analytic.characters"
+
+
+def test_documents_of_one_shape_share_one_group():
+    quintic, relabelled = bundled_doc(QUINTIC), bundled_doc(QUINTIC)
+    relabelled["label"] = "another dataset"
+    group = parse_dataset(quintic).group
+    assert parse_dataset(relabelled).group is group
+    assert parse_dataset(bundled_doc(SEPTIC)).group is not group
+
+
+@pytest.mark.parametrize("p, factors, message", [
+    (9, [9], "p = 9 is not prime"),
+    (5, [0], "cyclic factor 0 is not a positive power of 5"),
+    (7, [5], "cyclic factor 5 is not a positive power of 7"),
+])
+def test_rejected_shape_is_rejected_on_every_parse(p, factors, message):
+    """No rejected shape is cached: the second parse raises as the first."""
+    doc = bundled_doc(QUINTIC)
+    doc["group"] = {"p": p, "cyclic_factors": factors}
+    for _ in range(2):
+        with pytest.raises(DatasetError) as excinfo:
+            parse_dataset(doc)
+        assert (excinfo.value.path, str(excinfo.value)) == ("group", f"group: {message}")
+
+
+@pytest.mark.parametrize("shape", [(5, [25]), (3, [3, 3])])
+def test_a_shared_group_carries_nothing_between_verifications(shape):
+    """A, then B of the same shape on another curve, then A again: A's
+    structured report has the same bytes both times, and as from a fresh parse."""
+    gen = gen_module()
+    doc_a = gen.gz_input(shape, random.Random(1))["doc"]
+    doc_b = gen.auto_input(shape, random.Random(1))["doc"]
+    assert doc_a["curve"]["label"] != doc_b["curve"]["label"]
+    a, b = parse_dataset(doc_a), parse_dataset(doc_b)
+    assert a.group is b.group
+    first = render(verify(a), "structured")
+    assert verify(b).verdict == "PASS"
+    assert render(verify(a), "structured") == first
+    assert render(verify(parse_dataset(doc_a)), "structured") == first
 
 
 def test_field_block_helpers():

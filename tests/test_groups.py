@@ -3,18 +3,24 @@ decisions."""
 import itertools
 import random
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_dataset import gen_module
 
-from twistcong.engine import CharacterResult, congruence_lines, unit_and_equivariance
-from twistcong.exact import CyclotomicNumber, UnsupportedConductorError, euler_phi, p_valuation
+from twistcong.dataset import parse_dataset
+from twistcong.engine import CharacterResult, congruence_lines, unit_and_equivariance, verify
+from twistcong.exact import (
+    CyclotomicNumber, UnsupportedConductorError, cyclotomic_field, euler_phi, p_valuation,
+)
 from twistcong.groups import (
     Character, DihedralGroup, GroupError, IntegralityReport, NotEquivariantError,
-    center_integrality, character_orbits, character_sums, irreducible_characters,
+    center_integrality, character_orbits, character_sums, dihedral_group, irreducible_characters,
     kolyvagin_identity, orbit_units, res_map, zp_P_membership,
 )
+from twistcong.heights import character_heights
 
 G7 = DihedralGroup(7, [7])
 G5 = DihedralGroup(5, [5])
@@ -257,6 +263,65 @@ def test_character_tables_are_fresh_copies_of_one_table_per_group():
     assert all(c.group is twin for c in irreducible_characters(twin))
     assert all(c.group is twin for orbit in character_orbits(twin) for c in orbit)
     assert irreducible_characters(twin) != irreducible_characters(group)
+
+
+def test_dihedral_group_builds_each_shape_once():
+    group = dihedral_group(5, (5, 5))
+    assert dihedral_group(5, (5, 5)) is group
+    assert dihedral_group(5, (25,)) is not group
+    assert DihedralGroup(5, [5, 5]) is not group
+    assert all(c.group is group for c in irreducible_characters(dihedral_group(5, (5, 5))))
+
+
+@pytest.mark.parametrize("p, factors", [(9, (9,)), (5, (0,)), (7, (5,))])
+def test_dihedral_group_rejects_a_shape_on_every_call(p, factors):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(GroupError) as excinfo:
+            dihedral_group(p, factors)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("p, factors", SUM_SHAPES)
+def test_shape_tables_match_their_references(p, factors):
+    """The tables a group builds on first use: one exponent row per induced
+    orbit and the images of every chi and label under the field generator."""
+    group = DihedralGroup(p, factors)
+    g = cyclotomic_field(group.exponent).generator
+    assert group.orbit_exponents == tuple(
+        tuple(group.chi_exponent(orbit[0].chi, pi) for pi in group.p_elements())
+        for orbit, _ in group.character_table.orbits[2:])
+    assert dict(group.chi_images) == {
+        chi: tuple(g * c % f for c, f in zip(chi, factors)) for chi in group.chi_vectors()}
+    assert dict(group.label_images) == {
+        label: reference_galois_label(group, label, g) for label in group.character_table.by_label}
+
+
+def table_entries(table) -> int:
+    """A mapping's length; a tuple's, or its members' entries when they are tables."""
+    if isinstance(table, Mapping):
+        return len(table)
+    if any(isinstance(x, (tuple, Mapping)) for x in table):
+        return sum(map(table_entries, table))
+    return len(table)
+
+
+@pytest.mark.parametrize("factors", [[343], [49, 7], [7, 7, 7]])
+def test_an_interned_group_keeps_tables_of_bounded_size(factors):
+    """After a parse and a verify at |P| = 343, with the heights and the center
+    test on top, the group's tables hold O(|G| + |P| #orbits) entries: no
+    exponent row per character and no image per (label, unit) pair."""
+    ds = parse_dataset(gen_module().gz_input((7, factors), random.Random(1))["doc"])
+    group = ds.group
+    result = verify(ds)
+    character_heights(group, ds.heights.translates)
+    center_integrality({label: r.q_value for label, r in result.characters.items()}, group)
+    assert {"orbit_exponents", "chi_images", "label_images"} <= set(vars(group))
+    entries = sum(table_entries(x) for x in vars(group).values() if isinstance(x, (tuple, Mapping)))
+    table = group.character_table
+    assert entries <= 4 * group.order + group.p_order * len(table.orbits)
+    assert entries < group.p_order * len(table.by_label)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,45 @@ def test_pairing_matches_double_loop(p, factors):
         assert got.value == want.value and got.abs_error == want.abs_error
 
 
+def fraction_pairing(group, translates, a, b):
+    """pairing_of_combinations as it was written over Fractions: the products
+    pooled by translate, each pool times t.value and t.abs_error."""
+    pools = {}
+    for g, ca in a.items():
+        for h, cb in b.items():
+            if ca and cb:
+                pool = pools.setdefault(group.multiply(group.inverse(g), h), [0, 0])
+                pool[0] += ca * cb
+                pool[1] += abs(ca * cb)
+    value = error = Fraction(0)
+    for x, (c, c_abs) in pools.items():
+        value += translates[x].value * c
+        error += translates[x].abs_error * c_abs
+    return DecimalWithError(value, error)
+
+
+@pytest.mark.parametrize("p, factors", [(5, [5]), (7, [7]), (3, [9]), (3, [3, 3])])
+def test_integer_pairing_matches_the_fraction_loop(p, factors):
+    """Translates with 40-digit denominators and nonzero errors; coefficients
+    with zeros, negatives and mixed denominators, some combinations all zero."""
+    group = DihedralGroup(p, factors)
+    rng = random.Random(f"integer pairing:{factors}")
+    elements = list(group.elements())
+    tr = {g: DecimalWithError(
+        Fraction(rng.randrange(-10 ** 45, 10 ** 45), rng.randrange(1, 10 ** 40)),
+        Fraction(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 40))) for g in elements}
+    coefficients = [Fraction(0), Fraction(-3, 7), Fraction(5, 12), Fraction(-1), Fraction(2),
+                    Fraction(9, 4), Fraction(-11, 18)]
+    for _ in range(20):
+        a, b = ({g: rng.choice(coefficients) for g in rng.sample(elements, rng.randrange(1, 7))}
+                for _ in range(2))
+        got, want = pairing_of_combinations(group, tr, a, b), fraction_pairing(group, tr, a, b)
+        assert got.value == want.value and got.abs_error == want.abs_error
+    zero = {elements[0]: Fraction(0)}
+    assert pairing_of_combinations(group, tr, zero, {elements[1]: Fraction(1, 3)}) == \
+        DecimalWithError.exact(0)
+
+
 def test_pairing_of_combinations():
     tr = translates_21()
     s = G5.element((1,))

@@ -35,7 +35,13 @@ median and the quartiles):
   and whether `src/twistcong/__pycache__` existed when the snapshot
   started. A clean checkout compiles `src/` in every process unless the
   cache exists, so two snapshots compare only in the same state;
-- the tier-1 suite with its wall time, its counts and its five slowest tests.
+- the tier-1 suite with its wall time, its counts and its five slowest tests;
+- a control: in every round of the benchmark, sweep and CLI phases, one
+  process per checkout that imports only standard modules (CONTROL_SCRIPT),
+  timed from outside like a CLI run. Its wall times, with their median and
+  quartiles, and with two checkouts its paired differences, are kept under
+  `control`, by phase. No code of a checkout runs in it, so its paired
+  differences measure the host and the order of the sides alone.
 
 Compare two files only when both were written on the same host.
 """
@@ -80,6 +86,7 @@ print(json.dumps({"parse_s": parsed - start, "verify_s": done - parsed,
 SWEEP_KEYS = ("parse_s", "verify_s", "render_s")
 
 CLI_RUNS = 21
+CONTROL_SCRIPT = "import argparse, fractions, functools, itertools, json, math, types, typing"
 # the bytecode states of the CLI runs, by the PYTHONDONTWRITEBYTECODE each
 # runs with. "cold": the prefix directory stays empty, so every module not
 # frozen into the interpreter, the standard library's included, is compiled
@@ -145,7 +152,27 @@ def _paired(runs: list[list[float]]) -> list[dict] | list[None]:
     return out
 
 
-def benchmark(roots: list[Path]) -> list[dict]:
+def _control(roots: list[Path], walls: list[list[float]]) -> None:
+    """One control process per root, its wall time appended to the root's list."""
+    for root, side in zip(roots, walls):
+        start = time.perf_counter()
+        proc = _run(root, ["-c", CONTROL_SCRIPT])
+        side.append(time.perf_counter() - start)
+        if proc.returncode != 0:
+            raise RuntimeError(f"control in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+
+
+def _control_summary(walls: list[list[float]]) -> list[dict]:
+    out = []
+    for side, diff in zip(walls, _paired(walls)):
+        quartiles = _quartiles(side)
+        out.append({"runs_s": side, "wall_s": quartiles[1], "wall_quartiles_s": quartiles})
+        if diff is not None:
+            out[-1]["wall_paired_diff_s"] = diff
+    return out
+
+
+def benchmark(roots: list[Path], control: list[list[float]]) -> list[dict]:
     out: list[dict] = [{} for _ in roots]
     for workload in WORKLOADS:
         for trace in (0, 1):
@@ -154,10 +181,11 @@ def benchmark(roots: list[Path]) -> list[dict]:
                     _run(root, ["perfbench/run.py", "--workload", workload,
                                 "--trace", str(trace)]),
                     f"run.py --workload {workload} --trace {trace} in {root}")
+            _control(roots, control)
     return out
 
 
-def sweep(roots: list[Path]) -> list[list[dict]]:
+def sweep(roots: list[Path], control: list[list[float]]) -> list[list[dict]]:
     """The sweep runs, taken round-robin over the shapes and the roots, so
     that a slow spell of the host reaches every shape and side alike."""
     runs = [[[] for _ in SWEEP_SHAPES] for _ in roots]
@@ -166,6 +194,7 @@ def sweep(roots: list[Path]) -> list[list[dict]]:
             for root, side in zip(roots, runs):
                 side[i].append(_last_json(_run(root, ["-c", SWEEP_SCRIPT, json.dumps(shape)]),
                                           f"sweep at {shape} in {root}"))
+        _control(roots, control)
     out = []
     for side in runs:
         points = []
@@ -201,7 +230,7 @@ def _summary(dataset: str, runs: list[dict], self_us: dict[str, list[int]]) -> d
             "import_self_us": {name: medians[name] for name in kept + others}}
 
 
-def cli(roots: list[Path]) -> list[dict]:
+def cli(roots: list[Path], control: list[list[float]]) -> list[dict]:
     """The CLI runs of every workload, state and root, taken round-robin, so
     that each set of runs samples the host over the whole phase; each cell
     has a fresh prefix directory, and a warm one is filled by one unmeasured
@@ -242,6 +271,7 @@ def cli(roots: list[Path]) -> list[dict]:
                     self_us.setdefault(name, []).append(us)
                 runs.append({"wall_s": wall, "exit_code": proc.returncode,
                              "mpmath": "mpmath" in imported})
+            _control(roots, control)
     out = [{state: {} for state in CLI_STATES} for _ in roots]
     for (side, state, workload), (_, dataset, _, _, runs, self_us) in cells.items():
         out[side][state][workload] = _summary(dataset, runs, self_us)
@@ -291,12 +321,14 @@ def main() -> int:
                  for root, commit in zip(roots, commits)]
     if len(roots) == 2:
         snapshots[0]["paired_with"], snapshots[1]["paired_with"] = commits[1], commits[0]
-    for snapshot, bench in zip(snapshots, benchmark(roots)):
-        snapshot["benchmark"] = bench
-    for snapshot, points in zip(snapshots, sweep(roots)):
-        snapshot["gz_sweep"] = points
-    for snapshot, cells in zip(snapshots, cli(roots)):
-        snapshot["cli"] = cells
+    for snapshot in snapshots:
+        snapshot["control"] = {}
+    for phase, key, measure in (("benchmark", "benchmark", benchmark),
+                                ("sweep", "gz_sweep", sweep), ("cli", "cli", cli)):
+        control: list[list[float]] = [[] for _ in roots]
+        for snapshot, done, summary in zip(snapshots, measure(roots, control),
+                                           _control_summary(control)):
+            snapshot[key], snapshot["control"][phase] = done, summary
     for snapshot, root in zip(snapshots, roots):
         snapshot["suite"] = suite(root)
     for snapshot, out in zip(snapshots, args.out):
